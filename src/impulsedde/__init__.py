@@ -46,6 +46,7 @@ from .represent import (
     cauchy_apply,
     represent_solution,
     representation_residual,
+    representation_residuals,
 )
 from .stability import (
     RateEstimate,
@@ -87,6 +88,7 @@ __all__ = [
     "cauchy_apply",
     "represent_solution",
     "representation_residual",
+    "representation_residuals",
     "RateEstimate",
     "StabilityCertificate",
     "c0_closed_form",

@@ -48,7 +48,7 @@ from .integrate import (
     fundamental_grid,
     solve,
 )
-from .represent import RepresentationInput, represent_solution
+from .represent import representation_residuals
 from .stability import certify, estimate_rate, gronwall_bound
 
 __all__ = [
@@ -454,14 +454,7 @@ def _cmd_verify_representation(cfg: RunConfig) -> int:
         targets = _parse_grid(cfg.t_grid, "--t-grid")
     else:
         targets = np.linspace(0.0, spec.horizon, 9)
-    grid = StepControl(cfg.dt)
-    rep = represent_solution(RepresentationInput(
-        spec, tuple(float(t) for t in targets), grid=grid))
-    traj = solve(spec, grid)
-    residuals = []
-    for k, t in enumerate(targets):
-        ref = traj.value(float(t), side="right")
-        residuals.append(vec_norm(rep[k] - ref) / (1.0 + vec_norm(ref)))
+    residuals = representation_residuals(spec, targets, StepControl(cfg.dt))
     doc = {
         "target_times": [float(t) for t in targets],
         "residuals": residuals,

@@ -8,7 +8,8 @@ images tau_j + theta_i are mandatory grid nodes, so interpolants are never
 evaluated across a breakpoint.  The same engine, batched over the restart
 time s, computes the fundamental matrix X(t, s) of the s-curtailed
 equation (zero history below s, X(s, s) = identity, impulses only at
-tau_j > s, X(t, s) = 0 for t < s).
+tau_j > s, X(t, s) = 0 for t < s); run over the reflected adjoint system,
+it computes the rows s -> X(t, s) for a few t at once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .system import (
     ConstantLag,
+    DelayTerm,
     FrozenTime,
     ImpulseSchedule,
     MatrixTable,
@@ -70,6 +72,17 @@ def _signal_value(sig, t: float, side: str, dim: int) -> np.ndarray:
     if isinstance(sig, VectorTable):
         return np.asarray(sig.value(t, side), dtype=float)
     return np.asarray(sig, dtype=float)
+
+
+def _history_value(phi, t: float, side: str, dim: int) -> np.ndarray:
+    # history reads land on lag images fl(fl(b + theta) - theta) of phi's
+    # breaks b, so a read within the snap tolerance of a break is taken
+    # there (represent._table_rows applies the same rule to arrays)
+    if isinstance(phi, VectorTable):
+        i = _node_index(phi.breaks, t)
+        if i >= 0:
+            t = float(phi.breaks[i])
+    return _signal_value(phi, t, side, dim)
 
 
 def _coef_value(coef, t: float) -> np.ndarray:
@@ -164,6 +177,20 @@ def _node_index(nodes: np.ndarray, t: float) -> int:
     return -1
 
 
+def _jump_map(schedule: ImpulseSchedule, nodes: np.ndarray,
+              after: float = 0.0) -> dict:
+    """Map node index -> impulse index for every jump point tau > after on
+    the grid (node 0 carries no jump: columns start there post-jump)."""
+    out = {}
+    t_end = nodes[-1]
+    for j, tau in enumerate(schedule.points):
+        if tau > after and (tau <= t_end or _snap(tau, t_end)):
+            idx = _node_index(nodes, tau)
+            if idx > 0:
+                out[idx] = j
+    return out
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Piecewise-cubic right-continuous dense output on [start, t_end].
@@ -190,7 +217,7 @@ class Trajectory:
     def _pre_history(self, t: float, side: str) -> np.ndarray:
         if self.zero_history:
             return np.zeros(self.dim)
-        return _signal_value(self.phi, t, side, self.dim)
+        return _history_value(self.phi, t, side, self.dim)
 
     def value(self, t: float, side: str = "right") -> np.ndarray:
         """Dense-output value; side selects the limit at a node."""
@@ -276,12 +303,7 @@ def _integrate(spec: SystemSpec, t_start: float, t_end: float, y0: np.ndarray,
     nodes = _build_nodes(breaks, dt_eff)
     K = len(nodes) - 1
 
-    jump_nodes: dict[int, int] = {}
-    for j, tau in enumerate(spec.impulses.points):
-        if tau > impulses_after and (tau <= t_end or _snap(tau, t_end)):
-            idx = _node_index(nodes, tau)
-            if idx > 0:
-                jump_nodes[idx] = j
+    jump_nodes = _jump_map(spec.impulses, nodes, after=impulses_after)
 
     y_post = np.zeros((K + 1, n))
     y_pre = np.zeros((K + 1, n))
@@ -291,7 +313,7 @@ def _integrate(spec: SystemSpec, t_start: float, t_end: float, y0: np.ndarray,
     def pre_history(t, side):
         if zero_history:
             return np.zeros(n)
-        return _signal_value(spec.phi, t, side, n)
+        return _history_value(spec.phi, t, side, n)
 
     hist = _History((y_post, y_pre, f_right, f_left), nodes, pre_history)
 
@@ -413,49 +435,7 @@ def _prepare_grid(spec: SystemSpec, t_end: float, dt: float, extra=(),
     breaks = _collect_breaks(spec, 0.0, t_end, with_history=with_history,
                              extra=extra)
     nodes = _build_nodes(breaks, dt_eff)
-    jump_nodes = {}
-    for j, tau in enumerate(spec.impulses.points):
-        if 0.0 < tau <= t_end or _snap(tau, t_end):
-            idx = _node_index(nodes, tau)
-            if idx > 0:
-                jump_nodes[idx] = j
-    return nodes, jump_nodes
-
-
-def _augment_with_images(nodes: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Insert the first-generation lag images node + theta_i as grid nodes.
-
-    A fundamental column activated at node s has a derivative jump at every
-    s + theta_i, where its delayed reads cross the zero-to-identity start;
-    a shared-grid sweep that steps across such a point without a node there
-    commits an O(h) one-step error.  Adding the images restores the step
-    order for every column; images within the snap tolerance of an existing
-    node are dropped, so lattice-aligned grids gain nothing.  Images of
-    images (where the read is merely kinked, not jumped) are left out: their
-    one-step effect is O(h^2), within the quadrature budget.
-    """
-    lags = sorted({t.delay.theta for t in spec.terms
-                   if isinstance(t.delay, ConstantLag) and t.delay.theta > 0})
-    if not lags:
-        return nodes
-    t_end = nodes[-1]
-    tol = _SNAP * max(1.0, abs(t_end))
-    fresh = []
-    for theta in lags:
-        img = nodes + theta
-        img = img[img < t_end - tol]
-        i = np.searchsorted(nodes, img)
-        d_left = np.abs(img - nodes[np.maximum(i - 1, 0)])
-        d_right = np.abs(nodes[np.minimum(i, len(nodes) - 1)] - img)
-        fresh.append(img[(d_left > tol) & (d_right > tol)])
-    cand = np.unique(np.concatenate(fresh)) if fresh else np.empty(0)
-    if cand.size == 0:
-        return nodes
-    keep = [cand[0]]
-    for v in cand[1:]:
-        if v - keep[-1] > tol:
-            keep.append(v)
-    return np.unique(np.concatenate((nodes, np.asarray(keep))))
+    return nodes, _jump_map(spec.impulses, nodes)
 
 
 def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
@@ -497,15 +477,20 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     return exact, interval, weights
 
 
-def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jump_nodes: dict,
+def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                    s_indices: np.ndarray, record_indices: np.ndarray,
+                   reflected: bool = False,
                    mem_cap: int = 512 << 20) -> np.ndarray:
     """X(t, s) for all (record node, s node) pairs, batched over s.
 
-    Every column starts as zero and is activated to the identity when the
-    sweep reaches its s node (after that node's impulse, which belongs only
-    to columns with s < tau); zero columns evolve as exact zeros, which
-    realizes X(t, s) = 0 for t < s without masking.
+    `jumps` maps node index -> jump matrix.  Every column starts as zero
+    and is activated to the identity when the sweep reaches its s node;
+    zero columns evolve as exact zeros, which realizes X(t, s) = 0 for
+    t < s without masking.  In the forward order a node's jump comes
+    first, so it belongs only to columns with s < tau, and the sample is
+    the post-jump value.  The reflected order (see `_fundamental_rows`)
+    activates first and then jumps every column, the new one included, and
+    samples the pre-jump value.
 
     Delayed-read bookkeeping (exact-node detection, enclosing interval,
     Hermite weights) and coefficient values depend only on the shared grid,
@@ -592,7 +577,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jump_nodes: dict,
         d1, d23, d4 = (np.zeros((Sc, n, n)) for _ in range(3))
         k2b, k3b, k4b, stage, acc, mm = (np.empty((Sc, n, n)) for _ in range(6))
 
-        def activate_and_record(node_idx):
+        def at_node(node_idx):
             for local in col_of.get(node_idx, ()):
                 Y[local] = eye
             for c, idx in frozen_idx.items():
@@ -601,6 +586,16 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jump_nodes: dict,
             row = rec_of_node.get(node_idx)
             if row is not None:
                 samples[row, cols] = Y
+            if reflected and node_idx in jumps:
+                Wn = int(widths[node_idx])
+                np.matmul(jumps[node_idx], Y[:Wn], out=mm[:Wn])
+                np.copyto(Y[:Wn], mm[:Wn])
+
+        def ring_too_shallow(i, k):
+            # _ring_depth sizes the ring to the deepest delayed read, so
+            # this is an internal error, kept as a check under python -O
+            return RuntimeError(f"history ring too shallow: step {k} reads "
+                                f"interval {i} with depth {D}")
 
         def delayed(out, A_k, plan, k, W, left):
             # ring slot k holds step-k data: Y at node k (post), right
@@ -618,14 +613,16 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jump_nodes: dict,
                         return
                     src = r_y0[i % D, :W]
                 else:
-                    assert i > k - D + 1, "history ring too shallow"
+                    if i <= k - D + 1:
+                        raise ring_too_shallow(i, k)
                     src = (r_y1[(i - 1) % D, :W] if left
                            else r_y0[i % D, :W])
             else:
                 i = int(interval[k])
                 if i < k_start:
                     return
-                assert i > k - D + 1, "history ring too shallow"
+                if i <= k - D + 1:
+                    raise ring_too_shallow(i, k)
                 w = weights[k]
                 blend = stage[:W]
                 tmp = mm[:W]
@@ -640,7 +637,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jump_nodes: dict,
             np.matmul(A_k, src, out=mm[:W])
             out += mm[:W]
 
-        activate_and_record(k_start)
+        at_node(k_start)
         for k in range(k_start, K):
             h = steps[k]
             W = int(widths[k])
@@ -710,19 +707,71 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jump_nodes: dict,
             else:
                 np.negative(d4v, out=f_left)
 
-            j = jump_nodes.get(k + 1)
-            if j is not None:
-                np.matmul(spec.impulses.matrices[j], y_new, out=Yv)
+            B = None if reflected else jumps.get(k + 1)
+            if B is not None:
+                np.matmul(B, y_new, out=Yv)
             else:
                 np.copyto(Yv, y_new)
             # ring slot for the NEXT step must see post-jump values at
             # node k+1; r_y0 is written at the top of the next iteration
-            activate_and_record(k + 1)
+            at_node(k + 1)
             if (k + 1) % 256 == 0 and not np.all(np.isfinite(Y)):
                 raise NumericalError(f"state non-finite at t={nodes[k + 1]}")
         if not np.all(np.isfinite(Y)):
             raise NumericalError("state non-finite at final node")
     return samples if unsort is None else samples[:, unsort]
+
+
+def _reflect_coefficient(coef, shift: float):
+    """sigma -> coef(shift - sigma)^T, for reads at step midpoints.
+
+    A table keeps its pieces in reverse order; the sides at the reflected
+    breaks swap, which the midpoint reads never see.
+    """
+    if not isinstance(coef, MatrixTable):
+        return np.asarray(coef, dtype=float).T
+    breaks = np.concatenate(([-np.inf], shift - coef.breaks[::-1]))
+    values = np.concatenate((coef.values[::-1], coef.values[:1]))
+    return MatrixTable(breaks, values.transpose(0, 2, 1))
+
+
+def _fundamental_rows(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
+                      rows) -> np.ndarray:
+    """X(nodes[r], s) at every node s, for each r in `rows`, in one sweep.
+
+    Returns out[k, i] = X(nodes[rows[k]], nodes[i]), right-continuous in s
+    (the impulse at s = tau is not applied) and zero for s > t; the s-left
+    limit at a jump node is out[k, i] @ B_j.  `jumps` maps node index ->
+    jump matrix.
+
+    For fixed t the row solves the formal adjoint equation
+    d/ds X(t,s) = sum_i X(t, s + theta_i) A_i(s + theta_i) with X(t,t) = I,
+    X(t,u) = 0 for u > t and X(t, tau_j - 0) = X(t, tau_j) B_j (Hale and
+    Verduyn Lunel 1993, ch. 6).  With sigma = T - s, T = nodes[-1],
+    Y(sigma) = X(t, T - sigma)^T solves the forward homogeneous system with
+    coefficients A_i(T - sigma + theta_i)^T and jumps B_j^T at T - tau_j,
+    restarted at T - t, so `_batch_columns` computes every row at once in
+    its reflected order: O(K n^3) per row instead of the O(K^2 n^3) of one
+    forward column per node.  Frozen-time terms with c = 0 act only on the
+    s = 0 column, a null set for the integrals the rows feed, and are left
+    out.
+    """
+    for term in spec.terms:
+        if isinstance(term.delay, FrozenTime) and term.delay.c > 0:
+            raise ValueError("frozen-time term with c > 0 is not causal from t=0")
+    t_end = float(nodes[-1])
+    K = len(nodes) - 1
+    terms = [DelayTerm(_reflect_coefficient(term.coefficient,
+                                            t_end + term.delay.theta),
+                       term.delay)
+             for term in spec.terms if isinstance(term.delay, ConstantLag)]
+    mirror = SystemSpec(dim=spec.dim, terms=terms, horizon=t_end)
+    sigma = t_end - nodes[::-1]
+    mirror_jumps = {K - i: B.T for i, B in jumps.items()}
+    samples = _batch_columns(mirror, sigma, mirror_jumps,
+                             K - np.asarray(rows, dtype=np.intp),
+                             np.arange(K + 1), reflected=True)
+    return samples[::-1].transpose(1, 0, 3, 2)
 
 
 def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
@@ -753,7 +802,8 @@ def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
     t_idx = np.array([_node_index(nodes, t) for t in t_grid])
     if np.any(s_idx < 0) or np.any(t_idx < 0):
         raise ValueError("grid values could not be pinned to integration nodes")
-    samples = _batch_columns(hom, nodes, jump_nodes, s_idx, t_idx)
+    jumps = {i: hom.impulses.matrices[j] for i, j in jump_nodes.items()}
+    samples = _batch_columns(hom, nodes, jumps, s_idx, t_idx)
     samples.setflags(write=False)
     return FundamentalMatrix(s_grid=s_grid.copy(), t_grid=t_grid.copy(),
                              samples=samples)

@@ -12,10 +12,16 @@ side by composite trapezoid quadrature on the integrator's own grid and
 compares it against direct integration; the map (Cf)(t) = int_0^t X(t,s) f(s) ds
 is exposed on its own as the Cauchy operator.
 
-Quadrature panels are split at every jump point (s -> X(t,s) jumps there,
-with left limit X(t,tau_j) B_j), at every table breakpoint of the forcing
-and the coefficients, and at the images of phi's breakpoints, so each panel
-has a smooth integrand evaluated with one-sided limits at its endpoints.
+The kernel rows s -> X(t,s), for the few target times t and every
+quadrature node s, come from one reflected sweep of the batched engine over
+the adjoint system (`integrate._fundamental_rows`), O(K) steps for all
+targets together.  Quadrature panels are split at every jump point
+(s -> X(t,s) jumps there, with left limit X(t,tau_j) B_j), at every table
+breakpoint of the forcing and the coefficients, at the images of phi's
+breakpoints, and at the backward lag images a - theta_i, a - 2 theta_i of
+the targets, jump points and coefficient breaks a, where the rows have
+derivative jumps, so each panel has a smooth integrand evaluated with
+one-sided limits at its endpoints.
 """
 
 from __future__ import annotations
@@ -36,12 +42,10 @@ from .system import (
 from .integrate import (
     _SNAP,
     StepControl,
-    _augment_with_images,
-    _batch_columns,
-    _curtailed,
+    _fundamental_rows,
+    _jump_map,
     _node_index,
     _prepare_grid,
-    _snap,
     solve,
 )
 
@@ -50,12 +54,25 @@ __all__ = [
     "cauchy_apply",
     "represent_solution",
     "representation_residual",
+    "representation_residuals",
 ]
 
 
-def _table_rows(table, ts: np.ndarray, side: str) -> np.ndarray:
-    """Vectorized piecewise-constant table read with one-sided limits."""
-    k = np.searchsorted(table.breaks, ts, side="right" if side == "right" else "left") - 1
+def _table_rows(table, ts, side: str) -> np.ndarray:
+    """Vectorized piecewise-constant table read with one-sided limits.
+
+    A time within the snap tolerance of a break reads as that break, so a
+    node one ulp off a break b (a lag image fl(fl(b + theta) - theta), or a
+    grid node that won the snap merge against b) takes b's pieces.
+    """
+    breaks = table.breaks
+    ts = np.asarray(ts, dtype=float)
+    near = np.searchsorted(breaks, ts)
+    for cand in (np.minimum(near, len(breaks) - 1), np.maximum(near - 1, 0)):
+        b = breaks[cand]
+        tol = _SNAP * np.maximum(1.0, np.maximum(np.abs(b), np.abs(ts)))
+        ts = np.where(np.abs(b - ts) <= tol, b, ts)
+    k = np.searchsorted(breaks, ts, side="right" if side == "right" else "left") - 1
     return table.values[np.maximum(k, 0)]
 
 
@@ -92,27 +109,25 @@ def _phi_rows(phi, zetas: np.ndarray, side: str, dim: int, tol: float) -> np.nda
 def _quad_nodes(spec: SystemSpec, targets: np.ndarray, dt: float,
                 extra_breaks=()) -> np.ndarray:
     """Quadrature grid on [0, max target]: integrator breakpoints refined to
-    dt, with every target pinned and every node's first lag image inserted
-    (each node is an activation point of a fundamental column, see
-    `_augment_with_images`)."""
+    dt, with every target pinned and the backward lag images a - m theta_i
+    (m = 1, 2) of the targets, jump points and coefficient breaks a
+    inserted.  The rows s -> X(t_k, s) (see `_fundamental_rows`) have a
+    jump in the first derivative at the first image and in the second at
+    the second; a step across either would cost an O(h^2) or O(h^3) local
+    error.  Deeper images are smoother and left out."""
     t_end = float(targets[-1])
+    lags = [t.delay.theta for t in spec.terms
+            if isinstance(t.delay, ConstantLag) and t.delay.theta > 0]
+    anchors = [targets, spec.impulses.points]
+    anchors += [t.coefficient.breaks for t in spec.terms
+                if isinstance(t.coefficient, MatrixTable)]
+    anchors = np.concatenate(anchors)
+    images = [anchors - m * theta for theta in lags for m in (1, 2)]
     extra = np.unique(np.concatenate(
-        (targets, np.asarray(extra_breaks, dtype=float))))
+        (targets, np.asarray(extra_breaks, dtype=float), *images)))
     extra = extra[(extra >= 0.0) & (extra <= t_end)]
     nodes, _ = _prepare_grid(spec, t_end, dt, extra=extra, with_history=True)
-    return _augment_with_images(nodes, spec)
-
-
-def _jump_map(schedule, nodes: np.ndarray) -> dict:
-    """Map node index -> impulse index for every jump point on the grid."""
-    out = {}
-    t_end = nodes[-1]
-    for j, tau in enumerate(schedule.points):
-        if tau > 0.0 and (tau <= t_end or _snap(tau, t_end)):
-            idx = _node_index(nodes, tau)
-            if idx > 0:
-                out[idx] = j
-    return out
+    return nodes
 
 
 class _Kernel:
@@ -123,26 +138,19 @@ class _Kernel:
     X(t, tau_j) B_j, so trapezoid panels read one-sided limits directly.
     """
 
-    def __init__(self, spec: SystemSpec, targets: np.ndarray, dt: float,
-                 extra_breaks=(), nodes: np.ndarray = None):
-        hom = _curtailed(spec)
-        if nodes is None:
-            nodes = _quad_nodes(spec, targets, dt, extra_breaks)
-        jump_nodes = _jump_map(spec.impulses, nodes)
+    def __init__(self, spec: SystemSpec, targets: np.ndarray,
+                 nodes: np.ndarray):
         rows = np.array([_node_index(nodes, t) for t in targets])
         if np.any(rows < 0):
             raise ValueError("target times could not be pinned to grid nodes")
-        all_s = np.arange(len(nodes))
         self.nodes = nodes
-        self.jump_nodes = jump_nodes
-        self.row_of = {float(t): r for r, t in enumerate(targets)}
-        self.right = _batch_columns(hom, nodes, jump_nodes, all_s, rows)
+        self.jump_nodes = _jump_map(spec.impulses, nodes)
+        jumps = {i: spec.impulses.matrices[j]
+                 for i, j in self.jump_nodes.items()}
+        self.right = _fundamental_rows(spec, nodes, jumps, rows)
         self.left = self.right.copy()
-        for idx, j in jump_nodes.items():
-            self.left[:, idx] = self.right[:, idx] @ spec.impulses.matrices[j]
-
-    def row(self, t: float) -> int:
-        return self.row_of[float(t)]
+        for idx, B in jumps.items():
+            self.left[:, idx] = self.right[:, idx] @ B
 
 
 def _panel_sum(kernel: _Kernel, row: int, i_hi: int,
@@ -206,7 +214,9 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
 
     `f` is a piecewise-constant VectorTable on [0, t] (or None for zero).
     The spec contributes only its dynamics and jump matrices; its own
-    forcing, history and offsets do not enter.
+    forcing, history and offsets do not enter.  A frozen-time term at c = 0
+    changes X(t, s) only at s = 0, a null set for the integral; c > 0 is
+    rejected.
     """
     bad = validate(spec)
     if bad:
@@ -224,11 +234,12 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
     if t == 0.0:
         return np.zeros(spec.dim)
 
-    kernel = _Kernel(spec, np.array([t]), grid.dt, extra_breaks=f.breaks)
-    i_hi = _node_index(kernel.nodes, t)
+    targets = np.array([t])
+    kernel = _Kernel(spec, targets,
+                     _quad_nodes(spec, targets, grid.dt, f.breaks))
     vr = _forcing_rows(f, kernel.nodes, "right", spec.dim)
     vl = _forcing_rows(f, kernel.nodes, "left", spec.dim)
-    return _panel_sum(kernel, kernel.row(t), i_hi, vr, vl)
+    return _panel_sum(kernel, 0, len(kernel.nodes) - 1, vr, vl)
 
 
 def represent_solution(inp: RepresentationInput) -> np.ndarray:
@@ -248,7 +259,7 @@ def represent_solution(inp: RepresentationInput) -> np.ndarray:
                              "representation; integrate directly instead")
 
     targets = np.unique(np.asarray(inp.target_times, dtype=float))
-    kernel = _Kernel(spec, targets, inp.grid.dt, nodes=inp.quad_grid)
+    kernel = _Kernel(spec, targets, inp.quad_grid)
     nodes = kernel.nodes
     dim = spec.dim
     tol = _SNAP * max(1.0, float(nodes[-1]))
@@ -285,21 +296,26 @@ def represent_solution(inp: RepresentationInput) -> np.ndarray:
     return result
 
 
-def representation_residual(spec: SystemSpec, target_times,
-                            grid: StepControl = StepControl()) -> float:
-    """Max relative gap between the represented and the integrated solution.
+def representation_residuals(spec: SystemSpec, target_times,
+                             grid: StepControl = StepControl()) -> list:
+    """Relative gap between the represented and the integrated solution.
 
-    Returns max over targets of ||represented - direct|| / (1 + ||direct||),
-    the executable form of the equivalence between the initial-value problem
-    and its variation-of-constants presentation.
+    Returns ||represented - direct|| / (1 + ||direct||) at each target, in
+    the order given: the executable form of the equivalence between the
+    initial-value problem and its variation-of-constants presentation.
     """
     inp = RepresentationInput(spec, tuple(float(t) for t in target_times),
                               grid=grid)
     rep = represent_solution(inp)
     traj = solve(spec, grid)
-    worst = 0.0
+    gaps = []
     for k, t in enumerate(inp.target_times):
         ref = traj.value(t, side="right")
-        gap = vec_norm(rep[k] - ref) / (1.0 + vec_norm(ref))
-        worst = max(worst, gap)
-    return worst
+        gaps.append(vec_norm(rep[k] - ref) / (1.0 + vec_norm(ref)))
+    return gaps
+
+
+def representation_residual(spec: SystemSpec, target_times,
+                            grid: StepControl = StepControl()) -> float:
+    """Max over the targets of `representation_residuals`."""
+    return max(representation_residuals(spec, target_times, grid))

@@ -97,6 +97,23 @@ def planar_singular_reset() -> SystemSpec:
     )
 
 
+def multi_piece_history() -> SystemSpec:
+    """Scalar, lag 0.261, three-piece phi whose breaks b have lag images
+    b + theta that do not round-trip: fl(fl(b + theta) - theta) != b.
+
+    Kept out of CORPUS: its solution is piecewise polynomial on [0, 2 theta),
+    so it serves as an exact oracle for history reads at phi's breaks.
+    """
+    return SystemSpec(
+        dim=1,
+        terms=[DelayTerm(np.array([[0.4571]]), ConstantLag(0.261))],
+        phi=VectorTable([-0.377, -0.141, -0.074],
+                        [[-0.1567], [-0.4336], [0.7044]]),
+        x0=[0.1062],
+        horizon=1.0,
+    )
+
+
 CORPUS = {
     "scalar-forced": scalar_forced,
     "scalar-stabilized-forced": scalar_stabilized_forced,

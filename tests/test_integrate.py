@@ -13,6 +13,7 @@ from impulsedde import (
     DelayTerm,
     ImpulseSchedule,
     NumericalError,
+    RepresentationInput,
     StepControl,
     SystemSpec,
     VectorTable,
@@ -22,7 +23,10 @@ from impulsedde import (
     solve,
     vec_norm,
 )
-from corpus import CORPUS, planar_rotation, planar_singular_reset, scalar_forced
+from impulsedde import integrate
+from impulsedde.integrate import _fundamental_rows, _jump_map, _node_index
+from corpus import (CORPUS, multi_piece_history, planar_rotation,
+                    planar_singular_reset, scalar_forced)
 
 
 def _decay(a=1.0, horizon=2.0, x0=1.0):
@@ -81,6 +85,32 @@ def test_history_reads_come_from_phi_below_zero():
     traj = solve(spec, StepControl(1e-3))
     npt.assert_allclose(evaluate(traj, spec, -0.2), [0.3], atol=0)
     assert traj.value(-0.2)[0] == 0.3
+
+
+def test_history_reads_at_lag_images_of_phi_breaks_take_the_next_piece():
+    # x' = -a phi(t - theta) on [0, theta) with a three-piece phi: x is
+    # piecewise linear with kinks at b + theta, and x' = -a x(t - theta)
+    # makes it piecewise quadratic on [theta, 2 theta); RK4 with cubic
+    # dense output reproduces both to roundoff.  The reads at
+    # fl(fl(b + theta) - theta), one ulp off b, must take phi's piece from
+    # b on, or the error is first order in dt.
+    spec = multi_piece_history()
+    a, theta, x0 = 0.4571, 0.261, 0.1062
+    kinks = [0.0, -0.141 + theta, -0.074 + theta, theta]
+    slopes = [-a * v for v in (-0.1567, -0.4336, 0.7044)]
+
+    def x_first(t):  # exact x on [0, theta]
+        return x0 + sum(m * max(0.0, min(t, hi) - lo)
+                        for m, lo, hi in zip(slopes, kinks[:-1], kinks[1:]))
+
+    w = 0.5 - theta  # x(0.5) = x(theta) - a int_0^w x(v) dv, w < theta
+    knots = [v for v in kinks[:-1] if v < w] + [w]
+    area = sum(0.5 * (x_first(p) + x_first(q)) * (q - p)
+               for p, q in zip(knots[:-1], knots[1:]))
+    exact = x_first(theta) - a * area
+    for dt in (1e-3, 5e-4, 2.5e-4):
+        got = solve(spec, StepControl(dt)).value(0.5)[0]
+        assert got == pytest.approx(exact, abs=1e-13)
 
 
 def test_queries_beyond_horizon_raise():
@@ -198,6 +228,36 @@ def test_fundamental_grid_matches_per_column_solves(corpus_spec):
                 continue
             direct = np.column_stack([c.value(float(t)) for c in cols])
             npt.assert_allclose(fm.at(float(t), s), direct, atol=1e-6)
+
+
+def test_adjoint_rows_match_fundamental_grid(corpus_spec):
+    # rows s -> X(t, s) from the one reflected sweep against forward
+    # columns on the same lattice.  Targets include every jump point
+    # (planar-singular-reset's B = 0 at 1.2 among them): a row for t = tau
+    # carries B for s < t, and at s = tau it holds X(t, tau), not the
+    # s-left limit X(t, tau) B.
+    spec = corpus_spec
+    horizon = spec.horizon
+    targets = np.unique(np.concatenate((spec.impulses.points,
+                                        [0.5 * horizon, horizon])))
+    grid = StepControl(2e-3)
+    nodes = RepresentationInput(spec, tuple(targets), grid=grid).quad_grid
+    jumps = {i: spec.impulses.matrices[j]
+             for i, j in _jump_map(spec.impulses, nodes).items()}
+    rows = _fundamental_rows(spec, nodes, jumps,
+                             [_node_index(nodes, t) for t in targets])
+    s_grid = np.unique(np.concatenate((nodes[::97], spec.impulses.points,
+                                       targets)))
+    fm = fundamental_grid(spec, s_grid, targets, grid)
+    s_idx = [_node_index(nodes, s) for s in s_grid]
+    npt.assert_allclose(rows[:, s_idx], fm.samples, rtol=0, atol=1e-12)
+
+
+def test_shallow_history_ring_raises(monkeypatch):
+    # the ring-depth check is an error, not an assert, so it holds under -O
+    monkeypatch.setattr(integrate, "_ring_depth", lambda nodes, theta: 2)
+    with pytest.raises(RuntimeError, match="history ring too shallow"):
+        fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
 
 
 def test_fundamental_grid_rejects_bad_grids():

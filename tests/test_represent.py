@@ -18,10 +18,12 @@ from impulsedde import (
     cauchy_apply,
     represent_solution,
     representation_residual,
+    representation_residuals,
     solve,
     vec_norm,
 )
-from corpus import CORPUS, scalar_forced, scalar_table_homogeneous
+from corpus import (CORPUS, multi_piece_history, scalar_forced,
+                    scalar_table_homogeneous)
 
 
 def _plain_decay(a=1.0, horizon=2.0):
@@ -63,6 +65,23 @@ def test_cauchy_is_exact_for_piecewise_constant_kernels():
     assert out[0] == pytest.approx(1.5, abs=1e-12)
 
 
+def test_cauchy_with_a_frozen_term_at_zero_matches_closed_form():
+    # x' + x - x(0) = 0: for s > 0 the curtailed history makes x(0) = 0,
+    # so X(t, s) = e^{-(t-s)} and (C1)(1) = 1 - e^{-1}; the s = 0 column
+    # (X(t, 0) = 1) is a null set for the integral
+    spec = SystemSpec(dim=1,
+                      terms=[DelayTerm(np.array([[1.0]]), ConstantLag(0.0)),
+                             DelayTerm(np.array([[-1.0]]), FrozenTime(0.0))],
+                      x0=[0.0], horizon=2.0)
+    f = VectorTable([0.0], [[1.0]])
+    out = cauchy_apply(spec, f, 1.0, StepControl(1e-3))
+    assert out[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
+    later = SystemSpec(dim=1, terms=[DelayTerm(np.eye(1), FrozenTime(0.5))],
+                       x0=[0.0], horizon=2.0)
+    with pytest.raises(ValueError, match="not causal"):
+        cauchy_apply(later, f, 1.0)
+
+
 def test_cauchy_rejects_wrong_width_forcing():
     f = VectorTable([0.0], [[1.0, 2.0]])
     with pytest.raises(ValueError):
@@ -89,6 +108,28 @@ def test_representation_matches_integration_on_corpus(corpus_spec):
     targets = tuple(np.linspace(0.3, corpus_spec.horizon, 5))
     res = representation_residual(corpus_spec, targets, StepControl(2e-3))
     assert res < 1e-4
+
+
+def test_representation_with_multi_piece_history_is_exact():
+    # the history integrand A phi(s - theta) reads phi at lag images of its
+    # breaks; a read one ulp off a break must take the piece from the break
+    # on.  The solution is piecewise polynomial, so the residual is roundoff.
+    res = representation_residual(multi_piece_history(),
+                                  np.linspace(0.1, 1.0, 10), StepControl(1e-3))
+    assert res < 1e-8
+
+
+def test_per_target_residuals_keep_the_input_order():
+    spec = scalar_forced()
+    targets = (2.3, 0.7, 1.4)
+    grid = StepControl(4e-3)
+    gaps = representation_residuals(spec, targets, grid)
+    assert len(gaps) == 3
+    assert max(gaps) == representation_residual(spec, targets, grid)
+    # one target at a time gives a slightly different quadrature grid
+    for t, gap in zip(targets, gaps):
+        assert gap == pytest.approx(
+            representation_residual(spec, (t,), grid), rel=1e-6, abs=1e-13)
 
 
 def test_representation_residual_decreases_under_halving():
@@ -169,6 +210,16 @@ def test_user_quadrature_grid_is_honored():
     # forcing integral: X(2,s)=0.5 on [0,1), 1 on [1,2) => 0.5 + 1 = 1.5;
     # offset at tau=1 propagates as X(2,1)*1 = 1
     assert rep[0, 0] == pytest.approx(2.5, abs=1e-12)
+
+
+def test_off_lattice_targets_keep_piecewise_polynomial_rows_exact():
+    # rows s -> X(t, s) kink at t - theta and t - 2 theta; off the step
+    # lattice those must be grid nodes, or RK4 steps across them and the
+    # residual of this piecewise-polynomial system leaves roundoff (2e-8)
+    spec = scalar_table_homogeneous()
+    targets = (0.3137, 0.7123, 1.4567, 2.7900)
+    res = representation_residual(spec, targets, StepControl(2e-3))
+    assert res < 1e-10
 
 
 def test_residual_is_relative_and_small_for_homogeneous_systems():

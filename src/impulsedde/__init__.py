@@ -36,7 +36,6 @@ from .integrate import (
     NumericalError,
     StepControl,
     Trajectory,
-    evaluate,
     fundamental_grid,
     fundamental_matrix,
     solve,
@@ -80,7 +79,6 @@ __all__ = [
     "NumericalError",
     "StepControl",
     "Trajectory",
-    "evaluate",
     "fundamental_grid",
     "fundamental_matrix",
     "solve",

@@ -3,13 +3,17 @@
 Solves x'(t) + sum_i A_i(t) x[h_i(t)] = r(t) with jumps
 x(tau_j) = B_j x(tau_j - 0) + alpha_j using the classical 4-stage
 Runge-Kutta scheme with cubic Hermite dense output.  Delayed values are
-read from the dense history; jump points tau_j and their first-generation
-images tau_j + theta_i are mandatory grid nodes, so interpolants are never
-evaluated across a breakpoint.  The same engine, batched over the restart
-time s, computes the fundamental matrix X(t, s) of the s-curtailed
-equation (zero history below s, X(s, s) = identity, impulses only at
-tau_j > s, X(t, s) = 0 for t < s); run over the reflected adjoint system,
-it computes the rows s -> X(t, s) for a few t at once.
+read from the dense history; every point where x, x' or x'' jumps (jump
+points, table breaks and their lag images up to order 2) is a mandatory
+grid node, so interpolants are never evaluated across a breakpoint.
+
+One engine, batched over the restart time s, computes everything: the
+fundamental matrix X(t, s) of the s-curtailed equation (zero history below
+s, X(s, s) = identity, impulses only at tau_j > s, X(t, s) = 0 for t < s);
+run over the reflected adjoint system, the rows s -> X(t, s) for a few t at
+once; and the solution itself, as the (x0, 1) column of a homogeneous
+system one dimension larger, in which the forcing, the history reads and
+the jump offsets act on a constant last component.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "FundamentalMatrix",
     "NumericalError",
     "solve",
-    "evaluate",
     "fundamental_matrix",
     "fundamental_grid",
 ]
@@ -85,14 +88,6 @@ def _history_value(phi, t: float, side: str, dim: int) -> np.ndarray:
     return _signal_value(phi, t, side, dim)
 
 
-def _coef_value(coef, t: float) -> np.ndarray:
-    # tables change only at grid breaks, so any interior time of the current
-    # step sees one constant piece; callers pass the step midpoint
-    if isinstance(coef, MatrixTable):
-        return np.asarray(coef.value(t), dtype=float)
-    return np.asarray(coef, dtype=float)
-
-
 def _hermite_weights(xi: float, h: float):
     xi2 = xi * xi
     xi3 = xi2 * xi
@@ -104,42 +99,45 @@ def _hermite_weights(xi: float, h: float):
     )
 
 
-def _min_positive_lag(spec: SystemSpec) -> float:
-    lags = [t.delay.theta for t in spec.terms
+def _positive_lags(spec: SystemSpec) -> list:
+    return [t.delay.theta for t in spec.terms
             if isinstance(t.delay, ConstantLag) and t.delay.theta > 0]
-    return min(lags) if lags else math.inf
+
+
+def _image_shifts(lags: list) -> list:
+    """0, theta_i and theta_i + theta_l: a point and its lag images up to
+    the second generation."""
+    return [0.0] + lags + [a + b for i, a in enumerate(lags) for b in lags[i:]]
 
 
 def _collect_breaks(spec: SystemSpec, t_start: float, t_end: float,
                     with_history: bool, extra=()) -> np.ndarray:
     """Sorted mandatory grid nodes in [t_start, t_end].
 
-    Includes the endpoints, every jump point, first-generation propagated
-    images tau_j + theta_i, the images t_start + theta_i of the initial
-    discontinuity, frozen times, coefficient/forcing table breaks, and
-    (when the history is phi rather than zero) the images of phi's table
-    breaks.  `extra` values are forced in as exact nodes.
+    RK4 keeps fourth order only if every point where x, x' or x'' jumps is
+    a node, and a lag image a + theta_i of a point where x^(k) jumps is one
+    where x^(k+1) jumps.  x itself jumps at t_start and at the jump points,
+    and (when the history is phi rather than zero) the delayed reads jump
+    at phi's table breaks, so these get their images a + theta_i and
+    a + theta_i + theta_l; x' jumps at coefficient and forcing table
+    breaks b, which get b + theta_i.  Frozen times, the endpoints and
+    `extra` (forced in as exact nodes) complete the set.
     """
-    pts = [t_start, t_end]
-    lags = [t.delay.theta for t in spec.terms if isinstance(t.delay, ConstantLag)]
+    lags = _positive_lags(spec)
     taus = spec.impulses.points
-    pts.extend(taus)
-    for theta in lags:
-        if theta > 0:
-            pts.append(t_start + theta)
-            pts.extend(taus + theta)
-    for term in spec.terms:
-        if isinstance(term.delay, FrozenTime):
-            pts.append(term.delay.c)
-        if isinstance(term.coefficient, MatrixTable):
-            pts.extend(term.coefficient.breaks)
-    if spec.forcing is not None and isinstance(spec.forcing, VectorTable):
-        pts.extend(spec.forcing.breaks)
+    order0 = [t_start, *taus]
     if with_history and isinstance(spec.phi, VectorTable):
-        for theta in lags:
-            if theta > 0:
-                pts.extend(spec.phi.breaks + theta)
-    pts.extend(extra)
+        order0.extend(spec.phi.breaks)
+    order1 = []
+    for term in spec.terms:
+        if isinstance(term.coefficient, MatrixTable):
+            order1.extend(term.coefficient.breaks)
+    if isinstance(spec.forcing, VectorTable):
+        order1.extend(spec.forcing.breaks)
+    pts = [t_end, *extra]
+    pts.extend(t.delay.c for t in spec.terms if isinstance(t.delay, FrozenTime))
+    pts.extend(np.add.outer(order0, _image_shifts(lags)).ravel())
+    pts.extend(np.add.outer(order1, [0.0] + lags).ravel())
 
     arr = np.asarray(pts, dtype=float)
     arr = arr[(arr >= t_start) & (arr <= t_end)]
@@ -177,14 +175,14 @@ def _node_index(nodes: np.ndarray, t: float) -> int:
     return -1
 
 
-def _jump_map(schedule: ImpulseSchedule, nodes: np.ndarray,
-              after: float = 0.0) -> dict:
-    """Map node index -> impulse index for every jump point tau > after on
-    the grid (node 0 carries no jump: columns start there post-jump)."""
+def _jump_map(schedule: ImpulseSchedule, nodes: np.ndarray) -> dict:
+    """Map node index -> impulse index for every jump point on the grid
+    after its first node (node 0 carries no jump: columns start there
+    post-jump)."""
     out = {}
     t_end = nodes[-1]
     for j, tau in enumerate(schedule.points):
-        if tau > after and (tau <= t_end or _snap(tau, t_end)):
+        if tau <= t_end or _snap(tau, t_end):
             idx = _node_index(nodes, tau)
             if idx > 0:
                 out[idx] = j
@@ -262,139 +260,27 @@ class FundamentalMatrix:
         return self.samples[a, b]
 
 
-class _History:
-    """Dense history reader over the arrays an integration is filling."""
-
-    def __init__(self, traj_arrays, nodes, pre_history):
-        self.nodes = nodes
-        (self.y_post, self.y_pre, self.f_right, self.f_left) = traj_arrays
-        self.pre_history = pre_history  # callable (t, side) -> vector
-
-    def value(self, t: float, side: str) -> np.ndarray:
-        nodes = self.nodes
-        if t < nodes[0] and not _snap(t, nodes[0]):
-            return self.pre_history(t, side)
-        i = _node_index(nodes, t)
-        if i >= 0:
-            if side == "right":
-                return self.y_post[i]
-            if i == 0:
-                return self.pre_history(nodes[0], "left")
-            return self.y_pre[i]
-        i = int(np.searchsorted(nodes, t, side="right")) - 1
-        h = nodes[i + 1] - nodes[i]
-        w0, w1, w2, w3 = _hermite_weights((t - nodes[i]) / h, h)
-        return (w0 * self.y_post[i] + w1 * self.f_right[i]
-                + w2 * self.y_pre[i + 1] + w3 * self.f_left[i + 1])
-
-
-def _integrate(spec: SystemSpec, t_start: float, t_end: float, y0: np.ndarray,
-               zero_history: bool, with_offsets: bool, with_forcing: bool,
-               dt: float, impulses_after: float) -> Trajectory:
-    """Shared single-trajectory engine (plain solves and curtailed columns)."""
-    n = spec.dim
-    for term in spec.terms:
-        if isinstance(term.delay, FrozenTime) and term.delay.c > t_start:
-            raise ValueError(
-                f"frozen-time term at c={term.delay.c} would be queried before c "
-                f"(integration starts at {t_start}); the equation is not causal there")
-    dt_eff = min(dt, _min_positive_lag(spec))
-    breaks = _collect_breaks(spec, t_start, t_end, with_history=not zero_history)
+def _prepare_grid(spec: SystemSpec, t_start: float, t_end: float, dt: float,
+                  extra=(), with_history: bool = False):
+    """Grid nodes on [t_start, t_end] and their jump map (see `_jump_map`):
+    the mandatory breaks refined to equal steps of at most dt and the
+    smallest positive lag."""
+    dt_eff = min([dt] + _positive_lags(spec))
+    breaks = _collect_breaks(spec, t_start, t_end, with_history, extra)
     nodes = _build_nodes(breaks, dt_eff)
-    K = len(nodes) - 1
-
-    jump_nodes = _jump_map(spec.impulses, nodes, after=impulses_after)
-
-    y_post = np.zeros((K + 1, n))
-    y_pre = np.zeros((K + 1, n))
-    f_right = np.zeros((K + 1, n))
-    f_left = np.zeros((K + 1, n))
-
-    def pre_history(t, side):
-        if zero_history:
-            return np.zeros(n)
-        return _history_value(spec.phi, t, side, n)
-
-    hist = _History((y_post, y_pre, f_right, f_left), nodes, pre_history)
-
-    y = np.array(y0, dtype=float)
-    y_post[0] = y
-    y_pre[0] = y
-
-    terms = spec.terms
-    for k in range(K):
-        ta, tb = nodes[k], nodes[k + 1]
-        h = tb - ta
-        tm = ta + 0.5 * h
-        r_mid = _signal_value(spec.forcing, tm, "right", n) if with_forcing \
-            else np.zeros(n)
-
-        # split the right-hand side into the instantaneous matrix and the
-        # stage-independent delayed contributions (three distinct stage times)
-        m_sum = np.zeros((n, n))
-        d1 = np.zeros(n)
-        d23 = np.zeros(n)
-        d4 = np.zeros(n)
-        for term in terms:
-            a = _coef_value(term.coefficient, tm)
-            if isinstance(term.delay, FrozenTime):
-                xc = hist.value(term.delay.c, "right")
-                contrib = a @ xc
-                d1 += contrib
-                d23 += contrib
-                d4 += contrib
-            elif term.delay.theta == 0.0:
-                m_sum += a
-            else:
-                th = term.delay.theta
-                d1 += a @ hist.value(ta - th, "right")
-                d23 += a @ hist.value(tm - th, "right")
-                d4 += a @ hist.value(tb - th, "left")
-
-        k1 = r_mid - d1 - m_sum @ y
-        k2 = r_mid - d23 - m_sum @ (y + (0.5 * h) * k1)
-        k3 = r_mid - d23 - m_sum @ (y + (0.5 * h) * k2)
-        k4 = r_mid - d4 - m_sum @ (y + h * k3)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        f_right[k] = k1
-        y_pre[k + 1] = y_new
-        f_left[k + 1] = r_mid - d4 - m_sum @ y_new
-
-        j = jump_nodes.get(k + 1)
-        if j is not None:
-            y = spec.impulses.matrices[j] @ y_new
-            if with_offsets:
-                y = y + spec.impulses.offsets[j]
-        else:
-            y = y_new
-        y_post[k + 1] = y
-        if not np.all(np.isfinite(y)):
-            raise NumericalError(f"state non-finite at t={tb}")
-
-    for arr in (nodes, y_post, y_pre, f_right, f_left):
-        arr.setflags(write=False)
-    return Trajectory(t_nodes=nodes, y_post=y_post, y_pre=y_pre,
-                      f_right=f_right, f_left=f_left, jump_nodes=jump_nodes,
-                      dim=n, start=t_start, t_end=t_end, phi=spec.phi,
-                      zero_history=zero_history)
+    return nodes, _jump_map(spec.impulses, nodes)
 
 
-def solve(spec: SystemSpec, grid: StepControl = StepControl()) -> Trajectory:
-    """Numerical solution of the full problem on [0, horizon]."""
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
-    return _integrate(spec, 0.0, spec.horizon, spec.x0,
-                      zero_history=False, with_offsets=True, with_forcing=True,
-                      dt=grid.dt, impulses_after=0.0)
+def _jump_matrices(spec: SystemSpec, jump_nodes: dict) -> dict:
+    return {i: spec.impulses.matrices[j] for i, j in jump_nodes.items()}
 
 
-def evaluate(traj: Trajectory, spec: SystemSpec, t: float) -> np.ndarray:
-    """Dense-output value at t; phi answers t < 0; right-continuous at jumps."""
-    if t > spec.horizon and not _snap(t, spec.horizon):
-        raise ValueError(f"t={t} beyond horizon {spec.horizon}")
-    return traj.value(t, side="right")
+def _check_causal(spec: SystemSpec, t0: float) -> None:
+    for term in spec.terms:
+        if isinstance(term.delay, FrozenTime) and term.delay.c > t0:
+            raise ValueError(
+                f"frozen-time term at c={term.delay.c} would be read before c "
+                f"(the sweep starts at {t0}); the equation is not causal there")
 
 
 def _curtailed(spec: SystemSpec) -> SystemSpec:
@@ -406,36 +292,119 @@ def _curtailed(spec: SystemSpec) -> SystemSpec:
                       forcing=None, phi=None, x0=None, horizon=spec.horizon)
 
 
+def _augmented(spec: SystemSpec) -> SystemSpec:
+    """Homogeneous system in (x, z) whose solution from (x0, 1) is (x, 1).
+
+    Every coefficient and jump matrix gets a zero last row, except the unit
+    jump diagonal that keeps z = 1.  The forcing r(t) and the history reads
+    -A_i(t) phi(t - theta_i) on [0, theta_i) become one zero-lag
+    coefficient acting on z, constant between the breaks of r, of the
+    coefficient tables and of phi's lag images, and the lags themselves
+    (all grid nodes of `solve`); the offsets alpha_j become the last
+    column of the jump matrices.  Frozen terms carry over.
+    """
+    n, size = spec.dim, spec.dim + 1
+
+    def pad(m):
+        m = np.asarray(m, dtype=float)
+        out = np.zeros(m.shape[:-2] + (size, size))
+        out[..., :n, :n] = m
+        return out
+
+    terms, lagged, cuts = [], [], [0.0]
+    for term in spec.terms:
+        coef = term.coefficient
+        if isinstance(coef, MatrixTable):
+            terms.append(DelayTerm(MatrixTable(coef.breaks, pad(coef.values)),
+                                   term.delay))
+            cuts.extend(coef.breaks)
+        else:
+            terms.append(DelayTerm(pad(coef), term.delay))
+        if (isinstance(term.delay, ConstantLag) and term.delay.theta > 0
+                and spec.phi is not None):
+            lagged.append(term)
+            cuts.append(term.delay.theta)
+            if isinstance(spec.phi, VectorTable):
+                cuts.extend(spec.phi.breaks + term.delay.theta)
+    if isinstance(spec.forcing, VectorTable):
+        cuts.extend(spec.forcing.breaks)
+
+    if spec.forcing is not None or lagged:
+        breaks = np.unique(cuts)
+        breaks = breaks[(breaks >= 0.0) & (breaks < spec.horizon)]
+        mids = 0.5 * (breaks + np.append(breaks[1:], spec.horizon))
+        source = np.zeros((len(breaks), size, size))
+        for row, t in enumerate(mids):
+            g = _signal_value(spec.forcing, t, "right", n)
+            for term in lagged:
+                theta = term.delay.theta
+                if t < theta:
+                    coef = term.coefficient
+                    a = coef.value(t) if isinstance(coef, MatrixTable) else coef
+                    g = g - a @ _signal_value(spec.phi, t - theta, "right", n)
+            source[row, :n, n] = -g
+        terms.append(DelayTerm(MatrixTable(breaks, source), ConstantLag(0.0)))
+
+    sch = spec.impulses
+    mats = pad(sch.matrices)
+    mats[:, :n, n] = sch.offsets
+    mats[:, n, n] = 1.0
+    return SystemSpec(dim=size, terms=terms,
+                      impulses=ImpulseSchedule(sch.points, mats, None, size),
+                      horizon=spec.horizon)
+
+
+def _trajectory(nodes: np.ndarray, jump_nodes: dict, dense, dim: int,
+                col: int, **history) -> Trajectory:
+    """Trajectory of column `col`, rows :dim, of a dense single sweep."""
+    y_post, y_pre, f_right, f_left = (
+        np.ascontiguousarray(a[:, 0, :dim, col]) for a in dense)
+    for arr in (nodes, y_post, y_pre, f_right, f_left):
+        arr.setflags(write=False)
+    return Trajectory(t_nodes=nodes, y_post=y_post, y_pre=y_pre,
+                      f_right=f_right, f_left=f_left, jump_nodes=jump_nodes,
+                      dim=dim, **history)
+
+
+def solve(spec: SystemSpec, grid: StepControl = StepControl()) -> Trajectory:
+    """Numerical solution of the full problem on [0, horizon].
+
+    One dense sweep of the augmented homogeneous system (`_augmented`) from
+    (x0, 1), on the grid of the original problem.
+    """
+    bad = validate(spec)
+    if bad:
+        raise ValueError("invalid spec: " + "; ".join(bad))
+    nodes, jump_nodes = _prepare_grid(spec, 0.0, spec.horizon, grid.dt,
+                                      with_history=True)
+    aug = _augmented(spec)
+    dense = _batch_columns(aug, nodes, _jump_matrices(aug, jump_nodes), [0],
+                           [], start=np.append(spec.x0, 1.0)[:, None],
+                           dense=True)
+    return _trajectory(nodes, jump_nodes, dense, spec.dim, 0, start=0.0,
+                       t_end=spec.horizon, phi=spec.phi, zero_history=False)
+
+
 def fundamental_matrix(spec: SystemSpec, s: float,
                        grid: StepControl = StepControl()) -> list[Trajectory]:
-    """Columns of X(., s): n curtailed solves with x(s) = e_k, zero history."""
+    """Columns of X(., s): one dense sweep of the curtailed system from
+    X(s, s) = I on a grid that starts at s."""
     if not (0.0 <= s < spec.horizon):
         raise ValueError(f"restart time s={s} outside [0, horizon={spec.horizon})")
     bad = validate(spec)
     if bad:
         raise ValueError("invalid spec: " + "; ".join(bad))
     hom = _curtailed(spec)
-    cols = []
-    for k in range(spec.dim):
-        e = np.zeros(spec.dim)
-        e[k] = 1.0
-        cols.append(_integrate(hom, s, spec.horizon, e, zero_history=True,
-                               with_offsets=False, with_forcing=False,
-                               dt=grid.dt, impulses_after=s))
-    return cols
+    nodes, jump_nodes = _prepare_grid(hom, s, spec.horizon, grid.dt)
+    dense = _batch_columns(hom, nodes, _jump_matrices(hom, jump_nodes), [0],
+                           [], dense=True)
+    return [_trajectory(nodes, jump_nodes, dense, spec.dim, k, start=s,
+                        t_end=spec.horizon, phi=None, zero_history=True)
+            for k in range(spec.dim)]
 
 
 # ---------------------------------------------------------------------------
-# batched computation of X(t, s) over many s on one shared grid
-
-
-def _prepare_grid(spec: SystemSpec, t_end: float, dt: float, extra=(),
-                  with_history: bool = False):
-    dt_eff = min(dt, _min_positive_lag(spec))
-    breaks = _collect_breaks(spec, 0.0, t_end, with_history=with_history,
-                             extra=extra)
-    nodes = _build_nodes(breaks, dt_eff)
-    return nodes, _jump_map(spec.impulses, nodes)
+# the RK4 engine, batched over restart columns on one shared grid
 
 
 def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
@@ -472,71 +441,86 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
         exact[hit] = j[hit]
     interval = np.searchsorted(nodes, us, side="right") - 1
     ic = np.clip(interval, 0, max(N - 2, 0))
-    h = nodes[ic + 1] - nodes[ic]
+    # a one-node grid has no interval: its weights are filler too
+    h = nodes[ic + 1] - nodes[ic] if N > 1 else np.ones(us.shape)
     weights = np.stack(_hermite_weights((us - nodes[ic]) / h, h), axis=1)
     return exact, interval, weights
 
 
 def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                    s_indices: np.ndarray, record_indices: np.ndarray,
-                   reflected: bool = False,
-                   mem_cap: int = 512 << 20) -> np.ndarray:
-    """X(t, s) for all (record node, s node) pairs, batched over s.
+                   reflected: bool = False, start: np.ndarray = None,
+                   dense: bool = False, mem_cap: int = 512 << 20):
+    """X(t, s) start for all (record node, s node) pairs, batched over s.
 
     `jumps` maps node index -> jump matrix.  Every column starts as zero
-    and is activated to the identity when the sweep reaches its s node;
-    zero columns evolve as exact zeros, which realizes X(t, s) = 0 for
-    t < s without masking.  In the forward order a node's jump comes
-    first, so it belongs only to columns with s < tau, and the sample is
-    the post-jump value.  The reflected order (see `_fundamental_rows`)
-    activates first and then jumps every column, the new one included, and
-    samples the pre-jump value.
+    and is activated to `start` (n x m, default the identity) when the
+    sweep reaches its s node; zero columns evolve as exact zeros, which
+    realizes X(t, s) = 0 for t < s without masking.  In the forward order
+    a node's jump comes first, so it belongs only to columns with s < tau,
+    and the sample is the post-jump value.  The reflected order (see
+    `_fundamental_rows`) activates first and then jumps every column, the
+    new one included, and samples the pre-jump value.
 
     Delayed-read bookkeeping (exact-node detection, enclosing interval,
     Hermite weights) and coefficient values depend only on the shared grid,
     so both are planned once up front; the step loop then runs entirely on
     preallocated buffers.
+
+    With `dense`, the history ring holds every step (it never wraps) and
+    the sweep returns the dense output (y_post, y_pre, f_right, f_left),
+    each (K+1, S, n, m), in place of the samples; see `Trajectory`.
     """
     n = spec.dim
     K = len(nodes) - 1
+    start = np.eye(n) if start is None else np.asarray(start, dtype=float)
+    m = start.shape[1]
     s_indices = np.asarray(s_indices, dtype=np.intp)
     S = len(s_indices)
     T = len(record_indices)
     theta_max = max((t.delay.theta for t in spec.terms
                      if isinstance(t.delay, ConstantLag)), default=0.0)
-    D = _ring_depth(nodes, theta_max)
+    D = K + 1 if dense else _ring_depth(nodes, theta_max)
 
+    _check_causal(spec, nodes[0])
     frozen_cs = [t.delay.c for t in spec.terms if isinstance(t.delay, FrozenTime)]
-    for c in frozen_cs:
-        if c > 0:
-            raise ValueError("frozen-time term with c > 0 is not causal from t=0")
     frozen_idx = {c: _node_index(nodes, c) for c in frozen_cs}
 
     # per-step coefficient values and delayed-read plans, shared by chunks
     steps = np.diff(nodes)
     mids = nodes[:-1] + 0.5 * steps
-    M = None  # summed zero-lag coefficients, (K, n, n)
-    term_plans = []  # ("frozen", A, c) | ("lag", A, (plan_a, plan_m, plan_b))
-    for term in spec.terms:
-        if isinstance(term.coefficient, MatrixTable):
-            A = np.stack([np.asarray(term.coefficient.value(t), dtype=float)
-                          for t in mids]) if K else np.zeros((0, n, n))
-        else:
-            A = np.broadcast_to(np.asarray(term.coefficient, dtype=float),
-                                (K, n, n))
-        if isinstance(term.delay, FrozenTime):
-            term_plans.append(("frozen", A, term.delay.c))
-        elif term.delay.theta == 0.0:
-            if M is None:
-                M = np.zeros((K, n, n))
-            M += A
-        else:
-            th = term.delay.theta
-            term_plans.append(("lag", A,
-                               tuple(_read_plan(nodes, pts - th)
-                                     for pts in (nodes[:-1], mids, nodes[1:]))))
 
-    samples = np.zeros((T, S, n, n))
+    def per_step(coef):
+        # step k sees values[piece[k]]: O(K) memory per term, not O(K n^2);
+        # mids never sit on a break, so the side does not matter
+        if isinstance(coef, MatrixTable):
+            piece = np.searchsorted(coef.breaks, mids, side="right") - 1
+            return coef.values, np.maximum(piece, 0)
+        return np.asarray(coef, dtype=float)[None], np.zeros(K, dtype=np.intp)
+
+    zero_lag = []
+    term_plans = []  # ("frozen", coef, c) | ("lag", coef, (plan_a, plan_m, plan_b))
+    for term in spec.terms:
+        coef = per_step(term.coefficient)
+        if isinstance(term.delay, FrozenTime):
+            term_plans.append(("frozen", coef, term.delay.c))
+        elif term.delay.theta == 0.0:
+            zero_lag.append(coef)
+        else:
+            # the reads at nodes[:-1] - th and nodes[1:] - th share one plan
+            th = term.delay.theta
+            at_nodes = _read_plan(nodes, nodes - th)
+            term_plans.append(("lag", coef, (tuple(a[:-1] for a in at_nodes),
+                                             _read_plan(nodes, mids - th),
+                                             tuple(a[1:] for a in at_nodes))))
+    M = None  # summed zero-lag coefficients, as (values, piece)
+    if zero_lag:
+        combos, piece = np.unique(np.stack([p for _, p in zero_lag], axis=1),
+                                  axis=0, return_inverse=True)
+        M = (sum(v[combos[:, i]] for i, (v, _) in enumerate(zero_lag)),
+             piece.reshape(-1))
+
+    samples = np.zeros((T, S, n, m))
     rec_of_node = {int(node): row for row, node in enumerate(record_indices)}
 
     # process columns in ascending s order so that within each chunk the
@@ -550,9 +534,11 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         unsort = np.argsort(order)
         s_indices = s_indices[order]
 
-    bytes_per_col = D * n * n * 8 * 4
+    bytes_per_col = D * n * m * 8 * 4
     chunk = max(16, int(mem_cap // max(bytes_per_col, 1)))
-    eye = np.eye(n)
+    if dense and S > chunk:
+        raise ValueError(f"dense output of {S} columns needs more than one "
+                         f"chunk of {chunk}")
 
     for c0 in range(0, S, chunk):
         cols = np.arange(c0, min(c0 + chunk, S))
@@ -568,18 +554,18 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         widths = np.searchsorted(s_indices[cols], np.arange(K + 1),
                                  side="right")
 
-        r_y0 = np.zeros((D, Sc, n, n))
-        r_f0 = np.zeros((D, Sc, n, n))
-        r_y1 = np.zeros((D, Sc, n, n))
-        r_f1 = np.zeros((D, Sc, n, n))
-        Y = np.zeros((Sc, n, n))
-        snapshots = {c: np.zeros((Sc, n, n)) for c in frozen_cs}
-        d1, d23, d4 = (np.zeros((Sc, n, n)) for _ in range(3))
-        k2b, k3b, k4b, stage, acc, mm = (np.empty((Sc, n, n)) for _ in range(6))
+        r_y0 = np.zeros((D, Sc, n, m))
+        r_f0 = np.zeros((D, Sc, n, m))
+        r_y1 = np.zeros((D, Sc, n, m))
+        r_f1 = np.zeros((D, Sc, n, m))
+        Y = np.zeros((Sc, n, m))
+        snapshots = {c: np.zeros((Sc, n, m)) for c in frozen_cs}
+        d1, d23, d4 = (np.zeros((Sc, n, m)) for _ in range(3))
+        k2b, k3b, k4b, stage, acc, mm = (np.empty((Sc, n, m)) for _ in range(6))
 
         def at_node(node_idx):
             for local in col_of.get(node_idx, ()):
-                Y[local] = eye
+                Y[local] = start
             for c, idx in frozen_idx.items():
                 if idx == node_idx:
                     snapshots[c][...] = Y
@@ -648,17 +634,18 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             d1v[...] = 0.0
             d23v[...] = 0.0
             d4v[...] = 0.0
-            for kind, A, payload in term_plans:
+            for kind, (values, piece), payload in term_plans:
+                A_k = values[piece[k]]
                 if kind == "frozen":
-                    np.matmul(A[k], snapshots[payload][:W], out=mm[:W])
+                    np.matmul(A_k, snapshots[payload][:W], out=mm[:W])
                     d1v += mm[:W]
                     d23v += mm[:W]
                     d4v += mm[:W]
                 else:
                     plan_a, plan_m, plan_b = payload
-                    delayed(d1v, A[k], plan_a, k, W, False)
-                    delayed(d23v, A[k], plan_m, k, W, False)
-                    delayed(d4v, A[k], plan_b, k, W, True)
+                    delayed(d1v, A_k, plan_a, k, W, False)
+                    delayed(d23v, A_k, plan_m, k, W, False)
+                    delayed(d4v, A_k, plan_b, k, W, True)
 
             k1 = r_f0[k % D, :W]
             y_new = r_y1[k % D, :W]
@@ -668,24 +655,24 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             st = stage[:W]
             accv = acc[:W]
             if M is not None:
-                m = M[k]
-                np.matmul(m, Yv, out=k1)
+                m_k = M[0][M[1][k]]
+                np.matmul(m_k, Yv, out=k1)
                 k1 += d1v
                 np.negative(k1, out=k1)
                 np.multiply(k1, 0.5 * h, out=st)
                 st += Yv
-                np.matmul(m, st, out=k2)
+                np.matmul(m_k, st, out=k2)
                 k2 += d23v
                 np.negative(k2, out=k2)
                 np.multiply(k2, 0.5 * h, out=st)
                 st += Yv
                 k3 = k3b[:W]
-                np.matmul(m, st, out=k3)
+                np.matmul(m_k, st, out=k3)
                 k3 += d23v
                 np.negative(k3, out=k3)
                 np.multiply(k3, h, out=st)
                 st += Yv
-                np.matmul(m, st, out=k4)
+                np.matmul(m_k, st, out=k4)
                 k4 += d4v
                 np.negative(k4, out=k4)
             else:
@@ -701,7 +688,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             np.multiply(accv, h / 6.0, out=accv)
             np.add(Yv, accv, out=y_new)
             if M is not None:
-                np.matmul(M[k], y_new, out=f_left)
+                np.matmul(m_k, y_new, out=f_left)
                 f_left += d4v
                 np.negative(f_left, out=f_left)
             else:
@@ -719,6 +706,13 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                 raise NumericalError(f"state non-finite at t={nodes[k + 1]}")
         if not np.all(np.isfinite(Y)):
             raise NumericalError("state non-finite at final node")
+    if dense:
+        # slot k holds node k's right data and node k+1's left data
+        np.copyto(r_y0[K], Y)
+        y_pre = np.roll(r_y1, 1, axis=0)
+        y_pre[0] = r_y0[0]
+        out = (r_y0, y_pre, r_f0, np.roll(r_f1, 1, axis=0))
+        return out if unsort is None else tuple(a[:, unsort] for a in out)
     return samples if unsort is None else samples[:, unsort]
 
 
@@ -756,9 +750,7 @@ def _fundamental_rows(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     s = 0 column, a null set for the integrals the rows feed, and are left
     out.
     """
-    for term in spec.terms:
-        if isinstance(term.delay, FrozenTime) and term.delay.c > 0:
-            raise ValueError("frozen-time term with c > 0 is not causal from t=0")
+    _check_causal(spec, nodes[0])
     t_end = float(nodes[-1])
     K = len(nodes) - 1
     terms = [DelayTerm(_reflect_coefficient(term.coefficient,
@@ -791,19 +783,18 @@ def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
         raise ValueError("invalid spec: " + "; ".join(bad))
 
     t_end = float(t_grid[-1])
-    lags = [t.delay.theta for t in spec.terms
-            if isinstance(t.delay, ConstantLag) and t.delay.theta > 0]
-    images = [s_grid + theta for theta in lags]
-    extra = np.unique(np.concatenate((s_grid, t_grid, *images)))
+    # each column jumps to I at its s, like x at t_start: pin its images
+    images = np.add.outer(s_grid, _image_shifts(_positive_lags(spec)))
+    extra = np.unique(np.concatenate((t_grid, images.ravel())))
     extra = extra[extra <= t_end]
     hom = _curtailed(spec)
-    nodes, jump_nodes = _prepare_grid(hom, t_end, grid.dt, extra=extra)
+    nodes, jump_nodes = _prepare_grid(hom, 0.0, t_end, grid.dt, extra=extra)
     s_idx = np.array([_node_index(nodes, s) for s in s_grid])
     t_idx = np.array([_node_index(nodes, t) for t in t_grid])
     if np.any(s_idx < 0) or np.any(t_idx < 0):
         raise ValueError("grid values could not be pinned to integration nodes")
-    jumps = {i: hom.impulses.matrices[j] for i, j in jump_nodes.items()}
-    samples = _batch_columns(hom, nodes, jumps, s_idx, t_idx)
+    samples = _batch_columns(hom, nodes, _jump_matrices(hom, jump_nodes),
+                             s_idx, t_idx)
     samples.setflags(write=False)
     return FundamentalMatrix(s_grid=s_grid.copy(), t_grid=t_grid.copy(),
                              samples=samples)

@@ -126,7 +126,7 @@ def _quad_nodes(spec: SystemSpec, targets: np.ndarray, dt: float,
     extra = np.unique(np.concatenate(
         (targets, np.asarray(extra_breaks, dtype=float), *images)))
     extra = extra[(extra >= 0.0) & (extra <= t_end)]
-    nodes, _ = _prepare_grid(spec, t_end, dt, extra=extra, with_history=True)
+    nodes, _ = _prepare_grid(spec, 0.0, t_end, dt, extra=extra, with_history=True)
     return nodes
 
 

@@ -278,10 +278,6 @@ def _coefficient_pieces(coef: Coefficient, horizon: float):
     return np.array([0.0]), np.asarray(coef, dtype=float)[None, :, :]
 
 
-def _table_like(sig) -> bool:
-    return isinstance(sig, (MatrixTable, VectorTable))
-
-
 def validate(spec: SystemSpec) -> list[str]:
     """Check the structural hypotheses; returns violations, empty = valid."""
     bad: list[str] = []

@@ -17,7 +17,6 @@ from impulsedde import (
     StepControl,
     SystemSpec,
     VectorTable,
-    evaluate,
     fundamental_grid,
     fundamental_matrix,
     solve,
@@ -26,7 +25,8 @@ from impulsedde import (
 from impulsedde import integrate
 from impulsedde.integrate import _fundamental_rows, _jump_map, _node_index
 from corpus import (CORPUS, multi_piece_history, planar_rotation,
-                    planar_singular_reset, scalar_forced)
+                    planar_singular_reset, scalar_forced,
+                    scalar_table_homogeneous)
 
 
 def _decay(a=1.0, horizon=2.0, x0=1.0):
@@ -83,7 +83,6 @@ def test_singular_jump_forgets_the_past_state():
 def test_history_reads_come_from_phi_below_zero():
     spec = scalar_forced()
     traj = solve(spec, StepControl(1e-3))
-    npt.assert_allclose(evaluate(traj, spec, -0.2), [0.3], atol=0)
     assert traj.value(-0.2)[0] == 0.3
 
 
@@ -211,16 +210,144 @@ def test_fundamental_jump_identity_in_t():
     npt.assert_allclose(fm.at(2.1, 0.3), B @ left, atol=1e-12)
 
 
+def _unit_lag():
+    """x' + x(t - 1) = 0: X(t, s) is piecewise polynomial in t - s."""
+    return SystemSpec(dim=1,
+                      terms=[DelayTerm(np.array([[1.0]]), ConstantLag(1.0))],
+                      horizon=3.0)
+
+
+def _unit_lag_kernel(t, s):
+    u = t - s
+    if u < 1.0:
+        return 1.0
+    if u < 2.0:
+        return 2.0 - u
+    u -= 2.0
+    return -u + 0.5 * u * u
+
+
+@pytest.mark.parametrize("dt", [0.125, 1e-3])
+def test_fundamental_is_exact_across_second_generation_kinks(dt):
+    # X(., s) jumps at s, so x' jumps at s + 1 and x'' at s + 2; RK4 with
+    # cubic dense output reproduces the piecewise polynomial to roundoff
+    # only if both kinks are grid nodes; the probes split [0, 3] into
+    # pieces off the dt lattice, so only the planner can put them there
+    spec = _unit_lag()
+    s_grid = [0.3, 0.7]
+    t_grid = np.linspace(0.31, 2.99, 17)
+    fm = fundamental_grid(spec, s_grid, t_grid, StepControl(dt))
+    for b, s in enumerate(s_grid):
+        (col,) = fundamental_matrix(spec, s, StepControl(dt))
+        for a, t in enumerate(t_grid):
+            if t < s:
+                continue
+            want = _unit_lag_kernel(t, s)
+            assert abs(col.value(t)[0] - want) <= 1e-13, (s, t)
+            assert abs(fm.samples[a, b, 0, 0] - want) <= 1e-13, (s, t)
+
+
+def test_fundamental_resolves_lag_images_of_table_breaks():
+    # the coefficient of scalar-table-homogeneous jumps at b = 1.2, so x'
+    # jumps there and x'' at b + 0.5; off the dt lattice, a step across
+    # that image costs O(dt^3) (1.6e-8 here) unless the planner pins it
+    spec = scalar_table_homogeneous()
+    s, t = 0.3137, 2.79
+    ref = fundamental_grid(spec, [s], [t], StepControl(1.25e-4)).at(t, s)
+    grid = StepControl(2e-3)
+    (col,) = fundamental_matrix(spec, s, grid)
+    npt.assert_allclose(fundamental_grid(spec, [s], [t], grid).at(t, s), ref,
+                        rtol=0, atol=1e-10)
+    npt.assert_allclose(col.value(t), ref[:, 0], rtol=0, atol=1e-10)
+
+
+_OMEGA = np.array([[0.0, -0.8], [0.8, 0.0]])
+
+
+def _rotation(u):
+    """exp(-Omega u) for Omega = 0.8 J: a rotation by -0.8 u."""
+    c, s = math.cos(0.8 * u), math.sin(0.8 * u)
+    return np.array([[c, s], [-s, c]])
+
+
+def _rotation_system():
+    """x' + Omega x = r with planar-rotation's jumps and offsets and a
+    two-piece forcing: exact solutions are products of rotations and
+    jump matrices."""
+    jumps = planar_rotation().impulses
+    return SystemSpec(dim=2,
+                      terms=[DelayTerm(_OMEGA, ConstantLag(0.0))],
+                      impulses=jumps,
+                      forcing=VectorTable([0.0, 1.4],
+                                          [[0.1, 0.05], [-0.2, 0.3]]),
+                      x0=[1.0, 0.5], horizon=2.5)
+
+
+def _rotation_exact(spec, t):
+    """x(t) by exact propagation x -> E x + Omega^-1 (I - E) r over the
+    pieces between forcing breaks and jump points, jumping at the latter."""
+    sch = spec.impulses
+    x, a = np.array(spec.x0, dtype=float), 0.0
+    for b in sorted({t, *sch.points, *spec.forcing.breaks[1:]}):
+        if b > t:
+            break
+        E = _rotation(b - a)
+        x = E @ x + np.linalg.solve(_OMEGA, (np.eye(2) - E)
+                                    @ spec.forcing.value(a))
+        for tau, B, alpha in zip(sch.points, sch.matrices, sch.offsets):
+            if tau == b:
+                x = B @ x + alpha
+        a = b
+    return x
+
+
+def _rotation_kernel(spec, t, s):
+    """X(t, s) = E(t - tau_k) B_k ... B_1 E(tau_1 - s) over s < tau <= t."""
+    X, a = np.eye(2), s
+    for tau, B in zip(spec.impulses.points, spec.impulses.matrices):
+        if s < tau <= t:
+            X = B @ _rotation(tau - a) @ X
+            a = tau
+    return _rotation(t - a) @ X
+
+
+def test_solve_matches_rotation_closed_form():
+    spec = _rotation_system()
+    traj = solve(spec, StepControl(1e-3))
+    for t in (0.3, 1.0, 1.4, 1.9, 2.2, 2.5):
+        npt.assert_allclose(traj.value(t), _rotation_exact(spec, t),
+                            rtol=0, atol=1e-12)
+
+
+def test_fundamental_matches_rotation_products():
+    spec = _rotation_system()
+    grid = StepControl(1e-3)
+    s_grid = [0.0, 0.6, 1.0, 1.7]
+    t_grid = [0.6, 1.0, 1.3, 2.2, 2.5]
+    fm = fundamental_grid(spec, s_grid, t_grid, grid)
+    for s in s_grid:
+        cols = fundamental_matrix(spec, s, grid)
+        for t in t_grid:
+            if t < s:
+                continue
+            want = _rotation_kernel(spec, t, s)
+            npt.assert_allclose(fm.at(t, s), want, rtol=0, atol=1e-12)
+            direct = np.column_stack([c.value(t) for c in cols])
+            npt.assert_allclose(direct, want, rtol=0, atol=1e-12)
+
+
 def test_fundamental_grid_matches_per_column_solves(corpus_spec):
     spec = corpus_spec
     s_vals = [0.0, 0.35 * spec.horizon, 0.7 * spec.horizon]
     t_vals = np.linspace(0.0, spec.horizon, 7)
     grid = StepControl(2e-3)
     fm = fundamental_grid(spec, s_vals, t_vals, grid)
-    # the batched and the per-column paths pin first-generation activation
-    # kinks (s + theta) to their grids exactly but place deeper-generation
-    # kinks differently, which separates them by O(dt^2); the tolerance
-    # sits above that and far below any structural disagreement
+    # one engine on two grids: the product grid starts at 0 and carries
+    # every restart and probe, the per-column grid starts at s.  Both pin
+    # the kinks of order <= 2 (s + theta_i, s + theta_i + theta_l) but
+    # subdivide differently around the deeper ones, which separates them
+    # by at most 7e-12 on the corpus; the tolerance sits far above that
+    # and far below any structural disagreement
     for s in s_vals:
         cols = fundamental_matrix(spec, s, grid)
         for t in t_vals:
@@ -258,6 +385,28 @@ def test_shallow_history_ring_raises(monkeypatch):
     monkeypatch.setattr(integrate, "_ring_depth", lambda nodes, theta: 2)
     with pytest.raises(RuntimeError, match="history ring too shallow"):
         fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
+
+
+def test_dense_sweep_refuses_more_than_one_chunk():
+    # dense output keeps every column's whole history in one chunk's ring;
+    # under a tiny memory cap a chunk holds the minimum of 16 columns
+    nodes = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="more than one chunk"):
+        integrate._batch_columns(_decay(), nodes, {}, np.zeros(17, dtype=int),
+                                 [], dense=True, mem_cap=1)
+
+
+def test_chunked_sweep_matches_one_chunk():
+    # a tiny memory cap splits 20 restart columns into chunks of 16 and 4;
+    # planar-rotation has a zero-lag term, a lag and two jumps
+    hom = integrate._curtailed(planar_rotation())
+    nodes, jump_nodes = integrate._prepare_grid(hom, 0.0, hom.horizon, 0.01)
+    jumps = integrate._jump_matrices(hom, jump_nodes)
+    s_idx = np.arange(0, len(nodes) - 1, (len(nodes) - 1) // 20)[:20]
+    rec = np.arange(len(nodes))
+    whole = integrate._batch_columns(hom, nodes, jumps, s_idx, rec)
+    parts = integrate._batch_columns(hom, nodes, jumps, s_idx, rec, mem_cap=1)
+    npt.assert_allclose(parts, whole, rtol=0, atol=1e-14)
 
 
 def test_fundamental_grid_rejects_bad_grids():

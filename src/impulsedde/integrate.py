@@ -14,6 +14,13 @@ run over the reflected adjoint system, the rows s -> X(t, s) for a few t at
 once; and the solution itself, as the (x0, 1) column of a homogeneous
 system one dimension larger, in which the forcing, the history reads and
 the jump offsets act on a constant last component.
+
+This module owns the two numerical rules the representation layer shares:
+the snap rule (`_SNAP`), applied through one lookup (`locate`) and one
+table reader (`read_piecewise`), and the lag-image rule (`_image_shifts`),
+applied forward by `_collect_breaks` and backward by `quadrature_nodes`.
+`represent` reaches them through those names and `kernel_rows`; none of
+them is exported from the package.
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ __all__ = [
     "fundamental_grid",
 ]
 
-# absolute/relative snap tolerance for matching times to grid nodes; catches
-# 1-ulp drift of expressions like (tau + theta) - theta, five orders below
-# any step size in use
+# absolute/relative snap tolerance for matching times to grid nodes and
+# table breaks (see `locate`); catches 1-ulp drift of expressions like
+# (tau + theta) - theta, five orders below any step size in use
 _SNAP = 32.0 * float(np.finfo(float).eps)
 
 
@@ -65,27 +72,49 @@ class StepControl:
             raise ValueError(f"step size must be positive and finite, got {self.dt}")
 
 
-def _snap(u: float, v: float) -> bool:
-    return abs(u - v) <= _SNAP * max(1.0, abs(u), abs(v))
+def locate(points: np.ndarray, ts) -> np.ndarray:
+    """Index of the entry of the sorted array `points` that each t snaps
+    to, or -1.
+
+    The snap rule: t matches p when |t - p| <= _SNAP * max(1, |t|, |p|).
+    On ties the lowest index wins.  Returns an array shaped like `ts`.
+    """
+    ts = np.asarray(ts, dtype=float)
+    base = np.searchsorted(points, ts)
+    scale = np.maximum(1.0, np.abs(ts))
+    out = np.full(ts.shape, -1, dtype=np.intp)
+    # reversed candidate order, so the lowest index is written last
+    for off in (1, 0, -1):
+        j = base + off
+        p = points.take(j, mode="clip")
+        hit = np.abs(p - ts) <= _SNAP * np.maximum(scale, np.abs(p))
+        out = np.where(hit & (j >= 0) & (j < len(points)), j, out)
+    return out
 
 
-def _signal_value(sig, t: float, side: str, dim: int) -> np.ndarray:
+def _pieces(breaks: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
+    """Piece index of a table at each t; a t that snaps to a break is read
+    as that break, so a lag image fl(fl(b + theta) - theta) of a break b,
+    or a grid node that won the snap merge against b, takes b's pieces."""
+    hit = locate(breaks, ts)
+    ts = np.where(hit >= 0, breaks[hit], ts)
+    k = np.searchsorted(breaks, ts, side="right" if side == "right" else "left")
+    return np.maximum(k - 1, 0)
+
+
+def read_piecewise(sig, ts, side: str = "right", dim: int = 0) -> np.ndarray:
+    """A signal or coefficient at the times `ts`, one-sided at table breaks.
+
+    `sig` is None (zero, of length `dim`), a constant array or a
+    Matrix/VectorTable; the result has shape ts.shape + the value's shape.
+    """
+    ts = np.asarray(ts, dtype=float)
     if sig is None:
-        return np.zeros(dim)
-    if isinstance(sig, VectorTable):
-        return np.asarray(sig.value(t, side), dtype=float)
-    return np.asarray(sig, dtype=float)
-
-
-def _history_value(phi, t: float, side: str, dim: int) -> np.ndarray:
-    # history reads land on lag images fl(fl(b + theta) - theta) of phi's
-    # breaks b, so a read within the snap tolerance of a break is taken
-    # there (represent._table_rows applies the same rule to arrays)
-    if isinstance(phi, VectorTable):
-        i = _node_index(phi.breaks, t)
-        if i >= 0:
-            t = float(phi.breaks[i])
-    return _signal_value(phi, t, side, dim)
+        return np.zeros(ts.shape + (dim,))
+    if isinstance(sig, (MatrixTable, VectorTable)):
+        return sig.values[_pieces(sig.breaks, ts, side)]
+    sig = np.asarray(sig, dtype=float)
+    return np.broadcast_to(sig, ts.shape + sig.shape)
 
 
 def _hermite_weights(xi: float, h: float):
@@ -166,27 +195,49 @@ def _build_nodes(breaks: np.ndarray, dt: float) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _node_index(nodes: np.ndarray, t: float) -> int:
-    """Exact (snap-tolerant) index of t in nodes, or -1."""
-    i = int(np.searchsorted(nodes, t))
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(nodes) and _snap(nodes[j], t):
-            return j
-    return -1
-
-
 def _jump_map(schedule: ImpulseSchedule, nodes: np.ndarray) -> dict:
     """Map node index -> impulse index for every jump point on the grid
     after its first node (node 0 carries no jump: columns start there
     post-jump)."""
-    out = {}
-    t_end = nodes[-1]
-    for j, tau in enumerate(schedule.points):
-        if tau <= t_end or _snap(tau, t_end):
-            idx = _node_index(nodes, tau)
-            if idx > 0:
-                out[idx] = j
-    return out
+    idx = locate(nodes, schedule.points)
+    return {int(i): j for j, i in enumerate(idx) if i > 0}
+
+
+def _prepare_grid(spec: SystemSpec, t_start: float, t_end: float, dt: float,
+                  extra=(), with_history: bool = False):
+    """Grid nodes on [t_start, t_end] and their jump map (see `_jump_map`):
+    the mandatory breaks refined to equal steps of at most dt and the
+    smallest positive lag."""
+    dt_eff = min([dt] + _positive_lags(spec))
+    breaks = _collect_breaks(spec, t_start, t_end, with_history, extra)
+    nodes = _build_nodes(breaks, dt_eff)
+    return nodes, _jump_map(spec.impulses, nodes)
+
+
+def quadrature_nodes(spec: SystemSpec, targets: np.ndarray, dt: float,
+                     extra_breaks=()) -> np.ndarray:
+    """Quadrature grid on [0, max target] for the rows s -> X(t, s).
+
+    The rows solve the adjoint equation backward in s (see
+    `_fundamental_rows`), so their breaks mirror those of `_collect_breaks`:
+    a row jumps at its target and at the jump points, and the coefficient
+    breaks enter through A_i(s + theta_i).  Each such anchor a gets the
+    images a - u for u in `_image_shifts` (a - theta_i and
+    a - theta_i - theta_l over all pairs), where a row or its first two
+    derivatives may jump; they are pinned, with `extra_breaks`, as exact
+    nodes of the `solve` grid.
+    """
+    t_end = float(targets[-1])
+    anchors = [targets, spec.impulses.points]
+    anchors += [t.coefficient.breaks for t in spec.terms
+                if isinstance(t.coefficient, MatrixTable)]
+    images = np.subtract.outer(np.concatenate(anchors),
+                               _image_shifts(_positive_lags(spec)))
+    extra = np.unique(np.concatenate(
+        (np.asarray(extra_breaks, dtype=float), images.ravel())))
+    extra = extra[(extra >= 0.0) & (extra <= t_end)]
+    nodes, _ = _prepare_grid(spec, 0.0, t_end, dt, extra=extra, with_history=True)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -215,23 +266,23 @@ class Trajectory:
     def _pre_history(self, t: float, side: str) -> np.ndarray:
         if self.zero_history:
             return np.zeros(self.dim)
-        return _history_value(self.phi, t, side, self.dim)
+        return read_piecewise(self.phi, t, side, self.dim)
 
     def value(self, t: float, side: str = "right") -> np.ndarray:
         """Dense-output value; side selects the limit at a node."""
         t = float(t)
-        if t < self.start and not _snap(t, self.start):
-            return self._pre_history(t, side)
-        if t > self.t_end and not _snap(t, self.t_end):
-            raise ValueError(f"query t={t} beyond horizon {self.t_end}")
         nodes = self.t_nodes
-        i = _node_index(nodes, t)
+        i = int(locate(nodes, t))
         if i >= 0:
             if side == "right":
                 return self.y_post[i].copy()
             if i == 0:
                 return self._pre_history(self.start, "left")
             return self.y_pre[i].copy()
+        if t < self.start:
+            return self._pre_history(t, side)
+        if t > self.t_end:
+            raise ValueError(f"query t={t} beyond horizon {self.t_end}")
         i = int(np.searchsorted(nodes, t, side="right")) - 1
         h = nodes[i + 1] - nodes[i]
         w0, w1, w2, w3 = _hermite_weights((t - nodes[i]) / h, h)
@@ -253,22 +304,10 @@ class FundamentalMatrix:
     samples: np.ndarray  # (T, S, n, n)
 
     def at(self, t: float, s: float) -> np.ndarray:
-        a = _node_index(self.t_grid, t)
-        b = _node_index(self.s_grid, s)
+        a, b = int(locate(self.t_grid, t)), int(locate(self.s_grid, s))
         if a < 0 or b < 0:
             raise KeyError(f"(t={t}, s={s}) not on the sampled grid")
         return self.samples[a, b]
-
-
-def _prepare_grid(spec: SystemSpec, t_start: float, t_end: float, dt: float,
-                  extra=(), with_history: bool = False):
-    """Grid nodes on [t_start, t_end] and their jump map (see `_jump_map`):
-    the mandatory breaks refined to equal steps of at most dt and the
-    smallest positive lag."""
-    dt_eff = min([dt] + _positive_lags(spec))
-    breaks = _collect_breaks(spec, t_start, t_end, with_history, extra)
-    nodes = _build_nodes(breaks, dt_eff)
-    return nodes, _jump_map(spec.impulses, nodes)
 
 
 def _jump_matrices(spec: SystemSpec, jump_nodes: dict) -> dict:
@@ -333,16 +372,15 @@ def _augmented(spec: SystemSpec) -> SystemSpec:
         breaks = np.unique(cuts)
         breaks = breaks[(breaks >= 0.0) & (breaks < spec.horizon)]
         mids = 0.5 * (breaks + np.append(breaks[1:], spec.horizon))
+        g = read_piecewise(spec.forcing, mids, "right", n)
+        for term in lagged:
+            theta = term.delay.theta
+            a = read_piecewise(term.coefficient, mids)
+            p = read_piecewise(spec.phi, mids - theta, "right", n)
+            g = g - np.where((mids < theta)[:, None],
+                             np.matmul(a, p[:, :, None])[:, :, 0], 0.0)
         source = np.zeros((len(breaks), size, size))
-        for row, t in enumerate(mids):
-            g = _signal_value(spec.forcing, t, "right", n)
-            for term in lagged:
-                theta = term.delay.theta
-                if t < theta:
-                    coef = term.coefficient
-                    a = coef.value(t) if isinstance(coef, MatrixTable) else coef
-                    g = g - a @ _signal_value(spec.phi, t - theta, "right", n)
-            source[row, :n, n] = -g
+        source[:, :n, n] = -g
         terms.append(DelayTerm(MatrixTable(breaks, source), ConstantLag(0.0)))
 
     sch = spec.impulses
@@ -420,25 +458,15 @@ def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
 def _read_plan(nodes: np.ndarray, us: np.ndarray):
     """Per-step lookup data for delayed reads at the times `us`.
 
-    Returns (exact, interval, weights): `exact[k]` is the snap-tolerant
-    node index of us[k] (or -1 when us[k] is interior), `interval[k]` the
+    Returns (exact, interval, weights): `exact[k]` is the node us[k] snaps
+    to (`locate`; -1 when us[k] is interior), `interval[k]` the
     enclosing-interval index, and `weights[k]` the four Hermite weights on
     that interval.  Weight rows where `exact >= 0` or `interval < 0` are
-    filler and never read.  This reproduces _node_index/_snap exactly but
-    vectorized over the whole grid, so the step loop does no searching.
+    filler and never read.  Planned over the whole grid at once, so the
+    step loop does no searching.
     """
     N = len(nodes)
-    base = np.searchsorted(nodes, us)
-    exact = np.full(us.shape, -1, dtype=np.intp)
-    # reversed candidate order so the lowest index wins ties, as _node_index's
-    # first-match scan over (i-1, i, i+1) does
-    for off in (1, 0, -1):
-        j = base + off
-        ok = (j >= 0) & (j < N)
-        jj = np.clip(j, 0, N - 1)
-        tol = _SNAP * np.maximum(1.0, np.maximum(np.abs(nodes[jj]), np.abs(us)))
-        hit = ok & (np.abs(nodes[jj] - us) <= tol)
-        exact[hit] = j[hit]
+    exact = locate(nodes, us)
     interval = np.searchsorted(nodes, us, side="right") - 1
     ic = np.clip(interval, 0, max(N - 2, 0))
     # a one-node grid has no interval: its weights are filler too
@@ -484,7 +512,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
 
     _check_causal(spec, nodes[0])
     frozen_cs = [t.delay.c for t in spec.terms if isinstance(t.delay, FrozenTime)]
-    frozen_idx = {c: _node_index(nodes, c) for c in frozen_cs}
+    frozen_idx = {c: int(locate(nodes, c)) for c in frozen_cs}
 
     # per-step coefficient values and delayed-read plans, shared by chunks
     steps = np.diff(nodes)
@@ -494,8 +522,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         # step k sees values[piece[k]]: O(K) memory per term, not O(K n^2);
         # mids never sit on a break, so the side does not matter
         if isinstance(coef, MatrixTable):
-            piece = np.searchsorted(coef.breaks, mids, side="right") - 1
-            return coef.values, np.maximum(piece, 0)
+            return coef.values, _pieces(coef.breaks, mids, "right")
         return np.asarray(coef, dtype=float)[None], np.zeros(K, dtype=np.intp)
 
     zero_lag = []
@@ -719,12 +746,15 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
 def _reflect_coefficient(coef, shift: float):
     """sigma -> coef(shift - sigma)^T, for reads at step midpoints.
 
-    A table keeps its pieces in reverse order; the sides at the reflected
-    breaks swap, which the midpoint reads never see.
+    A table keeps its pieces in reverse order, behind a repeated first
+    break whose empty piece holds the value beyond the last original
+    break; the sides at the reflected breaks swap, which the midpoint
+    reads never see.
     """
     if not isinstance(coef, MatrixTable):
         return np.asarray(coef, dtype=float).T
-    breaks = np.concatenate(([-np.inf], shift - coef.breaks[::-1]))
+    breaks = shift - coef.breaks[::-1]
+    breaks = np.concatenate((breaks[:1], breaks))
     values = np.concatenate((coef.values[::-1], coef.values[:1]))
     return MatrixTable(breaks, values.transpose(0, 2, 1))
 
@@ -766,6 +796,26 @@ def _fundamental_rows(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     return samples[::-1].transpose(1, 0, 3, 2)
 
 
+def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
+    """The rows s -> X(t, s) over every node s, for each target time t.
+
+    Returns (right, left, jump_nodes): `right[k, i]` = X(targets[k],
+    nodes[i]) as `_fundamental_rows` gives it, `left` the same with the
+    s-left limit X(t, tau_j) B_j at each jump node, and the grid's jump
+    map, so trapezoid panels read one-sided limits directly.
+    """
+    rows = locate(nodes, targets)
+    if np.any(rows < 0):
+        raise ValueError("target times could not be pinned to grid nodes")
+    jump_nodes = _jump_map(spec.impulses, nodes)
+    jumps = _jump_matrices(spec, jump_nodes)
+    right = _fundamental_rows(spec, nodes, jumps, rows)
+    left = right.copy()
+    for idx, B in jumps.items():
+        left[:, idx] = right[:, idx] @ B
+    return right, left, jump_nodes
+
+
 def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
                      grid: StepControl = StepControl()) -> FundamentalMatrix:
     """Sample X(t, s) on the product grid; zero-fill for t < s."""
@@ -789,8 +839,7 @@ def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
     extra = extra[extra <= t_end]
     hom = _curtailed(spec)
     nodes, jump_nodes = _prepare_grid(hom, 0.0, t_end, grid.dt, extra=extra)
-    s_idx = np.array([_node_index(nodes, s) for s in s_grid])
-    t_idx = np.array([_node_index(nodes, t) for t in t_grid])
+    s_idx, t_idx = locate(nodes, s_grid), locate(nodes, t_grid)
     if np.any(s_idx < 0) or np.any(t_idx < 0):
         raise ValueError("grid values could not be pinned to integration nodes")
     samples = _batch_columns(hom, nodes, _jump_matrices(hom, jump_nodes),

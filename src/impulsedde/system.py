@@ -291,6 +291,8 @@ def validate(spec: SystemSpec) -> list[str]:
     for i, term in enumerate(spec.terms):
         coef = term.coefficient
         if isinstance(coef, MatrixTable):
+            if len(coef.values) == 0:
+                bad.append(f"terms[{i}].coefficient: table has no pieces")
             if coef.values.shape[1:] != (n, n):
                 bad.append(f"terms[{i}].coefficient: table matrices must be {n}x{n}, "
                            f"got {coef.values.shape[1:]}")
@@ -338,6 +340,8 @@ def validate(spec: SystemSpec) -> list[str]:
         if sig is None:
             continue
         if isinstance(sig, VectorTable):
+            if len(sig.values) == 0:
+                bad.append(f"{name}: table has no pieces")
             if sig.values.shape[1:] != (width,):
                 bad.append(f"{name}: table vectors must have length {width}, "
                            f"got {sig.values.shape[1:]}")
@@ -380,10 +384,10 @@ def hypotheses_report(spec: SystemSpec, window: float | None = None) -> Hypothes
 
     pts = sch.points[sch.points <= spec.horizon]
     I_hat = 0.0
-    for a in range(len(pts)):
-        for b in range(a, len(pts)):
-            length = max(pts[b] - pts[a], w)
-            I_hat = max(I_hat, (b - a + 1) / length)
+    # all pairs a <= b, one offset k = b - a at a time
+    for k in range(len(pts)):
+        length = np.maximum(pts[k:] - pts[: len(pts) - k], w)
+        I_hat = max(I_hat, float(np.max((k + 1) / length)))
 
     delta = math.inf if spec.has_frozen() else spec.max_lag()
 

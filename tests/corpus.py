@@ -114,6 +114,31 @@ def multi_piece_history() -> SystemSpec:
     )
 
 
+def two_off_lattice_lags() -> SystemSpec:
+    """Scalar, two lags off each other's lattice, two jumps with offsets,
+    two-piece forcing and a one-piece history.
+
+    Kept out of CORPUS: it pins the cross-lag images a - theta_1 - theta_2
+    of the kernel rows, which a single lag never produces and lags on the
+    step lattice put on nodes the grid has anyway.
+    """
+    return SystemSpec(
+        dim=1,
+        terms=[DelayTerm(np.array([[0.8]]), ConstantLag(0.3713)),
+               DelayTerm(np.array([[-0.5]]), ConstantLag(0.6127))],
+        impulses=ImpulseSchedule(
+            points=[0.77, 1.53],
+            matrices=[[[0.6]], [[-0.9]]],
+            offsets=[[0.2], [0.1]],
+            dim=1,
+        ),
+        forcing=VectorTable([0.0, 0.9], [[0.3], [-0.2]]),
+        phi=VectorTable([-1.0], [[0.5]]),
+        x0=[1.0],
+        horizon=2.5,
+    )
+
+
 CORPUS = {
     "scalar-forced": scalar_forced,
     "scalar-stabilized-forced": scalar_stabilized_forced,

@@ -23,10 +23,10 @@ from impulsedde import (
     vec_norm,
 )
 from impulsedde import integrate
-from impulsedde.integrate import _fundamental_rows, _jump_map, _node_index
+from impulsedde.integrate import _fundamental_rows, _jump_map, locate
 from corpus import (CORPUS, multi_piece_history, planar_rotation,
                     planar_singular_reset, scalar_forced,
-                    scalar_table_homogeneous)
+                    scalar_table_homogeneous, two_off_lattice_lags)
 
 
 def _decay(a=1.0, horizon=2.0, x0=1.0):
@@ -371,13 +371,30 @@ def test_adjoint_rows_match_fundamental_grid(corpus_spec):
     nodes = RepresentationInput(spec, tuple(targets), grid=grid).quad_grid
     jumps = {i: spec.impulses.matrices[j]
              for i, j in _jump_map(spec.impulses, nodes).items()}
-    rows = _fundamental_rows(spec, nodes, jumps,
-                             [_node_index(nodes, t) for t in targets])
+    rows = _fundamental_rows(spec, nodes, jumps, locate(nodes, targets))
     s_grid = np.unique(np.concatenate((nodes[::97], spec.impulses.points,
                                        targets)))
     fm = fundamental_grid(spec, s_grid, targets, grid)
-    s_idx = [_node_index(nodes, s) for s in s_grid]
+    s_idx = locate(nodes, s_grid)
     npt.assert_allclose(rows[:, s_idx], fm.samples, rtol=0, atol=1e-12)
+
+
+def test_adjoint_rows_resolve_cross_lag_images():
+    # with lags 0.3713 and 0.6127 the rows s -> X(t, s) have second-order
+    # kinks at a - theta_1 - theta_2 for every target and jump point a; a
+    # quadrature grid without them is off by O(h^3) per kink (1.25e-7 here)
+    spec = two_off_lattice_lags()
+    targets = np.array([0.77, 1.25, 1.53, 2.5])
+    grid = StepControl(2e-3)
+    nodes = RepresentationInput(spec, tuple(targets), grid=grid).quad_grid
+    jumps = {i: spec.impulses.matrices[j]
+             for i, j in _jump_map(spec.impulses, nodes).items()}
+    rows = _fundamental_rows(spec, nodes, jumps, locate(nodes, targets))
+    s_grid = np.unique(np.concatenate((nodes[::97], spec.impulses.points,
+                                       targets)))
+    fm = fundamental_grid(spec, s_grid, targets, grid)
+    npt.assert_allclose(rows[:, locate(nodes, s_grid)], fm.samples,
+                        rtol=0, atol=1e-9)
 
 
 def test_shallow_history_ring_raises(monkeypatch):

@@ -1,0 +1,38 @@
+"""Module boundaries of the library, checked on its source with `ast`.
+
+`integrate` owns the snap rule (`_SNAP`), the table reads and the lag
+images; other modules reach them only through its names without a
+leading underscore.
+"""
+
+import ast
+from pathlib import Path
+
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in (Path(__file__).resolve().parents[1]
+                      / "src" / "impulsedde").glob("*.py")}
+
+
+def test_no_module_imports_a_private_name_from_integrate():
+    private = [(name, alias.name)
+               for name, tree in TREES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "integrate" and node.level == 1
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_snap_tolerance_occurs_only_in_integrate():
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    holders = sorted(name for name, tree in TREES.items()
+                     if "_SNAP" in names(tree))
+    assert holders == ["integrate.py"]

@@ -169,6 +169,21 @@ def test_history_term_subtracts_the_phi_integral():
     npt.assert_allclose(rep[:, 0], [-0.5, -1.0], atol=1e-9)
 
 
+def test_history_term_accepts_a_constant_phi():
+    # phi may be a constant vector as well as a table; same closed form as
+    # above, x(t) = -t on [0, 1]
+    spec = SystemSpec(
+        dim=1,
+        terms=[DelayTerm(np.array([[1.0]]), ConstantLag(1.0))],
+        phi=np.array([1.0]),
+        x0=[0.0],
+        horizon=1.0,
+    )
+    rep = represent_solution(RepresentationInput(spec, (0.5, 1.0),
+                                                 grid=StepControl(1e-3)))
+    npt.assert_allclose(rep[:, 0], [-0.5, -1.0], atol=1e-9)
+
+
 def test_representation_orders_targets_but_returns_input_order():
     spec = scalar_table_homogeneous()
     fwd = represent_solution(RepresentationInput(spec, (0.5, 1.5, 2.5)))

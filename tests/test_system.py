@@ -21,6 +21,7 @@ from impulsedde import (
     evaluate_delay,
     hypotheses_report,
     mat_norm,
+    solve,
     validate,
     vec_norm,
 )
@@ -184,6 +185,22 @@ def test_validate_rejects_bad_x0_and_bad_horizon():
                for v in validate(SystemSpec(dim=1, horizon=-1.0)))
 
 
+@pytest.mark.parametrize("field, spec", [
+    ("terms[0].coefficient",
+     SystemSpec(dim=1, terms=[DelayTerm(MatrixTable([], np.zeros((0, 1, 1))),
+                                        ConstantLag(0.5))])),
+    ("forcing", SystemSpec(dim=1, forcing=VectorTable([], np.zeros((0, 1))))),
+    ("phi", SystemSpec(dim=1, terms=[DelayTerm(np.eye(1), ConstantLag(0.5))],
+                       phi=VectorTable([], np.zeros((0, 1))))),
+])
+def test_validate_rejects_tables_with_no_pieces(field, spec):
+    # an empty table has no value to read anywhere; unchecked, solve fails
+    # with an IndexError at its first read
+    assert f"{field}: table has no pieces" in validate(spec)
+    with pytest.raises(ValueError, match="invalid spec"):
+        solve(spec)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis data
 
@@ -220,6 +237,27 @@ def test_hypotheses_q_takes_the_sup_over_table_pieces():
     spec = SystemSpec(dim=1, terms=[DelayTerm(table, ConstantLag(0.0))],
                       horizon=3.0)
     assert hypotheses_report(spec).Q == pytest.approx(2.0)
+
+
+def _i_hat_by_pairs(pts, w):
+    # the reference: every pair a <= b of impulse points, one at a time
+    I_hat = 0.0
+    for a in range(len(pts)):
+        for b in range(a, len(pts)):
+            length = max(pts[b] - pts[a], w)
+            I_hat = max(I_hat, (b - a + 1) / length)
+    return I_hat
+
+
+@settings(max_examples=50)
+@given(st.lists(st.floats(0.01, 12.0), max_size=40, unique=True),
+       st.one_of(st.none(), st.floats(0.01, 10.0)))
+def test_i_hat_equals_the_pairwise_enumeration(points, window):
+    sched = ImpulseSchedule(sorted(points), [[[1.0]]] * len(points), None, 1)
+    spec = SystemSpec(dim=1, impulses=sched, horizon=10.0)
+    pts = sched.points[sched.points <= spec.horizon]
+    w = spec.horizon / 4.0 if window is None else window
+    assert hypotheses_report(spec, window).I_hat == _i_hat_by_pairs(pts, w)
 
 
 @settings(max_examples=25)

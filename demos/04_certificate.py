@@ -9,11 +9,17 @@ and let alpha = -(1/zeta) ln gamma.  If
 
     lhs = sum_k sup_t ||A_k(t)|| * (e^{-alpha rho} / alpha + rho) < 1,
 
-the trivial solution is exponentially stable: the jumps contract fast
-enough that the continuous dynamics cannot rebuild what they remove.
-`certify` evaluates exactly this test and reports every failed condition
-when it does not apply.  Not certified never means unstable -- the test
-is sufficient only.
+and the Bohl-Perron margin
+
+    q = Q * max(sup_{t <= H} J(t), rho / (1 - gamma)) < 1,
+
+with Q = sup_t sum_k ||A_k(t)|| and J(t) = int_0^t prod_{s < tau_i <= t}
+||B_i|| ds, the trivial solution is exponentially stable: the jumps
+contract fast enough that the continuous dynamics cannot rebuild what they
+remove.  lhs alone does not suffice, because alpha takes the smallest gap:
+clustered jumps can pass it while the solution grows.  `certify` evaluates
+both margins and reports every failed condition when the test does not
+apply.  Not certified never means unstable -- the test is sufficient only.
 
 For the scalar instance x' + a x(t - 1) = 0, B = b, unit gaps
 (zeta = rho = 1), the left-hand side collapses to a (1 - b / ln b).

@@ -20,13 +20,12 @@ Exit codes: 0 success/Certified, 2 NotCertified, 3 unreadable config,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -39,6 +38,7 @@ from .system import (
     MatrixTable,
     SystemSpec,
     VectorTable,
+    schedule_gaps,
     validate,
     vec_norm,
 )
@@ -49,7 +49,7 @@ from .integrate import (
     solve,
 )
 from .represent import representation_residuals
-from .stability import certify, estimate_rate, gronwall_bound
+from .stability import certify, estimate_rate, gronwall_grid
 
 __all__ = [
     "SchemaError",
@@ -294,10 +294,6 @@ def dump_spec(spec: SystemSpec) -> dict:
 # artifacts
 
 
-def _fmt(x: float) -> str:
-    return "%.12e" % x
-
-
 def _sanitize(obj):
     """JSON-ready copy: numpy to lists, non-finite floats to None."""
     if isinstance(obj, dict):
@@ -319,40 +315,44 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_trajectory_csv(path: str, traj, dim: int) -> None:
+def _write_csv(path: str, header: list, table: np.ndarray,
+               text=None) -> None:
+    """RFC-4180 rows: the header, then each table row as %.12e numbers,
+    followed by the matching entry of `text` when given.  Rows are
+    formatted one `%` each and streamed, so no copy of the file is held."""
+    fmt = ",".join(["%.12e"] * table.shape[1])
+    rows = (fmt % tuple(row) for row in table)
+    if text is not None:
+        rows = (f"{row},{label}" for row, label in zip(rows, text))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"x{i + 1}" for i in range(dim)] + ["is_jump"])
-        for k, t in enumerate(traj.t_nodes):
-            if k in traj.jump_nodes:
-                w.writerow([_fmt(t)] + [_fmt(v) for v in traj.y_pre[k]]
-                           + ["left"])
-                w.writerow([_fmt(t)] + [_fmt(v) for v in traj.y_post[k]]
-                           + ["right"])
-            else:
-                w.writerow([_fmt(t)] + [_fmt(v) for v in traj.y_post[k]]
-                           + ["0"])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
 
 
-def _write_fundamental_csv(path: str, fm, spec: SystemSpec,
-                           tight: bool = None) -> None:
-    n = fm.samples.shape[-1]
+def _write_trajectory_csv(path: str, traj, dim: int) -> None:
+    # a jump node k gives a "left" row (y_pre) and then a "right" row;
+    # each earlier jump moves its rows down by one
+    k = np.array(sorted(traj.jump_nodes), dtype=int)
+    left = k + np.arange(len(k))
+    node = np.insert(np.arange(len(traj.t_nodes)), k, k)
+    y = traj.y_post[node]
+    y[left] = traj.y_pre[k]
+    text = np.full(len(node), "0", dtype=object)
+    text[left], text[left + 1] = "left", "right"
+    _write_csv(path, ["t"] + [f"x{i + 1}" for i in range(dim)] + ["is_jump"],
+               np.column_stack((traj.t_nodes[node], y)), text)
+
+
+def _write_fundamental_csv(path: str, fm, bound) -> None:
+    n_t, n_s, n, _ = fm.samples.shape
     header = ["t", "s"] + [f"X_{i + 1}_{j + 1}"
                            for i in range(n) for j in range(n)]
-    if tight is not None:
+    columns = [np.repeat(fm.t_grid, n_s), np.tile(fm.s_grid, n_t),
+               fm.samples.reshape(n_t * n_s, n * n)]
+    if bound is not None:
         header.append("bound")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for a, t in enumerate(fm.t_grid):
-            for b, s in enumerate(fm.s_grid):
-                row = [_fmt(t), _fmt(s)]
-                row += [_fmt(v) for v in fm.samples[a, b].ravel()]
-                if tight is not None:
-                    bound = (gronwall_bound(spec, float(s), float(t), tight)
-                             if s <= t else 0.0)
-                    row.append(_fmt(bound))
-                w.writerow(row)
+        columns.append(bound.ravel())
+    _write_csv(path, header, np.column_stack(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +402,9 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 def _default_window(spec: SystemSpec):
     """[2*rho, horizon]: skips transient-dominated pairs when gaps exist."""
-    pts = spec.impulses.points
-    if len(pts) >= 2:
-        rho = float(np.diff(pts).max())
-        lo = min(2.0 * rho, spec.horizon)
-        return lo, spec.horizon
-    return 0.0, spec.horizon
+    rho = schedule_gaps(spec.impulses)[1]
+    lo = 0.0 if math.isnan(rho) else min(2.0 * rho, spec.horizon)
+    return lo, spec.horizon
 
 
 def _load_and_validate(cfg: RunConfig) -> SystemSpec:
@@ -443,7 +440,9 @@ def _cmd_fundamental(cfg: RunConfig) -> int:
     s_grid, t_grid = _grids(cfg, spec, t_points=21)
     fm = fundamental_grid(spec, s_grid, t_grid, StepControl(cfg.dt))
     path = _out_path(cfg, "fundamental.csv")
-    _write_fundamental_csv(path, fm, spec, tight=cfg.tight if cfg.tight else None)
+    bound = (gronwall_grid(spec, fm.s_grid, fm.t_grid, tight=True)
+             if cfg.tight else None)
+    _write_fundamental_csv(path, fm, bound)
     print(f"wrote {path} ({len(t_grid)} x {len(s_grid)} samples)")
     return EXIT_OK
 
@@ -468,20 +467,8 @@ def _cmd_verify_representation(cfg: RunConfig) -> int:
 
 
 def _cmd_certify(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path, horizon=cfg.horizon)
-    cert = certify(spec)
-    doc = {
-        "gamma": cert.gamma,
-        "zeta": cert.zeta,
-        "rho": cert.rho,
-        "alpha": cert.alpha,
-        "lhs": cert.lhs,
-        "delta": cert.delta,
-        "verdict": cert.verdict,
-        "reasons": list(cert.reasons),
-    }
-    path = _out_path(cfg, "certificate.json")
-    _write_json(path, doc)
+    cert = certify(_load_and_validate(cfg))
+    _write_json(_out_path(cfg, "certificate.json"), asdict(cert))
     if cert.verdict == "Certified":
         print(f"Certified (lhs = {cert.lhs:.6g}, gamma = {cert.gamma:.6g})")
         return EXIT_OK

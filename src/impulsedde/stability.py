@@ -5,10 +5,10 @@ Three executable pieces of theory live here.  First, the growth envelope
 
     ||X(t,s)|| <= prod_{s < tau_i <= t} (1 + ||B_i||) * exp(int_s^t sum_k ||A_k||),
 
-evaluated exactly for piecewise-constant tables (with an optional tighter
-product prod ||B_i|| available when every B_i is nonsingular).  Second, for
-the ordinary impulsive equation x'(t) + a x(t) = 0 with jumps B_i, the
-Cauchy matrix in closed form,
+evaluated exactly for piecewise-constant tables over a whole (t, s) grid
+at once (with an optional tighter product prod ||B_i|| available when
+every B_i is nonsingular).  Second, for the ordinary impulsive equation
+x'(t) + a x(t) = 0 with jumps B_i, the Cauchy matrix in closed form,
 
     C_0(t,s) = exp[-a (t-s)] B_m ... B_1,   s < tau_1 < ... < tau_m <= t,
 
@@ -30,10 +30,22 @@ impulsive system: with the same gamma, zeta, rho, alpha,
 
     lhs = (sum_k sup_t ||A_k(t)||) * [ (1/alpha) e^{-alpha rho} + rho ] < 1
 
-certifies exponential stability; the converse is not claimed, so a failed
-certificate never asserts instability.  An empirical counterpart fits
-N e^{-nu (t-s)} to sampled fundamental-matrix norms and reports the decay
-rate actually observed.
+is the paper's margin, but alpha takes the smallest gap zeta, so lhs < 1
+alone passes clustered schedules whose solutions grow.  The certificate
+therefore also requires the Bohl-Perron margin (Anokhin, Berezansky and
+Braverman, J. Math. Anal. Appl. 193, 1995)
+
+    q = Q * max(sup_{t <= H} J(t), rho / (1 - gamma)) < 1,
+
+with Q = sup_t sum_k ||A_k(t)|| and J(t) = int_0^t prod_{s < tau_j <= t}
+||B_j|| ds >= int_0^t ||C_0(t,s)|| ds.  J rises with slope 1 between jumps
+and is scaled by ||B_j|| at tau_j; rho / (1 - gamma) bounds it for every
+continuation of the schedule past H with gaps <= rho and norms <= gamma.
+Both margins together certify exponential stability; the converse is not
+claimed, so a failed certificate never asserts instability.  The
+hypothesis numbers gamma, zeta, rho, delta and Q come from `system`.  An
+empirical counterpart fits N e^{-nu (t-s)} to sampled fundamental-matrix
+norms and reports the decay rate actually observed.
 """
 
 from __future__ import annotations
@@ -45,13 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import (
-    ConstantLag,
-    FrozenTime,
     ImpulseSchedule,
-    MatrixTable,
     SystemSpec,
-    _coefficient_pieces,
+    coefficient_pieces,
+    hypotheses_report,
     mat_norm,
+    schedule_gaps,
     validate,
 )
 from .integrate import FundamentalMatrix
@@ -104,15 +115,46 @@ class RateEstimate:
     n_samples: int
 
 
-def _norm_integral(coef, s: float, t: float) -> float:
-    """Exact int_s^t ||A(z)|| dz for a constant or piecewise-constant A."""
-    if not isinstance(coef, MatrixTable):
-        return float(mat_norm(coef)) * (t - s)
-    cuts = [s] + [float(b) for b in coef.breaks if s < b < t] + [t]
-    total = 0.0
-    for u, v in zip(cuts[:-1], cuts[1:]):
-        total += float(mat_norm(coef.value(0.5 * (u + v)))) * (v - u)
-    return total
+def gronwall_grid(spec: SystemSpec, s_grid, t_grid,
+                  tight: bool = False) -> np.ndarray:
+    """`gronwall_bound` over a product grid, shaped like fm.samples.
+
+    out[a, b] bounds ||X(t_grid[a], s_grid[b])||; entries with t < s are
+    zero.  For each s, one cumprod over the jump
+    factors after s and, per term, one cumsum over its pieces after s give
+    every t at once.  Products and sums run in the scalar order (the
+    partial last piece added after the cumsum), and exp is `math.exp` per
+    entry, so each entry equals the 1x1 call bit for bit.
+    """
+    bad = validate(spec)
+    if bad:
+        raise ValueError("invalid spec: " + "; ".join(bad))
+    t_grid = np.asarray(t_grid, dtype=float)
+    points = spec.impulses.points
+    norms = mat_norm(spec.impulses.matrices)
+    factors = norms if tight else 1.0 + norms
+    reach = max(spec.horizon, float(t_grid.max(initial=0.0)))
+    pieces = [coefficient_pieces(term.coefficient, reach)
+              for term in spec.terms]
+    out = np.zeros((len(t_grid), len(s_grid)))
+    for b, s in enumerate(s_grid):
+        later = t_grid >= s
+        t = t_grid[later]
+        lo = int(np.searchsorted(points, s, side="right"))
+        hi = np.searchsorted(points, t, side="right")
+        prod = np.concatenate(([1.0], np.cumprod(factors[lo:])))[hi - lo]
+        rate = np.zeros(len(t))
+        for breaks, values in pieces:
+            i = max(int(np.searchsorted(breaks, s, side="right")) - 1, 0)
+            j = np.searchsorted(breaks, t, side="left") - 1
+            widths = np.diff(np.concatenate(([s], breaks[i + 1:])))
+            full = np.concatenate(([0.0], np.cumsum(values[i:-1] * widths)))
+            rate += np.where(j > i,
+                             full[np.maximum(j - i, 0)]
+                             + values[j] * (t - breaks[j]),
+                             values[i] * (t - s))
+        out[later, b] = prod * np.array([math.exp(r) for r in rate.tolist()])
+    return out
 
 
 def gronwall_bound(spec: SystemSpec, s: float, t: float,
@@ -123,18 +165,12 @@ def gronwall_bound(spec: SystemSpec, s: float, t: float,
     sharper variant meaningful when every B_i is nonsingular; it is exact
     for zero-lag systems but can be violated by delayed feedback, which
     re-injects pre-jump history that the pure product does not see.
+    This is the 1x1 case of `gronwall_grid`; an invalid spec raises
+    ValueError("invalid spec: ...").
     """
     if s > t:
         raise ValueError(f"s={s} > t={t}")
-    sched = spec.impulses
-    lo = int(np.searchsorted(sched.points, s, side="right"))
-    hi = int(np.searchsorted(sched.points, t, side="right"))
-    prod = 1.0
-    for j in range(lo, hi):
-        b = float(mat_norm(sched.matrices[j]))
-        prod *= b if tight else 1.0 + b
-    rate = sum(_norm_integral(term.coefficient, s, t) for term in spec.terms)
-    return prod * math.exp(rate)
+    return float(gronwall_grid(spec, [s], [t], tight)[0, 0])
 
 
 def c0_closed_form(a: float, schedule: ImpulseSchedule, s: float,
@@ -173,7 +209,7 @@ def c0_estimate(schedule: ImpulseSchedule, s: float, t: float,
         raise ValueError(f"s={s} > t={t}")
     if not (0.0 < zeta <= rho):
         raise ValueError(f"need 0 < zeta <= rho, got zeta={zeta}, rho={rho}")
-    gamma = max((float(mat_norm(b)) for b in schedule.matrices), default=0.0)
+    gamma = float(mat_norm(schedule.matrices).max(initial=0.0))
     if gamma >= 1.0:
         raise ValueError(f"bound inapplicable: gamma={gamma} >= 1")
     alpha = math.inf if gamma == 0.0 else -math.log(gamma) / zeta
@@ -186,38 +222,32 @@ def certify(spec: SystemSpec) -> StabilityCertificate:
     """Sufficient exponential-stability test from coefficient sups and jumps.
 
     Computes gamma = sup_i ||B_i||, the gap range [zeta, rho], the derived
-    rate alpha = -(1/zeta) ln gamma, and the margin
-    lhs = (sum_k sup ||A_k||) ((1/alpha) e^{-alpha rho} + rho); Certified
-    requires a valid spec, finite maximal lag, at least two jump points,
-    gamma < 1 and lhs < 1.  A NotCertified verdict carries one reason per
-    failed condition and never asserts instability.
+    rate alpha = -(1/zeta) ln gamma, the paper's margin
+    lhs = (sum_k sup ||A_k||) ((1/alpha) e^{-alpha rho} + rho), and the
+    Bohl-Perron margin q = Q max(sup_{t <= H} J(t), rho / (1 - gamma)).
+    Certified requires a valid spec, finite maximal lag, at least two jump
+    points, gamma < 1, lhs < 1 and q < 1.  A NotCertified verdict carries
+    one reason per failed condition and never asserts instability; an
+    invalid spec gets the one reason and NaN numbers.
     """
-    reasons = []
     bad = validate(spec)
     if bad:
-        reasons.append("invalid spec: " + "; ".join(bad))
-
-    delta = 0.0
-    for term in spec.terms:
-        if isinstance(term.delay, FrozenTime):
-            delta = math.inf
-        else:
-            delta = max(delta, term.delay.theta)
-    if not math.isfinite(delta):
+        return StabilityCertificate(
+            gamma=math.nan, zeta=math.nan, rho=math.nan, alpha=math.nan,
+            lhs=math.nan, delta=math.nan, verdict="NotCertified",
+            reasons=("invalid spec: " + "; ".join(bad),))
+    reasons = []
+    report = hypotheses_report(spec)
+    if not math.isfinite(report.delta):
         reasons.append("frozen-time term: the lag t - c is unbounded, "
                        "no finite maximal lag exists")
 
     sched = spec.impulses
-    gamma = max((float(mat_norm(b)) for b in sched.matrices),
-                default=math.nan)
-    if len(sched.points) < 2:
-        zeta = rho = math.nan
+    gamma = report.M if len(sched) else math.nan
+    zeta, rho = schedule_gaps(sched)
+    if math.isnan(rho):
         reasons.append("fewer than two jump points: the gap range "
                        "[zeta, rho] is undefined")
-    else:
-        gaps = np.diff(sched.points)
-        zeta = float(gaps.min())
-        rho = float(gaps.max())
     if not gamma < 1.0:
         reasons.append(f"gamma = sup ||B_i|| = {gamma:.6g} is not < 1")
 
@@ -228,11 +258,9 @@ def certify(spec: SystemSpec) -> StabilityCertificate:
     else:
         alpha = math.nan
 
-    sum_sup = 0.0
-    for term in spec.terms:
-        _, values = _coefficient_pieces(term.coefficient, spec.horizon)
-        sum_sup += float(np.max(mat_norm(values)))
-
+    sum_sup = sum(float(coefficient_pieces(term.coefficient,
+                                           spec.horizon)[1].max())
+                  for term in spec.terms)
     if alpha > 0.0:
         bracket = (0.0 if math.isinf(alpha)
                    else (1.0 / alpha) * math.exp(-alpha * rho)) + rho
@@ -242,9 +270,25 @@ def certify(spec: SystemSpec) -> StabilityCertificate:
     if not math.isnan(lhs) and not lhs < 1.0:
         reasons.append(f"stability margin lhs = {lhs:.6g} is not < 1")
 
+    if gamma < 1.0 and not math.isnan(rho):
+        # J(t) = int_0^t prod_{s < tau_j <= t} ||B_j|| ds rises with slope 1
+        # between jumps and is scaled by ||B_j|| at tau_j
+        keep = sched.points <= spec.horizon
+        j = j_sup = last = 0.0
+        for tau, b in zip(sched.points[keep].tolist(),
+                          mat_norm(sched.matrices[keep]).tolist()):
+            j += tau - last
+            j_sup = max(j_sup, j)
+            j, last = b * j, tau
+        j_sup = max(j_sup, j + (spec.horizon - last))
+        q = report.Q * max(j_sup, rho / (1.0 - gamma))
+        if not q < 1.0:
+            reasons.append(f"Bohl-Perron margin q = Q max(sup J, "
+                           f"rho / (1 - gamma)) = {q:.6g} is not < 1")
+
     verdict = "Certified" if not reasons else "NotCertified"
     return StabilityCertificate(gamma=gamma, zeta=zeta, rho=rho, alpha=alpha,
-                                lhs=lhs, delta=delta, verdict=verdict,
+                                lhs=lhs, delta=report.delta, verdict=verdict,
                                 reasons=tuple(reasons))
 
 

@@ -263,19 +263,30 @@ def count_impulses(schedule: ImpulseSchedule, s: float, t: float) -> int:
     return hi - lo
 
 
-def _coefficient_pieces(coef: Coefficient, horizon: float):
-    """(breaks, values) of a coefficient restricted to [0, horizon]."""
-    if isinstance(coef, MatrixTable):
-        keep = coef.breaks <= horizon
-        breaks = np.concatenate(([0.0], coef.breaks[keep]))
-        values = np.concatenate((coef.values[:1], coef.values[keep]))
-        # drop a duplicated leading piece when the table already starts at <= 0
-        if len(breaks) > 1 and breaks[1] <= 0.0:
-            breaks, values = breaks[1:], values[1:]
-            breaks = breaks.copy()
-            breaks[0] = 0.0
-        return breaks, values
-    return np.array([0.0]), np.asarray(coef, dtype=float)[None, :, :]
+def coefficient_pieces(coef: Coefficient, horizon: float):
+    """(breaks, ||A|| per piece) of a coefficient on [0, horizon].
+
+    The first piece is the one in force at t = 0 and starts at 0; the others
+    start at the table breaks in (0, horizon].  Pieces that end before 0 are
+    dropped.
+    """
+    if not isinstance(coef, MatrixTable):
+        return np.array([0.0]), np.array([mat_norm(coef)])
+    b = coef.breaks
+    starts = np.concatenate(([0.0], b[(b > 0.0) & (b <= horizon)]))
+    piece = np.maximum(np.searchsorted(b, starts, side="right") - 1, 0)
+    return starts, mat_norm(coef.values[piece])
+
+
+def schedule_gaps(schedule: ImpulseSchedule) -> tuple[float, float]:
+    """(zeta, rho): the smallest and largest gap between jump points.
+
+    Both are NaN when the schedule has fewer than two points.
+    """
+    if len(schedule.points) < 2:
+        return math.nan, math.nan
+    gaps = np.diff(schedule.points)
+    return float(gaps.min()), float(gaps.max())
 
 
 def validate(spec: SystemSpec) -> list[str]:
@@ -376,11 +387,15 @@ def hypotheses_report(spec: SystemSpec, window: float | None = None) -> Hypothes
     I_hat maximizes i(t,s)/(t-s) over segments [s, t] with t-s >= window
     (default horizon/4).  The maximum over continuous endpoints is attained
     at impulse-point pairs with the segment length clamped to the window,
-    so an exact enumeration over point pairs suffices.
+    so an exact enumeration over point pairs suffices.  An invalid spec
+    raises ValueError("invalid spec: ...").
     """
+    bad = validate(spec)
+    if bad:
+        raise ValueError("invalid spec: " + "; ".join(bad))
     w = spec.horizon / 4.0 if window is None else float(window)
     sch = spec.impulses
-    M = max((float(mat_norm(B)) for B in sch.matrices), default=0.0)
+    M = float(mat_norm(sch.matrices).max(initial=0.0))
 
     pts = sch.points[sch.points <= spec.horizon]
     I_hat = 0.0
@@ -392,18 +407,13 @@ def hypotheses_report(spec: SystemSpec, window: float | None = None) -> Hypothes
     delta = math.inf if spec.has_frozen() else spec.max_lag()
 
     # exact vraisup of sum_k ||A_k(t)|| on [0, horizon]: piecewise-constant
-    # tables make the sum a step function; evaluate on the union of breaks
-    all_breaks = [np.array([0.0])]
-    for term in spec.terms:
-        all_breaks.append(_coefficient_pieces(term.coefficient, spec.horizon)[0])
-    union = np.unique(np.concatenate(all_breaks))
-    union = union[(union >= 0) & (union <= spec.horizon)]
-    Q = 0.0
-    for t in union:
-        total = 0.0
-        for term in spec.terms:
-            coef = term.coefficient
-            m = coef.value(float(t)) if isinstance(coef, MatrixTable) else coef
-            total += float(mat_norm(m))
-        Q = max(Q, total)
-    return HypothesesReport(M=M, I_hat=I_hat, delta=delta, Q=Q, window=w)
+    # tables make the sum a step function; evaluate on the union of breaks,
+    # adding the terms in order
+    pieces = [coefficient_pieces(term.coefficient, spec.horizon)
+              for term in spec.terms]
+    union = np.unique(np.concatenate([[0.0]] + [b for b, _ in pieces]))
+    total = np.zeros(len(union))
+    for breaks, norms in pieces:
+        total += norms[np.searchsorted(breaks, union, side="right") - 1]
+    return HypothesesReport(M=M, I_hat=I_hat, delta=delta,
+                            Q=float(total.max()), window=w)

@@ -140,6 +140,16 @@ def test_certify_exit_codes_track_the_verdict(tmp_path):
                          out=str(tmp_path))) == 2
 
 
+def test_certify_exits_4_on_a_config_that_fails_validate(tmp_path):
+    # phi covers [-0.5, 0) but the lag reads down to -1
+    cfg = dict(MINIMAL, terms=[{"coefficient": [[0.4]], "lag": 1.0}],
+               phi={"breaks": [-0.5], "values": [[1.0]]})
+    path = _write(tmp_path, "s.json", cfg)
+    assert run(RunConfig("simulate", path, out=str(tmp_path))) == 4
+    assert run(RunConfig("certify", path, out=str(tmp_path))) == 4
+    assert not (tmp_path / "certificate.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 

@@ -1,8 +1,9 @@
 """Module boundaries of the library, checked on its source with `ast`.
 
 `integrate` owns the snap rule (`_SNAP`), the table reads and the lag
-images; other modules reach them only through its names without a
-leading underscore.
+images; `system` owns the hypothesis numbers (coefficient pieces, jump
+gaps).  Modules reach each other only through names without a leading
+underscore.
 """
 
 import ast
@@ -19,6 +20,15 @@ def test_no_module_imports_a_private_name_from_integrate():
                for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and node.module == "integrate" and node.level == 1
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = [(name, node.module, alias.name)
+               for name, tree in TREES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
 

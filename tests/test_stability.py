@@ -24,9 +24,12 @@ from impulsedde import (
     estimate_rate,
     fundamental_grid,
     gronwall_bound,
+    hypotheses_report,
     mat_norm,
+    solve,
 )
-from corpus import scalar_stabilized_forced
+from impulsedde.stability import gronwall_grid
+from corpus import CORPUS, scalar_stabilized_forced
 
 
 def _stabilized(a=0.3, b=0.5, horizon=6.0):
@@ -96,6 +99,66 @@ def test_gronwall_is_monotone_in_the_segment(u, v):
     # enlarging the segment can only multiply in factors >= 1
     assert gronwall_bound(spec, s, t) <= gronwall_bound(spec, 0.0, 2.0) \
         * gronwall_bound(spec, 0.0, 0.0) * math.exp(0.3 * 2.0) + 1e-12
+
+
+def _norm_integral_by_cuts(coef, s, t):
+    # the reference: one midpoint read per cut interval, summed in order
+    if not isinstance(coef, MatrixTable):
+        return float(mat_norm(coef)) * (t - s)
+    cuts = [s] + [float(b) for b in coef.breaks if s < b < t] + [t]
+    total = 0.0
+    for u, v in zip(cuts[:-1], cuts[1:]):
+        total += float(mat_norm(coef.value(0.5 * (u + v)))) * (v - u)
+    return total
+
+
+def _gronwall_by_pairs(spec, s, t, tight):
+    sched = spec.impulses
+    lo = int(np.searchsorted(sched.points, s, side="right"))
+    hi = int(np.searchsorted(sched.points, t, side="right"))
+    prod = 1.0
+    for j in range(lo, hi):
+        b = float(mat_norm(sched.matrices[j]))
+        prod *= b if tight else 1.0 + b
+    rate = sum(_norm_integral_by_cuts(term.coefficient, s, t)
+               for term in spec.terms)
+    return prod * math.exp(rate)
+
+
+def _two_piece_tables():
+    # first break after 0, a break on a jump point, a table break at 0
+    return SystemSpec(
+        dim=1,
+        terms=[DelayTerm(MatrixTable([0.5, 1.3], [[[0.5]], [[-2.0]]]),
+                         ConstantLag(0.4)),
+               DelayTerm(MatrixTable([0.0, 2.2], [[[0.3]], [[0.7]]]),
+                         ConstantLag(1.0))],
+        impulses=ImpulseSchedule([0.7, 1.3, 2.1], [[[0.5]], [[1.5]], [[-2.0]]],
+                                 None, 1),
+        horizon=3.0,
+    )
+
+
+@pytest.mark.parametrize("tight", [False, True])
+@pytest.mark.parametrize("make", list(CORPUS.values()) + [_two_piece_tables],
+                         ids=list(CORPUS) + ["two-piece-tables"])
+def test_gronwall_grid_equals_the_per_pair_loop(make, tight):
+    spec = make()
+    h = spec.horizon
+    marks = [float(p) for p in spec.impulses.points]
+    marks += [float(b) for term in spec.terms
+              if isinstance(term.coefficient, MatrixTable)
+              for b in term.coefficient.breaks if 0.0 <= b <= h]
+    s_grid = np.unique(np.concatenate((np.linspace(0.0, 0.8 * h, 7), marks)))
+    t_grid = np.unique(np.concatenate((np.linspace(0.0, h, 9), marks)))
+    want = np.array([[_gronwall_by_pairs(spec, s, t, tight) if s <= t else 0.0
+                      for s in s_grid.tolist()] for t in t_grid.tolist()])
+    got = gronwall_grid(spec, s_grid, t_grid, tight)
+    assert np.array_equal(got, want)
+    for a, t in enumerate(t_grid.tolist()):
+        for b, s in enumerate(s_grid.tolist()):
+            if s <= t:
+                assert gronwall_bound(spec, s, t, tight) == want[a, b]
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +269,47 @@ def test_certificate_with_vanishing_jumps_uses_infinite_decay():
     # the bracket collapses to rho alone
     assert cert.lhs == pytest.approx(0.3 * 1.0, abs=1e-15)
     assert cert.verdict == "Certified"
+
+
+def _clustered(theta):
+    # x' - 0.9 x(t - theta) = 0, B = 0.9 at k and k + 0.001 for k = 1..20
+    points = [p for k in range(1, 21) for p in (float(k), k + 0.001)]
+    return SystemSpec(
+        dim=1,
+        terms=[DelayTerm(np.array([[-0.9]]), ConstantLag(theta))],
+        impulses=ImpulseSchedule(points, [[[0.9]]] * len(points), None, 1),
+        x0=[1.0],
+        horizon=20.5,
+    )
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05])
+def test_certificate_rejects_the_clustered_growing_system(theta):
+    spec = _clustered(theta)
+    # the solution grows by orders of magnitude over the horizon
+    assert abs(solve(spec, StepControl(1e-2)).y_post[-1, 0]) > 1e5
+    cert = certify(spec)
+    # the paper's margin alone passes: the rate uses the smallest gap
+    assert cert.lhs == pytest.approx(0.8991, abs=1e-4)
+    assert cert.verdict == "NotCertified"
+    # q = Q rho / (1 - gamma) = 0.9 * 0.999 / 0.1
+    assert [r for r in cert.reasons if "q =" in r] == [
+        "Bohl-Perron margin q = Q max(sup J, rho / (1 - gamma)) = 8.991 "
+        "is not < 1"]
+
+
+def test_certificate_ignores_table_pieces_that_end_before_zero():
+    def spec(coef):
+        return SystemSpec(
+            dim=1, terms=[DelayTerm(coef, ConstantLag(1.0))],
+            impulses=ImpulseSchedule.periodic(1.0, [[0.5]], horizon=6.0,
+                                              dim=1),
+            x0=[1.0], horizon=6.0)
+
+    table = spec(MatrixTable([-1.0, -0.5, 0.3], [[[5.0]], [[0.1]], [[0.2]]]))
+    constant = spec(np.array([[0.2]]))
+    assert hypotheses_report(table).Q == 0.2
+    assert certify(table).lhs == certify(constant).lhs
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from impulsedde import (
     MatrixTable,
     SystemSpec,
     VectorTable,
+    certify,
     count_impulses,
     evaluate_delay,
+    gronwall_bound,
     hypotheses_report,
     mat_norm,
     solve,
@@ -185,20 +187,35 @@ def test_validate_rejects_bad_x0_and_bad_horizon():
                for v in validate(SystemSpec(dim=1, horizon=-1.0)))
 
 
-@pytest.mark.parametrize("field, spec", [
+EMPTY_TABLES = [
     ("terms[0].coefficient",
      SystemSpec(dim=1, terms=[DelayTerm(MatrixTable([], np.zeros((0, 1, 1))),
                                         ConstantLag(0.5))])),
     ("forcing", SystemSpec(dim=1, forcing=VectorTable([], np.zeros((0, 1))))),
     ("phi", SystemSpec(dim=1, terms=[DelayTerm(np.eye(1), ConstantLag(0.5))],
                        phi=VectorTable([], np.zeros((0, 1))))),
-])
+]
+
+
+@pytest.mark.parametrize("field, spec", EMPTY_TABLES)
 def test_validate_rejects_tables_with_no_pieces(field, spec):
     # an empty table has no value to read anywhere; unchecked, solve fails
     # with an IndexError at its first read
     assert f"{field}: table has no pieces" in validate(spec)
     with pytest.raises(ValueError, match="invalid spec"):
         solve(spec)
+
+
+@pytest.mark.parametrize("field, spec", EMPTY_TABLES)
+def test_stability_layer_validates_first(field, spec):
+    reason = "invalid spec: " + "; ".join(validate(spec))
+    assert f"{field}: table has no pieces" in reason
+    cert = certify(spec)
+    assert cert.verdict == "NotCertified" and cert.reasons == (reason,)
+    with pytest.raises(ValueError, match="invalid spec"):
+        hypotheses_report(spec)
+    with pytest.raises(ValueError, match="invalid spec"):
+        gronwall_bound(spec, 0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

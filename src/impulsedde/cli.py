@@ -402,7 +402,7 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 def _default_window(spec: SystemSpec):
     """[2*rho, horizon]: skips transient-dominated pairs when gaps exist."""
-    rho = schedule_gaps(spec.impulses)[1]
+    rho = schedule_gaps(spec.impulses, spec.horizon)[1]
     lo = 0.0 if math.isnan(rho) else min(2.0 * rho, spec.horizon)
     return lo, spec.horizon
 

@@ -15,6 +15,13 @@ once; and the solution itself, as the (x0, 1) column of a homogeneous
 system one dimension larger, in which the forcing, the history reads and
 the jump offsets act on a constant last component.
 
+The engine steps a lag window per pass: inside [a, a + theta_min) every
+delayed read lands on history that is already computed (Bellen and
+Zennaro 2003, the method of steps), so the window's reads are one gather
+and one Hermite blend, and each RK4 step is the affine map
+y_{k+1} = P_k y_k + c_k, with c_k computed in bulk and P_k the RK4
+polynomial of the zero-lag part; only that recurrence runs step by step.
+
 This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`) and one
 table reader (`read_piecewise`), and the lag-image rule (`_image_shifts`),
@@ -25,6 +32,7 @@ them is exported from the package.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -394,9 +402,9 @@ def _augmented(spec: SystemSpec) -> SystemSpec:
 
 def _trajectory(nodes: np.ndarray, jump_nodes: dict, dense, dim: int,
                 col: int, **history) -> Trajectory:
-    """Trajectory of column `col`, rows :dim, of a dense single sweep."""
-    y_post, y_pre, f_right, f_left = (
-        np.ascontiguousarray(a[:, 0, :dim, col]) for a in dense)
+    """Trajectory of column `col`, rows :dim, of a dense single sweep: views
+    into the sweep's own arrays, so no copy is made."""
+    y_post, y_pre, f_right, f_left = (a[:, 0, :dim, col] for a in dense)
     for arr in (nodes, y_post, y_pre, f_right, f_left):
         arr.setflags(write=False)
     return Trajectory(t_nodes=nodes, y_post=y_post, y_pre=y_pre,
@@ -444,6 +452,19 @@ def fundamental_matrix(spec: SystemSpec, s: float,
 # ---------------------------------------------------------------------------
 # the RK4 engine, batched over restart columns on one shared grid
 
+# rows of a node's slot in the history buffer, in this order so that the
+# four values a Hermite read inside the step after node i blends --
+# y_post[i], f_right[i], y_pre[i+1], f_left[i+1] -- are consecutive rows
+_Y_PRE, _F_LEFT, _Y_POST, _F_RIGHT = range(4)
+# a read that snaps to a node takes the last of its four rows
+_SNAPPED = np.array([0.0, 0.0, 0.0, 1.0])
+_QUAD = np.arange(4)
+# byte budget of one lag window's gathered reads and stage arrays; a few
+# dozen steps already amortise a window's fixed cost in numpy calls
+_WINDOW_BYTES = 1 << 18
+# steps whose read plans and coefficients are set up at once
+_BLOCK = 256
+
 
 def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
     K = len(nodes) - 1
@@ -456,14 +477,13 @@ def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
 
 
 def _read_plan(nodes: np.ndarray, us: np.ndarray):
-    """Per-step lookup data for delayed reads at the times `us`.
+    """Lookup data for delayed reads at the times `us`.
 
     Returns (exact, interval, weights): `exact[k]` is the node us[k] snaps
     to (`locate`; -1 when us[k] is interior), `interval[k]` the
     enclosing-interval index, and `weights[k]` the four Hermite weights on
     that interval.  Weight rows where `exact >= 0` or `interval < 0` are
-    filler and never read.  Planned over the whole grid at once, so the
-    step loop does no searching.
+    filler, which `_read_rows` replaces.
     """
     N = len(nodes)
     exact = locate(nodes, us)
@@ -473,6 +493,36 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     h = nodes[ic + 1] - nodes[ic] if N > 1 else np.ones(us.shape)
     weights = np.stack(_hermite_weights((us - nodes[ic]) / h, h), axis=1)
     return exact, interval, weights
+
+
+def _read_rows(plan, left: bool, k_start: int, ring_rows: int,
+               zero_row: int):
+    """History-buffer rows and blend weights of planned delayed reads.
+
+    A read is sum_q weights[:, q] * buffer row rows[:, q]; node j's slot
+    starts at row 4 j modulo `ring_rows`.  A read inside the step after
+    node i blends that step's four Hermite rows; a read that snaps to node
+    i takes y_post[i], or y_pre[i] when `left`, as the last of four rows
+    of nodes i - 1 and i.  Reads of values that are zero in every column
+    -- before `k_start`, the first activation, the left limit at it
+    included, or before the grid -- take the all-zero rows at `zero_row`
+    with zero weights.
+
+    Returns (rows, weights, node, need): `node` is the node whose data the
+    read takes (huge for zero reads) and `need` the node the sweep must
+    have reached before the read is ready.
+    """
+    exact, interval, weights = plan
+    hit = exact >= 0
+    node = np.where(hit, exact, interval)
+    zero = node < k_start + (hit & left)
+    base = np.where(hit, 4 * exact - (3 if left else 1), 4 * interval + 2)
+    rows = (base[:, None] + _QUAD) % ring_rows
+    rows[zero] = zero_row + _QUAD
+    weights = np.where(hit[:, None], _SNAPPED, weights)
+    weights[zero] = 0.0
+    return (rows, weights, np.where(zero, np.iinfo(np.intp).max, node),
+            node + ~hit)
 
 
 def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
@@ -490,14 +540,26 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     `_fundamental_rows`) activates first and then jumps every column, the
     new one included, and samples the pre-jump value.
 
-    Delayed-read bookkeeping (exact-node detection, enclosing interval,
-    Hermite weights) and coefficient values depend only on the shared grid,
-    so both are planned once up front; the step loop then runs entirely on
-    preallocated buffers.
+    The unit of work is a lag window of steps [a, b): every delayed read
+    of its steps lands on history at or before node a (the method of
+    steps), so the reads of the whole window are one gather from the
+    history ring, one Hermite blend and one batched product with the
+    coefficients of every lag and frozen term.  Each RK4 step is affine in
+    its start value, y_{k+1} = P_k y_k + c_k: c_k is the stage sum on
+    y = 0, computed in bulk over the window, and P_k the RK4 polynomial of
+    the zero-lag part (the identity without one, when the window is one
+    running sum).  Only that recurrence, a product and two sums per step,
+    runs in step order; jumps and activations split it at their nodes,
+    and the derivatives and samples follow in bulk.  Read plans and
+    coefficient values are set up per block of steps, so their memory
+    does not grow with the grid.
 
-    With `dense`, the history ring holds every step (it never wraps) and
-    the sweep returns the dense output (y_post, y_pre, f_right, f_left),
-    each (K+1, S, n, m), in place of the samples; see `Trajectory`.
+    The ring holds the deepest delayed read (`_ring_depth`), and a window
+    that runs past its end writes on into spare slots.  With
+    `dense` it holds every node and is itself the dense output (y_post,
+    y_pre, f_right, f_left), each (K+1, S, n, m), returned in place of the
+    samples; see `Trajectory`.  A dense sweep whose estimated memory
+    exceeds `mem_cap` bytes is refused before anything is allocated.
     """
     n = spec.dim
     K = len(nodes) - 1
@@ -506,53 +568,20 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     s_indices = np.asarray(s_indices, dtype=np.intp)
     S = len(s_indices)
     T = len(record_indices)
-    theta_max = max((t.delay.theta for t in spec.terms
-                     if isinstance(t.delay, ConstantLag)), default=0.0)
-    D = K + 1 if dense else _ring_depth(nodes, theta_max)
-
     _check_causal(spec, nodes[0])
-    frozen_cs = [t.delay.c for t in spec.terms if isinstance(t.delay, FrozenTime)]
-    frozen_idx = {c: int(locate(nodes, c)) for c in frozen_cs}
 
-    # per-step coefficient values and delayed-read plans, shared by chunks
-    steps = np.diff(nodes)
-    mids = nodes[:-1] + 0.5 * steps
-
-    def per_step(coef):
-        # step k sees values[piece[k]]: O(K) memory per term, not O(K n^2);
-        # mids never sit on a break, so the side does not matter
-        if isinstance(coef, MatrixTable):
-            return coef.values, _pieces(coef.breaks, mids, "right")
-        return np.asarray(coef, dtype=float)[None], np.zeros(K, dtype=np.intp)
-
-    zero_lag = []
-    term_plans = []  # ("frozen", coef, c) | ("lag", coef, (plan_a, plan_m, plan_b))
-    for term in spec.terms:
-        coef = per_step(term.coefficient)
-        if isinstance(term.delay, FrozenTime):
-            term_plans.append(("frozen", coef, term.delay.c))
-        elif term.delay.theta == 0.0:
-            zero_lag.append(coef)
-        else:
-            # the reads at nodes[:-1] - th and nodes[1:] - th share one plan
-            th = term.delay.theta
-            at_nodes = _read_plan(nodes, nodes - th)
-            term_plans.append(("lag", coef, (tuple(a[:-1] for a in at_nodes),
-                                             _read_plan(nodes, mids - th),
-                                             tuple(a[1:] for a in at_nodes))))
-    M = None  # summed zero-lag coefficients, as (values, piece)
-    if zero_lag:
-        combos, piece = np.unique(np.stack([p for _, p in zero_lag], axis=1),
-                                  axis=0, return_inverse=True)
-        M = (sum(v[combos[:, i]] for i, (v, _) in enumerate(zero_lag)),
-             piece.reshape(-1))
-
-    samples = np.zeros((T, S, n, m))
-    rec_of_node = {int(node): row for row, node in enumerate(record_indices)}
+    lags = [t for t in spec.terms
+            if isinstance(t.delay, ConstantLag) and t.delay.theta != 0.0]
+    frozen = [t for t in spec.terms if isinstance(t.delay, FrozenTime)]
+    zero_lag = [t.coefficient for t in spec.terms
+                if isinstance(t.delay, ConstantLag) and t.delay.theta == 0.0]
+    read_coefs = [t.coefficient for t in lags + frozen]
+    nt = len(read_coefs)
+    frozen_idx = [int(locate(nodes, t.delay.c)) for t in frozen]
 
     # process columns in ascending s order so that within each chunk the
-    # active columns are always a prefix; every per-step operation is then
-    # sliced to that prefix, which turns the rectangular sweep cost into the
+    # active columns are always a prefix; every operation is then sliced to
+    # that prefix, which turns the rectangular sweep cost into the
     # triangular one the zero structure allows.  Un-permute the sample axis
     # at the end if a sort was needed.
     unsort = None
@@ -561,184 +590,238 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         unsort = np.argsort(order)
         s_indices = s_indices[order]
 
-    bytes_per_col = D * n * m * 8 * 4
-    chunk = max(16, int(mem_cap // max(bytes_per_col, 1)))
-    if dense and S > chunk:
-        raise ValueError(f"dense output of {S} columns needs more than one "
-                         f"chunk of {chunk}")
+    # node j sits in ring slot j % R; a window may run on into the spare
+    # slots after the ring, which are copied back to its start.  Then come
+    # the zero and the snapshot slots.  A slot's columns beyond the width
+    # active at its node hold zero (the nodes a slot held before were never
+    # wider), which is the value an inactive column must supply.
+    D = K + 1 if dense else _ring_depth(
+        nodes, max((t.delay.theta for t in lags), default=0.0))
+    per_col = (15 * nt + 4) * n * m * 8  # window bytes per step and column
+    wmax = max(1, min(_BLOCK, _WINDOW_BYTES // max(per_col * S, 1)))
+    R, spare = (K + 1, 0) if dense else (max(D, wmax), wmax)
+    slots = R + spare + 2
+    zero_row = 4 * (R + spare)
+    chunk = max(16, int(mem_cap // max(slots * 4 * n * m * 8, 1)))
+    if dense:
+        if S > chunk:
+            raise ValueError(f"dense output of {S} columns needs more than "
+                             f"one chunk of {chunk}")
+        # the ring, one window's buffers and one block's plan
+        need_bytes = (slots * 4 * n * S * m * 8 + min(wmax, K) * per_col * S
+                      + _BLOCK * (192 * nt + 8 * (nt + 5) * n * n + 32))
+        if need_bytes > mem_cap:
+            raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
+                             f"more than the memory budget of {mem_cap} bytes")
+
+    samples = np.zeros((T, S, n, m))
+    rec_of_node = {int(node): row for row, node in enumerate(record_indices)}
+    # the reflected order samples a jump node before its jump, in at_node
+    bulk = sorted(node for node in rec_of_node
+                  if not (reflected and node in jumps))
+    bulk_nodes = np.asarray(bulk, dtype=np.intp)
+    bulk_rows = np.asarray([rec_of_node[node] for node in bulk], dtype=np.intp)
+
+    def coefficient(coef, mids):
+        # mids never sit on a break, so the side does not matter
+        if isinstance(coef, MatrixTable):
+            return coef.values[_pieces(coef.breaks, mids, "right")]
+        return np.broadcast_to(np.asarray(coef, dtype=float),
+                               (len(mids), n, n))
 
     for c0 in range(0, S, chunk):
-        cols = np.arange(c0, min(c0 + chunk, S))
-        Sc = len(cols)
-        col_of: dict[int, list[int]] = {}
-        for local, col in enumerate(cols):
-            col_of.setdefault(int(s_indices[col]), []).append(local)
-        k_start = int(s_indices[cols[0]])
-        # widths[k] = number of chunk columns already activated during step
-        # k; the width never shrinks, so any buffer entry beyond a slot's
-        # last written width has never been touched and still holds the
-        # initial zero -- exactly the value an inactive column must supply
-        widths = np.searchsorted(s_indices[cols], np.arange(K + 1),
-                                 side="right")
+        c1 = min(c0 + chunk, S)
+        Sc = c1 - c0
+        s_list = s_indices[c0:c1].tolist()
+        k_start = s_list[0]
+        H = np.zeros((slots, 4, n, Sc * m))
+        rows_of = H.reshape(4 * slots, n, Sc * m)
+        # window buffers, reused by every window of the chunk: the gathered
+        # rows (every column: a gather from a column prefix would copy the
+        # ring first), their blends, the delayed parts d and the stage sums c
+        size = wmax * n * Sc * m
+        gbuf, xbuf = np.empty(12 * nt * size), np.empty(3 * nt * size)
+        dbuf, cbuf = np.zeros(3 * size), np.empty(size)
+        snap = [i == k_start for i in frozen_idx]
+        activate: dict[int, tuple] = {}
+        for local, s in enumerate(s_list):
+            activate[s] = (activate.get(s, (local,))[0], local + 1)
+        events = sorted(j for j in set(activate) | set(jumps) if j > k_start)
+        is_event = set(events)
 
-        r_y0 = np.zeros((D, Sc, n, m))
-        r_f0 = np.zeros((D, Sc, n, m))
-        r_y1 = np.zeros((D, Sc, n, m))
-        r_f1 = np.zeros((D, Sc, n, m))
-        Y = np.zeros((Sc, n, m))
-        snapshots = {c: np.zeros((Sc, n, m)) for c in frozen_cs}
-        d1, d23, d4 = (np.zeros((Sc, n, m)) for _ in range(3))
-        k2b, k3b, k4b, stage, acc, mm = (np.empty((Sc, n, m)) for _ in range(6))
+        def width(j):
+            # chunk columns already activated at node j
+            return bisect.bisect_right(s_list, j)
 
-        def at_node(node_idx):
-            for local in col_of.get(node_idx, ()):
-                Y[local] = start
-            for c, idx in frozen_idx.items():
-                if idx == node_idx:
-                    snapshots[c][...] = Y
-            row = rec_of_node.get(node_idx)
-            if row is not None:
-                samples[row, cols] = Y
-            if reflected and node_idx in jumps:
-                Wn = int(widths[node_idx])
-                np.matmul(jumps[node_idx], Y[:Wn], out=mm[:Wn])
-                np.copyto(Y[:Wn], mm[:Wn])
+        def at_node(j, slot, initial):
+            # the slot holds the pre-jump value; the forward order's jump
+            # and every activation, snapshot, sample and reflected jump
+            # happen here
+            y = H[slot, _Y_POST]
+            B = jumps.get(j)
+            if B is not None and not reflected and not initial:
+                Wm = width(j - 1) * m
+                y[:, :Wm] = B @ y[:, :Wm]
+            if j in activate:
+                lo, hi = activate[j]
+                y.reshape(n, Sc, m)[:, lo:hi] = start[:, None, :]
+            if initial and any(snap):
+                H[slots - 1, _Y_POST] = y
+            row = rec_of_node.get(j)
+            if row is not None and (initial or (reflected and B is not None)):
+                samples[row, c0:c1] = y.reshape(n, Sc, m).transpose(1, 0, 2)
+            if B is not None and reflected:
+                Wm = width(j) * m
+                y[:, :Wm] = B @ y[:, :Wm]
 
-        def ring_too_shallow(i, k):
-            # _ring_depth sizes the ring to the deepest delayed read, so
-            # this is an internal error, kept as a check under python -O
-            return RuntimeError(f"history ring too shallow: step {k} reads "
-                                f"interval {i} with depth {D}")
+        def plan(p0, p1):
+            """Read rows and weights, coefficients A, the zero-lag part M,
+            the RK4 maps P - I and G, and the readiness of each step's
+            reads, for the steps p0 .. p1 - 1."""
+            t = nodes[p0:p1 + 1]
+            h = np.diff(t)
+            mids = t[:-1] + 0.5 * h
+            w = p1 - p0
+            ks = np.arange(p0, p1)
+            rows = np.empty((w, 3, nt, 4), dtype=np.intp)
+            wts = np.empty((w, 3, nt, 4))
+            need = np.full(w, -1, dtype=np.intp)
+            for i, term in enumerate(lags):
+                th = term.delay.theta
+                at = _read_plan(nodes, t - th)
+                reads = (([a[:-1] for a in at], False),
+                         (_read_plan(nodes, mids - th), False),
+                         ([a[1:] for a in at], True))
+                for p, (rp, left) in enumerate(reads):
+                    rows[:, p, i], wts[:, p, i], node, ready = _read_rows(
+                        rp, left, k_start, 4 * R, zero_row)
+                    np.maximum(need, ready, out=need)
+                    bad = np.flatnonzero(node <= ks - D + 1)
+                    if len(bad):
+                        # _ring_depth sizes the ring to the deepest read,
+                        # so this is an internal error, kept under python -O
+                        k = bad[0]
+                        raise RuntimeError(
+                            f"history ring too shallow: step {ks[k]} reads "
+                            f"interval {node[k]} with depth {D}")
+            for i, snapped in enumerate(snap, start=len(lags)):
+                # a frozen term reads the snapshot's y_post, or zero
+                rows[:, :, i] = zero_row + (3 if snapped else 0) + _QUAD
+                wts[:, :, i] = _SNAPPED if snapped else 0.0
+            A = (np.concatenate([coefficient(c, mids) for c in read_coefs],
+                                axis=2) if nt else None)
+            # the RK4 stages on y = 0 give c = G [d1; d23; d4] with
+            # G = h/6 [-I + hM - (hM)^2/2 + (hM)^3/4 | -4I + 2hM - (hM)^2/2 | -I]
+            # for the zero-lag part M; on y = I with no delayed part they
+            # give P - I, kept apart from I so that its rounding does not
+            # drift y by an ulp every step
+            hh, eye = h[:, None, None], np.eye(n)
+            M = P = None
+            hM = np.zeros((w, n, n))
+            if zero_lag:
+                M = sum(coefficient(c, mids) for c in zero_lag)
+                k1 = -M
+                k2 = -(M @ (eye + k1 * (0.5 * hh)))
+                k3 = -(M @ (eye + k2 * (0.5 * hh)))
+                k4 = -(M @ (eye + k3 * hh))
+                P = (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0)
+                hM = M * hh
+            hM2 = hM @ hM
+            G = np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
+                                2.0 * hM - 0.5 * hM2 - 4.0 * eye,
+                                np.broadcast_to(-eye, hM.shape)),
+                               axis=2) * (hh / 6.0)
+            return rows, wts, A, M, P, G, np.maximum.accumulate(need)
 
-        def delayed(out, A_k, plan, k, W, left):
-            # ring slot k holds step-k data: Y at node k (post), right
-            # derivative at node k, Y at node k+1 (pre), left derivative
-            # at node k+1; the left limit at node i is step i-1 data.
-            # Zero reads (at/below the chunk start, or before the grid)
-            # contribute nothing and are skipped outright.
-            exact, interval, weights = plan
-            i = int(exact[k])
-            if i >= 0:
-                if i <= k_start:
-                    # at/below the chunk start every column is still zero,
-                    # except the right value at the start node itself
-                    if left or i != k_start:
-                        return
-                    src = r_y0[i % D, :W]
+        def window(a, b, pl):
+            """Steps a .. b - 1, whose nodes take the consecutive slots
+            from a % R on."""
+            rows, wts, A, M, P, G = pl
+            w = b - a
+            sa = a % R
+            W = width(b - 1)
+            Wm = W * m
+            yp = H[:, _Y_POST, :, :Wm]
+            pre = H[:, _Y_PRE, :, :Wm]
+            d = dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)  # zero without reads
+            if nt:
+                g = gbuf[:w * 12 * nt * n * Sc * m].reshape(-1, n, Sc * m)
+                np.take(rows_of, rows.reshape(-1), axis=0, out=g, mode="clip")
+                x = xbuf[:w * 3 * nt * n * Sc * m].reshape(-1, 1, n * Sc * m)
+                np.matmul(wts.reshape(-1, 1, 4),
+                          g.reshape(-1, 4, n * Sc * m), out=x)
+                np.matmul(A[:, None],
+                          x.reshape(w, 3, nt * n, Sc * m)[..., :Wm], out=d)
+            d1, d4 = d[:, 0], d[:, 2]
+            c = cbuf[:w * n * Wm].reshape(w, n, Wm)
+            np.matmul(G, d.reshape(w, 3 * n, Wm), out=c)
+            # y_{k+1} = P_k y_k + c_k in step order, split at event nodes
+            stops = events[bisect.bisect_right(events, a):
+                           bisect.bisect_right(events, b)]
+            if not stops or stops[-1] != b:
+                stops.append(b)
+            u = 0
+            for e in stops:
+                e -= a
+                if P is None:
+                    seg = yp[sa + u:sa + e + 1]
+                    seg[1:] = c[u:e]
+                    np.add.accumulate(seg, axis=0, out=seg)
                 else:
-                    if i <= k - D + 1:
-                        raise ring_too_shallow(i, k)
-                    src = (r_y1[(i - 1) % D, :W] if left
-                           else r_y0[i % D, :W])
+                    for k in range(u, e):
+                        y, nxt = yp[sa + k], yp[sa + k + 1]
+                        np.matmul(P[k], y, out=nxt)
+                        nxt += c[k]
+                        nxt += y
+                pre[sa + u + 1:sa + e + 1] = yp[sa + u + 1:sa + e + 1]
+                if a + e in is_event:
+                    at_node(a + e, sa + e, False)
+                u = e
+            # derivatives at the nodes: f_right = k1, f_left from y_pre
+            fr = H[sa:sa + w, _F_RIGHT, :, :Wm]
+            fl = H[sa + 1:sa + w + 1, _F_LEFT, :, :Wm]
+            if M is None:
+                np.negative(d1, out=fr)
+                np.negative(d4, out=fl)
             else:
-                i = int(interval[k])
-                if i < k_start:
-                    return
-                if i <= k - D + 1:
-                    raise ring_too_shallow(i, k)
-                w = weights[k]
-                blend = stage[:W]
-                tmp = mm[:W]
-                np.multiply(r_y0[i % D, :W], w[0], out=blend)
-                np.multiply(r_f0[i % D, :W], w[1], out=tmp)
-                np.add(blend, tmp, out=blend)
-                np.multiply(r_y1[i % D, :W], w[2], out=tmp)
-                np.add(blend, tmp, out=blend)
-                np.multiply(r_f1[i % D, :W], w[3], out=tmp)
-                np.add(blend, tmp, out=blend)
-                src = blend
-            np.matmul(A_k, src, out=mm[:W])
-            out += mm[:W]
+                np.matmul(M, yp[sa:sa + w], out=fr)
+                fr += d1
+                np.negative(fr, out=fr)
+                np.matmul(M, pre[sa + 1:sa + w + 1], out=fl)
+                fl += d4
+                np.negative(fl, out=fl)
+            lo = bisect.bisect_right(bulk, a)
+            hi = bisect.bisect_right(bulk, b)
+            if hi > lo:
+                # node b may activate columns beyond the window's width
+                W = width(b)
+                y = H[bulk_nodes[lo:hi] - a + sa, _Y_POST, :, :W * m]
+                samples[bulk_rows[lo:hi], c0:c0 + W] = \
+                    y.reshape(-1, n, W, m).transpose(0, 2, 1, 3)
+            if b // 256 != a // 256 and not np.all(np.isfinite(yp[sa + w])):
+                raise NumericalError(f"state non-finite at t={nodes[b]}")
+            if sa + w >= R:
+                H[:sa + w + 1 - R] = H[R:sa + w + 1]
 
-        at_node(k_start)
-        for k in range(k_start, K):
-            h = steps[k]
-            W = int(widths[k])
-            Yv = Y[:W]
-            np.copyto(r_y0[k % D, :W], Yv)
-
-            d1v, d23v, d4v = d1[:W], d23[:W], d4[:W]
-            d1v[...] = 0.0
-            d23v[...] = 0.0
-            d4v[...] = 0.0
-            for kind, (values, piece), payload in term_plans:
-                A_k = values[piece[k]]
-                if kind == "frozen":
-                    np.matmul(A_k, snapshots[payload][:W], out=mm[:W])
-                    d1v += mm[:W]
-                    d23v += mm[:W]
-                    d4v += mm[:W]
-                else:
-                    plan_a, plan_m, plan_b = payload
-                    delayed(d1v, A_k, plan_a, k, W, False)
-                    delayed(d23v, A_k, plan_m, k, W, False)
-                    delayed(d4v, A_k, plan_b, k, W, True)
-
-            k1 = r_f0[k % D, :W]
-            y_new = r_y1[k % D, :W]
-            f_left = r_f1[k % D, :W]
-            k2 = k2b[:W]
-            k4 = k4b[:W]
-            st = stage[:W]
-            accv = acc[:W]
-            if M is not None:
-                m_k = M[0][M[1][k]]
-                np.matmul(m_k, Yv, out=k1)
-                k1 += d1v
-                np.negative(k1, out=k1)
-                np.multiply(k1, 0.5 * h, out=st)
-                st += Yv
-                np.matmul(m_k, st, out=k2)
-                k2 += d23v
-                np.negative(k2, out=k2)
-                np.multiply(k2, 0.5 * h, out=st)
-                st += Yv
-                k3 = k3b[:W]
-                np.matmul(m_k, st, out=k3)
-                k3 += d23v
-                np.negative(k3, out=k3)
-                np.multiply(k3, h, out=st)
-                st += Yv
-                np.matmul(m_k, st, out=k4)
-                k4 += d4v
-                np.negative(k4, out=k4)
-            else:
-                np.negative(d1v, out=k1)
-                np.negative(d23v, out=k2)
-                k3 = k2  # the middle stages coincide without a zero-lag part
-                np.negative(d4v, out=k4)
-            np.multiply(k2, 2.0, out=accv)
-            accv += k1
-            np.multiply(k3, 2.0, out=st)
-            accv += st
-            accv += k4
-            np.multiply(accv, h / 6.0, out=accv)
-            np.add(Yv, accv, out=y_new)
-            if M is not None:
-                np.matmul(m_k, y_new, out=f_left)
-                f_left += d4v
-                np.negative(f_left, out=f_left)
-            else:
-                np.negative(d4v, out=f_left)
-
-            B = None if reflected else jumps.get(k + 1)
-            if B is not None:
-                np.matmul(B, y_new, out=Yv)
-            else:
-                np.copyto(Yv, y_new)
-            # ring slot for the NEXT step must see post-jump values at
-            # node k+1; r_y0 is written at the top of the next iteration
-            at_node(k + 1)
-            if (k + 1) % 256 == 0 and not np.all(np.isfinite(Y)):
-                raise NumericalError(f"state non-finite at t={nodes[k + 1]}")
-        if not np.all(np.isfinite(Y)):
+        at_node(k_start, k_start % R, True)
+        for p0 in range(k_start, K, _BLOCK):
+            p1 = min(p0 + _BLOCK, K)
+            *pl, need = plan(p0, p1)
+            a = p0
+            while a < p1:
+                b = p0 + int(np.searchsorted(need, a, side="right"))
+                b = min(max(b, a + 1), a + wmax, p1)
+                window(a, b, [None if v is None else v[a - p0:b - p0]
+                              for v in pl])
+                a = b
+            del pl, need  # free this block's plan before the next is set up
+        if not np.all(np.isfinite(H[K % R, _Y_POST])):
             raise NumericalError("state non-finite at final node")
     if dense:
-        # slot k holds node k's right data and node k+1's left data
-        np.copyto(r_y0[K], Y)
-        y_pre = np.roll(r_y1, 1, axis=0)
-        y_pre[0] = r_y0[0]
-        out = (r_y0, y_pre, r_f0, np.roll(r_f1, 1, axis=0))
+        # y_pre[0] is y_post[0] by convention
+        H[0, _Y_PRE] = H[0, _Y_POST]
+        out = tuple(H[:K + 1, q].reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
+                    for q in (_Y_POST, _Y_PRE, _F_RIGHT, _F_LEFT))
         return out if unsort is None else tuple(a[:, unsort] for a in out)
     return samples if unsort is None else samples[:, unsort]
 

@@ -242,9 +242,11 @@ def certify(spec: SystemSpec) -> StabilityCertificate:
         reasons.append("frozen-time term: the lag t - c is unbounded, "
                        "no finite maximal lag exists")
 
+    # jump points beyond the horizon never act, as in hypotheses_report
     sched = spec.impulses
-    gamma = report.M if len(sched) else math.nan
-    zeta, rho = schedule_gaps(sched)
+    keep = sched.points <= spec.horizon
+    gamma = report.M if keep.any() else math.nan
+    zeta, rho = schedule_gaps(sched, spec.horizon)
     if math.isnan(rho):
         reasons.append("fewer than two jump points: the gap range "
                        "[zeta, rho] is undefined")
@@ -273,7 +275,6 @@ def certify(spec: SystemSpec) -> StabilityCertificate:
     if gamma < 1.0 and not math.isnan(rho):
         # J(t) = int_0^t prod_{s < tau_j <= t} ||B_j|| ds rises with slope 1
         # between jumps and is scaled by ||B_j|| at tau_j
-        keep = sched.points <= spec.horizon
         j = j_sup = last = 0.0
         for tau, b in zip(sched.points[keep].tolist(),
                           mat_norm(sched.matrices[keep]).tolist()):

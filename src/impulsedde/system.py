@@ -228,7 +228,7 @@ class SystemSpec:
 class HypothesesReport:
     """Computed hypothesis data for one spec.
 
-    M:     sup_j ||B_j|| (0 for an empty schedule).
+    M:     sup_j ||B_j|| over the jump points up to the horizon (0 for none).
     I_hat: windowed finite-horizon estimate of the impulse density
            limsup i(t,s)/(t-s); for a periodic schedule with period T it
            approaches 1/T as the horizon grows.
@@ -278,14 +278,17 @@ def coefficient_pieces(coef: Coefficient, horizon: float):
     return starts, mat_norm(coef.values[piece])
 
 
-def schedule_gaps(schedule: ImpulseSchedule) -> tuple[float, float]:
-    """(zeta, rho): the smallest and largest gap between jump points.
+def schedule_gaps(schedule: ImpulseSchedule,
+                  horizon: float) -> tuple[float, float]:
+    """(zeta, rho): the smallest and largest gap between the jump points
+    up to `horizon` (points beyond it never act).
 
-    Both are NaN when the schedule has fewer than two points.
+    Both are NaN when fewer than two points remain.
     """
-    if len(schedule.points) < 2:
+    points = schedule.points[schedule.points <= horizon]
+    if len(points) < 2:
         return math.nan, math.nan
-    gaps = np.diff(schedule.points)
+    gaps = np.diff(points)
     return float(gaps.min()), float(gaps.max())
 
 
@@ -395,9 +398,10 @@ def hypotheses_report(spec: SystemSpec, window: float | None = None) -> Hypothes
         raise ValueError("invalid spec: " + "; ".join(bad))
     w = spec.horizon / 4.0 if window is None else float(window)
     sch = spec.impulses
-    M = float(mat_norm(sch.matrices).max(initial=0.0))
+    keep = sch.points <= spec.horizon
+    M = float(mat_norm(sch.matrices[keep]).max(initial=0.0))
 
-    pts = sch.points[sch.points <= spec.horizon]
+    pts = sch.points[keep]
     I_hat = 0.0
     # all pairs a <= b, one offset k = b - a at a time
     for k in range(len(pts)):

@@ -133,6 +133,20 @@ def test_numerical_blowup_exits_5(tmp_path):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_oversized_dense_sweep_exits_1(tmp_path, monkeypatch, capsys):
+    # a dense sweep over its memory budget is refused before it allocates
+    from impulsedde import integrate
+
+    sweep = integrate._batch_columns
+    monkeypatch.setattr(integrate, "_batch_columns",
+                        lambda *a, **k: sweep(*a, **k, mem_cap=1000))
+    path = _write(tmp_path, "s.json", MINIMAL)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 1
+    assert "more than the memory budget of 1000 bytes" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_certify_exit_codes_track_the_verdict(tmp_path):
     assert run(RunConfig("certify", "paper-sec5-stabilize",
                          out=str(tmp_path))) == 0

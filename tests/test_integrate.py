@@ -1,17 +1,20 @@
 """Integrator: jumps, dense output, fundamental matrix, convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from impulsedde import (
     ConstantLag,
     DelayTerm,
     ImpulseSchedule,
+    MatrixTable,
     NumericalError,
     RepresentationInput,
     StepControl,
@@ -466,3 +469,228 @@ def test_trajectory_nodes_contain_jumps_and_are_increasing(corpus_spec):
     assert np.all(np.diff(traj.t_nodes) > 0)
     for tau in corpus_spec.impulses.points:
         assert np.any(np.isclose(traj.t_nodes, tau, rtol=0, atol=1e-9))
+
+
+# ---------------------------------------------------------------------------
+# lag windows: the sweep steps every stretch whose delayed reads land on
+# finished history in one pass
+
+
+def _unit_lag_oracle(breaks, values, taus, B, s, t_end):
+    """Exact X(., s) of x'(t) = -a(t) x(t - 1), x(tau) = B x(tau - 0).
+
+    `a` is the piecewise-constant table (breaks, values).  Between
+    consecutive points of {s, the jump points, the breaks of a} + k,
+    k = 0, 1, ..., the delayed read x(t - 1) is one polynomial, so the
+    column is built piece by piece as exact polynomials; returns the
+    pieces as (lo, hi, polynomial).
+    """
+    cuts = sorted({p + k for p in [s, *taus, *breaks]
+                   for k in range(int(t_end) + 2)
+                   if s <= p + k <= t_end} | {t_end})
+    pieces, x = [], 1.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        a = values[np.searchsorted(breaks, lo, side="right") - 1]
+        mid = 0.5 * (lo + hi) - 1.0
+        past = [p for l, h, p in pieces if l <= mid < h]
+        lagged = past[0](Polynomial([-1.0, 1.0])) if past else Polynomial([0.0])
+        grow = (-a * lagged).integ()
+        piece = x + grow - grow(lo)
+        pieces.append((lo, hi, piece))
+        x = piece(hi) * (B if hi in taus else 1.0)
+    return pieces
+
+
+def _oracle_at(pieces, t):
+    return next(p(t) for lo, hi, p in pieces if lo <= t < hi or t == hi == pieces[-1][1])
+
+
+def test_events_strictly_inside_one_lag_window_are_exact():
+    # unit lag and columns from s = 0: the lag window [1, 2) holds a column
+    # activation (s = 1.3), a jump (1.5), a coefficient break (1.7), a
+    # sampled time (1.9) and step-size changes (segments of 0.3, 0.2, 0.2,
+    # 0.2 and 0.1 against dt = 0.08).  Every column is a piecewise
+    # polynomial of degree <= 2 on [0, 3], with every kink a grid node,
+    # which RK4 with cubic dense output reproduces to roundoff.
+    breaks, values, tau, B = [0.0, 1.7], [0.8, -0.6], 1.5, -0.5
+    spec = SystemSpec(
+        dim=1,
+        terms=[DelayTerm(MatrixTable(breaks, [[[v]] for v in values]),
+                         ConstantLag(1.0))],
+        impulses=ImpulseSchedule([tau], [[[B]]], None, 1),
+        x0=[1.0], horizon=3.0)
+    s_grid, t_grid = [0.0, 1.3], [1.9, 2.6, 3.0]
+    grid = StepControl(0.08)
+    fm = fundamental_grid(spec, s_grid, t_grid, grid)
+    traj = solve(spec, grid)  # zero history: the s = 0 column, dense
+    for b, s in enumerate(s_grid):
+        pieces = _unit_lag_oracle(breaks, values, [tau], B, s, 3.0)
+        for a, t in enumerate(t_grid):
+            want = _oracle_at(pieces, t)
+            assert fm.samples[a, b, 0, 0] == pytest.approx(want, abs=1e-13)
+            if s == 0.0:
+                assert traj.value(t)[0] == pytest.approx(want, abs=1e-13)
+
+
+def test_windows_of_one_step_when_the_lag_is_under_two_steps():
+    # theta = 0.015 against dt = 0.01: each step reads inside the step just
+    # finished, so every window is one step long; a zero-lag part, a jump
+    # with an offset, forcing and a history ride along.  At dt / 8 the
+    # windows are a dozen steps long.
+    spec = SystemSpec(
+        dim=1,
+        terms=[DelayTerm(np.array([[0.5]]), ConstantLag(0.0)),
+               DelayTerm(np.array([[0.8]]), ConstantLag(0.015))],
+        impulses=ImpulseSchedule([0.2], [[[0.5]]], [[0.1]], 1),
+        forcing=VectorTable([0.0], [[0.3]]),
+        phi=VectorTable([-0.1], [[1.0]]),
+        x0=[1.0], horizon=0.5)
+    coarse = solve(spec, StepControl(0.01))
+    fine = solve(spec, StepControl(0.01 / 8))
+    assert np.max(np.diff(coarse.t_nodes)) > 0.015 / 2
+    for t in np.linspace(0.05, 0.5, 10):
+        assert coarse.value(t)[0] == pytest.approx(fine.value(t)[0],
+                                                   abs=1e-9)
+
+
+_LATTICE = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.25])
+
+
+@st.composite
+def _lattice_specs(draw):
+    """Small specs whose every break sits on a multiple of 1/4 and whose
+    horizon is at most four smallest lags: the solution is a piecewise
+    polynomial of degree <= 4 whose kinks all sit on multiples of 1/4, so
+    any grid with those as nodes reproduces it to roundoff."""
+    n = draw(st.integers(1, 2))
+    entry = st.floats(-1.0, 1.0).map(lambda v: round(v, 3))
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    lags = draw(st.lists(st.sampled_from([0.5, 0.75, 1.0]), min_size=1,
+                         max_size=2, unique=True))
+    horizon = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    horizon = min(horizon, 4 * min(lags))
+    terms = [DelayTerm(np.array(draw(matrix)), ConstantLag(lag))
+             for lag in lags]
+    if draw(st.booleans()):
+        b = draw(_LATTICE.filter(lambda v: v < horizon))
+        terms[0] = DelayTerm(MatrixTable([0.0, b], [draw(matrix),
+                                                    draw(matrix)]),
+                             terms[0].delay)
+    points = sorted(draw(st.sets(_LATTICE.filter(lambda v: v < horizon),
+                                 max_size=2)))
+    impulses = ImpulseSchedule(points, [draw(matrix) for _ in points],
+                               [[draw(entry) for _ in range(n)]
+                                for _ in points], n)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    forcing = VectorTable([0.0, 0.5], [draw(vector), draw(vector)])
+    phi = VectorTable([-max(lags), -0.25], [draw(vector), draw(vector)])
+    return SystemSpec(dim=n, terms=terms, impulses=impulses, forcing=forcing,
+                      phi=phi, x0=draw(vector), horizon=horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lattice_specs())
+def test_solve_matches_the_augmented_fundamental_column(spec):
+    # the solution is X_aug(t, 0) (x0, 1) of the homogeneous system in
+    # (x, 1); fundamental_grid plans its own grid, with steps of 1/12
+    # against solve's 1/8 (both put every multiple of 1/4 on a node)
+    traj = solve(spec, StepControl(0.125))
+    aug = integrate._augmented(spec)
+    t_grid = np.arange(0.25, spec.horizon + 0.125, 0.25)
+    fm = fundamental_grid(aug, [0.0], t_grid, StepControl(1.0 / 12.0))
+    start = np.append(spec.x0, 1.0)
+    for a, t in enumerate(t_grid):
+        want = (fm.samples[a, 0] @ start)[:spec.dim]
+        npt.assert_allclose(traj.value(t), want, rtol=0,
+                            atol=1e-11 * max(1.0, np.max(np.abs(want))))
+
+
+@st.composite
+def _diagonalizable(draw):
+    """M = V diag(lam) V^{-1} with V a product of integer shears, so that
+    V^{-1} is an integer matrix too and exp(-M t) = V diag(e^{-lam t})
+    V^{-1} is exact up to roundoff."""
+    n = draw(st.integers(1, 3))
+    lam = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=n,
+                                 max_size=n)))
+    V = np.eye(n)
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1),
+                                           st.integers(-2, 2)),
+                                 max_size=4)):
+        if i != j:
+            shear = np.eye(n)
+            shear[i, j] = c
+            V = V @ shear
+    return V, lam, np.round(np.linalg.inv(V))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_diagonalizable(),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_zero_lag_system_matches_its_matrix_exponential(decomposition, x0):
+    V, lam, V_inv = decomposition
+    n = len(lam)
+    spec = SystemSpec(dim=n,
+                      terms=[DelayTerm(V @ np.diag(lam) @ V_inv,
+                                       ConstantLag(0.0))],
+                      x0=x0[:n], horizon=2.0)
+    traj = solve(spec, StepControl(1e-3))
+    scale = np.max(np.abs(V)) * np.max(np.abs(V_inv))
+    for t in (0.5, 1.3, 2.0):
+        want = V @ (np.exp(-lam * t) * (V_inv @ np.asarray(x0[:n])))
+        npt.assert_allclose(traj.value(t), want, rtol=0, atol=1e-10 * scale)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def _four_dim_two_lags(horizon):
+    rng = np.random.default_rng(3)
+    A = rng.uniform(-0.1, 0.1, (2, 4, 4))
+    return SystemSpec(
+        dim=4,
+        terms=[DelayTerm(A[0], ConstantLag(0.37)),
+               DelayTerm(A[1], ConstantLag(0.81))],
+        impulses=ImpulseSchedule([1.0, 2.5], [np.eye(4) * 0.5,
+                                              np.eye(4) * 0.9], None, 4),
+        forcing=VectorTable([0.0], [[0.1] * 4]),
+        phi=VectorTable([-1.0], [[0.2] * 4]),
+        x0=[1.0] * 4, horizon=horizon)
+
+
+def test_dense_solve_writes_its_output_in_place():
+    # n = 4, two lags, K = 2e4 steps: the dense sweep writes y_post, y_pre,
+    # f_right and f_left straight into its output and plans reads one block
+    # at a time.  Four (K+1)-row rings, two rolled copies and whole-grid
+    # read plans peaked at 9.5 MB (about 500 B per node) on this spec; the
+    # bound is two thirds of that.
+    spec = _four_dim_two_lags(20.0)
+    tracemalloc.start()
+    try:
+        traj = solve(spec, StepControl(1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    K = len(traj.t_nodes) - 1
+    assert K >= 20000
+    assert peak < 330 * K
+
+
+def test_dense_sweep_refuses_an_oversized_grid_before_allocating():
+    # the estimate (four node arrays, window buffers, read plans) comes
+    # from the planned grid alone: none of its 6.4 MB is allocated
+    nodes = np.linspace(0.0, 1.0, 200_001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"dense sweep needs about \d+ "
+                           r"bytes, more than the memory budget of "
+                           r"1000000 bytes"):
+            integrate._batch_columns(_decay(), nodes, {}, [0], [],
+                                     dense=True, mem_cap=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5

@@ -3,7 +3,8 @@
 `integrate` owns the snap rule (`_SNAP`), the table reads and the lag
 images; `system` owns the hypothesis numbers (coefficient pieces, jump
 gaps).  Modules reach each other only through names without a leading
-underscore.
+underscore.  Runtime invariants raise errors rather than `assert`, so they
+hold under `python -O`.
 """
 
 import ast
@@ -46,3 +47,10 @@ def test_snap_tolerance_occurs_only_in_integrate():
     holders = sorted(name for name, tree in TREES.items()
                      if "_SNAP" in names(tree))
     assert holders == ["integrate.py"]
+
+
+def test_no_assert_statements_in_the_library():
+    asserts = [(name, node.lineno)
+               for name, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -312,6 +312,20 @@ def test_certificate_ignores_table_pieces_that_end_before_zero():
     assert certify(table).lhs == certify(constant).lhs
 
 
+def test_certificate_ignores_jump_points_beyond_the_horizon():
+    # x' + 0.1 x(t - 1) = 0 with B = 0.5 at 1, 2, 3 on H = 3: a point at 9
+    # never acts, yet it made rho = 6 and q = 1.2 (NotCertified)
+    def spec(points):
+        return SystemSpec(
+            dim=1, terms=[DelayTerm(np.array([[0.1]]), ConstantLag(1.0))],
+            impulses=ImpulseSchedule(points, [[[0.5]]] * len(points), None, 1),
+            x0=[1.0], horizon=3.0)
+
+    inside = certify(spec([1.0, 2.0, 3.0]))
+    assert inside.verdict == "Certified"
+    assert certify(spec([1.0, 2.0, 3.0, 9.0])) == inside
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
 

@@ -97,6 +97,12 @@ def _check_keys(obj, path: str, required, optional):
             raise SchemaError(path, f"missing required key '{key}'")
 
 
+def _positive_int(x, path: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise SchemaError(path, "expected a positive integer")
+    return x
+
+
 def _num(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(path, "expected a number")
@@ -202,11 +208,7 @@ def _parse_spec(obj, horizon_override: float = None) -> SystemSpec:
     _check_keys(obj, "", required=("dim",),
                 optional=("horizon", "terms", "impulses", "forcing", "phi",
                           "x0"))
-    if isinstance(obj["dim"], bool) or not isinstance(obj["dim"], int):
-        raise SchemaError("dim", "expected a positive integer")
-    n = obj["dim"]
-    if n < 1:
-        raise SchemaError("dim", "expected a positive integer")
+    n = _positive_int(obj["dim"], "dim")
     horizon = _num(obj["horizon"], "horizon") if "horizon" in obj else 1.0
     if horizon_override is not None:
         horizon = float(horizon_override)
@@ -374,25 +376,29 @@ class RunConfig:
     tight: bool = False
 
 
-def _parse_grid(text: str, flag: str) -> np.ndarray:
+def _parse_colon(text, flag: str, form: str) -> list:
+    """The finite numbers of a string shaped like `form`, e.g. 'tmin:tmax'."""
+    parts = text.split(":") if isinstance(text, str) else []
     try:
-        a, b, step = (float(v) for v in text.split(":"))
+        vals = [float(v) for v in parts]
     except ValueError:
-        raise SchemaError(flag, f"expected 'start:stop:step', got '{text}'")
-    if step <= 0 or b < a:
-        raise SchemaError(flag, f"expected stop >= start and step > 0, got '{text}'")
-    count = int(math.floor((b - a) / step + 1e-9))
+        vals = []
+    if len(vals) != len(form.split(":")) or not all(map(math.isfinite, vals)):
+        raise SchemaError(flag, f"expected '{form}' of finite numbers, got {text!r}")
+    return vals
+
+
+def _parse_grid(text, flag: str) -> np.ndarray:
+    a, b, step = _parse_colon(text, flag, "start:stop:step")
+    count = (b - a) / step if step > 0 else -1.0
+    if not 0.0 <= count < math.inf:
+        raise SchemaError(flag, "expected stop >= start and step > 0 (finitely "
+                                f"many steps), got {text!r}")
+    count = int(math.floor(count + 1e-9))
     pts = a + step * np.arange(count + 1)
     if pts[-1] < b - 1e-9 * max(1.0, abs(b)):
         return pts
     return np.linspace(a, b, count + 1)
-
-def _parse_window(text: str):
-    try:
-        lo, hi = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise SchemaError("--window", f"expected 'tmin:tmax', got '{text}'")
-    return lo, hi
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -407,12 +413,16 @@ def _default_window(spec: SystemSpec):
     return lo, spec.horizon
 
 
-def _load_and_validate(cfg: RunConfig) -> SystemSpec:
-    spec = load_spec(cfg.spec_path, horizon=cfg.horizon)
+def _valid(spec: SystemSpec) -> SystemSpec:
+    """`spec`, or a SchemaError naming every violation `validate` finds."""
     bad = validate(spec)
     if bad:
         raise SchemaError("spec", "; ".join(bad))
     return spec
+
+
+def _load_and_validate(cfg: RunConfig) -> SystemSpec:
+    return _valid(load_spec(cfg.spec_path, horizon=cfg.horizon))
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
@@ -481,7 +491,7 @@ def _cmd_certify(cfg: RunConfig) -> int:
 def _cmd_estimate_rate(cfg: RunConfig) -> int:
     spec = _load_and_validate(cfg)
     s_grid, t_grid = _grids(cfg, spec, t_points=41)
-    window = (_parse_window(cfg.window) if cfg.window
+    window = (_parse_colon(cfg.window, "--window", "tmin:tmax") if cfg.window
               else _default_window(spec))
     fm = fundamental_grid(spec, s_grid, t_grid, StepControl(cfg.dt))
     rate = estimate_rate(fm, window)
@@ -505,7 +515,8 @@ def _cmd_estimate_rate(cfg: RunConfig) -> int:
 
 def _scenario_doc(path_or_name: str):
     raw = _resolve_config(path_or_name)
-    _check_keys(raw, "", required=("spec", "checks"), optional=("description",))
+    if _spec_part(raw) is raw:  # a bare config, not a scenario wrapper
+        raise SchemaError("", "expected a scenario object with 'spec' and 'checks'")
     if not isinstance(raw["checks"], list) or not raw["checks"]:
         raise SchemaError("checks", "expected a non-empty array")
     return raw
@@ -515,10 +526,10 @@ def _check_norm_constant_on(spec, traj, c, path):
     _check_keys(c, path, required=("kind", "from", "to", "value", "tol"),
                 optional=("samples",))
     lo, hi = _num(c["from"], f"{path}.from"), _num(c["to"], f"{path}.to")
-    n_samples = c.get("samples", 100)
+    n_samples = _positive_int(c.get("samples", 100), f"{path}.samples")
     ts = np.linspace(lo, hi, n_samples, endpoint=False)
-    worst = max(abs(vec_norm(traj.value(float(t))) - _num(c["value"], path))
-                for t in ts)
+    norms = np.abs(traj.value(ts)).max(axis=1)
+    worst = float(np.max(np.abs(norms - _num(c["value"], f"{path}.value"))))
     return worst <= _num(c["tol"], f"{path}.tol"), f"max | |x|-const | = {worst:.3e}"
 
 
@@ -541,6 +552,8 @@ def _check_max_deviation(spec, traj, c, path):
 
 def _check_certified(spec, traj, c, path):
     _check_keys(c, path, required=("kind", "expect"), optional=())
+    if not isinstance(c["expect"], bool):
+        raise SchemaError(f"{path}.expect", "expected true or false")
     cert = certify(spec)
     want = "Certified" if c["expect"] else "NotCertified"
     return cert.verdict == want, f"verdict = {cert.verdict}"
@@ -564,7 +577,8 @@ def _check_rate_sign(spec, traj, c, path):
                           StepControl(_num(c.get("dt", 1e-3), f"{path}.dt")))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rate = estimate_rate(fm, _parse_window(c["window"]))
+        rate = estimate_rate(fm, _parse_colon(c["window"], f"{path}.window",
+                                              "tmin:tmax"))
     ok = rate.nu > 0 if c["expect"] == "positive" else rate.nu < 0
     return ok, f"nu = {rate.nu:.6g}"
 
@@ -581,10 +595,7 @@ _CHECKS = {
 
 def _cmd_scenario(cfg: RunConfig) -> int:
     doc = _scenario_doc(cfg.spec_path)
-    spec = _parse_spec(doc["spec"])
-    bad = validate(spec)
-    if bad:
-        raise SchemaError("spec", "; ".join(bad))
+    spec = _valid(_parse_spec(doc["spec"]))
     needs_traj = any(isinstance(c, dict) and c.get("kind") in
                      ("norm-constant-on", "abs-value-at",
                       "max-deviation-from-constant")
@@ -595,7 +606,7 @@ def _cmd_scenario(cfg: RunConfig) -> int:
     failures = 0
     for i, c in enumerate(doc["checks"]):
         path = f"checks[{i}]"
-        if not isinstance(c, dict) or "kind" not in c:
+        if not isinstance(c, dict) or not isinstance(c.get("kind"), str):
             raise SchemaError(path, "expected an object with a 'kind'")
         if c["kind"] not in _CHECKS:
             raise SchemaError(f"{path}.kind", f"unknown check kind '{c['kind']}'")

@@ -27,7 +27,10 @@ the snap rule (`_SNAP`), applied through one lookup (`locate`) and one
 table reader (`read_piecewise`), and the lag-image rule (`_image_shifts`),
 applied forward by `_collect_breaks` and backward by `quadrature_nodes`.
 `represent` reaches them through those names and `kernel_rows`; none of
-them is exported from the package.
+them is exported from the package.  Dense output is read by one plan
+(`_read_plan`), for the sweep's delayed reads and for `Trajectory.value`,
+which answers a float or an array of times in one call.  Every public
+entry point passes the spec through `system.require_valid` first.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .system import (
     MatrixTable,
     SystemSpec,
     VectorTable,
-    validate,
+    require_valid,
 )
 
 __all__ = [
@@ -255,8 +258,8 @@ class Trajectory:
     Each step [t_nodes[k], t_nodes[k+1]] carries the Hermite cubic through
     (y_post[k], f_right[k]) and (y_pre[k+1], f_left[k+1]); interpolants are
     never evaluated across a node.  At jump nodes y_post = B y_pre + alpha.
-    Queries below `start` are answered by phi (or by zero for curtailed
-    solutions).
+    Queries below `start` are answered by phi (None, as for curtailed
+    solutions, reads as zero).
     """
 
     t_nodes: np.ndarray  # (K+1,) strictly increasing, t_nodes[0] = start
@@ -269,33 +272,35 @@ class Trajectory:
     start: float
     t_end: float
     phi: object  # history signal below start (None = zero)
-    zero_history: bool  # curtailed solution: history below start is zero
 
-    def _pre_history(self, t: float, side: str) -> np.ndarray:
-        if self.zero_history:
-            return np.zeros(self.dim)
-        return read_piecewise(self.phi, t, side, self.dim)
+    def value(self, t, side: str = "right") -> np.ndarray:
+        """Dense output at a time or an array of times, shape
+        t.shape + (dim,), read by the engine's rule (`_read_plan`).
 
-    def value(self, t: float, side: str = "right") -> np.ndarray:
-        """Dense-output value; side selects the limit at a node."""
-        t = float(t)
-        nodes = self.t_nodes
-        i = int(locate(nodes, t))
-        if i >= 0:
-            if side == "right":
-                return self.y_post[i].copy()
-            if i == 0:
-                return self._pre_history(self.start, "left")
-            return self.y_pre[i].copy()
-        if t < self.start:
-            return self._pre_history(t, side)
-        if t > self.t_end:
-            raise ValueError(f"query t={t} beyond horizon {self.t_end}")
-        i = int(np.searchsorted(nodes, t, side="right")) - 1
-        h = nodes[i + 1] - nodes[i]
-        w0, w1, w2, w3 = _hermite_weights((t - nodes[i]) / h, h)
-        return (w0 * self.y_post[i] + w1 * self.f_right[i]
-                + w2 * self.y_pre[i + 1] + w3 * self.f_left[i + 1])
+        A time that snaps to a node reads y_post there, or y_pre when
+        side is "left" (phi's left limit at node 0); a time below `start`
+        reads phi on that side, any other the step's Hermite cubic.  An
+        unsnapped time past `t_end` raises ValueError.
+        """
+        t = np.asarray(t, dtype=float)
+        ts = t.reshape(-1)
+        exact, interval, w = _read_plan(self.t_nodes, ts)
+        hit = exact >= 0
+        beyond = ~hit & ~(ts <= self.t_end)
+        if beyond.any():
+            raise ValueError(
+                f"query t={ts[beyond][0]} beyond horizon {self.t_end}")
+        i = np.clip(interval, 0, len(self.t_nodes) - 2)
+        w = w[:, :, None]
+        out = (w[:, 0] * self.y_post[i] + w[:, 1] * self.f_right[i]
+               + w[:, 2] * self.y_pre[i + 1] + w[:, 3] * self.f_left[i + 1])
+        left = side != "right"
+        out[hit] = (self.y_pre if left else self.y_post)[exact[hit]]
+        past = np.where(hit, (exact == 0) & left, ts < self.start)
+        if past.any():
+            out[past] = read_piecewise(
+                self.phi, np.where(hit, self.start, ts)[past], side, self.dim)
+        return out.reshape(t.shape + (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -418,9 +423,7 @@ def solve(spec: SystemSpec, grid: StepControl = StepControl()) -> Trajectory:
     One dense sweep of the augmented homogeneous system (`_augmented`) from
     (x0, 1), on the grid of the original problem.
     """
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
+    require_valid(spec)
     nodes, jump_nodes = _prepare_grid(spec, 0.0, spec.horizon, grid.dt,
                                       with_history=True)
     aug = _augmented(spec)
@@ -428,7 +431,7 @@ def solve(spec: SystemSpec, grid: StepControl = StepControl()) -> Trajectory:
                            [], start=np.append(spec.x0, 1.0)[:, None],
                            dense=True)
     return _trajectory(nodes, jump_nodes, dense, spec.dim, 0, start=0.0,
-                       t_end=spec.horizon, phi=spec.phi, zero_history=False)
+                       t_end=spec.horizon, phi=spec.phi)
 
 
 def fundamental_matrix(spec: SystemSpec, s: float,
@@ -437,15 +440,13 @@ def fundamental_matrix(spec: SystemSpec, s: float,
     X(s, s) = I on a grid that starts at s."""
     if not (0.0 <= s < spec.horizon):
         raise ValueError(f"restart time s={s} outside [0, horizon={spec.horizon})")
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
+    require_valid(spec)
     hom = _curtailed(spec)
     nodes, jump_nodes = _prepare_grid(hom, s, spec.horizon, grid.dt)
     dense = _batch_columns(hom, nodes, _jump_matrices(hom, jump_nodes), [0],
                            [], dense=True)
     return [_trajectory(nodes, jump_nodes, dense, spec.dim, k, start=s,
-                        t_end=spec.horizon, phi=None, zero_history=True)
+                        t_end=spec.horizon, phi=None)
             for k in range(spec.dim)]
 
 
@@ -622,13 +623,6 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     bulk_nodes = np.asarray(bulk, dtype=np.intp)
     bulk_rows = np.asarray([rec_of_node[node] for node in bulk], dtype=np.intp)
 
-    def coefficient(coef, mids):
-        # mids never sit on a break, so the side does not matter
-        if isinstance(coef, MatrixTable):
-            return coef.values[_pieces(coef.breaks, mids, "right")]
-        return np.broadcast_to(np.asarray(coef, dtype=float),
-                               (len(mids), n, n))
-
     for c0 in range(0, S, chunk):
         c1 = min(c0 + chunk, S)
         Sc = c1 - c0
@@ -708,7 +702,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                 # a frozen term reads the snapshot's y_post, or zero
                 rows[:, :, i] = zero_row + (3 if snapped else 0) + _QUAD
                 wts[:, :, i] = _SNAPPED if snapped else 0.0
-            A = (np.concatenate([coefficient(c, mids) for c in read_coefs],
+            # mids never sit on a break, so the side does not matter
+            A = (np.concatenate([read_piecewise(c, mids) for c in read_coefs],
                                 axis=2) if nt else None)
             # the RK4 stages on y = 0 give c = G [d1; d23; d4] with
             # G = h/6 [-I + hM - (hM)^2/2 + (hM)^3/4 | -4I + 2hM - (hM)^2/2 | -I]
@@ -719,7 +714,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             M = P = None
             hM = np.zeros((w, n, n))
             if zero_lag:
-                M = sum(coefficient(c, mids) for c in zero_lag)
+                M = sum(read_piecewise(c, mids) for c in zero_lag)
                 k1 = -M
                 k2 = -(M @ (eye + k1 * (0.5 * hh)))
                 k3 = -(M @ (eye + k2 * (0.5 * hh)))
@@ -911,9 +906,7 @@ def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
     hi = spec.horizon
     if s_grid[0] < 0 or t_grid[0] < 0 or s_grid[-1] > hi or t_grid[-1] > hi:
         raise ValueError("grids must lie within [0, horizon]")
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
+    require_valid(spec)
 
     t_end = float(t_grid[-1])
     # each column jumps to I at its s, like x at t_start: pin its images

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system import FrozenTime, SystemSpec, VectorTable, validate, vec_norm
+from .system import FrozenTime, SystemSpec, VectorTable, require_valid
 from .integrate import (
     StepControl,
     kernel_rows,
@@ -87,7 +87,9 @@ class RepresentationInput:
     When `quad_grid` is omitted it is derived from the spec's own
     breakpoints (jumps, table breaks, lag images) refined to the step of
     `grid`; a supplied grid must be strictly increasing and contain every
-    jump point up to the last target as well as every target time.
+    jump point up to the last target as well as every target time.  An
+    invalid spec raises ValueError("invalid spec: ...") before any grid
+    is built.
     """
 
     spec: SystemSpec
@@ -96,6 +98,7 @@ class RepresentationInput:
     quad_grid: np.ndarray = None
 
     def __post_init__(self):
+        require_valid(self.spec)
         targets = np.asarray(self.target_times, dtype=float)
         if targets.size == 0:
             raise ValueError("no target times")
@@ -129,9 +132,7 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
     changes X(t, s) only at s = 0, a null set for the integral; c > 0 is
     rejected.
     """
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
+    require_valid(spec)
     if not (0.0 <= t <= spec.horizon):
         raise ValueError(f"t={t} outside [0, horizon={spec.horizon}]")
     if f is None:
@@ -161,9 +162,7 @@ def represent_solution(inp: RepresentationInput) -> np.ndarray:
     X(t,0) x(0) + sum_{0 < tau_j <= t} X(t,tau_j) alpha_j.
     """
     spec = inp.spec
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
+    require_valid(spec)
     for term in spec.terms:
         if isinstance(term.delay, FrozenTime):
             raise ValueError("frozen-time terms have no bounded-lag "
@@ -216,12 +215,9 @@ def representation_residuals(spec: SystemSpec, target_times,
     inp = RepresentationInput(spec, tuple(float(t) for t in target_times),
                               grid=grid)
     rep = represent_solution(inp)
-    traj = solve(spec, grid)
-    gaps = []
-    for k, t in enumerate(inp.target_times):
-        ref = traj.value(t, side="right")
-        gaps.append(vec_norm(rep[k] - ref) / (1.0 + vec_norm(ref)))
-    return gaps
+    ref = solve(spec, grid).value(inp.target_times)
+    gaps = np.abs(rep - ref).max(axis=1) / (1.0 + np.abs(ref).max(axis=1))
+    return gaps.tolist()
 
 
 def representation_residual(spec: SystemSpec, target_times,

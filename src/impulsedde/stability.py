@@ -62,8 +62,8 @@ from .system import (
     coefficient_pieces,
     hypotheses_report,
     mat_norm,
+    require_valid,
     schedule_gaps,
-    validate,
 )
 from .integrate import FundamentalMatrix
 
@@ -126,9 +126,7 @@ def gronwall_grid(spec: SystemSpec, s_grid, t_grid,
     partial last piece added after the cumsum), and exp is `math.exp` per
     entry, so each entry equals the 1x1 call bit for bit.
     """
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
+    require_valid(spec)
     t_grid = np.asarray(t_grid, dtype=float)
     points = spec.impulses.points
     norms = mat_norm(spec.impulses.matrices)
@@ -228,16 +226,17 @@ def certify(spec: SystemSpec) -> StabilityCertificate:
     Certified requires a valid spec, finite maximal lag, at least two jump
     points, gamma < 1, lhs < 1 and q < 1.  A NotCertified verdict carries
     one reason per failed condition and never asserts instability; an
-    invalid spec gets the one reason and NaN numbers.
+    invalid spec gets the gate's message (`hypotheses_report` validates)
+    as its one reason and NaN numbers.
     """
-    bad = validate(spec)
-    if bad:
+    try:
+        report = hypotheses_report(spec)
+    except ValueError as e:
         return StabilityCertificate(
             gamma=math.nan, zeta=math.nan, rho=math.nan, alpha=math.nan,
             lhs=math.nan, delta=math.nan, verdict="NotCertified",
-            reasons=("invalid spec: " + "; ".join(bad),))
+            reasons=(str(e),))
     reasons = []
-    report = hypotheses_report(spec)
     if not math.isfinite(report.delta):
         reasons.append("frozen-time term: the lag t - c is unbounded, "
                        "no finite maximal lag exists")

@@ -11,7 +11,9 @@ with x right-continuous at jumps, delayed arguments h_i(t) = t - theta_i
 tables, and a finite impulse schedule on a finite horizon.  The vector norm
 is the max-norm throughout; the matrix norm is the induced infinity-norm
 (max absolute row sum).  All types are immutable after construction and all
-operations are pure functions.
+operations are pure functions.  `validate` lists a spec's violations;
+`require_valid`, internal and not exported, is the one gate that turns
+them into ValueError("invalid spec: ...") in front of every computation.
 """
 
 from __future__ import annotations
@@ -384,6 +386,14 @@ def validate(spec: SystemSpec) -> list[str]:
     return bad
 
 
+def require_valid(spec: SystemSpec) -> None:
+    """The one gate in front of every computation on a spec: raises
+    ValueError("invalid spec: ...") listing what `validate` finds."""
+    bad = validate(spec)
+    if bad:
+        raise ValueError("invalid spec: " + "; ".join(bad))
+
+
 def hypotheses_report(spec: SystemSpec, window: float | None = None) -> HypothesesReport:
     """Hypothesis data (M, I_hat, delta, Q) computed exactly over the tables.
 
@@ -391,11 +401,9 @@ def hypotheses_report(spec: SystemSpec, window: float | None = None) -> Hypothes
     (default horizon/4).  The maximum over continuous endpoints is attained
     at impulse-point pairs with the segment length clamped to the window,
     so an exact enumeration over point pairs suffices.  An invalid spec
-    raises ValueError("invalid spec: ...").
+    raises ValueError("invalid spec: ...") (`require_valid`).
     """
-    bad = validate(spec)
-    if bad:
-        raise ValueError("invalid spec: " + "; ".join(bad))
+    require_valid(spec)
     w = spec.horizon / 4.0 if window is None else float(window)
     sch = spec.impulses
     keep = sch.points <= spec.horizon

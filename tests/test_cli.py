@@ -7,7 +7,19 @@ import math
 import numpy as np
 import pytest
 
-from impulsedde import SystemSpec, dump_spec, load_spec, run, validate
+from impulsedde import (
+    ConstantLag,
+    DelayTerm,
+    FrozenTime,
+    ImpulseSchedule,
+    MatrixTable,
+    SystemSpec,
+    VectorTable,
+    dump_spec,
+    load_spec,
+    run,
+    validate,
+)
 from impulsedde.cli import (
     BUILTIN_SCENARIOS,
     RunConfig,
@@ -95,6 +107,35 @@ def test_dump_spec_round_trips_to_a_fixed_point():
         assert first == second
 
 
+def test_dump_spec_round_trips_tables_frozen_terms_and_offsets(tmp_path):
+    spec = SystemSpec(
+        dim=2,
+        terms=[DelayTerm(MatrixTable([0.0, 0.7], [[[0.3, 0.1], [0.0, 0.2]],
+                                                  [[-0.4, 0.0], [0.5, 0.1]]]),
+                         ConstantLag(0.5)),
+               DelayTerm(np.array([[0.1, 0.0], [0.2, -0.3]]),
+                         FrozenTime(0.25))],
+        impulses=ImpulseSchedule([0.4, 1.1],
+                                 [np.eye(2) * 0.5, [[0.0, 1.0], [1.0, 0.0]]],
+                                 [[0.1, -0.2], [0.0, 0.3]], 2),
+        forcing=VectorTable([0.0, 0.9], [[0.1, 0.2], [-0.3, 0.05]]),
+        phi=VectorTable([-0.5, -0.2], [[1.0, 0.0], [0.5, -0.5]]),
+        x0=[1.0, -0.5], horizon=1.5)
+    doc = dump_spec(spec)
+    again = load_spec(_write(tmp_path, "s.json", doc))
+    assert dump_spec(again) == doc
+    for ours, theirs in zip(spec.terms, again.terms):
+        assert ours.delay == theirs.delay
+    table = again.terms[0].coefficient
+    assert isinstance(table, MatrixTable)
+    np.testing.assert_array_equal(table.values, spec.terms[0].coefficient.values)
+    np.testing.assert_array_equal(again.impulses.offsets, spec.impulses.offsets)
+    for ours, theirs in ((spec.forcing, again.forcing), (spec.phi, again.phi)):
+        assert isinstance(theirs, VectorTable)
+        np.testing.assert_array_equal(theirs.breaks, ours.breaks)
+        np.testing.assert_array_equal(theirs.values, ours.values)
+
+
 def test_grid_parser_handles_endpoints_and_errors():
     np.testing.assert_allclose(_parse_grid("0:2:0.5", "--t-grid"),
                                [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -145,6 +186,52 @@ def test_oversized_dense_sweep_exits_1(tmp_path, monkeypatch, capsys):
     assert "more than the memory budget of 1000 bytes" in \
         capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def _rate_sign(**fields):
+    return dict({"kind": "rate-sign", "expect": "positive",
+                 "s_grid": "0:1:0.5", "t_grid": "0:2:0.25",
+                 "window": "0.5:2", "dt": 0.01}, **fields)
+
+
+def _norm_constant(**fields):
+    return dict({"kind": "norm-constant-on", "from": 0.0, "to": 0.5,
+                 "value": 1.0, "tol": 1.0}, **fields)
+
+
+@pytest.mark.parametrize("check, field", [
+    (_norm_constant(samples="x"), "checks[0].samples"),
+    (_norm_constant(samples=2.5), "checks[0].samples"),
+    (_norm_constant(samples=0), "checks[0].samples"),
+    (_norm_constant(samples=True), "checks[0].samples"),
+    (_rate_sign(s_grid=3), "checks[0].s_grid"),
+    (_rate_sign(t_grid="0:inf:1"), "checks[0].t_grid"),
+    (_rate_sign(window=5), "checks[0].window"),
+    (_rate_sign(window="0.5:nan"), "checks[0].window"),
+    ({"kind": "certified", "expect": "yes"}, "checks[0].expect"),
+    ({"kind": []}, "checks[0]"),
+])
+def test_malformed_scenario_checks_exit_4_naming_the_field(
+        check, field, tmp_path, capsys):
+    path = _write(tmp_path, "sc.json", {"spec": MINIMAL, "checks": [check]})
+    assert run(RunConfig("scenario", path, dt=0.01)) == 4
+    assert f"invalid config: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--t-grid", "0:inf:1"], "--t-grid"),
+    (["--s-grid", "nan:1:0.5"], "--s-grid"),
+    (["--t-grid=-1e308:1e308:1"], "--t-grid"),
+    (["--window", "0:inf"], "--window"),
+    (["--window", "1"], "--window"),
+])
+def test_malformed_grid_and_window_flags_exit_4(flags, field, tmp_path,
+                                                capsys):
+    path = _write(tmp_path, "s.json", MINIMAL)
+    assert main(["estimate-rate", path, "--dt", "0.01", *flags,
+                 "--out", str(tmp_path)]) == 4
+    assert f"invalid config: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "rate.json").exists()
 
 
 def test_certify_exit_codes_track_the_verdict(tmp_path):
@@ -243,6 +330,34 @@ def test_estimate_rate_writes_fit_json(tmp_path):
     assert list(doc) == ["N", "nu", "window", "residual", "n_samples"]
     assert doc["nu"] > 0
     assert doc["window"] == [2.0, 12.0]
+
+
+def test_estimate_rate_default_window_takes_rho_up_to_the_horizon(tmp_path):
+    # gaps 1 and 1.5 up to the horizon 8; the point at 9 never acts, and
+    # counting it would make rho = 5.5 and the window [8, 8]
+    cfg = {"dim": 1, "horizon": 8.0,
+           "terms": [{"coefficient": [[0.3]], "lag": 1.0}],
+           "impulses": {"points": [1.0, 2.0, 3.5, 9.0],
+                        "matrices": [[[0.5]]] * 4},
+           "x0": [1.0]}
+    path = _write(tmp_path, "s.json", cfg)
+    assert run(RunConfig("estimate-rate", path, dt=0.01,
+                         out=str(tmp_path))) == 0
+    doc = json.loads((tmp_path / "rate.json").read_text())
+    assert doc["window"] == [3.0, 8.0]
+
+
+def test_fundamental_default_grids_are_21_by_5(tmp_path):
+    path = _write(tmp_path, "s.json", MINIMAL)
+    assert run(RunConfig("fundamental", path, dt=0.01,
+                         out=str(tmp_path))) == 0
+    with open(tmp_path / "fundamental.csv", newline="") as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 21 * 5
+    ts = sorted({row[0] for row in rows})
+    ss = sorted({row[1] for row in rows})
+    np.testing.assert_allclose(ts, np.linspace(0.0, 2.0, 21), atol=1e-12)
+    np.testing.assert_allclose(ss, np.linspace(0.0, 1.0, 5), atol=1e-12)
 
 
 def test_outputs_are_deterministic(tmp_path):

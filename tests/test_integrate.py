@@ -22,11 +22,13 @@ from impulsedde import (
     VectorTable,
     fundamental_grid,
     fundamental_matrix,
+    represent_solution,
     solve,
     vec_norm,
 )
 from impulsedde import integrate
-from impulsedde.integrate import _fundamental_rows, _jump_map, locate
+from impulsedde.integrate import (_fundamental_rows, _hermite_weights,
+                                  _jump_map, locate, read_piecewise)
 from corpus import (CORPUS, multi_piece_history, planar_rotation,
                     planar_singular_reset, scalar_forced,
                     scalar_table_homogeneous, two_off_lattice_lags)
@@ -151,6 +153,54 @@ def test_dense_output_is_continuous_except_at_jump_nodes():
                                                         abs=1e-8)
         assert traj.value(t + 1e-9)[0] == pytest.approx(traj.y_post[k, 0],
                                                         abs=1e-8)
+
+
+def _scalar_read(traj, t, side):
+    """One dense-output read by a scalar lookup and blend: the oracle for
+    the vector query."""
+    nodes = traj.t_nodes
+    i = int(locate(nodes, t))
+    if i > 0 or (i == 0 and side == "right"):
+        return (traj.y_post if side == "right" else traj.y_pre)[i]
+    if i == 0 or t < traj.start:
+        return read_piecewise(traj.phi, traj.start if i == 0 else t, side,
+                              traj.dim)
+    i = int(np.searchsorted(nodes, t, side="right")) - 1
+    h = nodes[i + 1] - nodes[i]
+    w0, w1, w2, w3 = _hermite_weights((t - nodes[i]) / h, h)
+    return (w0 * traj.y_post[i] + w1 * traj.f_right[i]
+            + w2 * traj.y_pre[i + 1] + w3 * traj.f_left[i + 1])
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_vector_query_equals_stacked_scalar_queries(side):
+    # the solution reads phi (a table) below 0; the columns of X(., s) read
+    # zero below s.  Queries cover interior times, plain and jump nodes,
+    # node 0, the last node and times below the start.
+    spec = planar_rotation()
+    grid = StepControl(0.01)
+    for traj in [solve(spec, grid), *fundamental_matrix(spec, 0.6, grid)]:
+        nodes = traj.t_nodes
+        jumps = np.array(sorted(traj.jump_nodes), dtype=int)
+        assert len(jumps) == 2
+        ts = np.concatenate((0.5 * (nodes[:-1] + nodes[1:])[::9],
+                             nodes[::11], nodes[jumps], nodes[[0, -1]],
+                             nodes[0] - np.array([1e-3, 0.3, 0.7])))
+        got = traj.value(ts, side)
+        stacked = np.stack([traj.value(float(t), side) for t in ts])
+        oracle = np.stack([_scalar_read(traj, float(t), side) for t in ts])
+        assert got.shape == (len(ts), spec.dim)
+        assert got.tobytes() == stacked.tobytes() == oracle.tobytes()
+        assert traj.value(ts.reshape(-1, 1), side).shape == \
+            (len(ts), 1, spec.dim)
+
+
+def test_vector_query_past_the_horizon_raises():
+    traj = solve(planar_rotation(), StepControl(0.01))
+    ts = np.array([0.5, traj.t_end, traj.t_end + 0.1])
+    with pytest.raises(ValueError, match="beyond horizon"):
+        traj.value(ts)
+    npt.assert_array_equal(traj.value(ts[:2])[1], traj.y_post[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +654,19 @@ def test_solve_matches_the_augmented_fundamental_column(spec):
         want = (fm.samples[a, 0] @ start)[:spec.dim]
         npt.assert_allclose(traj.value(t), want, rtol=0,
                             atol=1e-11 * max(1.0, np.max(np.abs(want))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lattice_specs())
+def test_represent_solution_matches_solve(spec):
+    # solve reproduces the lattice solution to roundoff; the representation's
+    # trapezoid rule is second order, about 5e-8 at steps of 1e-3
+    targets = tuple(np.arange(0.25, spec.horizon + 0.125, 0.25))
+    rep = represent_solution(RepresentationInput(spec, targets,
+                                                 StepControl(1e-3)))
+    want = solve(spec, StepControl(0.125)).value(targets)
+    npt.assert_allclose(rep, want, rtol=0,
+                        atol=1e-6 * max(1.0, np.max(np.abs(want))))
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 `integrate` owns the snap rule (`_SNAP`), the table reads and the lag
 images; `system` owns the hypothesis numbers (coefficient pieces, jump
-gaps).  Modules reach each other only through names without a leading
+gaps) and the one spec gate (`require_valid`, the only holder of its
+message).  Modules reach each other only through names without a leading
 underscore.  Runtime invariants raise errors rather than `assert`, so they
 hold under `python -O`.
 """
@@ -47,6 +48,14 @@ def test_snap_tolerance_occurs_only_in_integrate():
     holders = sorted(name for name, tree in TREES.items()
                      if "_SNAP" in names(tree))
     assert holders == ["integrate.py"]
+
+
+def test_the_spec_gate_message_occurs_only_in_system():
+    holders = sorted({name for name, tree in TREES.items()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and node.value == "invalid spec: "})
+    assert holders == ["system.py"]
 
 
 def test_no_assert_statements_in_the_library():

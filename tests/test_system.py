@@ -15,11 +15,15 @@ from impulsedde import (
     FrozenTime,
     ImpulseSchedule,
     MatrixTable,
+    RepresentationInput,
     SystemSpec,
     VectorTable,
+    cauchy_apply,
     certify,
     count_impulses,
     evaluate_delay,
+    fundamental_grid,
+    fundamental_matrix,
     gronwall_bound,
     hypotheses_report,
     mat_norm,
@@ -216,6 +220,21 @@ def test_stability_layer_validates_first(field, spec):
         hypotheses_report(spec)
     with pytest.raises(ValueError, match="invalid spec"):
         gronwall_bound(spec, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("field, spec", EMPTY_TABLES)
+def test_every_entry_point_raises_the_one_gate_message(field, spec):
+    message = "invalid spec: " + "; ".join(validate(spec))
+    for call in (lambda: solve(spec),
+                 lambda: fundamental_matrix(spec, 0.0),
+                 lambda: fundamental_grid(spec, [0.0], [0.5]),
+                 lambda: cauchy_apply(spec, None, 0.5),
+                 lambda: RepresentationInput(spec, (0.5,)),
+                 lambda: hypotheses_report(spec),
+                 lambda: gronwall_bound(spec, 0.0, 0.5)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ Subcommands map one-to-one onto the library workflows:
     estimate-rate         exponential-rate fit, JSON
     scenario              scripted pipeline vs. stored expectations
 
-System configs are strict JSON (unknown keys are errors, shape problems
-name the offending field); three builtin scenario names resolve to packaged
-configs.  CSV artifacts are RFC-4180 with a header row and %.12e numbers;
+System configs are strict JSON; the parser checks their structure only
+(unknown keys, non-finite numbers and ragged arrays are errors naming the
+field) and `validate` every rule on their values.  Three builtin scenario
+names resolve to packaged configs.  CSV artifacts are RFC-4180 with a header row and %.12e numbers;
 JSON artifacts have a fixed key order and map non-finite numbers to null.
 Exit codes: 0 success/Certified, 2 NotCertified, 3 unreadable config,
 4 schema or validation failure, 5 numerical blow-up, 1 any other error.
@@ -104,68 +105,47 @@ def _positive_int(x, path: str) -> int:
 
 
 def _num(x, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(path, "expected a number")
+    # json reads NaN and Infinity, and bool is an int
+    if isinstance(x, bool) or not isinstance(x, (int, float)) \
+            or not math.isfinite(x):
+        raise SchemaError(path, "expected a finite number")
     return float(x)
 
 
-def _num_list(x, path: str) -> list:
-    if not isinstance(x, list):
-        raise SchemaError(path, "expected an array of numbers")
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(x)]
+def _array(x, path: str, depth: int) -> np.ndarray:
+    """A rectangular array of finite numbers, nested `depth` lists deep."""
+
+    def numbers(x, path, depth):
+        if depth == 0:
+            return _num(x, path)
+        if not isinstance(x, list):
+            raise SchemaError(path, "expected an array")
+        return [numbers(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(x)]
+
+    values = numbers(x, path, depth)
+    try:
+        return np.array(values, dtype=float)
+    except ValueError:  # numpy refuses ragged nesting
+        raise SchemaError(path, "expected a rectangular array") from None
 
 
-def _vector(x, path: str, n: int) -> list:
-    v = _num_list(x, path)
-    if len(v) != n:
-        raise SchemaError(path, f"expected a vector of length {n}, got {len(v)}")
-    return v
-
-
-def _matrix(x, path: str, n: int) -> list:
-    if not isinstance(x, list) or len(x) != n:
-        raise SchemaError(path, f"expected an {n} x {n} matrix")
-    return [_vector(row, f"{path}[{i}]", n) for i, row in enumerate(x)]
-
-
-def _breaks(x, path: str) -> list:
-    b = _num_list(x, path)
-    if not b:
-        raise SchemaError(path, "expected at least one break")
-    if any(v >= w for v, w in zip(b, b[1:])):
-        raise SchemaError(path, "breaks must be strictly increasing")
-    return b
-
-
-def _table(x, path: str, n: int, element):
+def _table_or_constant(x, path: str, depth: int, table):
+    """A constant array nested `depth` deep, or a `table` object with
+    "breaks" and one such array per break in "values"."""
+    if not isinstance(x, dict):
+        return _array(x, path, depth)
     _check_keys(x, path, required=("breaks", "values"), optional=())
-    breaks = _breaks(x["breaks"], f"{path}.breaks")
-    vals = x["values"]
-    if not isinstance(vals, list) or len(vals) != len(breaks):
-        raise SchemaError(f"{path}.values",
-                          f"expected one value per break ({len(breaks)})")
-    return breaks, [element(v, f"{path}.values[{i}]", n)
-                    for i, v in enumerate(vals)]
+    return table(_array(x["breaks"], f"{path}.breaks", 1),
+                 _array(x["values"], f"{path}.values", depth + 1))
 
 
-def _coefficient(x, path: str, n: int):
-    if isinstance(x, dict):
-        breaks, values = _table(x, path, n, _matrix)
-        return MatrixTable(breaks, values)
-    return np.asarray(_matrix(x, path, n))
-
-
-def _vector_table(x, path: str, n: int) -> VectorTable:
-    breaks, values = _table(x, path, n, _vector)
-    return VectorTable(breaks, values)
-
-
-def _term(x, path: str, n: int) -> DelayTerm:
+def _term(x, path: str) -> DelayTerm:
     _check_keys(x, path, required=("coefficient",), optional=("lag", "frozen"))
     has_lag, has_frozen = "lag" in x, "frozen" in x
     if has_lag == has_frozen:
         raise SchemaError(path, "expected exactly one of 'lag' or 'frozen'")
-    coef = _coefficient(x["coefficient"], f"{path}.coefficient", n)
+    coef = _table_or_constant(x["coefficient"], f"{path}.coefficient", 2,
+                              MatrixTable)
     if has_lag:
         return DelayTerm(coef, ConstantLag(_num(x["lag"], f"{path}.lag")))
     return DelayTerm(coef, FrozenTime(_num(x["frozen"], f"{path}.frozen")))
@@ -180,52 +160,44 @@ def _impulses(x, path: str, n: int, horizon: float) -> ImpulseSchedule:
         period = _num(p["period"], f"{path}.periodic.period")
         if period <= 0:
             raise SchemaError(f"{path}.periodic.period", "must be positive")
-        matrix = _matrix(p["matrix"], f"{path}.periodic.matrix", n)
-        offset = (_vector(p["offset"], f"{path}.periodic.offset", n)
+        matrix = _array(p["matrix"], f"{path}.periodic.matrix", 2)
+        offset = (_array(p["offset"], f"{path}.periodic.offset", 1)
                   if "offset" in p else None)
         return ImpulseSchedule.periodic(period, matrix, horizon=horizon,
                                         offset=offset, dim=n)
     _check_keys(x, path, required=("points", "matrices"), optional=("offsets",))
-    points = _num_list(x["points"], f"{path}.points")
-    mats = x["matrices"]
-    if not isinstance(mats, list) or len(mats) != len(points):
-        raise SchemaError(f"{path}.matrices",
-                          f"expected one matrix per point ({len(points)})")
-    matrices = [_matrix(m, f"{path}.matrices[{i}]", n)
-                for i, m in enumerate(mats)]
-    offsets = None
-    if "offsets" in x:
-        offs = x["offsets"]
-        if not isinstance(offs, list) or len(offs) != len(points):
-            raise SchemaError(f"{path}.offsets",
-                              f"expected one offset per point ({len(points)})")
-        offsets = [_vector(v, f"{path}.offsets[{i}]", n)
-                   for i, v in enumerate(offs)]
-    return ImpulseSchedule(points, matrices, offsets, n)
+    offsets = (_array(x["offsets"], f"{path}.offsets", 2)
+               if "offsets" in x else None)
+    return ImpulseSchedule(_array(x["points"], f"{path}.points", 1),
+                           _array(x["matrices"], f"{path}.matrices", 3),
+                           offsets, n)
 
 
 def _parse_spec(obj, horizon_override: float = None) -> SystemSpec:
+    """The spec of a config object: JSON structure is checked here, and
+    the values by `validate`, as SchemaError("spec", ...)."""
     _check_keys(obj, "", required=("dim",),
                 optional=("horizon", "terms", "impulses", "forcing", "phi",
                           "x0"))
     n = _positive_int(obj["dim"], "dim")
     horizon = _num(obj["horizon"], "horizon") if "horizon" in obj else 1.0
     if horizon_override is not None:
-        horizon = float(horizon_override)
-    terms = []
-    if "terms" in obj:
-        if not isinstance(obj["terms"], list):
-            raise SchemaError("terms", "expected an array of terms")
-        terms = [_term(t, f"terms[{i}]", n)
-                 for i, t in enumerate(obj["terms"])]
+        horizon = _num(horizon_override, "--horizon")
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise SchemaError("terms", "expected an array of terms")
+    terms = [_term(t, f"terms[{i}]") for i, t in enumerate(terms)]
     impulses = (_impulses(obj["impulses"], "impulses", n, horizon)
                 if "impulses" in obj else None)
-    forcing = (_vector_table(obj["forcing"], "forcing", n)
-               if "forcing" in obj else None)
-    phi = _vector_table(obj["phi"], "phi", n) if "phi" in obj else None
-    x0 = _vector(obj["x0"], "x0", n) if "x0" in obj else None
-    return SystemSpec(dim=n, terms=terms, impulses=impulses, forcing=forcing,
-                      phi=phi, x0=x0, horizon=horizon)
+    signals = {key: _table_or_constant(obj[key], key, 1, VectorTable)
+               for key in ("forcing", "phi") if key in obj}
+    x0 = _array(obj["x0"], "x0", 1) if "x0" in obj else None
+    spec = SystemSpec(dim=n, terms=terms, impulses=impulses, x0=x0,
+                      horizon=horizon, **signals)
+    bad = validate(spec)
+    if bad:
+        raise SchemaError("spec", "; ".join(bad))
+    return spec
 
 
 def _read_json_file(path: str):
@@ -252,11 +224,12 @@ def _spec_part(raw):
 
 
 def load_spec(path: str, horizon: float = None) -> SystemSpec:
-    """Parse a JSON config (or builtin scenario name) into a SystemSpec.
+    """Parse a JSON config (or builtin scenario name) into a valid SystemSpec.
 
-    Unknown keys and wrong shapes are schema errors naming the field.  A
-    horizon override re-expands periodic impulse schedules to the new end
-    time.
+    Unknown keys, non-finite numbers and ragged arrays are schema errors
+    naming the field; a spec that fails `validate` is a SchemaError("spec",
+    ...) naming each bad field.  A horizon override re-expands periodic
+    impulse schedules to the new end time.
     """
     raw = _resolve_config(path)
     return _parse_spec(_spec_part(raw), horizon_override=horizon)
@@ -265,14 +238,14 @@ def load_spec(path: str, horizon: float = None) -> SystemSpec:
 def dump_spec(spec: SystemSpec) -> dict:
     """Canonical JSON form of a spec; load_spec(dump_spec(s)) round-trips."""
 
-    def coef(c):
-        if isinstance(c, MatrixTable):
+    def table_or_constant(c):
+        if isinstance(c, (MatrixTable, VectorTable)):
             return {"breaks": c.breaks.tolist(), "values": c.values.tolist()}
         return np.asarray(c).tolist()
 
     out = {"dim": spec.dim, "horizon": spec.horizon}
     out["terms"] = [
-        {"coefficient": coef(t.coefficient),
+        {"coefficient": table_or_constant(t.coefficient),
          **({"lag": t.delay.theta} if isinstance(t.delay, ConstantLag)
             else {"frozen": t.delay.c})}
         for t in spec.terms
@@ -285,8 +258,7 @@ def dump_spec(spec: SystemSpec) -> dict:
         }
     for key, sig in (("forcing", spec.forcing), ("phi", spec.phi)):
         if sig is not None:
-            out[key] = {"breaks": sig.breaks.tolist(),
-                        "values": sig.values.tolist()}
+            out[key] = table_or_constant(sig)
     if spec.x0 is not None:
         out["x0"] = spec.x0.tolist()
     return out
@@ -413,20 +385,8 @@ def _default_window(spec: SystemSpec):
     return lo, spec.horizon
 
 
-def _valid(spec: SystemSpec) -> SystemSpec:
-    """`spec`, or a SchemaError naming every violation `validate` finds."""
-    bad = validate(spec)
-    if bad:
-        raise SchemaError("spec", "; ".join(bad))
-    return spec
-
-
-def _load_and_validate(cfg: RunConfig) -> SystemSpec:
-    return _valid(load_spec(cfg.spec_path, horizon=cfg.horizon))
-
-
 def _cmd_simulate(cfg: RunConfig) -> int:
-    spec = _load_and_validate(cfg)
+    spec = load_spec(cfg.spec_path, cfg.horizon)
     traj = solve(spec, StepControl(cfg.dt))
     path = _out_path(cfg, "trajectory.csv")
     _write_trajectory_csv(path, traj, spec.dim)
@@ -446,7 +406,7 @@ def _grids(cfg: RunConfig, spec: SystemSpec, t_points: int):
 
 
 def _cmd_fundamental(cfg: RunConfig) -> int:
-    spec = _load_and_validate(cfg)
+    spec = load_spec(cfg.spec_path, cfg.horizon)
     s_grid, t_grid = _grids(cfg, spec, t_points=21)
     fm = fundamental_grid(spec, s_grid, t_grid, StepControl(cfg.dt))
     path = _out_path(cfg, "fundamental.csv")
@@ -458,7 +418,7 @@ def _cmd_fundamental(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_representation(cfg: RunConfig) -> int:
-    spec = _load_and_validate(cfg)
+    spec = load_spec(cfg.spec_path, cfg.horizon)
     if cfg.t_grid:
         targets = _parse_grid(cfg.t_grid, "--t-grid")
     else:
@@ -477,7 +437,7 @@ def _cmd_verify_representation(cfg: RunConfig) -> int:
 
 
 def _cmd_certify(cfg: RunConfig) -> int:
-    cert = certify(_load_and_validate(cfg))
+    cert = certify(load_spec(cfg.spec_path, cfg.horizon))
     _write_json(_out_path(cfg, "certificate.json"), asdict(cert))
     if cert.verdict == "Certified":
         print(f"Certified (lhs = {cert.lhs:.6g}, gamma = {cert.gamma:.6g})")
@@ -489,7 +449,7 @@ def _cmd_certify(cfg: RunConfig) -> int:
 
 
 def _cmd_estimate_rate(cfg: RunConfig) -> int:
-    spec = _load_and_validate(cfg)
+    spec = load_spec(cfg.spec_path, cfg.horizon)
     s_grid, t_grid = _grids(cfg, spec, t_points=41)
     window = (_parse_colon(cfg.window, "--window", "tmin:tmax") if cfg.window
               else _default_window(spec))
@@ -595,7 +555,7 @@ _CHECKS = {
 
 def _cmd_scenario(cfg: RunConfig) -> int:
     doc = _scenario_doc(cfg.spec_path)
-    spec = _valid(_parse_spec(doc["spec"]))
+    spec = _parse_spec(doc["spec"], horizon_override=cfg.horizon)
     needs_traj = any(isinstance(c, dict) and c.get("kind") in
                      ("norm-constant-on", "abs-value-at",
                       "max-deviation-from-constant")
@@ -651,6 +611,9 @@ def run(cfg: RunConfig) -> int:
     except NumericalError as e:
         print(f"error: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_ERROR
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -664,22 +627,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, *, grids=False, window=False, tight=False,
             dt=True):
-        p = sub.add_parser(name, help=help_text)
+        # an option left out stays unset, so RunConfig holds every default
+        p = sub.add_parser(name, help=help_text,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("spec", help="config path or builtin scenario name")
         if dt:
-            p.add_argument("--dt", type=float, default=1e-3,
-                           help="integration step (default 1e-3)")
-        p.add_argument("--horizon", type=float, default=None,
+            p.add_argument("--dt", type=float,
+                           help=f"integration step (default {RunConfig.dt:g})")
+        p.add_argument("--horizon", type=float,
                        help="override the config horizon")
-        p.add_argument("--out", default=".",
-                       help="output directory (default .)")
+        p.add_argument("--out",
+                       help=f"output directory (default {RunConfig.out})")
         if grids:
-            p.add_argument("--s-grid", default=None, metavar="A:B:STEP",
+            p.add_argument("--s-grid", metavar="A:B:STEP",
                            help="restart times s")
-            p.add_argument("--t-grid", default=None, metavar="A:B:STEP",
+            p.add_argument("--t-grid", metavar="A:B:STEP",
                            help="observation times t")
         if window:
-            p.add_argument("--window", default=None, metavar="TMIN:TMAX",
+            p.add_argument("--window", metavar="TMIN:TMAX",
                            help="fit window in t-s (default 2*rho:horizon)")
         if tight:
             p.add_argument("--tight", action="store_true",
@@ -692,7 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
         grids=True, tight=True)
     p = add("verify-representation",
             "compare the variation-of-constants form against integration")
-    p.add_argument("--t-grid", default=None, metavar="A:B:STEP",
+    p.add_argument("--t-grid", metavar="A:B:STEP",
                    help="target times (default 9 even samples)")
     add("certify", "evaluate the stability certificate, write certificate.json",
         dt=False)
@@ -703,14 +668,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command, spec_path=ns.spec,
-                    dt=getattr(ns, "dt", 1e-3), horizon=ns.horizon,
-                    out=ns.out, s_grid=getattr(ns, "s_grid", None),
-                    t_grid=getattr(ns, "t_grid", None),
-                    window=getattr(ns, "window", None),
-                    tight=getattr(ns, "tight", False))
-    return run(cfg)
+    flags = vars(_build_parser().parse_args(argv))
+    return run(RunConfig(spec_path=flags.pop("spec"), **flags))
 
 
 if __name__ == "__main__":

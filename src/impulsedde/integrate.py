@@ -151,7 +151,7 @@ def _image_shifts(lags: list) -> list:
 
 
 def _collect_breaks(spec: SystemSpec, t_start: float, t_end: float,
-                    with_history: bool, extra=()) -> np.ndarray:
+                    extra=()) -> np.ndarray:
     """Sorted mandatory grid nodes in [t_start, t_end].
 
     RK4 keeps fourth order only if every point where x, x' or x'' jumps is
@@ -166,7 +166,7 @@ def _collect_breaks(spec: SystemSpec, t_start: float, t_end: float,
     lags = _positive_lags(spec)
     taus = spec.impulses.points
     order0 = [t_start, *taus]
-    if with_history and isinstance(spec.phi, VectorTable):
+    if isinstance(spec.phi, VectorTable):
         order0.extend(spec.phi.breaks)
     order1 = []
     for term in spec.terms:
@@ -215,12 +215,12 @@ def _jump_map(schedule: ImpulseSchedule, nodes: np.ndarray) -> dict:
 
 
 def _prepare_grid(spec: SystemSpec, t_start: float, t_end: float, dt: float,
-                  extra=(), with_history: bool = False):
+                  extra=()):
     """Grid nodes on [t_start, t_end] and their jump map (see `_jump_map`):
     the mandatory breaks refined to equal steps of at most dt and the
     smallest positive lag."""
     dt_eff = min([dt] + _positive_lags(spec))
-    breaks = _collect_breaks(spec, t_start, t_end, with_history, extra)
+    breaks = _collect_breaks(spec, t_start, t_end, extra)
     nodes = _build_nodes(breaks, dt_eff)
     return nodes, _jump_map(spec.impulses, nodes)
 
@@ -247,7 +247,7 @@ def quadrature_nodes(spec: SystemSpec, targets: np.ndarray, dt: float,
     extra = np.unique(np.concatenate(
         (np.asarray(extra_breaks, dtype=float), images.ravel())))
     extra = extra[(extra >= 0.0) & (extra <= t_end)]
-    nodes, _ = _prepare_grid(spec, 0.0, t_end, dt, extra=extra, with_history=True)
+    nodes, _ = _prepare_grid(spec, 0.0, t_end, dt, extra=extra)
     return nodes
 
 
@@ -424,8 +424,7 @@ def solve(spec: SystemSpec, grid: StepControl = StepControl()) -> Trajectory:
     (x0, 1), on the grid of the original problem.
     """
     require_valid(spec)
-    nodes, jump_nodes = _prepare_grid(spec, 0.0, spec.horizon, grid.dt,
-                                      with_history=True)
+    nodes, jump_nodes = _prepare_grid(spec, 0.0, spec.horizon, grid.dt)
     aug = _augmented(spec)
     dense = _batch_columns(aug, nodes, _jump_matrices(aug, jump_nodes), [0],
                            [], start=np.append(spec.x0, 1.0)[:, None],

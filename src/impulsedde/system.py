@@ -11,9 +11,11 @@ with x right-continuous at jumps, delayed arguments h_i(t) = t - theta_i
 tables, and a finite impulse schedule on a finite horizon.  The vector norm
 is the max-norm throughout; the matrix norm is the induced infinity-norm
 (max absolute row sum).  All types are immutable after construction and all
-operations are pure functions.  `validate` lists a spec's violations;
-`require_valid`, internal and not exported, is the one gate that turns
-them into ValueError("invalid spec: ...") in front of every computation.
+operations are pure functions.  `validate` lists a spec's violations and
+holds every rule on a spec's values (the config parser checks only JSON
+structure); `require_valid`, internal and not exported, is the one gate
+that turns them into ValueError("invalid spec: ...") in front of every
+computation.
 """
 
 from __future__ import annotations
@@ -90,15 +92,15 @@ class FrozenTime:
 
 
 @dataclass(frozen=True)
-class MatrixTable:
-    """Piecewise-constant matrix of time: value(t) = values[k] on [breaks[k], breaks[k+1]).
+class _Table:
+    """Piecewise-constant value of time: value(t) = values[k] on [breaks[k], breaks[k+1]).
 
     Right-continuous; extended by the first value below breaks[0] and by the
     last value above the final break.
     """
 
-    breaks: np.ndarray  # ascending piece start times
-    values: np.ndarray  # (p, n, n), one matrix per piece
+    breaks: np.ndarray  # strictly increasing piece start times
+    values: np.ndarray  # one value per piece
 
     def __post_init__(self):
         object.__setattr__(self, "breaks", _frozen_array(self.breaks))
@@ -109,20 +111,12 @@ class MatrixTable:
         return self.values[max(k, 0)]
 
 
-@dataclass(frozen=True)
-class VectorTable:
-    """Piecewise-constant vector of time; same conventions as MatrixTable."""
+class MatrixTable(_Table):
+    """Piecewise-constant (n, n) matrix of time; values has shape (p, n, n)."""
 
-    breaks: np.ndarray  # ascending piece start times
-    values: np.ndarray  # (p, n), one vector per piece
 
-    def __post_init__(self):
-        object.__setattr__(self, "breaks", _frozen_array(self.breaks))
-        object.__setattr__(self, "values", _frozen_array(self.values))
-
-    def value(self, t: float, side: str = "right") -> np.ndarray:
-        k = int(np.searchsorted(self.breaks, t, side="right" if side == "right" else "left")) - 1
-        return self.values[max(k, 0)]
+class VectorTable(_Table):
+    """Piecewise-constant length-n vector of time; values has shape (p, n)."""
 
 
 Coefficient = Union[np.ndarray, MatrixTable]
@@ -138,7 +132,7 @@ class DelayTerm:
     delay: Delay
 
     def __post_init__(self):
-        if not isinstance(self.coefficient, MatrixTable):
+        if not isinstance(self.coefficient, _Table):
             object.__setattr__(self, "coefficient", _frozen_array(self.coefficient))
 
 
@@ -157,14 +151,13 @@ class ImpulseSchedule:
     dim: int
 
     def __post_init__(self):
+        # the arrays keep the shapes they are given, for `validate` to check
         points = _frozen_array(np.atleast_1d(self.points))
-        matrices = np.asarray(self.matrices, dtype=float).reshape(len(points), self.dim, self.dim) \
-            if len(points) else np.zeros((0, self.dim, self.dim))
-        offsets = self.offsets
-        if offsets is None:
+        matrices, offsets = self.matrices, self.offsets
+        if not len(points):
+            matrices = np.zeros((0, self.dim, self.dim))
+        if offsets is None or not len(points):
             offsets = np.zeros((len(points), self.dim))
-        offsets = np.asarray(offsets, dtype=float).reshape(len(points), self.dim) \
-            if len(points) else np.zeros((0, self.dim))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "matrices", _frozen_array(matrices))
         object.__setattr__(self, "offsets", _frozen_array(offsets))
@@ -182,9 +175,9 @@ class ImpulseSchedule:
             dim = matrix.shape[0]
         count = int(math.floor(horizon / period + 1e-12))
         points = period * np.arange(1, count + 1)
-        matrices = np.broadcast_to(matrix, (count, dim, dim)).copy()
+        matrices = np.repeat(matrix[None], count, axis=0)
         off = np.zeros(dim) if offset is None else np.asarray(offset, dtype=float)
-        offsets = np.broadcast_to(off, (count, dim)).copy()
+        offsets = np.repeat(off[None], count, axis=0)
         return cls(points, matrices, offsets, dim)
 
     def __len__(self) -> int:
@@ -210,7 +203,7 @@ class SystemSpec:
         object.__setattr__(self, "impulses",
                            impulses if impulses is not None else ImpulseSchedule.empty(int(dim)))
         for name, sig in (("forcing", forcing), ("phi", phi)):
-            if sig is not None and not isinstance(sig, VectorTable):
+            if sig is not None and not isinstance(sig, _Table):
                 sig = _frozen_array(sig)
             object.__setattr__(self, name, sig)
         object.__setattr__(self, "x0",
@@ -294,6 +287,33 @@ def schedule_gaps(schedule: ImpulseSchedule,
     return float(gaps.min()), float(gaps.max())
 
 
+def _field_problems(name: str, value, shape: tuple) -> list[str]:
+    """What is wrong with one array field of a spec.  It must be None
+    (zero), a finite constant of `shape`, or (a coefficient, the forcing or
+    phi) a non-empty table with one finite value of `shape` per break and
+    finite, strictly increasing breaks."""
+    if value is None:
+        return []
+    if not isinstance(value, _Table):
+        if value.shape != shape:
+            return [f"{name}: expected shape {shape}, got {value.shape}"]
+        return [] if np.all(np.isfinite(value)) else [f"{name}: non-finite entries"]
+    breaks, values = value.breaks, value.values
+    if values.size == 0:
+        return [f"{name}: table has no pieces"]
+    if breaks.ndim != 1 or values.shape != breaks.shape + shape:
+        return [f"{name}: expected one value of shape {shape} per break, got "
+                f"breaks of shape {breaks.shape} and values of shape {values.shape}"]
+    bad = []
+    if not np.all(np.isfinite(breaks)):
+        bad.append(f"{name}: non-finite table breaks")
+    elif np.any(np.diff(breaks) <= 0):
+        bad.append(f"{name}: table breaks not strictly increasing")
+    if not np.all(np.isfinite(values)):
+        bad.append(f"{name}: non-finite entries (must be bounded)")
+    return bad
+
+
 def validate(spec: SystemSpec) -> list[str]:
     """Check the structural hypotheses; returns violations, empty = valid."""
     bad: list[str] = []
@@ -305,25 +325,7 @@ def validate(spec: SystemSpec) -> list[str]:
         bad.append(f"horizon: must be positive and finite, got {spec.horizon}")
 
     for i, term in enumerate(spec.terms):
-        coef = term.coefficient
-        if isinstance(coef, MatrixTable):
-            if len(coef.values) == 0:
-                bad.append(f"terms[{i}].coefficient: table has no pieces")
-            if coef.values.shape[1:] != (n, n):
-                bad.append(f"terms[{i}].coefficient: table matrices must be {n}x{n}, "
-                           f"got {coef.values.shape[1:]}")
-            if len(coef.breaks) != len(coef.values):
-                bad.append(f"terms[{i}].coefficient: {len(coef.breaks)} breaks vs "
-                           f"{len(coef.values)} values")
-            if np.any(np.diff(coef.breaks) <= 0):
-                bad.append(f"terms[{i}].coefficient: table breaks not strictly increasing")
-            if not np.all(np.isfinite(coef.values)):
-                bad.append(f"terms[{i}].coefficient: non-finite entries (must be bounded)")
-        else:
-            if coef.shape != (n, n):
-                bad.append(f"terms[{i}].coefficient: must be {n}x{n}, got {coef.shape}")
-            elif not np.all(np.isfinite(coef)):
-                bad.append(f"terms[{i}].coefficient: non-finite entries")
+        bad += _field_problems(f"terms[{i}].coefficient", term.coefficient, (n, n))
         d = term.delay
         if isinstance(d, ConstantLag):
             if not (math.isfinite(d.theta) and d.theta >= 0):
@@ -343,47 +345,21 @@ def validate(spec: SystemSpec) -> list[str]:
         bad.append("impulses.points: not strictly increasing")
     if not np.all(np.isfinite(sch.points)):
         bad.append("impulses.points: non-finite entries")
-    if sch.matrices.shape != (len(sch), n, n):
-        bad.append(f"impulses.matrices: expected shape {(len(sch), n, n)}, got {sch.matrices.shape}")
-    elif not np.all(np.isfinite(sch.matrices)):
-        bad.append("impulses.matrices: non-finite entries")
-    if sch.offsets.shape != (len(sch), n):
-        bad.append(f"impulses.offsets: expected shape {(len(sch), n)}, got {sch.offsets.shape}")
-    elif not np.all(np.isfinite(sch.offsets)):
-        bad.append("impulses.offsets: non-finite entries")
-
-    for name, sig, width in (("forcing", spec.forcing, n), ("phi", spec.phi, n)):
-        if sig is None:
-            continue
-        if isinstance(sig, VectorTable):
-            if len(sig.values) == 0:
-                bad.append(f"{name}: table has no pieces")
-            if sig.values.shape[1:] != (width,):
-                bad.append(f"{name}: table vectors must have length {width}, "
-                           f"got {sig.values.shape[1:]}")
-            if np.any(np.diff(sig.breaks) <= 0):
-                bad.append(f"{name}: table breaks not strictly increasing")
-            if not np.all(np.isfinite(sig.values)):
-                bad.append(f"{name}: non-finite entries (must be bounded)")
-        else:
-            if sig.shape != (width,):
-                bad.append(f"{name}: must be a length-{width} vector, got {sig.shape}")
-            elif not np.all(np.isfinite(sig)):
-                bad.append(f"{name}: non-finite entries")
+    bad += _field_problems("impulses.matrices", sch.matrices, (len(sch), n, n))
+    bad += _field_problems("impulses.offsets", sch.offsets, (len(sch), n))
+    bad += _field_problems("forcing", spec.forcing, (n,))
+    phi_bad = _field_problems("phi", spec.phi, (n,))
+    bad += phi_bad
 
     delta = spec.max_lag()
-    if delta > 0 and isinstance(spec.phi, VectorTable) and len(spec.phi.breaks):
+    if delta > 0 and isinstance(spec.phi, VectorTable) and not phi_bad:
         if spec.phi.breaks[0] > -delta:
             bad.append(f"phi: table covers [{spec.phi.breaks[0]}, 0) but delayed reads reach "
                        f"down to -{delta}; extend the table to cover [-{delta}, 0)")
         if spec.phi.breaks[-1] >= 0:
             bad.append("phi: table breaks must lie below 0 (phi is the history on (-inf, 0))")
 
-    if spec.x0.shape != (n,):
-        bad.append(f"x0: must be a length-{n} vector, got {spec.x0.shape}")
-    elif not np.all(np.isfinite(spec.x0)):
-        bad.append("x0: non-finite entries")
-    return bad
+    return bad + _field_problems("x0", spec.x0, (n,))
 
 
 def require_valid(spec: SystemSpec) -> None:

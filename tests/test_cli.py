@@ -136,6 +136,18 @@ def test_dump_spec_round_trips_tables_frozen_terms_and_offsets(tmp_path):
         np.testing.assert_array_equal(theirs.values, ours.values)
 
 
+def test_dump_spec_round_trips_constant_forcing_and_phi(tmp_path):
+    spec = SystemSpec(dim=2, terms=[DelayTerm(np.eye(2) * 0.3,
+                                              ConstantLag(0.5))],
+                      forcing=[0.1, -0.2], phi=[0.3, 0.4], x0=[1.0, 0.0])
+    doc = dump_spec(spec)
+    assert doc["forcing"] == [0.1, -0.2] and doc["phi"] == [0.3, 0.4]
+    again = load_spec(_write(tmp_path, "s.json", doc))
+    assert dump_spec(again) == doc
+    np.testing.assert_array_equal(again.forcing, spec.forcing)
+    np.testing.assert_array_equal(again.phi, spec.phi)
+
+
 def test_grid_parser_handles_endpoints_and_errors():
     np.testing.assert_allclose(_parse_grid("0:2:0.5", "--t-grid"),
                                [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -163,6 +175,53 @@ def test_schema_violations_exit_4(tmp_path):
     assert run(RunConfig("simulate", _write(tmp_path, "s.json", cfg),
                          out=str(tmp_path))) == 4
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def _periodic(period, matrix=((0.5,),)):
+    return dict(MINIMAL, impulses={"periodic": {"period": period,
+                                                "matrix": matrix}})
+
+
+@pytest.mark.parametrize("cfg, field", [
+    # json reads NaN and Infinity, so the parser must refuse them
+    (_periodic(math.nan), "impulses.periodic.period"),
+    (_periodic(math.inf), "impulses.periodic.period"),
+    (dict(MINIMAL, terms=[{"lag": 0.5, "coefficient": {
+        "breaks": [0.0, math.inf], "values": [[[0.4]], [[5.0]]]}}]),
+     "terms[0].coefficient.breaks[1]"),
+    (dict(MINIMAL, phi={"breaks": [-1.0, math.nan], "values": [[1.0], [2.0]]}),
+     "phi.breaks[1]"),
+    # shape rules belong to validate and arrive as "spec: <field>: ..."
+    (dict(MINIMAL, forcing={"breaks": [0.0, 0.5], "values": [[1.0]]}),
+     "spec: forcing"),
+    (dict(MINIMAL, forcing={"breaks": [0.5, 0.0], "values": [[1.0], [2.0]]}),
+     "spec: forcing"),
+    (dict(MINIMAL, dim=2, x0=[1.0, 0.0], terms=[],
+          impulses={"points": [1.0], "matrices": [[[0.5, 0.0, 0.0, 0.5]]]}),
+     "spec: impulses.matrices"),
+    (dict(_periodic(1.0), dim=2, x0=[1.0, 0.0], terms=[]),
+     "spec: impulses.matrices"),
+    (dict(MINIMAL, x0=[[1.0], [2.0, 3.0]]), "x0"),
+])
+def test_configs_the_gate_refuses_exit_4_naming_the_field(cfg, field, tmp_path,
+                                                          capsys):
+    path = _write(tmp_path, "s.json", cfg)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 4
+    assert f"invalid config: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_out_of_memory_exits_1_with_a_message(tmp_path, monkeypatch, capsys):
+    from impulsedde import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setattr(cli, "fundamental_grid", exhausted)
+    path = _write(tmp_path, "s.json", MINIMAL)
+    assert main(["fundamental", path, "--out", str(tmp_path)]) == 1
+    assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+    assert not (tmp_path / "fundamental.csv").exists()
 
 
 def test_numerical_blowup_exits_5(tmp_path):
@@ -232,6 +291,13 @@ def test_malformed_grid_and_window_flags_exit_4(flags, field, tmp_path,
                  "--out", str(tmp_path)]) == 4
     assert f"invalid config: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "rate.json").exists()
+
+
+def test_a_non_finite_horizon_flag_exits_4(tmp_path, capsys):
+    assert main(["certify", "paper-sec5-stabilize", "--horizon", "inf",
+                 "--out", str(tmp_path)]) == 4
+    assert "invalid config: --horizon:" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_certify_exit_codes_track_the_verdict(tmp_path):
@@ -394,6 +460,13 @@ def test_scenario_failures_are_reported_and_nonzero(tmp_path):
     }
     path = _write(tmp_path, "sc.json", doc)
     assert run(RunConfig("scenario", path)) == 1
+
+
+def test_scenario_honours_the_horizon_override(capsys):
+    # the check at t = 2.5 lies past the horizon 2
+    assert main(["scenario", "paper-sec2-destabilize", "--horizon", "2",
+                 "--dt", "0.01"]) == 1
+    assert "horizon" in capsys.readouterr().err
 
 
 def test_scenario_rejects_unknown_check_kinds(tmp_path):

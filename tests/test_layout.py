@@ -2,9 +2,10 @@
 
 `integrate` owns the snap rule (`_SNAP`), the table reads and the lag
 images; `system` owns the hypothesis numbers (coefficient pieces, jump
-gaps) and the one spec gate (`require_valid`, the only holder of its
-message).  Modules reach each other only through names without a leading
-underscore.  Runtime invariants raise errors rather than `assert`, so they
+gaps), the rules on a spec's values (`validate`) and the one spec gate
+(`require_valid`, the only holder of its message); the config parser in
+`cli` checks JSON structure only.  Modules reach each other only through
+names without a leading underscore.  Runtime invariants raise errors rather than `assert`, so they
 hold under `python -O`.
 """
 
@@ -56,6 +57,19 @@ def test_the_spec_gate_message_occurs_only_in_system():
                       if isinstance(node, ast.Constant)
                       and node.value == "invalid spec: "})
     assert holders == ["system.py"]
+
+
+def test_the_cli_holds_no_rule_on_a_specs_values():
+    # shapes, counts per break and break order are checked by validate; the
+    # parser's own SchemaError messages speak of JSON structure only
+    phrases = ("increasing", "per break", "length", " x ", "matrix")
+    messages = [part.value for node in ast.walk(TREES["cli.py"])
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "SchemaError"
+                for part in ast.walk(node)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)]
+    assert "unknown key" in messages
+    assert [m for m in messages if any(p in m for p in phrases)] == []
 
 
 def test_no_assert_statements_in_the_library():

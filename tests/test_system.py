@@ -1,5 +1,6 @@
 """System model: norms, tables, schedules, validation, hypothesis data."""
 
+import json
 import math
 
 import numpy as np
@@ -235,6 +236,43 @@ def test_every_entry_point_raises_the_one_gate_message(field, spec):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
+
+
+LAG_ONE = [DelayTerm(np.eye(1), ConstantLag(1.0))]
+MALFORMED_TABLES = [
+    # unchecked, each of these reaches solve: two breaks and one value make
+    # its first read past 0.5 raise IndexError
+    ("forcing", SystemSpec(dim=1, forcing=VectorTable([0.0, 0.5], [[1.0]]))),
+    # one break and two values: the second value is silently ignored
+    ("phi", SystemSpec(dim=1, terms=LAG_ONE,
+                       phi=VectorTable([-1.0], [[1.0], [2.0]]))),
+    # an infinite break: every read snaps to it, so x' + 5x = 0 is solved
+    ("terms[0].coefficient",
+     SystemSpec(dim=1, terms=[DelayTerm(MatrixTable([0.0, np.inf],
+                                                    [[[1.0]], [[5.0]]]),
+                                        ConstantLag(0.0))], x0=[1.0])),
+    # a NaN break compares false both ways, so an order check misses it
+    ("phi", SystemSpec(dim=1, terms=LAG_ONE,
+                       phi=VectorTable([-1.0, np.nan], [[1.0], [2.0]]))),
+]
+
+
+@pytest.mark.parametrize("field, spec", MALFORMED_TABLES,
+                         ids=["count-forcing", "count-phi", "inf-break",
+                              "nan-break"])
+def test_the_gate_refuses_malformed_tables_naming_the_field(
+        field, spec, tmp_path, capsys):
+    from impulsedde.cli import dump_spec, main
+    bad = validate(spec)
+    assert any(v.startswith(f"{field}: ") for v in bad)
+    with pytest.raises(ValueError) as err:
+        solve(spec)
+    assert str(err.value) == "invalid spec: " + "; ".join(bad)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dump_spec(spec)), encoding="utf-8")
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 4
+    assert f": {field}" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 # ---------------------------------------------------------------------------

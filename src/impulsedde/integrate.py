@@ -459,6 +459,8 @@ _Y_PRE, _F_LEFT, _Y_POST, _F_RIGHT = range(4)
 # a read that snaps to a node takes the last of its four rows
 _SNAPPED = np.array([0.0, 0.0, 0.0, 1.0])
 _QUAD = np.arange(4)
+# of a step's three reads (start, mid, end), the end reads the left limit
+_AT_END = np.array([False, False, True])[:, None]
 # byte budget of one lag window's gathered reads and stage arrays; a few
 # dozen steps already amortise a window's fixed cost in numpy calls
 _WINDOW_BYTES = 1 << 18
@@ -495,18 +497,18 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     return exact, interval, weights
 
 
-def _read_rows(plan, left: bool, k_start: int, ring_rows: int,
+def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
                zero_row: int):
     """History-buffer rows and blend weights of planned delayed reads.
 
     A read is sum_q weights[:, q] * buffer row rows[:, q]; node j's slot
     starts at row 4 j modulo `ring_rows`.  A read inside the step after
     node i blends that step's four Hermite rows; a read that snaps to node
-    i takes y_post[i], or y_pre[i] when `left`, as the last of four rows
-    of nodes i - 1 and i.  Reads of values that are zero in every column
-    -- before `k_start`, the first activation, the left limit at it
-    included, or before the grid -- take the all-zero rows at `zero_row`
-    with zero weights.
+    i takes y_post[i], or y_pre[i] where `left` (one flag per read) is set,
+    as the last of four rows of nodes i - 1 and i.  Reads of values that
+    are zero in every column -- before `k_start`, the first activation, the
+    left limit at it included, or before the grid -- take the all-zero rows
+    at `zero_row` with zero weights.
 
     Returns (rows, weights, node, need): `node` is the node whose data the
     read takes (huge for zero reads) and `need` the node the sweep must
@@ -516,7 +518,7 @@ def _read_rows(plan, left: bool, k_start: int, ring_rows: int,
     hit = exact >= 0
     node = np.where(hit, exact, interval)
     zero = node < k_start + (hit & left)
-    base = np.where(hit, 4 * exact - (3 if left else 1), 4 * interval + 2)
+    base = np.where(hit, 4 * exact - np.where(left, 3, 1), 4 * interval + 2)
     rows = (base[:, None] + _QUAD) % ring_rows
     rows[zero] = zero_row + _QUAD
     weights = np.where(hit[:, None], _SNAPPED, weights)
@@ -578,6 +580,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     read_coefs = [t.coefficient for t in lags + frozen]
     nt = len(read_coefs)
     frozen_idx = [int(locate(nodes, t.delay.c)) for t in frozen]
+    thetas = np.array([t.delay.theta for t in lags])
 
     # process columns in ascending s order so that within each chunk the
     # active columns are always a prefix; every operation is then sliced to
@@ -679,24 +682,27 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             rows = np.empty((w, 3, nt, 4), dtype=np.intp)
             wts = np.empty((w, 3, nt, 4))
             need = np.full(w, -1, dtype=np.intp)
-            for i, term in enumerate(lags):
-                th = term.delay.theta
-                at = _read_plan(nodes, t - th)
-                reads = (([a[:-1] for a in at], False),
-                         (_read_plan(nodes, mids - th), False),
-                         ([a[1:] for a in at], True))
-                for p, (rp, left) in enumerate(reads):
-                    rows[:, p, i], wts[:, p, i], node, ready = _read_rows(
-                        rp, left, k_start, 4 * R, zero_row)
-                    np.maximum(need, ready, out=need)
-                    bad = np.flatnonzero(node <= ks - D + 1)
-                    if len(bad):
-                        # _ring_depth sizes the ring to the deepest read,
-                        # so this is an internal error, kept under python -O
-                        k = bad[0]
-                        raise RuntimeError(
-                            f"history ring too shallow: step {ks[k]} reads "
-                            f"interval {node[k]} with depth {D}")
+            if lags:
+                # every lag's reads at the step starts, mids and ends (the
+                # left limit there), planned in one call
+                us = (np.stack((t[:-1], mids, t[1:]), axis=1)[:, :, None]
+                      - thetas)
+                r, wt, node, ready = _read_rows(
+                    _read_plan(nodes, us.ravel()),
+                    np.broadcast_to(_AT_END, us.shape).ravel(), k_start,
+                    4 * R, zero_row)
+                rows[:, :, :len(lags)] = r.reshape(us.shape + (4,))
+                wts[:, :, :len(lags)] = wt.reshape(us.shape + (4,))
+                need = ready.reshape(w, -1).max(axis=1)
+                oldest = node.reshape(w, -1).min(axis=1)
+                bad = np.flatnonzero(oldest <= ks - D + 1)
+                if len(bad):
+                    # _ring_depth sizes the ring to the deepest read, so
+                    # this is an internal error, kept under python -O
+                    k = bad[0]
+                    raise RuntimeError(
+                        f"history ring too shallow: step {ks[k]} reads "
+                        f"interval {oldest[k]} with depth {D}")
             for i, snapped in enumerate(snap, start=len(lags)):
                 # a frozen term reads the snapshot's y_post, or zero
                 rows[:, :, i] = zero_row + (3 if snapped else 0) + _QUAD

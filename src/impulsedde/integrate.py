@@ -464,8 +464,10 @@ _AT_END = np.array([False, False, True])[:, None]
 # byte budget of one lag window's gathered reads and stage arrays; a few
 # dozen steps already amortise a window's fixed cost in numpy calls
 _WINDOW_BYTES = 1 << 18
-# steps whose read plans and coefficients are set up at once
-_BLOCK = 256
+# byte budget of one block of steps, whose read plans and coefficients
+# are set up at once; a step is counted at 1 KiB at most, so a block holds
+# at least 256 steps
+_PLAN_BYTES = 1 << 18
 
 
 def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
@@ -601,7 +603,9 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     D = K + 1 if dense else _ring_depth(
         nodes, max((t.delay.theta for t in lags), default=0.0))
     per_col = (15 * nt + 4) * n * m * 8  # window bytes per step and column
-    wmax = max(1, min(_BLOCK, _WINDOW_BYTES // max(per_col * S, 1)))
+    per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
+    block = max(1, _PLAN_BYTES // min(per_step, 1024))
+    wmax = max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1)))
     R, spare = (K + 1, 0) if dense else (max(D, wmax), wmax)
     slots = R + spare + 2
     zero_row = 4 * (R + spare)
@@ -612,7 +616,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                              f"one chunk of {chunk}")
         # the ring, one window's buffers and one block's plan
         need_bytes = (slots * 4 * n * S * m * 8 + min(wmax, K) * per_col * S
-                      + _BLOCK * (192 * nt + 8 * (nt + 5) * n * n + 32))
+                      + block * per_step)
         if need_bytes > mem_cap:
             raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
                              f"more than the memory budget of {mem_cap} bytes")
@@ -804,8 +808,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                 H[:sa + w + 1 - R] = H[R:sa + w + 1]
 
         at_node(k_start, k_start % R, True)
-        for p0 in range(k_start, K, _BLOCK):
-            p1 = min(p0 + _BLOCK, K)
+        for p0 in range(k_start, K, block):
+            p1 = min(p0 + block, K)
             *pl, need = plan(p0, p1)
             a = p0
             while a < p1:

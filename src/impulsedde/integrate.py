@@ -20,7 +20,8 @@ delayed read lands on history that is already computed (Bellen and
 Zennaro 2003, the method of steps), so the window's reads are one gather
 and one Hermite blend, and each RK4 step is the affine map
 y_{k+1} = P_k y_k + c_k, with c_k computed in bulk and P_k the RK4
-polynomial of the zero-lag part; only that recurrence runs step by step.
+polynomial of the zero-lag part; a doubling scan composes that recurrence
+between jump and activation nodes, so no loop runs step by step.
 
 This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`) and one
@@ -529,6 +530,27 @@ def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
             node + ~hit)
 
 
+def _affine_scan(D: np.ndarray, C: np.ndarray) -> tuple:
+    """Compose the affine steps y -> y + D[k] y + C[k], k = 0 .. w - 1.
+
+    Returns (D', C'), with y + D'[k] y + C'[k] the value after steps
+    0 .. k: an inclusive Hillis-Steele scan (Blelloch 1990) in
+    ceil(log2 w) passes, where step 2 after step 1 is
+    (D2 + D1 + D2 D1, C2 + C1 + D2 C1).  D = P - I is kept apart from the
+    identity, as in the steps themselves; D and C share one array, so a
+    pass is one product and two sums.
+    """
+    n = D.shape[-1]
+    DC = np.concatenate((D, C), axis=-1)
+    o = 1
+    while o < len(DC):
+        later = DC[o:, :, :n] @ DC[:-o]
+        later += DC[:-o]
+        DC[o:] += later
+        o *= 2
+    return DC[:, :, :n], DC[:, :, n:]
+
+
 def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                    s_indices: np.ndarray, record_indices: np.ndarray,
                    reflected: bool = False, start: np.ndarray = None,
@@ -552,11 +574,14 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     its start value, y_{k+1} = P_k y_k + c_k: c_k is the stage sum on
     y = 0, computed in bulk over the window, and P_k the RK4 polynomial of
     the zero-lag part (the identity without one, when the window is one
-    running sum).  Only that recurrence, a product and two sums per step,
-    runs in step order; jumps and activations split it at their nodes,
-    and the derivatives and samples follow in bulk.  Read plans and
-    coefficient values are set up per block of steps, so their memory
-    does not grow with the grid.
+    running sum).  Jumps and activations split the recurrence at their
+    nodes; each segment between them is composed by one doubling scan
+    (`_affine_scan`) and written as y_u + D y_u + C from its start value
+    y_u, and the derivatives and samples follow in bulk.  Each block of
+    steps plans the delayed reads of every lag term with one `_read_plan`
+    call and sets up its coefficient values at once; blocks are sized by
+    a byte budget (`_PLAN_BYTES`), so their memory does not grow with the
+    grid.
 
     The ring holds the deepest delayed read (`_ring_depth`), and a window
     that runs past its end writes on into spare slots.  With
@@ -759,7 +784,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             d1, d4 = d[:, 0], d[:, 2]
             c = cbuf[:w * n * Wm].reshape(w, n, Wm)
             np.matmul(G, d.reshape(w, 3 * n, Wm), out=c)
-            # y_{k+1} = P_k y_k + c_k in step order, split at event nodes
+            # y_{k+1} = P_k y_k + c_k, composed by a scan between event nodes
             stops = events[bisect.bisect_right(events, a):
                            bisect.bisect_right(events, b)]
             if not stops or stops[-1] != b:
@@ -772,11 +797,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                     seg[1:] = c[u:e]
                     np.add.accumulate(seg, axis=0, out=seg)
                 else:
-                    for k in range(u, e):
-                        y, nxt = yp[sa + k], yp[sa + k + 1]
-                        np.matmul(P[k], y, out=nxt)
-                        nxt += c[k]
-                        nxt += y
+                    y = yp[sa + u]
+                    D, C = _affine_scan(P[u:e], c[u:e])
+                    seg = yp[sa + u + 1:sa + e + 1]
+                    np.matmul(D, y, out=seg)
+                    seg += C
+                    seg += y
                 pre[sa + u + 1:sa + e + 1] = yp[sa + u + 1:sa + e + 1]
                 if a + e in is_event:
                     at_node(a + e, sa + e, False)

@@ -13,6 +13,7 @@ from numpy.polynomial import Polynomial
 from impulsedde import (
     ConstantLag,
     DelayTerm,
+    FrozenTime,
     ImpulseSchedule,
     MatrixTable,
     NumericalError,
@@ -477,6 +478,76 @@ def test_chunked_sweep_matches_one_chunk():
     whole = integrate._batch_columns(hom, nodes, jumps, s_idx, rec)
     parts = integrate._batch_columns(hom, nodes, jumps, s_idx, rec, mem_cap=1)
     npt.assert_allclose(parts, whole, rtol=0, atol=1e-14)
+
+
+def test_shallow_history_ring_names_the_step_and_the_depth(monkeypatch):
+    monkeypatch.setattr(integrate, "_ring_depth", lambda nodes, theta: 2)
+    with pytest.raises(RuntimeError, match=r"^history ring too shallow: "
+                       r"step \d+ reads interval \d+ with depth 2$"):
+        fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
+
+
+def _rk4_step_minus_identity(hM):
+    """P - I of one RK4 step of y' = -M y, for hM = h M."""
+    hM2 = hM @ hM
+    return -hM + 0.5 * hM2 - (hM2 @ hM) / 6.0 + (hM2 @ hM2) / 24.0
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 256])
+def test_affine_scan_matches_the_step_loop(length):
+    # the zero-lag recurrence y_{k+1} = y_k + D_k y_k + C_k, composed by
+    # the doubling scan, against the step-by-step loop it replaced; the
+    # zero-lag coefficient, and with it D_k, changes halfway
+    rng = np.random.default_rng(length)
+    n, width = 3, 5
+    M = rng.uniform(-1.0, 1.0, (2, n, n))
+    D = np.empty((length, n, n))
+    D[:length // 2] = _rk4_step_minus_identity(1e-2 * M[0])
+    D[length // 2:] = _rk4_step_minus_identity(1e-2 * M[1])
+    C = rng.uniform(-1e-2, 1e-2, (length, n, width))
+    y0 = rng.uniform(-1.0, 1.0, (n, width))
+    want, y = np.empty((length, n, width)), y0
+    for k in range(length):
+        y = want[k] = y + D[k] @ y + C[k]
+    D, C = integrate._affine_scan(D, C)
+    got = y0 + D @ y0 + C
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _three_lags_frozen_and_zero_lag():
+    rng = np.random.default_rng(11)
+    A = rng.uniform(-0.5, 0.5, (6, 2, 2))
+    return SystemSpec(
+        dim=2,
+        terms=[DelayTerm(A[0], ConstantLag(0.0)),
+               DelayTerm(A[1], ConstantLag(0.13)),
+               DelayTerm(A[2], ConstantLag(0.31)),
+               DelayTerm(MatrixTable([0.0, 0.6], A[3:5]), ConstantLag(0.47)),
+               DelayTerm(A[5], FrozenTime(0.0))],
+        impulses=ImpulseSchedule([0.5, 1.1], [0.5 * np.eye(2),
+                                              -0.8 * np.eye(2)],
+                                 [[0.1, 0.0], [0.0, 0.2]], 2),
+        forcing=VectorTable([0.0, 0.9], [[0.1, -0.2], [0.3, 0.0]]),
+        phi=VectorTable([-1.0], [[1.0, -1.0]]),
+        x0=[1.0, 0.5], horizon=1.5)
+
+
+def test_block_length_does_not_change_the_sweep(monkeypatch):
+    # a 4 KiB plan budget cuts blocks of four steps, so every lag
+    # window and every scan segment also ends at a block end
+    spec = _three_lags_frozen_and_zero_lag()
+    grid = StepControl(1e-2)
+    s_grid, t_grid = np.linspace(0.0, 1.4, 8), np.linspace(0.1, 1.5, 15)
+
+    def sweeps():
+        return (fundamental_grid(spec, s_grid, t_grid, grid).samples,
+                solve(spec, grid).y_post)
+
+    default = sweeps()
+    monkeypatch.setattr(integrate, "_PLAN_BYTES", 4096)
+    for got, want in zip(sweeps(), default):
+        npt.assert_allclose(got, want, rtol=0,
+                            atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_fundamental_grid_rejects_bad_grids():

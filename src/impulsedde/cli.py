@@ -160,6 +160,10 @@ def _impulses(x, path: str, n: int, horizon: float) -> ImpulseSchedule:
         period = _num(p["period"], f"{path}.periodic.period")
         if period <= 0:
             raise SchemaError(f"{path}.periodic.period", "must be positive")
+        if not horizon / period <= np.iinfo(np.intp).max:
+            raise SchemaError(f"{path}.periodic.period",
+                              f"too small: horizon / period = "
+                              f"{horizon / period:g} jump points")
         matrix = _array(p["matrix"], f"{path}.periodic.matrix", 2)
         offset = (_array(p["offset"], f"{path}.periodic.offset", 1)
                   if "offset" in p else None)
@@ -293,9 +297,10 @@ def _write_csv(path: str, header: list, table: np.ndarray,
                text=None) -> None:
     """RFC-4180 rows: the header, then each table row as %.12e numbers,
     followed by the matching entry of `text` when given.  Rows are
-    formatted one `%` each and streamed, so no copy of the file is held."""
+    formatted from Python floats, one `%` each, and streamed, so no copy
+    of the file is held."""
     fmt = ",".join(["%.12e"] * table.shape[1])
-    rows = (fmt % tuple(row) for row in table)
+    rows = (fmt % tuple(row) for row in table.tolist())
     if text is not None:
         rows = (f"{row},{label}" for row, label in zip(rows, text))
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -202,6 +202,9 @@ def _periodic(period, matrix=((0.5,),)):
     (dict(_periodic(1.0), dim=2, x0=[1.0, 0.0], terms=[]),
      "spec: impulses.matrices"),
     (dict(MINIMAL, x0=[[1.0], [2.0, 3.0]]), "x0"),
+    # horizon / period overflows to inf, or is far past any array index
+    (_periodic(5e-324), "impulses.periodic.period: too small"),
+    (_periodic(1e-300), "impulses.periodic.period: too small"),
 ])
 def test_configs_the_gate_refuses_exit_4_naming_the_field(cfg, field, tmp_path,
                                                           capsys):
@@ -209,6 +212,19 @@ def test_configs_the_gate_refuses_exit_4_naming_the_field(cfg, field, tmp_path,
     assert main(["simulate", path, "--out", str(tmp_path)]) == 4
     assert f"invalid config: {field}" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_csv_rows_format_edge_values_as_numpy_floats(tmp_path):
+    from impulsedde import cli
+
+    values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308,
+              1.7976931348623157e308, 1.0 / 3.0]
+    table = np.array(values).reshape(-1, 2)
+    path = str(tmp_path / "t.csv")
+    cli._write_csv(path, ["a", "b"], table)
+    want = ["a,b"] + [",".join("%.12e" % v for v in row) for row in table]
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == "\r\n".join(want) + "\r\n"
 
 
 def test_out_of_memory_exits_1_with_a_message(tmp_path, monkeypatch, capsys):

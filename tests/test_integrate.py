@@ -496,7 +496,7 @@ def _rk4_step_minus_identity(hM):
 @pytest.mark.parametrize("length", [1, 2, 3, 17, 256])
 def test_affine_scan_matches_the_step_loop(length):
     # the zero-lag recurrence y_{k+1} = y_k + D_k y_k + C_k, composed by
-    # the doubling scan, against the step-by-step loop it replaced; the
+    # the doubling scan, against a step-by-step loop as the reference; the
     # zero-lag coefficient, and with it D_k, changes halfway
     rng = np.random.default_rng(length)
     n, width = 3, 5

@@ -169,10 +169,8 @@ def _collect_breaks(spec: SystemSpec, t_start: float, t_end: float,
     order0 = [t_start, *taus]
     if isinstance(spec.phi, VectorTable):
         order0.extend(spec.phi.breaks)
-    order1 = []
-    for term in spec.terms:
-        if isinstance(term.coefficient, MatrixTable):
-            order1.extend(term.coefficient.breaks)
+    order1 = [b for t in spec.terms if isinstance(t.coefficient, MatrixTable)
+              for b in t.coefficient.breaks]
     if isinstance(spec.forcing, VectorTable):
         order1.extend(spec.forcing.breaks)
     pts = [t_end, *extra]
@@ -551,6 +549,199 @@ def _affine_scan(D: np.ndarray, C: np.ndarray) -> tuple:
     return DC[:, :, :n], DC[:, :, n:]
 
 
+class _Sweep:
+    """The state of one chunk of columns of a sweep (`_batch_columns`).
+
+    It holds the sweep's constants, which every chunk shares, and the
+    chunk's own history ring `H`, window buffers, activations and events.
+    `_width`, `_at_node`, `_plan` and `_window` each run one part of the
+    sweep on it.
+    """
+
+    def __init__(self, shared: dict, c0: int, c1: int):
+        self.__dict__.update(shared)
+        n, Sc = self.n, c1 - c0
+        self.c0, self.c1, self.Sc = c0, c1, Sc
+        self.s_list = self.s_indices[c0:c1].tolist()
+        self.k_start = self.s_list[0]
+        self.H = np.zeros((self.slots, 4, n, Sc * self.m))
+        self.rows_of = self.H.reshape(4 * self.slots, n, Sc * self.m)
+        # window buffers, reused by every window of the chunk: the gathered
+        # rows (every column: a gather from a column prefix would copy the
+        # ring first), their blends, the delayed parts d and the stage sums c
+        size = self.wmax * n * Sc * self.m
+        self.gbuf, self.xbuf = (np.empty(k * self.nt * size) for k in (12, 3))
+        self.dbuf, self.cbuf = np.zeros(3 * size), np.empty(size)
+        self.snap = [i == self.k_start for i in self.frozen_idx]
+        # the chunk's columns that node s activates, as a local range
+        self.activate = {s: (bisect.bisect_left(self.s_list, s),
+                             _width(self, s)) for s in self.s_list}
+        self.events = sorted(j for j in set(self.activate) | set(self.jumps)
+                             if j > self.k_start)
+        self.is_event = set(self.events)
+
+
+def _width(st: _Sweep, j: int) -> int:
+    """Chunk columns already activated at node j."""
+    return bisect.bisect_right(st.s_list, j)
+
+
+def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
+    """The events of node j, whose slot holds its pre-jump value: the
+    forward order's jump, and every activation, snapshot, sample and
+    reflected jump."""
+    n, m, Sc = st.n, st.m, st.Sc
+    y = st.H[slot, _Y_POST]
+    B = st.jumps.get(j)
+    if B is not None and not st.reflected and not initial:
+        Wm = _width(st, j - 1) * m
+        y[:, :Wm] = B @ y[:, :Wm]
+    if j in st.activate:
+        lo, hi = st.activate[j]
+        y.reshape(n, Sc, m)[:, lo:hi] = st.start[:, None, :]
+    if initial and any(st.snap):
+        st.H[st.slots - 1, _Y_POST] = y
+    row = st.rec_of_node.get(j)
+    if row is not None and (initial or (st.reflected and B is not None)):
+        st.samples[row, st.c0:st.c1] = y.reshape(n, Sc, m).transpose(1, 0, 2)
+    if B is not None and st.reflected:
+        Wm = _width(st, j) * m
+        y[:, :Wm] = B @ y[:, :Wm]
+
+
+def _plan(st: _Sweep, p0: int, p1: int):
+    """Read rows and weights, coefficients A, the zero-lag part M, the
+    RK4 maps P - I and G, and the readiness of each step's reads, for the
+    steps p0 .. p1 - 1."""
+    n, nt, lags = st.n, st.nt, st.lags
+    t = st.nodes[p0:p1 + 1]
+    h = np.diff(t)
+    mids = t[:-1] + 0.5 * h
+    w = p1 - p0
+    rows = np.empty((w, 3, nt, 4), dtype=np.intp)
+    wts = np.empty((w, 3, nt, 4))
+    need = np.full(w, -1, dtype=np.intp)
+    if lags:
+        # every lag's reads at the step starts, mids and ends (the left
+        # limit there), planned in one call
+        us = np.stack((t[:-1], mids, t[1:]), axis=1)[:, :, None] - st.thetas
+        r, wt, node, ready = _read_rows(
+            _read_plan(st.nodes, us.ravel()),
+            np.broadcast_to(_AT_END, us.shape).ravel(), st.k_start,
+            4 * st.R, st.zero_row)
+        rows[:, :, :len(lags)] = r.reshape(us.shape + (4,))
+        wts[:, :, :len(lags)] = wt.reshape(us.shape + (4,))
+        need = ready.reshape(w, -1).max(axis=1)
+        oldest = node.reshape(w, -1).min(axis=1)
+        bad = np.flatnonzero(oldest <= np.arange(p0, p1) - st.D + 1)
+        if len(bad):
+            # _ring_depth sizes the ring to the deepest read, so this is
+            # an internal error, kept under python -O
+            k = bad[0]
+            raise RuntimeError(
+                f"history ring too shallow: step {p0 + k} reads "
+                f"interval {oldest[k]} with depth {st.D}")
+    for i, snapped in enumerate(st.snap, start=len(lags)):
+        # a frozen term reads the snapshot's y_post, or zero
+        rows[:, :, i] = st.zero_row + (3 if snapped else 0) + _QUAD
+        wts[:, :, i] = _SNAPPED if snapped else 0.0
+    # mids never sit on a break, so the side does not matter
+    A = (np.concatenate([read_piecewise(c, mids) for c in st.read_coefs],
+                        axis=2) if nt else None)
+    # the RK4 stages on y = 0 give c = G [d1; d23; d4] with
+    # G = h/6 [-I + hM - (hM)^2/2 + (hM)^3/4 | -4I + 2hM - (hM)^2/2 | -I]
+    # for the zero-lag part M; on y = I with no delayed part they give
+    # P - I, kept apart from I so that its rounding does not drift y by
+    # an ulp every step
+    hh, eye = h[:, None, None], np.eye(n)
+    M = P = None
+    hM = np.zeros((w, n, n))
+    if st.zero_lag:
+        M = sum(read_piecewise(c, mids) for c in st.zero_lag)
+        k1 = -M
+        k2 = -(M @ (eye + k1 * (0.5 * hh)))
+        k3 = -(M @ (eye + k2 * (0.5 * hh)))
+        k4 = -(M @ (eye + k3 * hh))
+        P = (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0)
+        hM = M * hh
+    hM2 = hM @ hM
+    G = np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
+                        2.0 * hM - 0.5 * hM2 - 4.0 * eye,
+                        np.broadcast_to(-eye, hM.shape)), axis=2) * (hh / 6.0)
+    return rows, wts, A, M, P, G, np.maximum.accumulate(need)
+
+
+def _derivatives(M, y0, y1, d, fr, fl) -> None:
+    """The derivatives at the nodes of steps with delayed parts d: f_right
+    = k1 = -(M y0 + d1) at each step's start value y0, and f_left =
+    -(M y1 + d4) at its end's left limit y1 (M None: no zero-lag part)."""
+    for f, y, dk in ((fr, y0, d[:, 0]), (fl, y1, d[:, 2])):
+        if M is None:
+            np.negative(dk, out=f)
+        else:
+            np.matmul(M, y, out=f)
+            f += dk
+            np.negative(f, out=f)
+
+
+def _window(st: _Sweep, a: int, b: int, pl) -> None:
+    """Steps a .. b - 1, whose nodes take the consecutive slots from
+    a % R on."""
+    rows, wts, A, M, P, G = pl
+    n, m, nt, R, H = st.n, st.m, st.nt, st.R, st.H
+    cols = st.Sc * m
+    w, sa = b - a, a % R
+    Wm = _width(st, b - 1) * m
+    yp = H[:, _Y_POST, :, :Wm]
+    pre = H[:, _Y_PRE, :, :Wm]
+    d = st.dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)  # zero without reads
+    if nt:
+        g = st.gbuf[:w * 12 * nt * n * cols].reshape(-1, n, cols)
+        np.take(st.rows_of, rows.reshape(-1), axis=0, out=g, mode="clip")
+        x = st.xbuf[:w * 3 * nt * n * cols].reshape(-1, 1, n * cols)
+        np.matmul(wts.reshape(-1, 1, 4), g.reshape(-1, 4, n * cols), out=x)
+        np.matmul(A[:, None], x.reshape(w, 3, nt * n, cols)[..., :Wm], out=d)
+    c = st.cbuf[:w * n * Wm].reshape(w, n, Wm)
+    np.matmul(G, d.reshape(w, 3 * n, Wm), out=c)
+    # y_{k+1} = P_k y_k + c_k, composed by a scan between event nodes
+    stops = st.events[bisect.bisect_right(st.events, a):
+                      bisect.bisect_right(st.events, b)]
+    if not stops or stops[-1] != b:
+        stops.append(b)
+    u = 0
+    for e in stops:
+        e -= a
+        if P is None:
+            seg = yp[sa + u:sa + e + 1]
+            seg[1:] = c[u:e]
+            np.add.accumulate(seg, axis=0, out=seg)
+        else:
+            y = yp[sa + u]
+            D, C = _affine_scan(P[u:e], c[u:e])
+            seg = yp[sa + u + 1:sa + e + 1]
+            np.matmul(D, y, out=seg)
+            seg += C
+            seg += y
+        pre[sa + u + 1:sa + e + 1] = yp[sa + u + 1:sa + e + 1]
+        if a + e in st.is_event:
+            _at_node(st, a + e, sa + e, False)
+        u = e
+    _derivatives(M, yp[sa:sa + w], pre[sa + 1:sa + w + 1], d,
+                 H[sa:sa + w, _F_RIGHT, :, :Wm],
+                 H[sa + 1:sa + w + 1, _F_LEFT, :, :Wm])
+    lo, hi = (bisect.bisect_right(st.bulk, x) for x in (a, b))
+    if hi > lo:
+        # node b may activate columns beyond the window's width
+        W = _width(st, b)
+        y = H[st.bulk_nodes[lo:hi] - a + sa, _Y_POST, :, :W * m]
+        st.samples[st.bulk_rows[lo:hi], st.c0:st.c0 + W] = \
+            y.reshape(-1, n, W, m).transpose(0, 2, 1, 3)
+    if b // 256 != a // 256 and not np.all(np.isfinite(yp[sa + w])):
+        raise NumericalError(f"state non-finite at t={st.nodes[b]}")
+    if sa + w >= R:
+        H[:sa + w + 1 - R] = H[R:sa + w + 1]
+
+
 def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                    s_indices: np.ndarray, record_indices: np.ndarray,
                    reflected: bool = False, start: np.ndarray = None,
@@ -566,22 +757,23 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     `_fundamental_rows`) activates first and then jumps every column, the
     new one included, and samples the pre-jump value.
 
-    The unit of work is a lag window of steps [a, b): every delayed read
-    of its steps lands on history at or before node a (the method of
-    steps), so the reads of the whole window are one gather from the
-    history ring, one Hermite blend and one batched product with the
-    coefficients of every lag and frozen term.  Each RK4 step is affine in
-    its start value, y_{k+1} = P_k y_k + c_k: c_k is the stage sum on
-    y = 0, computed in bulk over the window, and P_k the RK4 polynomial of
-    the zero-lag part (the identity without one, when the window is one
-    running sum).  Jumps and activations split the recurrence at their
-    nodes; each segment between them is composed by one doubling scan
-    (`_affine_scan`) and written as y_u + D y_u + C from its start value
-    y_u, and the derivatives and samples follow in bulk.  Each block of
-    steps plans the delayed reads of every lag term with one `_read_plan`
-    call and sets up its coefficient values at once; blocks are sized by
-    a byte budget (`_PLAN_BYTES`), so their memory does not grow with the
-    grid.
+    The unit of work is a lag window of steps [a, b) (`_window`): every
+    delayed read of its steps lands on history at or before node a (the
+    method of steps), so the reads of the whole window are one gather
+    from the history ring, one Hermite blend and one batched product with
+    the coefficients of every lag and frozen term.  Each RK4 step is
+    affine in its start value, y_{k+1} = P_k y_k + c_k: c_k is the stage
+    sum on y = 0, computed in bulk over the window, and P_k the RK4
+    polynomial of the zero-lag part (the identity without one, when the
+    window is one running sum).  Jumps and activations (`_at_node`) split
+    the recurrence at their nodes; each segment between them is composed
+    by one doubling scan (`_affine_scan`) and written as y_u + D y_u + C
+    from its start value y_u, and the derivatives and samples follow in
+    bulk.  Each block of steps plans the delayed reads of every lag term
+    with one `_read_plan` call and sets up its coefficient values at once
+    (`_plan`); blocks are sized by a byte budget (`_PLAN_BYTES`), so their
+    memory does not grow with the grid.  This function keeps the chunk
+    and block loops; each chunk of columns runs on its own `_Sweep`.
 
     The ring holds the deepest delayed read (`_ring_depth`), and a window
     that runs past its end writes on into spare slots.  With
@@ -596,7 +788,6 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     m = start.shape[1]
     s_indices = np.asarray(s_indices, dtype=np.intp)
     S = len(s_indices)
-    T = len(record_indices)
     _check_causal(spec, nodes[0])
 
     lags = [t for t in spec.terms
@@ -606,8 +797,6 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                 if isinstance(t.delay, ConstantLag) and t.delay.theta == 0.0]
     read_coefs = [t.coefficient for t in lags + frozen]
     nt = len(read_coefs)
-    frozen_idx = [int(locate(nodes, t.delay.c)) for t in frozen]
-    thetas = np.array([t.delay.theta for t in lags])
 
     # process columns in ascending s order so that within each chunk the
     # active columns are always a prefix; every operation is then sliced to
@@ -646,211 +835,40 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
                              f"more than the memory budget of {mem_cap} bytes")
 
-    samples = np.zeros((T, S, n, m))
+    samples = np.zeros((len(record_indices), S, n, m))
     rec_of_node = {int(node): row for row, node in enumerate(record_indices)}
-    # the reflected order samples a jump node before its jump, in at_node
+    # the reflected order samples a jump node before its jump, in _at_node
     bulk = sorted(node for node in rec_of_node
                   if not (reflected and node in jumps))
-    bulk_nodes = np.asarray(bulk, dtype=np.intp)
-    bulk_rows = np.asarray([rec_of_node[node] for node in bulk], dtype=np.intp)
-
+    shared = dict(
+        n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
+        s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
+        thetas=np.array([t.delay.theta for t in lags]), zero_lag=zero_lag,
+        frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
+        R=R, slots=slots, zero_row=zero_row, wmax=wmax, samples=samples,
+        rec_of_node=rec_of_node, bulk=bulk,
+        bulk_nodes=np.asarray(bulk, dtype=np.intp),
+        bulk_rows=np.asarray([rec_of_node[j] for j in bulk], dtype=np.intp))
     for c0 in range(0, S, chunk):
-        c1 = min(c0 + chunk, S)
-        Sc = c1 - c0
-        s_list = s_indices[c0:c1].tolist()
-        k_start = s_list[0]
-        H = np.zeros((slots, 4, n, Sc * m))
-        rows_of = H.reshape(4 * slots, n, Sc * m)
-        # window buffers, reused by every window of the chunk: the gathered
-        # rows (every column: a gather from a column prefix would copy the
-        # ring first), their blends, the delayed parts d and the stage sums c
-        size = wmax * n * Sc * m
-        gbuf, xbuf = np.empty(12 * nt * size), np.empty(3 * nt * size)
-        dbuf, cbuf = np.zeros(3 * size), np.empty(size)
-        snap = [i == k_start for i in frozen_idx]
-        activate: dict[int, tuple] = {}
-        for local, s in enumerate(s_list):
-            activate[s] = (activate.get(s, (local,))[0], local + 1)
-        events = sorted(j for j in set(activate) | set(jumps) if j > k_start)
-        is_event = set(events)
-
-        def width(j):
-            # chunk columns already activated at node j
-            return bisect.bisect_right(s_list, j)
-
-        def at_node(j, slot, initial):
-            # the slot holds the pre-jump value; the forward order's jump
-            # and every activation, snapshot, sample and reflected jump
-            # happen here
-            y = H[slot, _Y_POST]
-            B = jumps.get(j)
-            if B is not None and not reflected and not initial:
-                Wm = width(j - 1) * m
-                y[:, :Wm] = B @ y[:, :Wm]
-            if j in activate:
-                lo, hi = activate[j]
-                y.reshape(n, Sc, m)[:, lo:hi] = start[:, None, :]
-            if initial and any(snap):
-                H[slots - 1, _Y_POST] = y
-            row = rec_of_node.get(j)
-            if row is not None and (initial or (reflected and B is not None)):
-                samples[row, c0:c1] = y.reshape(n, Sc, m).transpose(1, 0, 2)
-            if B is not None and reflected:
-                Wm = width(j) * m
-                y[:, :Wm] = B @ y[:, :Wm]
-
-        def plan(p0, p1):
-            """Read rows and weights, coefficients A, the zero-lag part M,
-            the RK4 maps P - I and G, and the readiness of each step's
-            reads, for the steps p0 .. p1 - 1."""
-            t = nodes[p0:p1 + 1]
-            h = np.diff(t)
-            mids = t[:-1] + 0.5 * h
-            w = p1 - p0
-            ks = np.arange(p0, p1)
-            rows = np.empty((w, 3, nt, 4), dtype=np.intp)
-            wts = np.empty((w, 3, nt, 4))
-            need = np.full(w, -1, dtype=np.intp)
-            if lags:
-                # every lag's reads at the step starts, mids and ends (the
-                # left limit there), planned in one call
-                us = (np.stack((t[:-1], mids, t[1:]), axis=1)[:, :, None]
-                      - thetas)
-                r, wt, node, ready = _read_rows(
-                    _read_plan(nodes, us.ravel()),
-                    np.broadcast_to(_AT_END, us.shape).ravel(), k_start,
-                    4 * R, zero_row)
-                rows[:, :, :len(lags)] = r.reshape(us.shape + (4,))
-                wts[:, :, :len(lags)] = wt.reshape(us.shape + (4,))
-                need = ready.reshape(w, -1).max(axis=1)
-                oldest = node.reshape(w, -1).min(axis=1)
-                bad = np.flatnonzero(oldest <= ks - D + 1)
-                if len(bad):
-                    # _ring_depth sizes the ring to the deepest read, so
-                    # this is an internal error, kept under python -O
-                    k = bad[0]
-                    raise RuntimeError(
-                        f"history ring too shallow: step {ks[k]} reads "
-                        f"interval {oldest[k]} with depth {D}")
-            for i, snapped in enumerate(snap, start=len(lags)):
-                # a frozen term reads the snapshot's y_post, or zero
-                rows[:, :, i] = zero_row + (3 if snapped else 0) + _QUAD
-                wts[:, :, i] = _SNAPPED if snapped else 0.0
-            # mids never sit on a break, so the side does not matter
-            A = (np.concatenate([read_piecewise(c, mids) for c in read_coefs],
-                                axis=2) if nt else None)
-            # the RK4 stages on y = 0 give c = G [d1; d23; d4] with
-            # G = h/6 [-I + hM - (hM)^2/2 + (hM)^3/4 | -4I + 2hM - (hM)^2/2 | -I]
-            # for the zero-lag part M; on y = I with no delayed part they
-            # give P - I, kept apart from I so that its rounding does not
-            # drift y by an ulp every step
-            hh, eye = h[:, None, None], np.eye(n)
-            M = P = None
-            hM = np.zeros((w, n, n))
-            if zero_lag:
-                M = sum(read_piecewise(c, mids) for c in zero_lag)
-                k1 = -M
-                k2 = -(M @ (eye + k1 * (0.5 * hh)))
-                k3 = -(M @ (eye + k2 * (0.5 * hh)))
-                k4 = -(M @ (eye + k3 * hh))
-                P = (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0)
-                hM = M * hh
-            hM2 = hM @ hM
-            G = np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
-                                2.0 * hM - 0.5 * hM2 - 4.0 * eye,
-                                np.broadcast_to(-eye, hM.shape)),
-                               axis=2) * (hh / 6.0)
-            return rows, wts, A, M, P, G, np.maximum.accumulate(need)
-
-        def window(a, b, pl):
-            """Steps a .. b - 1, whose nodes take the consecutive slots
-            from a % R on."""
-            rows, wts, A, M, P, G = pl
-            w = b - a
-            sa = a % R
-            W = width(b - 1)
-            Wm = W * m
-            yp = H[:, _Y_POST, :, :Wm]
-            pre = H[:, _Y_PRE, :, :Wm]
-            d = dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)  # zero without reads
-            if nt:
-                g = gbuf[:w * 12 * nt * n * Sc * m].reshape(-1, n, Sc * m)
-                np.take(rows_of, rows.reshape(-1), axis=0, out=g, mode="clip")
-                x = xbuf[:w * 3 * nt * n * Sc * m].reshape(-1, 1, n * Sc * m)
-                np.matmul(wts.reshape(-1, 1, 4),
-                          g.reshape(-1, 4, n * Sc * m), out=x)
-                np.matmul(A[:, None],
-                          x.reshape(w, 3, nt * n, Sc * m)[..., :Wm], out=d)
-            d1, d4 = d[:, 0], d[:, 2]
-            c = cbuf[:w * n * Wm].reshape(w, n, Wm)
-            np.matmul(G, d.reshape(w, 3 * n, Wm), out=c)
-            # y_{k+1} = P_k y_k + c_k, composed by a scan between event nodes
-            stops = events[bisect.bisect_right(events, a):
-                           bisect.bisect_right(events, b)]
-            if not stops or stops[-1] != b:
-                stops.append(b)
-            u = 0
-            for e in stops:
-                e -= a
-                if P is None:
-                    seg = yp[sa + u:sa + e + 1]
-                    seg[1:] = c[u:e]
-                    np.add.accumulate(seg, axis=0, out=seg)
-                else:
-                    y = yp[sa + u]
-                    D, C = _affine_scan(P[u:e], c[u:e])
-                    seg = yp[sa + u + 1:sa + e + 1]
-                    np.matmul(D, y, out=seg)
-                    seg += C
-                    seg += y
-                pre[sa + u + 1:sa + e + 1] = yp[sa + u + 1:sa + e + 1]
-                if a + e in is_event:
-                    at_node(a + e, sa + e, False)
-                u = e
-            # derivatives at the nodes: f_right = k1, f_left from y_pre
-            fr = H[sa:sa + w, _F_RIGHT, :, :Wm]
-            fl = H[sa + 1:sa + w + 1, _F_LEFT, :, :Wm]
-            if M is None:
-                np.negative(d1, out=fr)
-                np.negative(d4, out=fl)
-            else:
-                np.matmul(M, yp[sa:sa + w], out=fr)
-                fr += d1
-                np.negative(fr, out=fr)
-                np.matmul(M, pre[sa + 1:sa + w + 1], out=fl)
-                fl += d4
-                np.negative(fl, out=fl)
-            lo = bisect.bisect_right(bulk, a)
-            hi = bisect.bisect_right(bulk, b)
-            if hi > lo:
-                # node b may activate columns beyond the window's width
-                W = width(b)
-                y = H[bulk_nodes[lo:hi] - a + sa, _Y_POST, :, :W * m]
-                samples[bulk_rows[lo:hi], c0:c0 + W] = \
-                    y.reshape(-1, n, W, m).transpose(0, 2, 1, 3)
-            if b // 256 != a // 256 and not np.all(np.isfinite(yp[sa + w])):
-                raise NumericalError(f"state non-finite at t={nodes[b]}")
-            if sa + w >= R:
-                H[:sa + w + 1 - R] = H[R:sa + w + 1]
-
-        at_node(k_start, k_start % R, True)
-        for p0 in range(k_start, K, block):
+        st = _Sweep(shared, c0, min(c0 + chunk, S))
+        _at_node(st, st.k_start, st.k_start % R, True)
+        for p0 in range(st.k_start, K, block):
             p1 = min(p0 + block, K)
-            *pl, need = plan(p0, p1)
+            *pl, need = _plan(st, p0, p1)
             a = p0
             while a < p1:
                 b = p0 + int(np.searchsorted(need, a, side="right"))
                 b = min(max(b, a + 1), a + wmax, p1)
-                window(a, b, [None if v is None else v[a - p0:b - p0]
-                              for v in pl])
+                _window(st, a, b, [None if v is None else v[a - p0:b - p0]
+                                   for v in pl])
                 a = b
             del pl, need  # free this block's plan before the next is set up
-        if not np.all(np.isfinite(H[K % R, _Y_POST])):
+        if not np.all(np.isfinite(st.H[K % R, _Y_POST])):
             raise NumericalError("state non-finite at final node")
     if dense:
         # y_pre[0] is y_post[0] by convention
-        H[0, _Y_PRE] = H[0, _Y_POST]
-        out = tuple(H[:K + 1, q].reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
+        st.H[0, _Y_PRE] = st.H[0, _Y_POST]
+        out = tuple(st.H[:K + 1, q].reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
                     for q in (_Y_POST, _Y_PRE, _F_RIGHT, _F_LEFT))
         return out if unsort is None else tuple(a[:, unsort] for a in out)
     return samples if unsort is None else samples[:, unsort]

@@ -6,7 +6,8 @@ gaps), the rules on a spec's values (`validate`) and the one spec gate
 (`require_valid`, the only holder of its message); the config parser in
 `cli` checks JSON structure only.  Modules reach each other only through
 names without a leading underscore.  Runtime invariants raise errors rather than `assert`, so they
-hold under `python -O`.
+hold under `python -O`.  The RK4 sweep, `integrate._batch_columns`, keeps
+its chunk and block loops only; its parts are module-level functions.
 """
 
 import ast
@@ -77,3 +78,15 @@ def test_no_assert_statements_in_the_library():
                for name, tree in TREES.items()
                for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_the_sweep_loop_defines_no_nested_functions():
+    # the sweep's parts are module-level functions of one chunk state, so
+    # one window or one plan can be run, and tested, on its own
+    sweep = next(node for node in ast.walk(TREES["integrate.py"])
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_batch_columns")
+    nested = [node.name for node in ast.walk(sweep) if node is not sweep
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda))]
+    assert nested == []

@@ -21,7 +21,11 @@ Zennaro 2003, the method of steps), so the window's reads are one gather
 and one Hermite blend, and each RK4 step is the affine map
 y_{k+1} = P_k y_k + c_k, with c_k computed in bulk and P_k the RK4
 polynomial of the zero-lag part; a doubling scan composes that recurrence
-between jump and activation nodes, so no loop runs step by step.
+between jump and activation nodes, so no loop runs step by step.  A lag
+of fewer than `_SHORT_LAG` steps does not cut the windows: its reads stay
+within the last few nodes, whose rows form a lifted state that evolves by
+one affine map over a run of like steps (`_lift_runs`, `_lift_scan`), so
+the windows end at the smallest long lag.
 
 This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`) and one
@@ -37,6 +41,7 @@ entry point passes the spec through `system.require_valid` first.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +96,11 @@ def locate(points: np.ndarray, ts) -> np.ndarray:
     The snap rule: t matches p when |t - p| <= _SNAP * max(1, |t|, |p|).
     On ties the lowest index wins.  Returns an array shaped like `ts`.
     """
-    ts = np.asarray(ts, dtype=float)
+    return _locate(points, np.asarray(ts, dtype=float))[0]
+
+
+def _locate(points: np.ndarray, ts: np.ndarray) -> tuple:
+    """`locate`, and the first index whose point is not below t."""
     base = np.searchsorted(points, ts)
     scale = np.maximum(1.0, np.abs(ts))
     out = np.full(ts.shape, -1, dtype=np.intp)
@@ -101,7 +110,7 @@ def locate(points: np.ndarray, ts) -> np.ndarray:
         p = points.take(j, mode="clip")
         hit = np.abs(p - ts) <= _SNAP * np.maximum(scale, np.abs(p))
         out = np.where(hit & (j >= 0) & (j < len(points)), j, out)
-    return out
+    return out, base
 
 
 def _pieces(breaks: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
@@ -467,6 +476,13 @@ _WINDOW_BYTES = 1 << 18
 # are set up at once; a step is counted at 1 KiB at most, so a block holds
 # at least 256 steps
 _PLAN_BYTES = 1 << 18
+# a lag shorter than this many steps is short: its reads land in the last
+# few nodes, which the sweep lifts into its state (`_lift_runs`) rather
+# than cutting windows that short.  Lifting stops paying at a lag of about
+# 8 steps for n = 3 (12 for n = 1) on a 2-vCPU host.
+_SHORT_LAG = 8
+# the fewest steps of a lifted run, below which its probe does not pay
+_LIFT_STEPS = 16
 
 
 def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
@@ -489,8 +505,9 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     filler, which `_read_rows` replaces.
     """
     N = len(nodes)
-    exact = locate(nodes, us)
-    interval = np.searchsorted(nodes, us, side="right") - 1
+    exact, base = _locate(nodes, us)
+    # the last node at or before each time (the nodes strictly increase)
+    interval = base - (nodes.take(base, mode="clip") != us)
     ic = np.clip(interval, 0, max(N - 2, 0))
     # a one-node grid has no interval: its weights are filler too
     h = nodes[ic + 1] - nodes[ic] if N > 1 else np.ones(us.shape)
@@ -575,7 +592,7 @@ class _Sweep:
         self.snap = [i == self.k_start for i in self.frozen_idx]
         # the chunk's columns that node s activates, as a local range
         self.activate = {s: (bisect.bisect_left(self.s_list, s),
-                             _width(self, s)) for s in self.s_list}
+                             _width(self, s)) for s in set(self.s_list)}
         self.events = sorted(j for j in set(self.activate) | set(self.jumps)
                              if j > self.k_start)
         self.is_event = set(self.events)
@@ -610,9 +627,10 @@ def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
 
 
 def _plan(st: _Sweep, p0: int, p1: int):
-    """Read rows and weights, coefficients A, the zero-lag part M, the
-    RK4 maps P - I and G, and the readiness of each step's reads, for the
-    steps p0 .. p1 - 1."""
+    """The plan of the steps p0 .. p1 - 1: their read rows and weights,
+    coefficients A, zero-lag part M and RK4 maps P - I and G; the node
+    each step's reads need, and the same over long reads alone; and the
+    lifted runs among them (`_lift_runs`)."""
     n, nt, lags = st.n, st.nt, st.lags
     t = st.nodes[p0:p1 + 1]
     h = np.diff(t)
@@ -620,7 +638,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
     w = p1 - p0
     rows = np.empty((w, 3, nt, 4), dtype=np.intp)
     wts = np.empty((w, 3, nt, 4))
-    need = np.full(w, -1, dtype=np.intp)
+    need = ready = np.full(w, -1, dtype=np.intp)
     if lags:
         # every lag's reads at the step starts, mids and ends (the left
         # limit there), planned in one call
@@ -631,6 +649,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
             4 * st.R, st.zero_row)
         rows[:, :, :len(lags)] = r.reshape(us.shape + (4,))
         wts[:, :, :len(lags)] = wt.reshape(us.shape + (4,))
+        ready = ready.reshape(us.shape)
         need = ready.reshape(w, -1).max(axis=1)
         oldest = node.reshape(w, -1).min(axis=1)
         bad = np.flatnonzero(oldest <= np.arange(p0, p1) - st.D + 1)
@@ -653,30 +672,233 @@ def _plan(st: _Sweep, p0: int, p1: int):
     # for the zero-lag part M; on y = I with no delayed part they give
     # P - I, kept apart from I so that its rounding does not drift y by
     # an ulp every step
-    hh, eye = h[:, None, None], np.eye(n)
     M = P = None
-    hM = np.zeros((w, n, n))
-    if st.zero_lag:
+    if not st.zero_lag:
+        G = st.stages * (h[:, None, None] / 6.0)  # G with M = 0
+    else:
+        # steps of one length and one M share P and G, which are
+        # computed once, at the first such step
         M = sum(read_piecewise(c, mids) for c in st.zero_lag)
-        k1 = -M
-        k2 = -(M @ (eye + k1 * (0.5 * hh)))
-        k3 = -(M @ (eye + k2 * (0.5 * hh)))
-        k4 = -(M @ (eye + k3 * hh))
-        P = (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0)
-        hM = M * hh
-    hM2 = hM @ hM
-    G = np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
-                        2.0 * hM - 0.5 * hM2 - 4.0 * eye,
-                        np.broadcast_to(-eye, hM.shape)), axis=2) * (hh / 6.0)
-    return rows, wts, A, M, P, G, np.maximum.accumulate(need)
+        key = np.unique(h, return_inverse=True)[1]
+        key[1:] += w * np.cumsum((M[1:] != M[:-1]).reshape(w - 1, -1)
+                                 .any(axis=1))
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        hh, eye, Mu = h[first, None, None], np.eye(n), M[first]
+        k1 = -Mu
+        k2 = -(Mu @ (eye + k1 * (0.5 * hh)))
+        k3 = -(Mu @ (eye + k2 * (0.5 * hh)))
+        k4 = -(Mu @ (eye + k3 * hh))
+        P = ((k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0))[key]
+        hM = Mu * hh
+        hM2 = hM @ hM
+        G = (np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
+                             2.0 * hM - 0.5 * hM2 - 4.0 * eye,
+                             np.broadcast_to(-eye, hM.shape)), axis=2)
+             * (hh / 6.0))[key]
+    pl = [rows, wts, A, M, P, G]
+    need = np.maximum.accumulate(need)
+    if not len(st.short):
+        return pl, need, need, []
+    long = np.ones(len(lags), dtype=bool)
+    long[st.short] = False
+    need_long = np.maximum.accumulate(ready[:, :, long].max(axis=(1, 2),
+                                                            initial=-1))
+    return pl, need, need_long, _lift_runs(st, p0, pl, h, ready)
+
+
+def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
+    """The lifted runs of a block's steps, as (k0, k1, lift).
+
+    The reads of a short lag (`_SHORT_LAG`) at step k take rows of the
+    nodes k - r .. k only, so the step is affine in the lifted state z_k
+    of those rows (`_lift_layout`): z_{k+1} = (S + Psi) z_k + C_k, where
+    C_k holds the long reads.  The map stays the same over a run of steps
+    of one length, with the same short-read rows and weights and the same
+    short-lag and zero-lag coefficients, and with no jump, activation or
+    start at the nodes the state holds (there y_pre = y_post).  A run of
+    at least `_LIFT_STEPS` such steps is lifted: its short reads are
+    zeroed in the plan, and Psi comes from the run's mean plan.
+
+    The runs of a block share one depth r.  Psi holds the rows step k
+    writes.  One probe finds them for every run of the block at once: a
+    small ring of the nodes 0 .. r holds one unit column per coordinate,
+    step j of the probe reads it with run j's mean plan, and
+    `_fresh_rows`, the stage formulas of every window, gives the rows it
+    writes.  y_k is read there but not carried; its carry is S, and its
+    zero-lag part is added after, so that Psi holds P - I and not a
+    rounded P (see `_plan`).
+    """
+    rows, wts, A, M, P, G = pl
+    n, w, R, sh = st.n, len(h), st.R, st.short
+    ks = np.arange(p0, p0 + w)
+    oldest = ready[:, :, sh].min(axis=(1, 2)) - 1
+    starts = np.array([st.k_start] + st.events)
+    last = starts[np.searchsorted(starts, ks, side="right") - 1]
+    ok = (last < oldest) & (ks - oldest <= _SHORT_LAG + 2)
+    # steps whose lengths differ by node rounding alone count as one length
+    tol = _SNAP * max(1.0, abs(st.nodes[p0]), abs(st.nodes[p0 + w]))
+    rs, ws = rows[:, :, sh].reshape(w, -1), wts[:, :, sh].reshape(w, -1)
+    As = A[:, :, st.short_cols].reshape(w, -1)
+    same = (ok[1:] & ok[:-1] & (np.abs(np.diff(h)) <= tol)
+            & ((rs[1:] - rs[:-1]) % (4 * R) == 4).all(axis=1)
+            & (np.abs(ws[1:] - ws[:-1]) <= (4.0 * tol / h[1:])[:, None])
+            .all(axis=1) & (As[1:] == As[:-1]).all(axis=1))
+    if M is not None:
+        same &= (M[1:] == M[:-1]).reshape(w - 1, -1).all(axis=1)
+    k0s = np.append(0, np.flatnonzero(~same) + 1)
+    k1s = np.append(k0s[1:], w)
+    keep = (k1s - k0s >= _LIFT_STEPS) & ok[k0s]
+    if not keep.any():
+        return []
+    # one depth r for the block's runs: a run starts where the state of
+    # its r + 1 nodes holds no jump, activation or start
+    r = int((ks - oldest)[k0s[keep]].max())
+    k0s = np.maximum(k0s, last[k0s] + r + 1 - p0)
+    keep &= k1s - k0s >= _LIFT_STEPS
+    k0s, k1s = k0s[keep], k1s[keep]
+    if not len(k0s):
+        return []
+    J, (offs, kinds, Sp) = len(k0s), _lift_layout(r, n)
+    d = len(Sp[0])
+    probe = _Sweep(dict(vars(st), s_indices=np.zeros(d, dtype=np.intp), m=1,
+                        R=r + 1, slots=r + 3, zero_row=4 * (r + 1), wmax=J,
+                        jumps={}, bulk=[], frozen_idx=[]), 0, d)
+    probe.H[offs, kinds] = Sp[0].reshape(len(offs), n, d)
+    probe.H[:, _Y_PRE] = probe.H[:, _Y_POST]
+    # each run's mean of an array: sums over [k0, k1) at the even indices
+    cuts = np.stack((k0s, k1s), axis=1).ravel()
+    mean = [np.add.reduceat(x, cuts[cuts < w])[::2]
+            / (k1s - k0s).reshape((J,) + (1,) * (x.ndim - 1))
+            for x in (wts, G) + (() if P is None else (P,))]
+    rows_p = np.where(st.is_short[:, None],
+                      (rows[k0s] - 4 * (ks[k0s] - r)[:, None, None, None])
+                      % (4 * R), probe.zero_row + _QUAD)
+    wts_p = np.where(st.is_short[:, None], mean[0], 0.0)
+    Ms = None if M is None else M[k0s]
+    fresh = _fresh_rows(probe, rows_p, wts_p, A[k0s], Ms, mean[1], d)
+    if M is not None:
+        # y_k's own zero-lag part: D y_k, f_right = -M y_k and
+        # f_left = -M y_{k+1}
+        eye, own = np.eye(n), np.empty((J, 3, n, n))
+        own[:, 1] = mean[2]
+        _derivatives(Ms, np.broadcast_to(eye, own[:, 1].shape),
+                     eye + mean[2], np.zeros((J, 3, n, n)), own[:, 0],
+                     own[:, 2])
+        fresh[:, :, :, 3 * r * n:(3 * r + 1) * n] += own
+    lifted = np.concatenate([np.arange(k0, k1) for k0, k1 in zip(k0s, k1s)])
+    lifted = lifted[:, None, None], np.arange(3)[:, None], sh
+    rows[lifted], wts[lifted] = st.zero_row + _QUAD, 0.0
+    return [(p0 + k0, p0 + k1, _LiftMap(r, n, Psi)) for k0, k1, Psi
+            in zip(k0s.tolist(), k1s.tolist(), fresh.reshape(J, 3 * n, d))]
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_layout(r: int, n: int) -> tuple:
+    """Coordinates of the lifted state z_k, and the powers S^0 .. S^{r+1}
+    of the exact part S of a step.
+
+    z_k holds y (y_pre = y_post), f_left and f_right of the nodes
+    k - r .. k, as node offsets `offs` and rows `kinds`, except node k's
+    f_right, which step k computes.  Its last three coordinates are the
+    rows step k writes: f_right of node k, and y and f_left of node
+    k + 1.  S shifts the older rows by one node and carries y_k on to
+    y_{k+1}; each row of S holds one 1 at most.  From S^{r+1} on, the
+    powers only copy y_k.
+    """
+    offs = np.repeat(np.arange(r + 1), 3)[:-1]
+    kinds = np.tile([_Y_POST, _F_LEFT, _F_RIGHT], r + 1)[:-1]
+    S = np.zeros((3 * r + 2, 3 * r + 2))
+    S[np.append(np.arange(3 * r - 1), 3 * r),
+      np.append(np.arange(3, 3 * r + 2), 3 * r)] = 1.0
+    Sp = [np.eye(len(S))]
+    for _ in range(r + 1):
+        Sp.append(S @ Sp[-1])
+    out = offs, kinds, np.kron(np.stack(Sp), np.eye(n))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+class _LiftMap:
+    """The map z -> (S + Psi) z + E C of one lifted run's steps, of depth
+    r (`_lift_layout`), with Psi zero but in its last c = 3n rows, given
+    as `Psi`, and E adding C to those rows.
+
+    `Sp` holds the powers S^0 .. S^{r+1}; `step` is [S + Psi | E], one
+    step with its forcing as extra rows, and `powers` keeps
+    [(S + Psi)^s | I] by s (`_lift_scan`).
+    """
+
+    def __init__(self, r: int, n: int, Psi: np.ndarray):
+        self.r, self.Psi, self.powers = r, Psi, {}
+        self.Sp = _lift_layout(r, n)[2]
+        c, d = Psi.shape
+        self.step = np.zeros((d, d + c))
+        self.step[:, :d] = self.Sp[1]
+        self.step[d - c:, :d] += Psi
+        self.step[d - c:, d:] = self.Sp[0][:c, :c]
+
+
+def _lift_scan(lm: _LiftMap, C: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """The last c rows of z_1 .. z_w, where z_{k+1} = (S + Psi) z_k + E C[k]
+    is the map `lm`.
+
+    The steps carry y by S, exactly: so z_k = S^k z0 + u_k, whose S^k z0
+    is a copy of rows of z0, and u_{k+1} = (S + Psi) u_k + E (C[k] +
+    Psi S^k z0) from u_0 = 0.  A rounded S + Psi then errs on the small
+    u_k, not on y (compare `_affine_scan`, which keeps D apart from I).
+
+    u composes in blocks of s steps, s a power of two near sqrt(w / 2):
+    Horner's rule gives every block's forcing sum at once, one pass over
+    the blocks gives their start values by the s-th power of the map, and
+    one more pass fills the blocks in, so 2 s + w / s products in all.
+    Each product takes its forcing as extra rows, [Phi | E] times [u; C],
+    so that a step is one call.
+    """
+    w, c = C.shape[:2]
+    d, cols = z0.shape
+    s = 1 << max(0, round(math.log2(w / 2) / 2))
+    nb, k = -(-w // s), min(w, lm.r + 1)
+    if s not in lm.powers:
+        power = lm.step[:, :d]
+        for _ in range(s.bit_length() - 1):
+            power = power @ power
+        lm.powers[s] = np.zeros((d, 2 * d))
+        lm.powers[s][:, :d] = power
+        lm.powers[s][range(d), range(d, 2 * d)] = 1.0
+    # X[i] = [u; forcing] of step i of every block, block j in column j;
+    # S^k z0, and so Psi S^k z0, is the same from k = r + 1 on
+    X = np.zeros((s + 1, d + c, nb, cols))
+    Cb = np.zeros((nb * s, c, cols))
+    Sz = (lm.Sp.reshape(-1, d) @ z0).reshape(-1, d, cols)
+    push = np.matmul(lm.Psi, Sz)
+    np.add(C[:k], push[:k], out=Cb[:k])
+    np.add(C[k:], push[-1], out=Cb[k:w])
+    X[:s, d:] = Cb.reshape(nb, s, c, cols).transpose(1, 2, 0, 3)
+    X = X.reshape(s + 1, d + c, -1)
+    for i in range(s):  # Horner: each block's forcing sum, from zero
+        np.dot(lm.step, X[i], out=X[i + 1, :d])
+    Y = np.zeros((nb, 2 * d, cols))  # [start; forcing sum] of each block
+    Y[:, d:] = X[s, :d].reshape(d, nb, cols).transpose(1, 0, 2)
+    for j in range(1, nb):
+        np.dot(lm.powers[s], Y[j - 1], out=Y[j, :d])
+    X[0, :d] = Y[:, :d].transpose(1, 0, 2).reshape(d, -1)
+    for i in range(s):  # fill each block in from its start
+        np.dot(lm.step, X[i], out=X[i + 1, :d])
+    u = X[1:, d - c:d].reshape(s, c, nb, cols).transpose(2, 0, 1, 3)
+    out = u.reshape(nb * s, c, cols)[:w]  # a copy
+    out[:k] += Sz[1:k + 1, d - c:]
+    out[k:] += Sz[-1, d - c:]
+    return out
 
 
 def _derivatives(M, y0, y1, d, fr, fl) -> None:
     """The derivatives at the nodes of steps with delayed parts d: f_right
     = k1 = -(M y0 + d1) at each step's start value y0, and f_left =
-    -(M y1 + d4) at its end's left limit y1 (M None: no zero-lag part)."""
+    -(M y1 + d4) at its end's left limit y1 (M None: no zero-lag part;
+    y0 None: a zero start)."""
     for f, y, dk in ((fr, y0, d[:, 0]), (fl, y1, d[:, 2])):
-        if M is None:
+        if M is None or y is None:
             np.negative(dk, out=f)
         else:
             np.matmul(M, y, out=f)
@@ -684,23 +906,43 @@ def _derivatives(M, y0, y1, d, fr, fl) -> None:
             np.negative(f, out=f)
 
 
-def _window(st: _Sweep, a: int, b: int, pl) -> None:
-    """Steps a .. b - 1, whose nodes take the consecutive slots from
-    a % R on."""
-    rows, wts, A, M, P, G = pl
-    n, m, nt, R, H = st.n, st.m, st.nt, st.R, st.H
-    cols = st.Sc * m
-    w, sa = b - a, a % R
-    Wm = _width(st, b - 1) * m
-    yp = H[:, _Y_POST, :, :Wm]
-    pre = H[:, _Y_PRE, :, :Wm]
-    d = st.dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)  # zero without reads
+def _delayed(st: _Sweep, rows, wts, A, Wm: int):
+    """The delayed parts d (w, 3, n, Wm) of w steps' three reads: one
+    gather from the ring, one Hermite blend and one product with the
+    coefficients of every lag and frozen term; zero without reads."""
+    n, nt, cols, w = st.n, st.nt, st.Sc * st.m, len(rows)
+    d = st.dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)
     if nt:
         g = st.gbuf[:w * 12 * nt * n * cols].reshape(-1, n, cols)
         np.take(st.rows_of, rows.reshape(-1), axis=0, out=g, mode="clip")
         x = st.xbuf[:w * 3 * nt * n * cols].reshape(-1, 1, n * cols)
         np.matmul(wts.reshape(-1, 1, 4), g.reshape(-1, 4, n * cols), out=x)
         np.matmul(A[:, None], x.reshape(w, 3, nt * n, cols)[..., :Wm], out=d)
+    return d
+
+
+def _fresh_rows(st: _Sweep, rows, wts, A, M, G, Wm: int) -> np.ndarray:
+    """The rows each of w steps writes when it starts from zero, with its
+    planned reads: f_right at its start node, y and f_left at its end
+    node, as (w, 3, n, Wm)."""
+    n, w = st.n, len(rows)
+    d = _delayed(st, rows, wts, A, Wm)
+    out = np.empty((w, 3, n, Wm))
+    np.matmul(G, d.reshape(w, 3 * n, Wm), out=out[:, 1])
+    _derivatives(M, None, out[:, 1], d, out[:, 0], out[:, 2])
+    return out
+
+
+def _window(st: _Sweep, a: int, b: int, pl) -> None:
+    """Steps a .. b - 1, whose nodes take the consecutive slots from
+    a % R on."""
+    rows, wts, A, M, P, G = pl
+    n, m, R, H = st.n, st.m, st.R, st.H
+    w, sa = b - a, a % R
+    Wm = _width(st, b - 1) * m
+    yp = H[:, _Y_POST, :, :Wm]
+    pre = H[:, _Y_PRE, :, :Wm]
+    d = _delayed(st, rows, wts, A, Wm)
     c = st.cbuf[:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G, d.reshape(w, 3 * n, Wm), out=c)
     # y_{k+1} = P_k y_k + c_k, composed by a scan between event nodes
@@ -729,14 +971,45 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
     _derivatives(M, yp[sa:sa + w], pre[sa + 1:sa + w + 1], d,
                  H[sa:sa + w, _F_RIGHT, :, :Wm],
                  H[sa + 1:sa + w + 1, _F_LEFT, :, :Wm])
-    lo, hi = (bisect.bisect_right(st.bulk, x) for x in (a, b))
+    _tail(st, a, b)
+
+
+def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
+    """Steps a .. b - 1 of a lifted run (`_lift_runs`): the long reads
+    give the rows each step writes from a zero start, C_k, in bulk
+    (`_fresh_rows`), and the run's map composes them (`_lift_scan`) from
+    the state at node a."""
+    rows, wts, A, M, _, G = pl
+    n, m, R, H = st.n, st.m, st.R, st.H
+    w, sa = b - a, a % R
+    Wm = _width(st, b - 1) * m
+    C = _fresh_rows(st, rows, wts, A, M, G, Wm)
+    offs, kinds, _ = _lift_layout(lift.r, n)
+    z0 = H[(a - lift.r + offs) % R, kinds, :, :Wm].reshape(-1, Wm)
+    C = _lift_scan(lift, C.reshape(w, 3 * n, Wm),
+                   z0).reshape(w, 3, n, Wm)
+    H[sa:sa + w, _F_RIGHT, :, :Wm] = C[:, 0]
+    for q, k in ((_Y_POST, 1), (_Y_PRE, 1), (_F_LEFT, 2)):
+        H[sa + 1:sa + w + 1, q, :, :Wm] = C[:, k]
+    if b in st.is_event:
+        _at_node(st, b, sa + w, False)
+    _tail(st, a, b)
+
+
+def _tail(st: _Sweep, a: int, b: int) -> None:
+    """After the steps a .. b - 1: the samples at their nodes, a
+    finiteness check, and the spare slots copied back to the ring."""
+    n, m, R, H = st.n, st.m, st.R, st.H
+    w, sa = b - a, a % R
+    lo = bisect.bisect_right(st.bulk, a)
+    hi = bisect.bisect_right(st.bulk, b)
     if hi > lo:
         # node b may activate columns beyond the window's width
         W = _width(st, b)
         y = H[st.bulk_nodes[lo:hi] - a + sa, _Y_POST, :, :W * m]
         st.samples[st.bulk_rows[lo:hi], st.c0:st.c0 + W] = \
             y.reshape(-1, n, W, m).transpose(0, 2, 1, 3)
-    if b // 256 != a // 256 and not np.all(np.isfinite(yp[sa + w])):
+    if b // 256 != a // 256 and not np.all(np.isfinite(H[sa + w, _Y_POST])):
         raise NumericalError(f"state non-finite at t={st.nodes[b]}")
     if sa + w >= R:
         H[:sa + w + 1 - R] = H[R:sa + w + 1]
@@ -772,8 +1045,17 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     bulk.  Each block of steps plans the delayed reads of every lag term
     with one `_read_plan` call and sets up its coefficient values at once
     (`_plan`); blocks are sized by a byte budget (`_PLAN_BYTES`), so their
-    memory does not grow with the grid.  This function keeps the chunk
-    and block loops; each chunk of columns runs on its own `_Sweep`.
+    memory does not grow with the grid.
+
+    A lag of fewer than `_SHORT_LAG` mean steps is short.  Its reads at
+    step k take the rows of the nodes k - r .. k only, so over a run of
+    like steps (`_lift_runs`) the step is one affine map of a lifted state
+    of those rows, and `_lifted` composes the run's windows in blocks
+    (`_lift_scan`); such a window ends at the smallest long lag, not at
+    the short one.  The first steps after a jump, an activation or a
+    change of step length, and runs shorter than `_LIFT_STEPS`, take the
+    plain windows (`_window`).  This function keeps the chunk and block
+    loops; each chunk of columns runs on its own `_Sweep`.
 
     The ring holds the deepest delayed read (`_ring_depth`), and a window
     that runs past its end writes on into spare slots.  With
@@ -797,6 +1079,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                 if isinstance(t.delay, ConstantLag) and t.delay.theta == 0.0]
     read_coefs = [t.coefficient for t in lags + frozen]
     nt = len(read_coefs)
+    thetas = np.array([t.delay.theta for t in lags])
+    # short lags, against the mean step (a step-by-step test would cost a
+    # pass over the grid before a dense sweep can be refused)
+    short = np.flatnonzero(thetas * K < _SHORT_LAG * (nodes[-1] - nodes[0]))
 
     # process columns in ascending s order so that within each chunk the
     # active columns are always a prefix; every operation is then sliced to
@@ -816,7 +1102,9 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     # wider), which is the value an inactive column must supply.
     D = K + 1 if dense else _ring_depth(
         nodes, max((t.delay.theta for t in lags), default=0.0))
-    per_col = (15 * nt + 4) * n * m * 8  # window bytes per step and column
+    # window bytes per step and column, with a lifted window's forcing,
+    # its padded copy and its rows (`_lifted`)
+    per_col = (15 * nt + 4 + (9 if len(short) else 0)) * n * m * 8
     per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
     wmax = max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1)))
@@ -843,7 +1131,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     shared = dict(
         n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
         s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
-        thetas=np.array([t.delay.theta for t in lags]), zero_lag=zero_lag,
+        thetas=thetas, short=short, zero_lag=zero_lag,
+        # G / h of `_plan` without a zero-lag part, signed zeros included
+        stages=np.concatenate((0.0 - np.eye(n), 0.0 - 4.0 * np.eye(n),
+                               -np.eye(n)), axis=1),
+        is_short=np.isin(np.arange(nt), short),
+        short_cols=(short[:, None] * n + np.arange(n)).ravel(),
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
         R=R, slots=slots, zero_row=zero_row, wmax=wmax, samples=samples,
         rec_of_node=rec_of_node, bulk=bulk,
@@ -854,15 +1147,24 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         _at_node(st, st.k_start, st.k_start % R, True)
         for p0 in range(st.k_start, K, block):
             p1 = min(p0 + block, K)
-            *pl, need = _plan(st, p0, p1)
+            pl, need, need_long, runs = _plan(st, p0, p1)
             a = p0
-            while a < p1:
-                b = p0 + int(np.searchsorted(need, a, side="right"))
-                b = min(max(b, a + 1), a + wmax, p1)
-                _window(st, a, b, [None if v is None else v[a - p0:b - p0]
-                                   for v in pl])
-                a = b
-            del pl, need  # free this block's plan before the next is set up
+            # plain windows up to each lifted run, then the run's windows
+            for k0, k1, run in runs + [(p1, p1, None)]:
+                for end, ready, lift in ((k0, need, None),
+                                         (k1, need_long, run)):
+                    while a < end:
+                        b = p0 + int(np.searchsorted(ready, a, side="right"))
+                        b = min(max(b, a + 1), a + wmax, end)
+                        part = [None if v is None else v[a - p0:b - p0]
+                                for v in pl]
+                        if lift is None:
+                            _window(st, a, b, part)
+                        else:
+                            _lifted(st, a, b, part, lift)
+                        a = b
+            # free this block's plan before the next is set up
+            del pl, need, need_long, runs
         if not np.all(np.isfinite(st.H[K % R, _Y_POST])):
             raise NumericalError("state non-finite at final node")
     if dense:

@@ -550,6 +550,86 @@ def test_block_length_does_not_change_the_sweep(monkeypatch):
                             atol=1e-13 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 256, 400])
+def test_lift_scan_matches_the_step_loop(length):
+    # z_{k+1} = S z_k + Psi z_k + C_k, with S the exact shift and carry of
+    # depth 4 and Psi the rows a step writes (O(h) on the carried y),
+    # composed in blocks, against a step-by-step loop as the reference,
+    # on a batch of columns
+    rng = np.random.default_rng(length)
+    n, width = 2, 3
+    S = integrate._lift_layout(4, n)[2][1]
+    Psi = np.zeros_like(S)
+    Psi[-3 * n:] = rng.uniform(-1.0, 1.0, (3 * n, len(S)))
+    Psi[-2 * n:-n] *= 1e-2
+    C = rng.uniform(-1e-2, 1e-2, (length, 3 * n, width))
+    z = z0 = rng.uniform(-1.0, 1.0, (len(S), width))
+    want = np.empty_like(C)
+    for k in range(length):
+        z = S @ z + Psi @ z
+        z[-3 * n:] += C[k]
+        want[k] = z[-3 * n:]
+    got = integrate._lift_scan(integrate._LiftMap(4, n, Psi[-3 * n:]), C, z0)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _short_lag_spec(theta, zero_lag):
+    """A short lag whose coefficient table breaks at 1.3, a long lag, a
+    jump at 0.8 with an offset, forcing and a history: with steps of
+    0.005, long uniform stretches hold a jump and a table break."""
+    rng = np.random.default_rng(5)
+    A = rng.uniform(-0.8, 0.8, (4, 2, 2))
+    terms = [DelayTerm(MatrixTable([0.0, 1.3], A[:2]), ConstantLag(theta)),
+             DelayTerm(A[2], ConstantLag(0.37))]
+    if zero_lag:
+        terms.append(DelayTerm(A[3], ConstantLag(0.0)))
+    return SystemSpec(
+        dim=2, terms=terms,
+        impulses=ImpulseSchedule([0.8], [[[0.6, 0.2], [-0.1, 0.9]]],
+                                 [[0.1, -0.05]], 2),
+        forcing=VectorTable([0.0, 1.7], [[0.2, -0.1], [0.0, 0.3]]),
+        phi=VectorTable([-1.0], [[1.0, -0.5]]),
+        x0=[1.0, 0.5], horizon=3.0)
+
+
+@pytest.mark.parametrize("zero_lag", [False, True])
+@pytest.mark.parametrize("steps", [1.0, 3.0, 2.5])
+def test_the_short_lag_lift_does_not_change_the_sweep(monkeypatch, steps,
+                                                      zero_lag):
+    # theta = h, 3h and 2.5h: solve (dense), fundamental_grid on a ring
+    # with several columns, and kernel_rows (the reflected order), with
+    # the lift on and switched off
+    dt = 0.005
+    spec = _short_lag_spec(steps * dt, zero_lag)
+    grid = StepControl(dt)
+    s_grid, t_grid = np.linspace(0.0, 2.0, 5), np.linspace(0.5, 3.0, 26)
+    targets = np.array([1.1, 2.2, 3.0])
+    nodes = integrate.quadrature_nodes(spec, targets, dt)
+    lifted, real = [], integrate._lifted
+
+    def counted(st, a, b, *rest):
+        lifted.append(b - a)
+        real(st, a, b, *rest)
+
+    monkeypatch.setattr(integrate, "_lifted", counted)
+
+    def sweeps():
+        lifted.clear()
+        out = (solve(spec, grid).y_post,
+               fundamental_grid(spec, s_grid, t_grid, grid).samples,
+               *integrate.kernel_rows(spec, nodes, targets)[:2])
+        return out, sum(lifted)
+
+    got, steps_lifted = sweeps()
+    monkeypatch.setattr(integrate, "_SHORT_LAG", 0)
+    want, steps_plain = sweeps()
+    # most steps of the three sweeps are lifted; none is without the lift
+    assert steps_lifted > 0.6 * (len(nodes) - 1) * 3 and steps_plain == 0
+    for a, b in zip(got, want):
+        assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
 def test_fundamental_grid_rejects_bad_grids():
     spec = _decay()
     with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ from .system import (
     MatrixTable,
     SystemSpec,
     VectorTable,
+    periodic_count,
     schedule_gaps,
     validate,
     vec_norm,
@@ -160,10 +161,10 @@ def _impulses(x, path: str, n: int, horizon: float) -> ImpulseSchedule:
         period = _num(p["period"], f"{path}.periodic.period")
         if period <= 0:
             raise SchemaError(f"{path}.periodic.period", "must be positive")
-        if not horizon / period <= np.iinfo(np.intp).max:
-            raise SchemaError(f"{path}.periodic.period",
-                              f"too small: horizon / period = "
-                              f"{horizon / period:g} jump points")
+        try:
+            periodic_count(period, horizon, n)
+        except ValueError as e:
+            raise SchemaError(f"{path}.periodic.period", str(e)) from None
         matrix = _array(p["matrix"], f"{path}.periodic.matrix", 2)
         offset = (_array(p["offset"], f"{path}.periodic.offset", 1)
                   if "offset" in p else None)

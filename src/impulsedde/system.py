@@ -40,6 +40,7 @@ __all__ = [
     "validate",
     "evaluate_delay",
     "count_impulses",
+    "periodic_count",
     "hypotheses_report",
 ]
 
@@ -173,7 +174,7 @@ class ImpulseSchedule:
         matrix = np.asarray(matrix, dtype=float)
         if dim is None:
             dim = matrix.shape[0]
-        count = int(math.floor(horizon / period + 1e-12))
+        count = periodic_count(period, horizon, dim)
         points = period * np.arange(1, count + 1)
         matrices = np.repeat(matrix[None], count, axis=0)
         off = np.zeros(dim) if offset is None else np.asarray(offset, dtype=float)
@@ -247,6 +248,23 @@ def evaluate_delay(term: DelayTerm, t: float) -> float:
             f"frozen-time delay h(t) = {term.delay.c} queried at t = {t} < c; "
             "the equation requires h(t) <= t")
     return term.delay.c
+
+
+def periodic_count(period: float, horizon: float, dim: int) -> int:
+    """Number of jump points j * period, j >= 1, up to the horizon, as
+    `ImpulseSchedule.periodic` expands them.
+
+    Raises ValueError, naming the period, when horizon / period is not
+    finite or when the expanded points, matrices and offsets would take
+    more than np.iinfo(np.intp).max bytes, count * 8 * (1 + n + n^2).
+    """
+    ratio = horizon / period
+    count = int(math.floor(ratio + 1e-12)) if math.isfinite(ratio) else 0
+    if (not math.isfinite(ratio)
+            or count * 8 * (1 + dim + dim * dim) > np.iinfo(np.intp).max):
+        raise ValueError(f"too small: period {period!r} gives horizon / "
+                         f"period = {ratio:g} jump points")
+    return count
 
 
 def count_impulses(schedule: ImpulseSchedule, s: float, t: float) -> int:

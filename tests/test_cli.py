@@ -205,6 +205,8 @@ def _periodic(period, matrix=((0.5,),)):
     # horizon / period overflows to inf, or is far past any array index
     (_periodic(5e-324), "impulses.periodic.period: too small"),
     (_periodic(1e-300), "impulses.periodic.period: too small"),
+    # a count that fits an index, but whose arrays would not fit in memory
+    (_periodic(1e-18), "impulses.periodic.period: too small"),
 ])
 def test_configs_the_gate_refuses_exit_4_naming_the_field(cfg, field, tmp_path,
                                                           capsys):

@@ -113,6 +113,17 @@ def test_periodic_schedule_expands_to_horizon():
     assert np.all(sched.offsets == 0.0)
 
 
+@pytest.mark.parametrize("period, horizon", [
+    (5e-324, 1.0),  # horizon / period overflows to inf
+    (1e-300, 1.0),  # a count past any array index
+    (1e-18, 2.0),   # a count that fits an index, with arrays that do not
+])
+def test_periodic_schedule_refuses_a_period_too_small_to_expand(period,
+                                                                horizon):
+    with pytest.raises(ValueError, match=f"too small: period {period!r} "):
+        ImpulseSchedule.periodic(period, [[0.5]], horizon=horizon)
+
+
 def test_count_impulses_matches_brute_force():
     sched = ImpulseSchedule([0.5, 1.0, 2.5], [[[1.0]]] * 3, None, 1)
     for s, t in [(0.0, 3.0), (0.5, 1.0), (0.6, 2.5), (1.1, 2.4), (2.5, 2.5)]:

@@ -96,11 +96,7 @@ def locate(points: np.ndarray, ts) -> np.ndarray:
     The snap rule: t matches p when |t - p| <= _SNAP * max(1, |t|, |p|).
     On ties the lowest index wins.  Returns an array shaped like `ts`.
     """
-    return _locate(points, np.asarray(ts, dtype=float))[0]
-
-
-def _locate(points: np.ndarray, ts: np.ndarray) -> tuple:
-    """`locate`, and the first index whose point is not below t."""
+    ts = np.asarray(ts, dtype=float)
     base = np.searchsorted(points, ts)
     scale = np.maximum(1.0, np.abs(ts))
     out = np.full(ts.shape, -1, dtype=np.intp)
@@ -110,7 +106,7 @@ def _locate(points: np.ndarray, ts: np.ndarray) -> tuple:
         p = points.take(j, mode="clip")
         hit = np.abs(p - ts) <= _SNAP * np.maximum(scale, np.abs(p))
         out = np.where(hit & (j >= 0) & (j < len(points)), j, out)
-    return out, base
+    return out
 
 
 def _pieces(breaks: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
@@ -178,8 +174,10 @@ def _collect_breaks(spec: SystemSpec, t_start: float, t_end: float,
     order0 = [t_start, *taus]
     if isinstance(spec.phi, VectorTable):
         order0.extend(spec.phi.breaks)
-    order1 = [b for t in spec.terms if isinstance(t.coefficient, MatrixTable)
-              for b in t.coefficient.breaks]
+    order1 = []
+    for term in spec.terms:
+        if isinstance(term.coefficient, MatrixTable):
+            order1.extend(term.coefficient.breaks)
     if isinstance(spec.forcing, VectorTable):
         order1.extend(spec.forcing.breaks)
     pts = [t_end, *extra]
@@ -505,9 +503,8 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     filler, which `_read_rows` replaces.
     """
     N = len(nodes)
-    exact, base = _locate(nodes, us)
-    # the last node at or before each time (the nodes strictly increase)
-    interval = base - (nodes.take(base, mode="clip") != us)
+    exact = locate(nodes, us)
+    interval = np.searchsorted(nodes, us, side="right") - 1
     ic = np.clip(interval, 0, max(N - 2, 0))
     # a one-node grid has no interval: its weights are filler too
     h = nodes[ic + 1] - nodes[ic] if N > 1 else np.ones(us.shape)
@@ -587,12 +584,13 @@ class _Sweep:
         # rows (every column: a gather from a column prefix would copy the
         # ring first), their blends, the delayed parts d and the stage sums c
         size = self.wmax * n * Sc * self.m
-        self.gbuf, self.xbuf = (np.empty(k * self.nt * size) for k in (12, 3))
-        self.dbuf, self.cbuf = np.zeros(3 * size), np.empty(size)
+        self.bufs = (np.empty(12 * self.nt * size),
+                     np.empty(3 * self.nt * size), np.zeros(3 * size))
+        self.cbuf = np.empty(size)
         self.snap = [i == self.k_start for i in self.frozen_idx]
         # the chunk's columns that node s activates, as a local range
         self.activate = {s: (bisect.bisect_left(self.s_list, s),
-                             _width(self, s)) for s in set(self.s_list)}
+                             _width(self, s)) for s in self.s_list}
         self.events = sorted(j for j in set(self.activate) | set(self.jumps)
                              if j > self.k_start)
         self.is_event = set(self.events)
@@ -672,29 +670,21 @@ def _plan(st: _Sweep, p0: int, p1: int):
     # for the zero-lag part M; on y = I with no delayed part they give
     # P - I, kept apart from I so that its rounding does not drift y by
     # an ulp every step
+    hh, eye = h[:, None, None], np.eye(n)
     M = P = None
-    if not st.zero_lag:
-        G = st.stages * (h[:, None, None] / 6.0)  # G with M = 0
-    else:
-        # steps of one length and one M share P and G, which are
-        # computed once, at the first such step
+    hM = np.zeros((w, n, n))
+    if st.zero_lag:
         M = sum(read_piecewise(c, mids) for c in st.zero_lag)
-        key = np.unique(h, return_inverse=True)[1]
-        key[1:] += w * np.cumsum((M[1:] != M[:-1]).reshape(w - 1, -1)
-                                 .any(axis=1))
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
-        hh, eye, Mu = h[first, None, None], np.eye(n), M[first]
-        k1 = -Mu
-        k2 = -(Mu @ (eye + k1 * (0.5 * hh)))
-        k3 = -(Mu @ (eye + k2 * (0.5 * hh)))
-        k4 = -(Mu @ (eye + k3 * hh))
-        P = ((k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0))[key]
-        hM = Mu * hh
-        hM2 = hM @ hM
-        G = (np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
-                             2.0 * hM - 0.5 * hM2 - 4.0 * eye,
-                             np.broadcast_to(-eye, hM.shape)), axis=2)
-             * (hh / 6.0))[key]
+        k1 = -M
+        k2 = -(M @ (eye + k1 * (0.5 * hh)))
+        k3 = -(M @ (eye + k2 * (0.5 * hh)))
+        k4 = -(M @ (eye + k3 * hh))
+        P = (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0)
+        hM = M * hh
+    hM2 = hM @ hM
+    G = np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
+                        2.0 * hM - 0.5 * hM2 - 4.0 * eye,
+                        np.broadcast_to(-eye, hM.shape)), axis=2) * (hh / 6.0)
     pl = [rows, wts, A, M, P, G]
     need = np.maximum.accumulate(need)
     if not len(st.short):
@@ -707,7 +697,8 @@ def _plan(st: _Sweep, p0: int, p1: int):
 
 
 def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
-    """The lifted runs of a block's steps, as (k0, k1, lift).
+    """The lifted runs of a block's steps, as (k0, k1, (r, n, Psi)), the
+    last the arguments of the run's `_LiftMap`.
 
     The reads of a short lag (`_SHORT_LAG`) at step k take rows of the
     nodes k - r .. k only, so the step is affine in the lifted state z_k
@@ -720,13 +711,12 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     zeroed in the plan, and Psi comes from the run's mean plan.
 
     The runs of a block share one depth r.  Psi holds the rows step k
-    writes.  One probe finds them for every run of the block at once: a
-    small ring of the nodes 0 .. r holds one unit column per coordinate,
-    step j of the probe reads it with run j's mean plan, and
-    `_fresh_rows`, the stage formulas of every window, gives the rows it
-    writes.  y_k is read there but not carried; its carry is S, and its
-    zero-lag part is added after, so that Psi holds P - I and not a
-    rounded P (see `_plan`).
+    writes.  One probe (`_probe`) finds them for every run of the block:
+    step j of the probe reads a ring of unit columns with run j's mean
+    plan of the short terms, through `_fresh_rows`, the stage formulas
+    of every window.  y_k is read there but not carried; its carry is S,
+    and its zero-lag part is added after, so that Psi holds P - I and not
+    a rounded P (see `_plan`).
     """
     rows, wts, A, M, P, G = pl
     n, w, R, sh = st.n, len(h), st.R, st.short
@@ -744,7 +734,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
             & (np.abs(ws[1:] - ws[:-1]) <= (4.0 * tol / h[1:])[:, None])
             .all(axis=1) & (As[1:] == As[:-1]).all(axis=1))
     if M is not None:
-        same &= (M[1:] == M[:-1]).reshape(w - 1, -1).all(axis=1)
+        same &= (M[1:] == M[:-1]).all(axis=(1, 2))
     k0s = np.append(0, np.flatnonzero(~same) + 1)
     k1s = np.append(k0s[1:], w)
     keep = (k1s - k0s >= _LIFT_STEPS) & ok[k0s]
@@ -758,24 +748,19 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     k0s, k1s = k0s[keep], k1s[keep]
     if not len(k0s):
         return []
-    J, (offs, kinds, Sp) = len(k0s), _lift_layout(r, n)
-    d = len(Sp[0])
-    probe = _Sweep(dict(vars(st), s_indices=np.zeros(d, dtype=np.intp), m=1,
-                        R=r + 1, slots=r + 3, zero_row=4 * (r + 1), wmax=J,
-                        jumps={}, bulk=[], frozen_idx=[]), 0, d)
-    probe.H[offs, kinds] = Sp[0].reshape(len(offs), n, d)
-    probe.H[:, _Y_PRE] = probe.H[:, _Y_POST]
+    J = len(k0s)
     # each run's mean of an array: sums over [k0, k1) at the even indices
     cuts = np.stack((k0s, k1s), axis=1).ravel()
     mean = [np.add.reduceat(x, cuts[cuts < w])[::2]
             / (k1s - k0s).reshape((J,) + (1,) * (x.ndim - 1))
-            for x in (wts, G) + (() if P is None else (P,))]
-    rows_p = np.where(st.is_short[:, None],
-                      (rows[k0s] - 4 * (ks[k0s] - r)[:, None, None, None])
-                      % (4 * R), probe.zero_row + _QUAD)
-    wts_p = np.where(st.is_short[:, None], mean[0], 0.0)
+            for x in (wts[:, :, sh], G) + (() if P is None else (P,))]
+    # the short reads of each run's first step, as rows of the nodes
+    # k0 - r .. k0 in a ring that starts at node k0 - r
+    rows_p = (rows[k0s][:, :, sh] - 4 * (ks[k0s] - r)[:, None, None, None]
+              ) % (4 * R)
     Ms = None if M is None else M[k0s]
-    fresh = _fresh_rows(probe, rows_p, wts_p, A[k0s], Ms, mean[1], d)
+    fresh = _probe(r, n, rows_p, mean[0], A[k0s][:, :, st.short_cols], Ms,
+                   mean[1])
     if M is not None:
         # y_k's own zero-lag part: D y_k, f_right = -M y_k and
         # f_left = -M y_{k+1}
@@ -788,8 +773,35 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     lifted = np.concatenate([np.arange(k0, k1) for k0, k1 in zip(k0s, k1s)])
     lifted = lifted[:, None, None], np.arange(3)[:, None], sh
     rows[lifted], wts[lifted] = st.zero_row + _QUAD, 0.0
-    return [(p0 + k0, p0 + k1, _LiftMap(r, n, Psi)) for k0, k1, Psi
-            in zip(k0s.tolist(), k1s.tolist(), fresh.reshape(J, 3 * n, d))]
+    return [(p0 + k0, p0 + k1, (r, n, Psi)) for k0, k1, Psi
+            in zip(k0s.tolist(), k1s.tolist(), fresh.reshape(J, 3 * n, -1))]
+
+
+def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
+    """The rows that each of J steps writes from a zero start (`_fresh_rows`)
+    when its reads `rows`, `wts` land on the nodes 0 .. r, and those hold
+    one unit column per coordinate of the lifted state (`_lift_layout`):
+    (J, 3, n, d), column j the response to coordinate j.
+
+    The scratch of the gather and the blend is sized for the steps at
+    hand, and steps are probed in groups that keep it within
+    `_WINDOW_BYTES` (one step at least).
+    """
+    offs, kinds, Sp = _lift_layout(r, n)
+    d = len(Sp[0])
+    ring = np.zeros((r + 2, 4, n, d))  # node r + 1 holds the zero rows
+    ring[offs, kinds] = Sp[0].reshape(len(offs), n, d)
+    ring[:, _Y_PRE] = ring[:, _Y_POST]
+    ring = ring.reshape(-1, n, d)
+    J, ns = len(rows), rows.shape[2]
+    group = max(1, _WINDOW_BYTES // ((15 * ns + 6) * n * d * 8))
+    bufs = [np.empty(k * min(J, group) * n * d) for k in (12 * ns, 3 * ns, 3)]
+    out = np.empty((J, 3, n, d))
+    for j in range(0, J, group):
+        part = slice(j, j + group)
+        out[part] = _fresh_rows(ring, bufs, rows[part], wts[part], A[part],
+                                None if M is None else M[part], G[part], d)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -906,27 +918,31 @@ def _derivatives(M, y0, y1, d, fr, fl) -> None:
             np.negative(f, out=f)
 
 
-def _delayed(st: _Sweep, rows, wts, A, Wm: int):
-    """The delayed parts d (w, 3, n, Wm) of w steps' three reads: one
-    gather from the ring, one Hermite blend and one product with the
-    coefficients of every lag and frozen term; zero without reads."""
-    n, nt, cols, w = st.n, st.nt, st.Sc * st.m, len(rows)
-    d = st.dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)
+def _delayed(ring, bufs, rows, wts, A, Wm: int):
+    """The delayed parts d (w, 3, n, Wm) of w steps' three reads of nt
+    terms: one gather from the history rows `ring` (4 per slot, n, cols),
+    one Hermite blend and one product with the terms' coefficients; zero
+    without reads.  `bufs` holds the flat scratch of the gather, the
+    blend and d."""
+    w, nt = len(rows), rows.shape[2]
+    _, n, cols = ring.shape
+    gbuf, xbuf, dbuf = bufs
+    d = dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)
     if nt:
-        g = st.gbuf[:w * 12 * nt * n * cols].reshape(-1, n, cols)
-        np.take(st.rows_of, rows.reshape(-1), axis=0, out=g, mode="clip")
-        x = st.xbuf[:w * 3 * nt * n * cols].reshape(-1, 1, n * cols)
+        g = gbuf[:w * 12 * nt * n * cols].reshape(-1, n, cols)
+        np.take(ring, rows.reshape(-1), axis=0, out=g, mode="clip")
+        x = xbuf[:w * 3 * nt * n * cols].reshape(-1, 1, n * cols)
         np.matmul(wts.reshape(-1, 1, 4), g.reshape(-1, 4, n * cols), out=x)
         np.matmul(A[:, None], x.reshape(w, 3, nt * n, cols)[..., :Wm], out=d)
     return d
 
 
-def _fresh_rows(st: _Sweep, rows, wts, A, M, G, Wm: int) -> np.ndarray:
+def _fresh_rows(ring, bufs, rows, wts, A, M, G, Wm: int) -> np.ndarray:
     """The rows each of w steps writes when it starts from zero, with its
-    planned reads: f_right at its start node, y and f_left at its end
-    node, as (w, 3, n, Wm)."""
-    n, w = st.n, len(rows)
-    d = _delayed(st, rows, wts, A, Wm)
+    planned reads (`_delayed`): f_right at its start node, y and f_left
+    at its end node, as (w, 3, n, Wm)."""
+    d = _delayed(ring, bufs, rows, wts, A, Wm)
+    w, _, n, _ = d.shape
     out = np.empty((w, 3, n, Wm))
     np.matmul(G, d.reshape(w, 3 * n, Wm), out=out[:, 1])
     _derivatives(M, None, out[:, 1], d, out[:, 0], out[:, 2])
@@ -942,7 +958,7 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
     Wm = _width(st, b - 1) * m
     yp = H[:, _Y_POST, :, :Wm]
     pre = H[:, _Y_PRE, :, :Wm]
-    d = _delayed(st, rows, wts, A, Wm)
+    d = _delayed(st.rows_of, st.bufs, rows, wts, A, Wm)
     c = st.cbuf[:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G, d.reshape(w, 3 * n, Wm), out=c)
     # y_{k+1} = P_k y_k + c_k, composed by a scan between event nodes
@@ -983,7 +999,7 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
     Wm = _width(st, b - 1) * m
-    C = _fresh_rows(st, rows, wts, A, M, G, Wm)
+    C = _fresh_rows(st.rows_of, st.bufs, rows, wts, A, M, G, Wm)
     offs, kinds, _ = _lift_layout(lift.r, n)
     z0 = H[(a - lift.r + offs) % R, kinds, :, :Wm].reshape(-1, Wm)
     C = _lift_scan(lift, C.reshape(w, 3 * n, Wm),
@@ -1102,9 +1118,13 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     # wider), which is the value an inactive column must supply.
     D = K + 1 if dense else _ring_depth(
         nodes, max((t.delay.theta for t in lags), default=0.0))
-    # window bytes per step and column, with a lifted window's forcing,
-    # its padded copy and its rows (`_lifted`)
-    per_col = (15 * nt + 4 + (9 if len(short) else 0)) * n * m * 8
+    # the size of the deepest lifted state, at r = _SHORT_LAG + 2
+    # (`_lift_layout`)
+    dl = (3 * _SHORT_LAG + 8) * n if len(short) else 0
+    # window bytes per step and column; a lifted window (`_lifted`) adds
+    # its scan's states and forcing, under twice dl + 3 n (`_lift_scan`),
+    # and its forcing, padded forcing and rows, 3 n each
+    per_col = ((15 * nt + 4) * n + (2 * dl + 15 * n if dl else 0)) * m * 8
     per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
     wmax = max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1)))
@@ -1116,9 +1136,15 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         if S > chunk:
             raise ValueError(f"dense output of {S} columns needs more than "
                              f"one chunk of {chunk}")
-        # the ring, one window's buffers and one block's plan
+        # the ring, one window's buffers and one block's plan; with short
+        # lags, a run's map and two of its powers, the block's probe
+        # (`_probe`) and its runs' rows Psi
         need_bytes = (slots * 4 * n * S * m * 8 + min(wmax, K) * per_col * S
                       + block * per_step)
+        if dl:
+            need_bytes += 8 * (6 * dl * dl + 6 * n * dl * block // _LIFT_STEPS
+                               + max(_WINDOW_BYTES // 8,
+                                     (15 * len(short) + 6) * n * dl))
         if need_bytes > mem_cap:
             raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
                              f"more than the memory budget of {mem_cap} bytes")
@@ -1132,10 +1158,6 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
         s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
         thetas=thetas, short=short, zero_lag=zero_lag,
-        # G / h of `_plan` without a zero-lag part, signed zeros included
-        stages=np.concatenate((0.0 - np.eye(n), 0.0 - 4.0 * np.eye(n),
-                               -np.eye(n)), axis=1),
-        is_short=np.isin(np.arange(nt), short),
         short_cols=(short[:, None] * n + np.arange(n)).ravel(),
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
         R=R, slots=slots, zero_row=zero_row, wmax=wmax, samples=samples,
@@ -1151,6 +1173,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             a = p0
             # plain windows up to each lifted run, then the run's windows
             for k0, k1, run in runs + [(p1, p1, None)]:
+                # a run's map is built when the run is reached
+                run = None if run is None else _LiftMap(*run)
                 for end, ready, lift in ((k0, need, None),
                                          (k1, need_long, run)):
                     while a < end:

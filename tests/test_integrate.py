@@ -1,5 +1,6 @@
 """Integrator: jumps, dense output, fundamental matrix, convergence."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -628,6 +629,34 @@ def test_the_short_lag_lift_does_not_change_the_sweep(monkeypatch, steps,
     assert steps_lifted > 0.6 * (len(nodes) - 1) * 3 and steps_plain == 0
     for a, b in zip(got, want):
         assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("zero_lag", [False, True])
+@pytest.mark.parametrize("horizon", [3.0, 0.005])
+def test_blocks_and_grids_of_one_step_with_a_short_lag(monkeypatch,
+                                                       zero_lag, horizon):
+    # a one-byte plan budget cuts blocks of one step, and a horizon of one
+    # step makes a grid of one step; solve always has a zero-lag term
+    # (forcing and history), fundamental_grid only with zero_lag.  Neither
+    # may change the sweeps, lifted or not.
+    dt = 0.005
+    spec = dataclasses.replace(_short_lag_spec(3 * dt, zero_lag),
+                               horizon=horizon)
+    grid = StepControl(dt)
+    s_grid = np.linspace(0.0, horizon, 5)[:-1]
+    t_grid = np.linspace(0.0, horizon, 26)[1:]
+
+    def sweeps():
+        return (solve(spec, grid).y_post,
+                fundamental_grid(spec, s_grid, t_grid, grid).samples)
+
+    want = sweeps()
+    monkeypatch.setattr(integrate, "_PLAN_BYTES", 1)
+    got = sweeps()
+    monkeypatch.setattr(integrate, "_SHORT_LAG", 0)
+    for run in (got, sweeps()):
+        for a, b in zip(run, want):
+            assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
 
 
 def test_fundamental_grid_rejects_bad_grids():

@@ -479,6 +479,10 @@ _PLAN_BYTES = 1 << 18
 # than cutting windows that short.  Lifting stops paying at a lag of about
 # 8 steps for n = 3 (12 for n = 1) on a 2-vCPU host.
 _SHORT_LAG = 8
+# the most numbers per column a lifted state may hold: its maps are dense
+# in them, and lifting stopped paying between 121 and 154 (n = 11 at lags
+# of 2 and 3 steps)
+_LIFT_SIZE = 150
 # the fewest steps of a lifted run, below which its probe does not pay
 _LIFT_STEPS = 16
 
@@ -724,7 +728,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     oldest = ready[:, :, sh].min(axis=(1, 2)) - 1
     starts = np.array([st.k_start] + st.events)
     last = starts[np.searchsorted(starts, ks, side="right") - 1]
-    ok = (last < oldest) & (ks - oldest <= _SHORT_LAG + 2)
+    ok = (last < oldest) & (ks - oldest <= st.r_max)
     # steps whose lengths differ by node rounding alone count as one length
     tol = _SNAP * max(1.0, abs(st.nodes[p0]), abs(st.nodes[p0 + w]))
     rs, ws = rows[:, :, sh].reshape(w, -1), wts[:, :, sh].reshape(w, -1)
@@ -787,10 +791,10 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     hand, and steps are probed in groups that keep it within
     `_WINDOW_BYTES` (one step at least).
     """
-    offs, kinds, Sp = _lift_layout(r, n)
-    d = len(Sp[0])
+    offs, kinds, src = _lift_layout(r, n)
+    d = src.shape[1]
     ring = np.zeros((r + 2, 4, n, d))  # node r + 1 holds the zero rows
-    ring[offs, kinds] = Sp[0].reshape(len(offs), n, d)
+    ring[offs, kinds] = np.eye(d).reshape(len(offs), n, d)
     ring[:, _Y_PRE] = ring[:, _Y_POST]
     ring = ring.reshape(-1, n, d)
     J, ns = len(rows), rows.shape[2]
@@ -807,25 +811,28 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _lift_layout(r: int, n: int) -> tuple:
     """Coordinates of the lifted state z_k, and the powers S^0 .. S^{r+1}
-    of the exact part S of a step.
+    of the exact part S of a step, as row sources.
 
     z_k holds y (y_pre = y_post), f_left and f_right of the nodes
     k - r .. k, as node offsets `offs` and rows `kinds`, except node k's
     f_right, which step k computes.  Its last three coordinates are the
     rows step k writes: f_right of node k, and y and f_left of node
     k + 1.  S shifts the older rows by one node and carries y_k on to
-    y_{k+1}; each row of S holds one 1 at most.  From S^{r+1} on, the
-    powers only copy y_k.
+    y_{k+1}; each row of S holds one 1 at most, so row i of S^j z is
+    z[src[j, i]], or zero where src[j, i] is d, the state's size.  From
+    S^{r+1} on, the powers only copy y_k.
     """
+    m = 3 * r + 2
     offs = np.repeat(np.arange(r + 1), 3)[:-1]
     kinds = np.tile([_Y_POST, _F_LEFT, _F_RIGHT], r + 1)[:-1]
-    S = np.zeros((3 * r + 2, 3 * r + 2))
-    S[np.append(np.arange(3 * r - 1), 3 * r),
-      np.append(np.arange(3, 3 * r + 2), 3 * r)] = 1.0
-    Sp = [np.eye(len(S))]
+    shift = np.full(m + 1, m)  # m stands for a zero row
+    shift[np.append(np.arange(3 * r - 1), 3 * r)] = np.append(
+        np.arange(3, m), 3 * r)
+    src = [np.arange(m)]
     for _ in range(r + 1):
-        Sp.append(S @ Sp[-1])
-    out = offs, kinds, np.kron(np.stack(Sp), np.eye(n))
+        src.append(shift[src[-1]])
+    src = np.minimum(np.stack(src)[:, :, None] * n + np.arange(n), m * n)
+    out = offs, kinds, src.reshape(r + 2, m * n)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -836,19 +843,20 @@ class _LiftMap:
     r (`_lift_layout`), with Psi zero but in its last c = 3n rows, given
     as `Psi`, and E adding C to those rows.
 
-    `Sp` holds the powers S^0 .. S^{r+1}; `step` is [S + Psi | E], one
-    step with its forcing as extra rows, and `powers` keeps
-    [(S + Psi)^s | I] by s (`_lift_scan`).
+    `src` gives the powers S^0 .. S^{r+1} as row sources; `step` is
+    [S + Psi | E], one step with its forcing as extra rows, and `powers`
+    keeps [(S + Psi)^s | I] by s (`_lift_scan`).
     """
 
     def __init__(self, r: int, n: int, Psi: np.ndarray):
         self.r, self.Psi, self.powers = r, Psi, {}
-        self.Sp = _lift_layout(r, n)[2]
+        self.src = _lift_layout(r, n)[2]
         c, d = Psi.shape
         self.step = np.zeros((d, d + c))
-        self.step[:, :d] = self.Sp[1]
+        rows = np.flatnonzero(self.src[1] < d)
+        self.step[rows, self.src[1][rows]] = 1.0
         self.step[d - c:, :d] += Psi
-        self.step[d - c:, d:] = self.Sp[0][:c, :c]
+        self.step[range(d - c, d), range(d, d + c)] = 1.0
 
 
 def _lift_scan(lm: _LiftMap, C: np.ndarray, z0: np.ndarray) -> np.ndarray:
@@ -882,7 +890,7 @@ def _lift_scan(lm: _LiftMap, C: np.ndarray, z0: np.ndarray) -> np.ndarray:
     # S^k z0, and so Psi S^k z0, is the same from k = r + 1 on
     X = np.zeros((s + 1, d + c, nb, cols))
     Cb = np.zeros((nb * s, c, cols))
-    Sz = (lm.Sp.reshape(-1, d) @ z0).reshape(-1, d, cols)
+    Sz = np.concatenate((z0, np.zeros((1, cols))))[lm.src]
     push = np.matmul(lm.Psi, Sz)
     np.add(C[:k], push[:k], out=Cb[:k])
     np.add(C[k:], push[-1], out=Cb[k:w])
@@ -1063,7 +1071,9 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     (`_plan`); blocks are sized by a byte budget (`_PLAN_BYTES`), so their
     memory does not grow with the grid.
 
-    A lag of fewer than `_SHORT_LAG` mean steps is short.  Its reads at
+    A lag of fewer than `_SHORT_LAG` mean steps is short, unless its
+    lifted state would hold more than `_LIFT_SIZE` numbers per column
+    (large n), where a shorter lag is needed.  Its reads at
     step k take the rows of the nodes k - r .. k only, so over a run of
     like steps (`_lift_runs`) the step is one affine map of a lifted state
     of those rows, and `_lifted` composes the run's windows in blocks
@@ -1096,9 +1106,13 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     read_coefs = [t.coefficient for t in lags + frozen]
     nt = len(read_coefs)
     thetas = np.array([t.delay.theta for t in lags])
-    # short lags, against the mean step (a step-by-step test would cost a
-    # pass over the grid before a dense sweep can be refused)
-    short = np.flatnonzero(thetas * K < _SHORT_LAG * (nodes[-1] - nodes[0]))
+    # a lifted state of depth r holds (3r + 2) n numbers (`_lift_layout`),
+    # with r at most _SHORT_LAG + 2, and less where the state would
+    # outgrow _LIFT_SIZE; a lag under r_max - 2 mean steps is short (a
+    # step-by-step test would cost a pass over the grid before a dense
+    # sweep can be refused)
+    r_max = min(_SHORT_LAG + 2, (_LIFT_SIZE // n - 2) // 3)
+    short = np.flatnonzero(thetas * K < (r_max - 2) * (nodes[-1] - nodes[0]))
 
     # process columns in ascending s order so that within each chunk the
     # active columns are always a prefix; every operation is then sliced to
@@ -1118,9 +1132,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     # wider), which is the value an inactive column must supply.
     D = K + 1 if dense else _ring_depth(
         nodes, max((t.delay.theta for t in lags), default=0.0))
-    # the size of the deepest lifted state, at r = _SHORT_LAG + 2
-    # (`_lift_layout`)
-    dl = (3 * _SHORT_LAG + 8) * n if len(short) else 0
+    dl = (3 * r_max + 2) * n if len(short) else 0  # the deepest state
     # window bytes per step and column; a lifted window (`_lifted`) adds
     # its scan's states and forcing, under twice dl + 3 n (`_lift_scan`),
     # and its forcing, padded forcing and rows, 3 n each
@@ -1137,14 +1149,15 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             raise ValueError(f"dense output of {S} columns needs more than "
                              f"one chunk of {chunk}")
         # the ring, one window's buffers and one block's plan; with short
-        # lags, a run's map and two of its powers, the block's probe
-        # (`_probe`) and its runs' rows Psi
+        # lags, a run's map and two of its powers, the probe's ring and
+        # scratch (`_probe`) and the block's rows Psi
         need_bytes = (slots * 4 * n * S * m * 8 + min(wmax, K) * per_col * S
                       + block * per_step)
         if dl:
-            need_bytes += 8 * (6 * dl * dl + 6 * n * dl * block // _LIFT_STEPS
+            need_bytes += 8 * (6 * dl * dl + 4 * (r_max + 2) * n * dl
                                + max(_WINDOW_BYTES // 8,
-                                     (15 * len(short) + 6) * n * dl))
+                                     (15 * len(short) + 6) * n * dl)
+                               + 6 * n * dl * block // _LIFT_STEPS)
         if need_bytes > mem_cap:
             raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
                              f"more than the memory budget of {mem_cap} bytes")
@@ -1157,7 +1170,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     shared = dict(
         n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
         s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
-        thetas=thetas, short=short, zero_lag=zero_lag,
+        thetas=thetas, short=short, r_max=r_max, zero_lag=zero_lag,
         short_cols=(short[:, None] * n + np.arange(n)).ravel(),
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
         R=R, slots=slots, zero_row=zero_row, wmax=wmax, samples=samples,

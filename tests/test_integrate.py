@@ -559,7 +559,8 @@ def test_lift_scan_matches_the_step_loop(length):
     # on a batch of columns
     rng = np.random.default_rng(length)
     n, width = 2, 3
-    S = integrate._lift_layout(4, n)[2][1]
+    d = 14 * n
+    S = integrate._LiftMap(4, n, np.zeros((3 * n, d))).step[:, :d]
     Psi = np.zeros_like(S)
     Psi[-3 * n:] = rng.uniform(-1.0, 1.0, (3 * n, len(S)))
     Psi[-2 * n:-n] *= 1e-2
@@ -657,6 +658,31 @@ def test_blocks_and_grids_of_one_step_with_a_short_lag(monkeypatch,
     for run in (got, sweeps()):
         for a, b in zip(run, want):
             assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6, 10])
+def test_lifted_states_stay_within_the_size_cap(monkeypatch, dim):
+    # a lifted run's maps are dense in its state, so no state of more than
+    # _LIFT_SIZE numbers per column is lifted: solve's dimension is dim + 1,
+    # so dim 10 lifts no lag, and smaller systems lift lags of a few steps
+    sizes, real = [], integrate._LiftMap
+
+    def recorded(r, n, Psi):
+        sizes.append(Psi.shape[1])
+        return real(r, n, Psi)
+
+    monkeypatch.setattr(integrate, "_LiftMap", recorded)
+    rng = np.random.default_rng(dim)
+    for steps in (2, 3, 5, 7):
+        spec = SystemSpec(
+            dim=dim,
+            terms=[DelayTerm(rng.uniform(-0.3, 0.3, (dim, dim)) / dim,
+                             ConstantLag(steps * 0.01)),
+                   DelayTerm(0.1 * np.eye(dim), ConstantLag(0.0))],
+            forcing=np.ones(dim), x0=np.ones(dim), horizon=1.0)
+        solve(spec, StepControl(0.01))
+    assert all(size <= integrate._LIFT_SIZE for size in sizes)
+    assert bool(sizes) == (dim < 10)
 
 
 def test_fundamental_grid_rejects_bad_grids():

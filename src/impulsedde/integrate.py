@@ -1200,8 +1200,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                         else:
                             _lifted(st, a, b, part, lift)
                         a = b
-            # free this block's plan before the next is set up
-            del pl, need, need_long, runs
+            # free this block's plan and last map before the next is set up
+            del pl, need, need_long, runs, run
         if not np.all(np.isfinite(st.H[K % R, _Y_POST])):
             raise NumericalError("state non-finite at final node")
     if dense:

@@ -21,6 +21,7 @@ Exit codes: 0 success/Certified, 2 NotCertified, 3 unreadable config,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -294,19 +295,120 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+# numbers per block of `_write_csv`; a block's buffers take about 150 bytes
+# per number
+_CSV_BLOCK = 1 << 14
+# bytes per encoded number: [pad, sign, d, "."], three groups of 4 digits,
+# then ["e", sign, d, d, d or pad, separator, pad, pad]; pads are 0
+_FIELD = 24
+
+
+@functools.lru_cache(maxsize=None)
+def _e12_tables() -> tuple:
+    """Tables of `_encode_e12`, built on first use: 10^k, k = -279 .. 303,
+    each correctly rounded; the field's first 4 bytes by sign * 10 + d; 4
+    digits by value; the field's last 8 bytes by exponent + 300."""
+    def digits(values, width):
+        places = 10 ** np.arange(width - 1, -1, -1)
+        return (values[:, None] // places % 10 + ord("0")).astype(np.uint8)
+
+    pow10 = np.array([float(f"1e{k}") for k in range(-279, 304)])
+    lead = np.zeros((20, 4), np.uint8)
+    lead[10:, 1] = ord("-")
+    lead[:, 2] = digits(np.arange(20), 1)[:, 0]
+    lead[:, 3] = ord(".")
+    e = np.arange(-300, 301)
+    tail = np.zeros((len(e), 8), np.uint8)
+    tail[:, 0] = ord("e")
+    tail[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    tail[:, 2:5] = digits(np.abs(e), 3)
+    two = np.abs(e) < 100  # two exponent digits, then a pad
+    tail[two, 2:5] = tail[two, 3:6]
+    return (pow10, lead.view(np.uint32).ravel(),
+            digits(np.arange(10000), 4).view(np.uint32).ravel(),
+            tail.view(np.uint64).ravel())
+
+
+def _python_e12(values: list) -> list:
+    # the numbers `_encode_e12` leaves to Python
+    return ["%.12e" % v for v in values]
+
+
+def _encode_e12(x: np.ndarray) -> np.ndarray:
+    """Each number of the flat float array `x` as the bytes of Python's
+    "%.12e", in a `_FIELD`-byte row padded with 0.
+
+    For |x| = 10^e * s / 1e12 with s in [1e12, 1e13), s is computed as
+    |x| * fl(10^(12 - e)): two roundings of at most 2^-53 relative each,
+    so it lies within 1e13 * 2.3e-16 < 0.0023 of the exact value, and
+    m = rint(s) is the correctly rounded mantissa wherever s is more than
+    0.005 away from a half.  A mantissa that rounds up to 1e13 is 1e12
+    with e + 1.  The rest, under 1 % of ordinary numbers, and non-finite
+    numbers, subnormals and |e| > 290, are formatted by Python.  All
+    mantissas are below 2^53, so their digits are exact in int64.
+    """
+    pow10, lead, quad, tail = _e12_tables()
+    a = np.abs(x)
+    zero = a == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = np.abs(e) <= 290
+    a[~ok] = 0.0
+    e = np.where(ok, e, 0.0).astype(np.intp)
+    s = a * pow10[291 - e]  # 10^(12 - e)
+    e += s >= 1e13
+    e -= (s < 1e12) & ~zero
+    s = a * pow10[291 - e]
+    m = np.rint(s)
+    ok &= (np.abs(s - m) < 0.495) & (m >= 1e12) & (m <= 1e13)
+    ok |= zero
+    m[~ok] = 0.0
+    carry = m == 1e13
+    m[carry] = 1e12
+    e += carry
+    e[m == 0.0] = 0
+    m = m.astype(np.int64)
+    hi, lo = m // 10**8, m % 10**8  # d dddd, dddddddd
+    out = np.empty((len(x), _FIELD), np.uint8)
+    words = out.view(np.uint32)
+    words[:, 0] = lead[hi // 10**4 + 10 * np.signbit(x)]
+    words[:, 1] = quad[hi % 10**4]
+    words[:, 2] = quad[lo // 10**4]
+    words[:, 3] = quad[lo % 10**4]
+    out.view(np.uint64)[:, 2] = tail[e + 300]
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        text = np.array(_python_e12(x[bad].tolist()), dtype="S21")
+        out[bad, :21] = text.view(np.uint8).reshape(len(bad), 21)
+    return out
+
+
 def _write_csv(path: str, header: list, table: np.ndarray,
                text=None) -> None:
     """RFC-4180 rows: the header, then each table row as %.12e numbers,
-    followed by the matching entry of `text` when given.  Rows are
-    formatted from Python floats, one `%` each, and streamed, so no copy
-    of the file is held."""
-    fmt = ",".join(["%.12e"] * table.shape[1])
-    rows = (fmt % tuple(row) for row in table.tolist())
-    if text is not None:
-        rows = (f"{row},{label}" for row, label in zip(rows, text))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row + "\r\n" for row in rows)
+    followed by the matching ASCII entry of `text` when given.  The
+    numbers are exactly Python's "%.12e" (see `_encode_e12`).  Rows are
+    encoded and written `_CSV_BLOCK` numbers at a time, so only one
+    block's buffers are held."""
+    rows, cols = table.shape
+    step = max(1, _CSV_BLOCK // cols)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for r0 in range(0, rows, step):
+            block = np.asarray(table[r0:r0 + step], dtype=float)
+            k = len(block)
+            fields = _encode_e12(block.ravel())
+            fields[:, 21] = ord(",")
+            if text is None:
+                fields[cols - 1::cols, 21:23] = (ord("\r"), ord("\n"))
+                line = fields
+            else:
+                labels = np.asarray(text[r0:r0 + k], dtype="S")
+                line = np.concatenate(
+                    (fields.reshape(k, cols * _FIELD),
+                     labels.view(np.uint8).reshape(k, -1),
+                     np.tile(np.frombuffer(b"\r\n", np.uint8), (k, 1))), axis=1)
+            fh.write(line.tobytes().translate(None, b"\0"))
 
 
 def _write_trajectory_csv(path: str, traj, dim: int) -> None:
@@ -317,8 +419,8 @@ def _write_trajectory_csv(path: str, traj, dim: int) -> None:
     node = np.insert(np.arange(len(traj.t_nodes)), k, k)
     y = traj.y_post[node]
     y[left] = traj.y_pre[k]
-    text = np.full(len(node), "0", dtype=object)
-    text[left], text[left + 1] = "left", "right"
+    text = np.full(len(node), b"0", dtype="S5")
+    text[left], text[left + 1] = b"left", b"right"
     _write_csv(path, ["t"] + [f"x{i + 1}" for i in range(dim)] + ["is_jump"],
                np.column_stack((traj.t_nodes[node], y)), text)
 
@@ -372,6 +474,9 @@ def _parse_grid(text, flag: str) -> np.ndarray:
     if not 0.0 <= count < math.inf:
         raise SchemaError(flag, "expected stop >= start and step > 0 (finitely "
                                 f"many steps), got {text!r}")
+    if (count + 1) * 8 > np.iinfo(np.intp).max:  # as in `periodic_count`
+        raise SchemaError(flag, f"too many points: {text!r} gives {count:.3g} "
+                                "steps")
     count = int(math.floor(count + 1e-9))
     pts = a + step * np.arange(count + 1)
     if pts[-1] < b - 1e-9 * max(1.0, abs(b)):

@@ -227,6 +227,11 @@ def _prepare_grid(spec: SystemSpec, t_start: float, t_end: float, dt: float,
     smallest positive lag."""
     dt_eff = min([dt] + _positive_lags(spec))
     breaks = _collect_breaks(spec, t_start, t_end, extra)
+    with np.errstate(over="ignore"):
+        steps = np.ceil(np.diff(breaks) / dt_eff - 1e-9).sum()
+    if not steps * 8 <= np.iinfo(np.intp).max:  # as in `periodic_count`
+        raise ValueError(f"dt = {dt_eff!r} gives {steps:.3g} grid steps on "
+                         f"[{t_start:g}, {t_end:g}], more than an array holds")
     nodes = _build_nodes(breaks, dt_eff)
     return nodes, _jump_map(spec.impulses, nodes)
 

@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impulsedde import (
     ConstantLag,
@@ -227,6 +230,140 @@ def test_csv_rows_format_edge_values_as_numpy_floats(tmp_path):
     want = ["a,b"] + [",".join("%.12e" % v for v in row) for row in table]
     with open(path, encoding="utf-8", newline="") as fh:
         assert fh.read() == "\r\n".join(want) + "\r\n"
+
+
+def _encoded(values) -> list:
+    """The strings `_encode_e12` gives for `values`."""
+    from impulsedde import cli
+
+    fields = cli._encode_e12(np.asarray(values, dtype=float))
+    fields[:, 21] = ord(",")
+    return fields.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+def _bits(pattern: int) -> float:
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats() | st.integers(0, 2**64 - 1).map(_bits),
+                min_size=1, max_size=40))
+def test_encoder_matches_python_on_any_float(values):
+    assert _encoded(values) == ["%.12e" % v for v in values]
+
+
+def test_encoder_matches_python_on_a_seeded_corpus(monkeypatch):
+    from impulsedde import cli
+
+    rng = np.random.default_rng(12)
+    n = 40000
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate((
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
+        (rng.integers(0, 10**13, n) + 0.5) / 10.0 ** rng.integers(0, 16, n),
+        rng.integers(0, 10**13, n).astype(float),
+        -rng.integers(0, 10**13, n).astype(float),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308]))
+    fallback = []
+
+    def python_e12(vals):
+        fallback.extend(vals)
+        return [("%.12e" % v) for v in vals]
+
+    monkeypatch.setattr(cli, "_python_e12", python_e12)
+    assert len(values) > 200000
+    assert _encoded(values) == ["%.12e" % v for v in values.tolist()]
+    # both paths ran: Python formats the non-finite numbers, subnormals,
+    # |e| > 290 and mantissas near a half (the exact halves), and about 1 %
+    # of the ordinary numbers
+    assert any(map(math.isnan, fallback)) and 5e-324 in fallback
+    assert len(fallback) < 0.4 * len(values)
+    ordinary = values[n:2 * n]
+    ordinary = ordinary[np.abs(np.log10(np.abs(ordinary))) < 290]
+    share = np.isin(ordinary, fallback).mean()
+    assert 0.002 < share < 0.02
+
+
+def _rowwise_csv(path, header, table, text=None):
+    # the reference writer: one Python `%` per row
+    fmt = ",".join(["%.12e"] * table.shape[1])
+    rows = (fmt % tuple(row) for row in table.tolist())
+    if text is not None:
+        rows = (f"{row},{label}" for row, label in zip(rows, text))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
+
+
+@pytest.mark.parametrize("rows, cols, labelled", [
+    (1000, 3, False), (1000, 3, True), (999, 5, True), (0, 2, True),
+    (1, 2, True), (1, 4, False), (0, 3, False)])
+def test_csv_files_equal_the_rowwise_writer(rows, cols, labelled, tmp_path,
+                                            monkeypatch):
+    from impulsedde import cli
+
+    # 64 numbers a block: several blocks and a remainder for the larger tables
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
+    rng = np.random.default_rng(rows + cols)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+        -120, 120, (rows, cols))
+    flat = table.reshape(-1)
+    flat[::7] = np.resize([math.inf, -math.inf, math.nan, -0.0, 1e-300,
+                           -1e300, 5e-324], len(flat[::7]))
+    text = (np.array(["0", "left", "right"])[rng.integers(0, 3, rows)]
+            if labelled else None)
+    header = [f"c{j}" for j in range(cols)] + (["is_jump"] if labelled else [])
+    cli._write_csv(str(tmp_path / "got.csv"), header, table,
+                   None if text is None else text.astype("S"))
+    _rowwise_csv(str(tmp_path / "want.csv"), header, table, text)
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
+def test_csv_files_equal_the_rowwise_writer_at_the_default_block(tmp_path):
+    from impulsedde import cli
+
+    table = np.random.default_rng(3).standard_normal((3 * cli._CSV_BLOCK + 7, 2))
+    text = np.array(["0", "left", "right"] * len(table), dtype=object)
+    cli._write_csv(str(tmp_path / "got.csv"), ["a", "b", "c"], table, text)
+    _rowwise_csv(str(tmp_path / "want.csv"), ["a", "b", "c"], table, text)
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
+def test_csv_writer_holds_one_block_not_the_file(tmp_path):
+    from impulsedde import cli
+
+    table = np.random.default_rng(4).standard_normal((100000, 3))
+    text = np.full(len(table), b"0", dtype="S5")
+    text[::50], text[1::50] = b"left", b"right"
+    cli._write_csv(str(tmp_path / "warm.csv"), ["t"], table[:10])
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path / "t.csv"), ["t", "x1", "x2", "is_jump"],
+                       table, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6  # the file is about 6.4 MB
+
+
+def test_a_grid_flag_too_fine_to_allocate_exits_4_naming_it(tmp_path, capsys):
+    assert main(["fundamental", "paper-sec5-stabilize", "--s-grid",
+                 "0:1:1e-300", "--out", str(tmp_path)]) == 4
+    assert "invalid config: --s-grid: too many points" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "fundamental.csv").exists()
+
+
+def test_a_step_too_fine_to_allocate_exits_1_naming_dt(tmp_path, capsys):
+    assert main(["simulate", "paper-sec5-stabilize", "--dt", "1e-300",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: dt = 1e-300 gives 4e+301 grid steps" in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_out_of_memory_exits_1_with_a_message(tmp_path, monkeypatch, capsys):

@@ -297,38 +297,30 @@ def _rowwise_csv(path, header, table, text=None):
         fh.writelines(row + "\r\n" for row in rows)
 
 
-@pytest.mark.parametrize("rows, cols, labelled", [
-    (1000, 3, False), (1000, 3, True), (999, 5, True), (0, 2, True),
-    (1, 2, True), (1, 4, False), (0, 3, False)])
-def test_csv_files_equal_the_rowwise_writer(rows, cols, labelled, tmp_path,
-                                            monkeypatch):
+@pytest.mark.parametrize("rows, cols, labels, block", [
+    (1000, 3, None, 64), (1000, 3, "S", 64), (999, 5, object, 64),
+    (0, 2, "S", 64), (1, 2, "S", 64), (1, 4, None, 64), (0, 3, None, 64),
+    (40000, 2, object, None)])
+def test_csv_files_equal_the_rowwise_writer(rows, cols, labels, block,
+                                            tmp_path, monkeypatch):
     from impulsedde import cli
 
-    # 64 numbers a block: several blocks and a remainder for the larger tables
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
+    # a small block gives several blocks and a remainder on small tables
+    if block is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    assert rows * cols in (0, cols) or rows * cols > 3 * cli._CSV_BLOCK
     rng = np.random.default_rng(rows + cols)
     table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
         -120, 120, (rows, cols))
     flat = table.reshape(-1)
     flat[::7] = np.resize([math.inf, -math.inf, math.nan, -0.0, 1e-300,
                            -1e300, 5e-324], len(flat[::7]))
-    text = (np.array(["0", "left", "right"])[rng.integers(0, 3, rows)]
-            if labelled else None)
-    header = [f"c{j}" for j in range(cols)] + (["is_jump"] if labelled else [])
+    text = np.array(["0", "left", "right"])[rng.integers(0, 3, rows)]
+    header = [f"c{j}" for j in range(cols)] + ["is_jump"] * (labels is not None)
     cli._write_csv(str(tmp_path / "got.csv"), header, table,
-                   None if text is None else text.astype("S"))
-    _rowwise_csv(str(tmp_path / "want.csv"), header, table, text)
-    assert ((tmp_path / "got.csv").read_bytes()
-            == (tmp_path / "want.csv").read_bytes())
-
-
-def test_csv_files_equal_the_rowwise_writer_at_the_default_block(tmp_path):
-    from impulsedde import cli
-
-    table = np.random.default_rng(3).standard_normal((3 * cli._CSV_BLOCK + 7, 2))
-    text = np.array(["0", "left", "right"] * len(table), dtype=object)
-    cli._write_csv(str(tmp_path / "got.csv"), ["a", "b", "c"], table, text)
-    _rowwise_csv(str(tmp_path / "want.csv"), ["a", "b", "c"], table, text)
+                   None if labels is None else text.astype(labels))
+    _rowwise_csv(str(tmp_path / "want.csv"), header, table,
+                 None if labels is None else text)
     assert ((tmp_path / "got.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
 
@@ -348,14 +340,6 @@ def test_csv_writer_holds_one_block_not_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6e6  # the file is about 6.4 MB
-
-
-def test_a_grid_flag_too_fine_to_allocate_exits_4_naming_it(tmp_path, capsys):
-    assert main(["fundamental", "paper-sec5-stabilize", "--s-grid",
-                 "0:1:1e-300", "--out", str(tmp_path)]) == 4
-    assert "invalid config: --s-grid: too many points" in (
-        capsys.readouterr().err)
-    assert not (tmp_path / "fundamental.csv").exists()
 
 
 def test_a_step_too_fine_to_allocate_exits_1_naming_dt(tmp_path, capsys):
@@ -438,6 +422,8 @@ def test_malformed_scenario_checks_exit_4_naming_the_field(
     (["--t-grid=-1e308:1e308:1"], "--t-grid"),
     (["--window", "0:inf"], "--window"),
     (["--window", "1"], "--window"),
+    # more points than an array can hold
+    (["--s-grid", "0:1:1e-300"], "--s-grid"),
 ])
 def test_malformed_grid_and_window_flags_exit_4(flags, field, tmp_path,
                                                 capsys):

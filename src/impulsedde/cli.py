@@ -12,8 +12,10 @@ Subcommands map one-to-one onto the library workflows:
 System configs are strict JSON; the parser checks their structure only
 (unknown keys, non-finite numbers and ragged arrays are errors naming the
 field) and `validate` every rule on their values.  Three builtin scenario
-names resolve to packaged configs.  CSV artifacts are RFC-4180 with a header row and %.12e numbers;
-JSON artifacts have a fixed key order and map non-finite numbers to null.
+names resolve to packaged configs.  CSV artifacts are RFC-4180 with a
+header row and numbers byte for byte as Python's "%.12e", encoded by numpy
+in blocks of rows (`_encode_e12`); JSON artifacts have a fixed key order
+and map non-finite numbers to null.
 Exit codes: 0 success/Certified, 2 NotCertified, 3 unreadable config,
 4 schema or validation failure, 5 numerical blow-up, 1 any other error.
 """

@@ -270,7 +270,7 @@ def test_encoder_matches_python_on_a_seeded_corpus(monkeypatch):
 
     def python_e12(vals):
         fallback.extend(vals)
-        return [("%.12e" % v) for v in vals]
+        return ["%.12e" % v for v in vals]
 
     monkeypatch.setattr(cli, "_python_e12", python_e12)
     assert len(values) > 200000
@@ -339,7 +339,8 @@ def test_csv_writer_holds_one_block_not_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6  # the file is about 6.4 MB
+    # the file is 6.2 MB; the row-wise writer peaks at 16 MB here
+    assert peak < 6e6
 
 
 def test_a_step_too_fine_to_allocate_exits_1_naming_dt(tmp_path, capsys):

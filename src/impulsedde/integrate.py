@@ -28,8 +28,9 @@ one affine map over a run of like steps (`_lift_runs`, `_lift_scan`), so
 the windows end at the smallest long lag.
 
 This module owns the two numerical rules the representation layer shares:
-the snap rule (`_SNAP`), applied through one lookup (`locate`) and one
-table reader (`read_piecewise`), and the lag-image rule (`_image_shifts`),
+the snap rule (`_SNAP`), applied through one lookup (`locate`, whose
+answers `_read_plan` gives from one search per read) and one table reader
+(`read_piecewise`), and the lag-image rule (`_image_shifts`),
 applied forward by `_collect_breaks` and backward by `quadrature_nodes`.
 `represent` reaches them through those names and `kernel_rows`; none of
 them is exported from the package.  Dense output is read by one plan
@@ -134,15 +135,30 @@ def read_piecewise(sig, ts, side: str = "right", dim: int = 0) -> np.ndarray:
     return np.broadcast_to(sig, ts.shape + sig.shape)
 
 
-def _hermite_weights(xi: float, h: float):
+def _hermite_weights(xi, h, out=None):
+    """The cubic Hermite weights of y(0), y'(0), y(h) and y'(h) at xi h,
+    as a tuple, or written into the four rows of `out`."""
     xi2 = xi * xi
     xi3 = xi2 * xi
-    return (
-        2.0 * xi3 - 3.0 * xi2 + 1.0,
-        h * (xi3 - 2.0 * xi2 + xi),
-        -2.0 * xi3 + 3.0 * xi2,
-        h * (xi3 - xi2),
-    )
+    if out is None:
+        return (
+            2.0 * xi3 - 3.0 * xi2 + 1.0,
+            h * (xi3 - 2.0 * xi2 + xi),
+            -2.0 * xi3 + 3.0 * xi2,
+            h * (xi3 - xi2),
+        )
+    # the same operations, in place
+    a, b = 2.0 * xi3, 3.0 * xi2
+    np.subtract(a, b, out=out[0])
+    out[0] += 1.0
+    np.subtract(b, a, out=out[2])
+    np.add(xi2, xi2, out=a)
+    np.subtract(xi3, a, out=out[1])
+    out[1] += xi
+    out[1] *= h
+    np.subtract(xi3, xi2, out=out[3])
+    out[3] *= h
+    return out
 
 
 def _positive_lags(spec: SystemSpec) -> list:
@@ -204,12 +220,24 @@ def _collect_breaks(spec: SystemSpec, t_start: float, t_end: float,
 
 
 def _build_nodes(breaks: np.ndarray, dt: float) -> np.ndarray:
-    """Subdivide each inter-break segment into equal steps of length <= dt."""
-    parts = [breaks[:1]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        steps = max(1, int(math.ceil((b - a) / dt - 1e-9)))
-        parts.append(np.linspace(a, b, steps + 1)[1:])
-    return np.concatenate(parts)
+    """Subdivide each inter-break segment into equal steps of length <= dt.
+
+    Node i of the segment [a, b] of k steps is a + i ((b - a) / k), and
+    its last node is b: `np.linspace(a, b, k + 1)`'s arithmetic, in one
+    pass over every segment.
+    """
+    a, delta = breaks[:-1], np.diff(breaks)
+    steps = np.maximum(np.ceil(delta / dt - 1e-9), 1.0).astype(np.intp)
+    ends = np.cumsum(steps)
+    seg = np.repeat(np.arange(len(steps)), steps)
+    i = np.arange(1, len(seg) + 1, dtype=float)
+    i -= np.repeat(ends - steps, steps)
+    nodes = np.empty(len(seg) + 1)
+    nodes[0] = breaks[0]
+    np.multiply(i, (delta / steps)[seg], out=nodes[1:])
+    nodes[1:] += a[seg]
+    nodes[ends] = breaks[1:]
+    return nodes
 
 
 def _jump_map(schedule: ImpulseSchedule, nodes: np.ndarray) -> dict:
@@ -467,7 +495,7 @@ def fundamental_matrix(spec: SystemSpec, s: float,
 # four values a Hermite read inside the step after node i blends --
 # y_post[i], f_right[i], y_pre[i+1], f_left[i+1] -- are consecutive rows
 _Y_PRE, _F_LEFT, _Y_POST, _F_RIGHT = range(4)
-# a read that snaps to a node takes the last of its four rows
+# a frozen term's read of its snapshot takes the last of its four rows
 _SNAPPED = np.array([0.0, 0.0, 0.0, 1.0])
 _QUAD = np.arange(4)
 # of a step's three reads (start, mid, end), the end reads the left limit
@@ -477,8 +505,12 @@ _AT_END = np.array([False, False, True])[:, None]
 _WINDOW_BYTES = 1 << 18
 # byte budget of one block of steps, whose read plans and coefficients
 # are set up at once; a step is counted at 1 KiB at most, so a block holds
-# at least 256 steps
-_PLAN_BYTES = 1 << 18
+# at least 512 steps.  The plan's temporaries set the memory peak: a dense
+# solve (n = 4, two lags, 2e4 steps) traced 294 B per node at 512 KiB, 261
+# at 256 KiB with the stage-chain maps and two searches per read, and 337
+# with those at 512 KiB; doubling the budget halved the blocks of the
+# trajectory benchmark (157 to 79)
+_PLAN_BYTES = 1 << 19
 # a lag shorter than this many steps is short: its reads land in the last
 # few nodes, which the sweep lifts into its state (`_lift_runs`) rather
 # than cutting windows that short.  Lifting stops paying at a lag of about
@@ -506,19 +538,42 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     """Lookup data for delayed reads at the times `us`.
 
     Returns (exact, interval, weights): `exact[k]` is the node us[k] snaps
-    to (`locate`; -1 when us[k] is interior), `interval[k]` the
+    to (`locate`'s answer; -1 when us[k] is interior), `interval[k]` the
     enclosing-interval index, and `weights[k]` the four Hermite weights on
-    that interval.  Weight rows where `exact >= 0` or `interval < 0` are
-    filler, which `_read_rows` replaces.
+    that interval, (1, 0, 0, 0) where us[k] snaps.  Weight rows where
+    `interval < 0` are finite filler.
+
+    One search serves both answers: `locate` searches again and tries
+    three nodes around each read, but only the nodes below and above a
+    read can snap to it, and the node before those where the read sits on
+    a node exactly, since anchor pinning in `_collect_breaks` can leave
+    two nodes within one snap window.  On 2304 reads this takes 290 us
+    where `locate` and a second search took 490 (2 vCPUs).
     """
     N = len(nodes)
-    exact = locate(nodes, us)
-    interval = np.searchsorted(nodes, us, side="right") - 1
-    ic = np.clip(interval, 0, max(N - 2, 0))
-    # a one-node grid has no interval: its weights are filler too
-    h = nodes[ic + 1] - nodes[ic] if N > 1 else np.ones(us.shape)
-    weights = np.stack(_hermite_weights((us - nodes[ic]) / h, h), axis=1)
-    return exact, interval, weights
+    hi = np.searchsorted(nodes, us, side="right")
+    interval = hi - 1
+    below = nodes.take(interval, mode="clip")
+    above = nodes.take(hi, mode="clip")
+    # `locate`'s test, bit for bit: _SNAP is a power of two, so it scales
+    # a maximum exactly
+    tol = _SNAP * np.maximum(1.0, np.abs(us))
+    exact = np.where((above - us <= np.maximum(tol, _SNAP * np.abs(above)))
+                     & (hi < N), hi, -1)
+    hit = (us - below <= np.maximum(tol, _SNAP * np.abs(below))) & (hi > 0)
+    exact = np.where(hit, interval, exact)
+    on = np.flatnonzero((below == us) & (hi > 1))
+    if len(on):
+        p = nodes[hi[on] - 2]
+        exact[on[us[on] - p <= np.maximum(tol[on], _SNAP * np.abs(p))]] -= 1
+    # outside the grid, and on a one-node grid, the interval is empty
+    h = above - below
+    h[h == 0.0] = 1.0
+    xi = (us - below) / h
+    xi[exact >= 0] = 0.0
+    weights = np.empty((4, len(us)))
+    _hermite_weights(xi, h, out=weights)
+    return exact, interval, weights.T
 
 
 def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
@@ -529,10 +584,16 @@ def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
     starts at row 4 j modulo `ring_rows`.  A read inside the step after
     node i blends that step's four Hermite rows; a read that snaps to node
     i takes y_post[i], or y_pre[i] where `left` (one flag per read) is set,
-    as the last of four rows of nodes i - 1 and i.  Reads of values that
-    are zero in every column -- before `k_start`, the first activation, the
-    left limit at it included, or before the grid -- take the all-zero rows
-    at `zero_row` with zero weights.
+    as the first of four rows, with the weights (1, 0, 0, 0) of the plan.
+    Reads of values that are zero in every column -- before `k_start`, the
+    first activation, the left limit at it included, or before the grid --
+    take the all-zero rows at `zero_row`.
+
+    The ring is taken modulo once per read: a read's rows may run three
+    rows past the ring's end, into the first spare slot, which holds a
+    copy of slot 0 from the window that wrote it on (`_tail`) until the
+    next window that writes there, and is read with weight zero where it
+    does not.  Without spare slots (a dense sweep) the ring never wraps.
 
     Returns (rows, weights, node, need): `node` is the node whose data the
     read takes (huge for zero reads) and `need` the node the sweep must
@@ -542,12 +603,12 @@ def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
     hit = exact >= 0
     node = np.where(hit, exact, interval)
     zero = node < k_start + (hit & left)
-    base = np.where(hit, 4 * exact - np.where(left, 3, 1), 4 * interval + 2)
-    rows = (base[:, None] + _QUAD) % ring_rows
-    rows[zero] = zero_row + _QUAD
-    weights = np.where(hit[:, None], _SNAPPED, weights)
-    weights[zero] = 0.0
-    return (rows, weights, np.where(zero, np.iinfo(np.intp).max, node),
+    base = node * 4 % ring_rows + np.where(hit & left, _Y_PRE, _Y_POST)
+    base[zero] = zero_row
+    rows = np.empty((4, len(base)), dtype=np.intp)
+    for q in _QUAD:
+        np.add(base, q, out=rows[q])
+    return (rows.T, weights, np.where(zero, np.iinfo(np.intp).max, node),
             node + ~hit)
 
 
@@ -633,6 +694,53 @@ def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
         y[:, :Wm] = B @ y[:, :Wm]
 
 
+def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
+    """The RK4 maps [P - I | G] (w, n, 4n) of steps of lengths h (w,) with
+    zero-lag parts M (w, n, n), or None for none.
+
+    On y = I with no delayed part the stages give P - I, the degree-4
+    Taylor polynomial of e^{-hM} less I (Butcher 2008), kept apart from I
+    so that its rounding does not drift y by an ulp every step; on y = 0
+    they give c = G [d1; d23; d4] with
+    G = h/6 [-I + hM - (hM)^2/2 + (hM)^3/4 | -4I + 2hM - (hM)^2/2 | -I].
+    Both are polynomials in h: a step's maps are its powers h/6 [1, h, h^2,
+    h^3] times a table of coefficients, one table and one product per run
+    of steps with one M, in place of the stage chain's (w, n, n)
+    temporaries.  In powers of h/6 each coefficient of G is a power of M
+    times a power of two, so without M, G equals what the stages give.
+    Each step keeps its own h: one h shared by each run of steps whose
+    lengths differ by node rounding alone gave an error of 1.04e-13 in
+    `test_fundamental_is_exact_across_second_generation_kinks`, past its
+    bound of 1e-13.
+    """
+    w = len(h)
+    hp = np.repeat(h[:, None], 4, axis=1)
+    hp[:, 0] /= 6.0
+    np.multiply.accumulate(hp, axis=1, out=hp)
+    if M is None:
+        M, cuts = np.zeros((1, n, n)), []
+    else:
+        cuts = np.flatnonzero((M[1:] != M[:-1]).any(axis=(1, 2))) + 1
+        cuts = cuts.tolist()
+        M = M[[0] + cuts]
+    eye = np.eye(n)
+    M2 = M @ M
+    M3 = M2 @ M
+    T = np.zeros((len(M), 4, n, 4 * n))
+    T[:, 0, :, :n] = -6.0 * M
+    T[:, 1, :, :n] = 3.0 * M2
+    T[:, 2, :, :n] = -M3
+    T[:, 3, :, :n] = 0.25 * (M3 @ M)
+    T[:, 0, :, n:] = np.concatenate((-eye, -4.0 * eye, -eye), axis=1)
+    T[:, 1, :, n:3 * n] = np.concatenate((M, 2.0 * M), axis=2)
+    T[:, 2, :, n:3 * n] = np.concatenate((M2, M2), axis=2) * -0.5
+    T[:, 3, :, n:2 * n] = 0.25 * M3
+    maps = np.empty((w, n, 4 * n))
+    for a, b, table in zip([0] + cuts, cuts + [w], T.reshape(len(M), 4, -1)):
+        np.matmul(hp[a:b], table, out=maps[a:b].reshape(b - a, -1))
+    return maps
+
+
 def _plan(st: _Sweep, p0: int, p1: int):
     """The plan of the steps p0 .. p1 - 1: their read rows and weights,
     coefficients A, zero-lag part M and RK4 maps P - I and G; the node
@@ -674,26 +782,10 @@ def _plan(st: _Sweep, p0: int, p1: int):
     # mids never sit on a break, so the side does not matter
     A = (np.concatenate([read_piecewise(c, mids) for c in st.read_coefs],
                         axis=2) if nt else None)
-    # the RK4 stages on y = 0 give c = G [d1; d23; d4] with
-    # G = h/6 [-I + hM - (hM)^2/2 + (hM)^3/4 | -4I + 2hM - (hM)^2/2 | -I]
-    # for the zero-lag part M; on y = I with no delayed part they give
-    # P - I, kept apart from I so that its rounding does not drift y by
-    # an ulp every step
-    hh, eye = h[:, None, None], np.eye(n)
-    M = P = None
-    hM = np.zeros((w, n, n))
-    if st.zero_lag:
-        M = sum(read_piecewise(c, mids) for c in st.zero_lag)
-        k1 = -M
-        k2 = -(M @ (eye + k1 * (0.5 * hh)))
-        k3 = -(M @ (eye + k2 * (0.5 * hh)))
-        k4 = -(M @ (eye + k3 * hh))
-        P = (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0)
-        hM = M * hh
-    hM2 = hM @ hM
-    G = np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
-                        2.0 * hM - 0.5 * hM2 - 4.0 * eye,
-                        np.broadcast_to(-eye, hM.shape)), axis=2) * (hh / 6.0)
+    M = (sum(read_piecewise(c, mids) for c in st.zero_lag)
+         if st.zero_lag else None)
+    maps = _rk4_maps(h, M, n)
+    P, G = None if M is None else maps[:, :, :n], maps[:, :, n:]
     pl = [rows, wts, A, M, P, G]
     need = np.maximum.accumulate(need)
     if not len(st.short):
@@ -1072,9 +1164,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     by one doubling scan (`_affine_scan`) and written as y_u + D y_u + C
     from its start value y_u, and the derivatives and samples follow in
     bulk.  Each block of steps plans the delayed reads of every lag term
-    with one `_read_plan` call and sets up its coefficient values at once
-    (`_plan`); blocks are sized by a byte budget (`_PLAN_BYTES`), so their
-    memory does not grow with the grid.
+    with one `_read_plan` call, one search per read, and sets up its
+    coefficient values and its RK4 maps, as polynomials in h
+    (`_rk4_maps`), at once (`_plan`); blocks are sized by a byte budget
+    (`_PLAN_BYTES`), so their memory does not grow with the grid.
 
     A lag of fewer than `_SHORT_LAG` mean steps is short, unless its
     lifted state would hold more than `_LIFT_SIZE` numbers per column

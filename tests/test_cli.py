@@ -1,5 +1,6 @@
 """Command line: schema, exit codes, artifacts, determinism, scenarios."""
 
+import argparse
 import csv
 import json
 import math
@@ -27,6 +28,7 @@ from impulsedde.cli import (
     BUILTIN_SCENARIOS,
     RunConfig,
     SchemaError,
+    _build_parser,
     _parse_grid,
     _parse_spec,
     main,
@@ -635,3 +637,41 @@ def test_main_passes_grids_and_flags_through(tmp_path):
     assert code == 0
     header = (tmp_path / "fundamental.csv").read_text().splitlines()[0]
     assert header.rstrip() == "t,s,X_1_1,bound"
+
+
+def test_two_main_calls_build_one_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "impulsedde":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    _build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    missing = str(tmp_path / "missing.json")
+    outputs = []
+    for _ in range(2):
+        assert main(["certify", missing]) == 3
+        for argv in (["--help"], ["simulate", missing, "--nope"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            outputs.append((argv[0], exit_info.value.code,
+                            capsys.readouterr()))
+    assert len(built) == 1
+    # the reused parser prints the same help and usage errors
+    assert outputs[:2] == outputs[2:]
+    assert [code for _, code, _ in outputs[:2]] == [0, 2]
+    assert outputs[0][2].out.startswith("usage: impulsedde ")
+    assert "unrecognized arguments: --nope" in outputs[1][2].err
+
+
+def test_estimate_rate_prints_its_warning_as_one_fixed_line(tmp_path,
+                                                             capsys):
+    assert main(["estimate-rate", "paper-sec2-destabilize",
+                 "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: empirical rate nu = -0.567181 <= 0: "
+                            "no decay observed\n")
+    assert captured.out.startswith("wrote ")

@@ -206,6 +206,164 @@ def test_vector_query_past_the_horizon_raises():
 
 
 # ---------------------------------------------------------------------------
+# grids and read plans
+
+
+def _loop_nodes(breaks, dt):
+    """Each inter-break segment by its own np.linspace: the oracle for
+    `_build_nodes`."""
+    parts = [breaks[:1]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        steps = max(1, int(math.ceil((b - a) / dt - 1e-9)))
+        parts.append(np.linspace(a, b, steps + 1)[1:])
+    return np.concatenate(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8, unique=True),
+       st.floats(0.01, 20.0), st.lists(st.floats(1e-15, 1e-6), max_size=3))
+def test_build_nodes_matches_a_linspace_per_segment(points, dt, gaps):
+    # near neighbours too: segments far shorter than dt take one step
+    breaks = np.unique(np.concatenate((points, points[0] + np.asarray(gaps))))
+    got, want = integrate._build_nodes(breaks, dt), _loop_nodes(breaks, dt)
+    assert got.tobytes() == want.tobytes()
+
+
+def _searchsorted_plan(nodes, us):
+    """`locate`, a second search and the Hermite weights on the clipped
+    interval: the oracle for `_read_plan`."""
+    exact = locate(nodes, us)
+    interval = np.searchsorted(nodes, us, side="right") - 1
+    ic = np.clip(interval, 0, max(len(nodes) - 2, 0))
+    h = nodes[ic + 1] - nodes[ic] if len(nodes) > 1 else np.ones(us.shape)
+    weights = np.stack(_hermite_weights((us - nodes[ic]) / h, h), axis=1)
+    return exact, interval, weights
+
+
+def _check_read_plan(nodes, us):
+    exact, interval, weights = integrate._read_plan(nodes, us)
+    want_exact, want_interval, want_weights = _searchsorted_plan(nodes, us)
+    npt.assert_array_equal(exact, want_exact)
+    npt.assert_array_equal(interval, want_interval)
+    inside = (exact < 0) & (interval >= 0) & (interval < len(nodes) - 1)
+    assert weights[inside].tobytes() == want_weights[inside].tobytes()
+    snapped = np.zeros((np.count_nonzero(exact >= 0), 4))
+    snapped[:, 0] = 1.0
+    assert weights[exact >= 0].tobytes() == snapped.tobytes()
+    assert np.isfinite(weights).all()
+
+
+_SNAP_STEPS = st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0, 1.1, 1.5, 2.0, -0.4,
+                               -0.9, -1.0, -1.2])
+
+
+@st.composite
+def _snap_grids(draw):
+    """Grids from `_collect_breaks` and `_build_nodes` whose jump points,
+    frozen times and extras cluster within a few merge tolerances, so
+    merging and anchor pinning leave nodes closer than a snap window, and
+    reads on, near and between nodes, below node 0 and past the end."""
+    t_end = draw(st.sampled_from([0.75, 1.0, 3.0, 40.0]))
+    tol = integrate._SNAP * max(1.0, t_end)
+    centres = draw(st.lists(st.integers(1, 19).map(lambda k: k * t_end / 20),
+                            min_size=1, max_size=3))
+
+    def cluster():
+        return [c + k * tol for c in centres
+                for k in draw(st.lists(_SNAP_STEPS, max_size=3))]
+
+    taus = sorted({p for p in cluster() if 0.0 < p < t_end})
+    frozen = [p for p in cluster() if 0.0 <= p <= t_end]
+    extra = [p for p in cluster() if 0.0 <= p <= t_end]
+    lags = draw(st.lists(st.sampled_from([0.1, 0.25, 1 / 3]), max_size=2,
+                         unique=True))
+    spec = SystemSpec(
+        dim=1,
+        terms=[DelayTerm(np.array([[0.5]]), ConstantLag(lag)) for lag in lags]
+        + [DelayTerm(np.array([[0.5]]), FrozenTime(c)) for c in frozen],
+        impulses=ImpulseSchedule(taus, [[[0.5]]] * len(taus), None, 1),
+        horizon=t_end)
+    dt = draw(st.sampled_from([0.01, 0.1, 0.37]))
+    nodes = integrate._build_nodes(
+        integrate._collect_breaks(spec, 0.0, t_end, extra), dt)
+    picks = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1,
+                          max_size=20))
+    near = [nodes[i] + draw(_SNAP_STEPS) * integrate._SNAP
+            * max(1.0, abs(nodes[i])) for i in picks]
+    ulps = [np.nextafter(nodes[i], draw(st.sampled_from([-np.inf, np.inf])))
+            for i in picks]
+    between = draw(st.lists(st.floats(-1.0, t_end + 1.0), max_size=10))
+    us = np.concatenate((nodes[picks], near, ulps, between,
+                         [nodes[0] - 0.5, nodes[-1] + 0.5]))
+    return nodes, us
+
+
+@settings(max_examples=200, deadline=None)
+@given(_snap_grids())
+def test_read_plan_matches_locate_and_a_second_search(grid):
+    _check_read_plan(*grid)
+
+
+def test_read_plan_tries_the_node_below_a_pinned_anchor():
+    # the frozen time 0.5 + 1.1 eps' survives the merge, and the extra
+    # 0.5 + 0.9 eps' (eps' = _SNAP) is pinned onto it, within one snap
+    # window of the jump point 0.5: `locate` answers a read on the pinned
+    # node with the node before it
+    eps = integrate._SNAP
+    spec = SystemSpec(
+        dim=1,
+        terms=[DelayTerm(np.array([[0.5]]), FrozenTime(0.5 + 1.1 * eps))],
+        impulses=ImpulseSchedule([0.5], [[[0.5]]], None, 1), horizon=1.0)
+    nodes = integrate._build_nodes(
+        integrate._collect_breaks(spec, 0.0, 1.0, [0.5 + 0.9 * eps]), 0.1)
+    i = int(np.flatnonzero(nodes == 0.5 + 0.9 * eps)[0])
+    assert nodes[i - 1] == 0.5
+    us = nodes[i - 1:i + 2]
+    npt.assert_array_equal(integrate._read_plan(nodes, us)[0],
+                           [i - 1, i - 1, i + 1])
+    _check_read_plan(nodes, us)
+
+
+def _rk4_stage_maps(h, M):
+    """P - I and G of RK4 steps of lengths h on y' = -M y plus a delayed
+    part, by the stage chain k1 .. k4: the oracle for `_rk4_maps`."""
+    hh, eye = h[:, None, None], np.eye(M.shape[-1])
+    k1 = -M
+    k2 = -(M @ (eye + k1 * (0.5 * hh)))
+    k3 = -(M @ (eye + k2 * (0.5 * hh)))
+    k4 = -(M @ (eye + k3 * hh))
+    P = (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (hh / 6.0)
+    hM = M * hh
+    hM2 = hM @ hM
+    G = np.concatenate((hM - 0.5 * hM2 + 0.25 * (hM2 @ hM) - eye,
+                        2.0 * hM - 0.5 * hM2 - 4.0 * eye,
+                        np.broadcast_to(-eye, hM.shape)), axis=2) * (hh / 6.0)
+    return np.concatenate((P, G), axis=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_rk4_maps_match_the_stage_chain(n, seed):
+    # every step its own h; M changes twice, so three runs share tables
+    rng = np.random.default_rng(seed)
+    w = 9
+    M = rng.uniform(-2.0, 2.0, (w, n, n))
+    M[1:4], M[5:] = M[0], M[4]
+    h = rng.uniform(1e-4, 0.25, w)
+    got = integrate._rk4_maps(h, M, n)
+    want = _rk4_stage_maps(h, M)
+    # each entry within a few ulps of the sum of its terms' magnitudes
+    scale = _rk4_stage_maps(h, -np.abs(M))
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps
+                  * np.abs(scale))
+    # without a zero-lag part G equals the stages' (zeros up to sign)
+    got = integrate._rk4_maps(h, None, n)
+    npt.assert_array_equal(got[:, :, n:],
+                           _rk4_stage_maps(h, np.zeros((w, n, n)))[:, :, n:])
+    assert not got[:, :, :n].any()
+
+
+# ---------------------------------------------------------------------------
 # linearity
 
 

@@ -98,16 +98,36 @@ def locate(points: np.ndarray, ts) -> np.ndarray:
     On ties the lowest index wins.  Returns an array shaped like `ts`.
     """
     ts = np.asarray(ts, dtype=float)
-    base = np.searchsorted(points, ts)
-    scale = np.maximum(1.0, np.abs(ts))
-    out = np.full(ts.shape, -1, dtype=np.intp)
-    # reversed candidate order, so the lowest index is written last
-    for off in (1, 0, -1):
-        j = base + off
-        p = points.take(j, mode="clip")
-        hit = np.abs(p - ts) <= _SNAP * np.maximum(scale, np.abs(p))
-        out = np.where(hit & (j >= 0) & (j < len(points)), j, out)
-    return out
+    return _snap_search(points, ts.reshape(-1))[3].reshape(ts.shape)
+
+
+def _snap_search(points: np.ndarray, ts: np.ndarray) -> tuple:
+    """One right-sided search of the sorted array `points` at the 1-d times
+    `ts`: (hi, below, above, exact), with hi = searchsorted(points, ts,
+    side="right"), below and above the entries at hi - 1 and hi (clipped
+    to the array), and exact `locate`'s answer.
+
+    The snap test is monotone in the distance, so of the entries below t
+    only the nearest can snap to it first, and likewise above; where t
+    equals an entry, the one before may snap too (anchor pinning in
+    `_collect_breaks` can leave two nodes within one snap window), and
+    the lower wins.
+    """
+    N = len(points)
+    hi = np.searchsorted(points, ts, side="right")
+    below = points.take(hi - 1, mode="clip")
+    above = points.take(hi, mode="clip")
+    # _SNAP is a power of two, so it scales a maximum exactly
+    tol = _SNAP * np.maximum(1.0, np.abs(ts))
+    exact = np.where((above - ts <= np.maximum(tol, _SNAP * np.abs(above)))
+                     & (hi < N), hi, -1)
+    hit = (ts - below <= np.maximum(tol, _SNAP * np.abs(below))) & (hi > 0)
+    exact = np.where(hit, hi - 1, exact)
+    on = np.flatnonzero((below == ts) & (hi > 1))
+    if len(on):
+        p = points[hi[on] - 2]
+        exact[on[ts[on] - p <= np.maximum(tol[on], _SNAP * np.abs(p))]] -= 1
+    return hi, below, above, exact
 
 
 def _pieces(breaks: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
@@ -135,30 +155,24 @@ def read_piecewise(sig, ts, side: str = "right", dim: int = 0) -> np.ndarray:
     return np.broadcast_to(sig, ts.shape + sig.shape)
 
 
-def _hermite_weights(xi, h, out=None):
-    """The cubic Hermite weights of y(0), y'(0), y(h) and y'(h) at xi h,
-    as a tuple, or written into the four rows of `out`."""
+def _hermite_weights(xi, h) -> np.ndarray:
+    """The cubic Hermite weights of y(0), y'(0), y(h) and y'(h) at the
+    point xi h of [0, h], as the rows of a (4,) + xi.shape array."""
+    xi = np.asarray(xi, dtype=float)
     xi2 = xi * xi
     xi3 = xi2 * xi
-    if out is None:
-        return (
-            2.0 * xi3 - 3.0 * xi2 + 1.0,
-            h * (xi3 - 2.0 * xi2 + xi),
-            -2.0 * xi3 + 3.0 * xi2,
-            h * (xi3 - xi2),
-        )
-    # the same operations, in place
-    a, b = 2.0 * xi3, 3.0 * xi2
-    np.subtract(a, b, out=out[0])
-    out[0] += 1.0
-    np.subtract(b, a, out=out[2])
-    np.add(xi2, xi2, out=a)
-    np.subtract(xi3, a, out=out[1])
-    out[1] += xi
-    out[1] *= h
-    np.subtract(xi3, xi2, out=out[3])
-    out[3] *= h
-    return out
+    w = np.empty((4,) + xi.shape)
+    w0, w1, w2, w3 = (w[q, ...] for q in range(4))
+    np.multiply(xi2, 3.0, out=w2)
+    np.subtract(w2, 2.0 * xi3, out=w2)  # -2 xi^3 + 3 xi^2
+    np.subtract(1.0, w2, out=w0)  # 2 xi^3 - 3 xi^2 + 1, the same bits
+    np.multiply(xi2, 2.0, out=w1)
+    np.subtract(xi3, w1, out=w1)
+    w1 += xi
+    w1 *= h
+    np.subtract(xi3, xi2, out=w3)
+    w3 *= h
+    return w
 
 
 def _positive_lags(spec: SystemSpec) -> list:
@@ -538,42 +552,20 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     """Lookup data for delayed reads at the times `us`.
 
     Returns (exact, interval, weights): `exact[k]` is the node us[k] snaps
-    to (`locate`'s answer; -1 when us[k] is interior), `interval[k]` the
+    to (`locate`; -1 when us[k] is interior), `interval[k]` the
     enclosing-interval index, and `weights[k]` the four Hermite weights on
     that interval, (1, 0, 0, 0) where us[k] snaps.  Weight rows where
-    `interval < 0` are finite filler.
-
-    One search serves both answers: `locate` searches again and tries
-    three nodes around each read, but only the nodes below and above a
-    read can snap to it, and the node before those where the read sits on
-    a node exactly, since anchor pinning in `_collect_breaks` can leave
-    two nodes within one snap window.  On 2304 reads this takes 290 us
-    where `locate` and a second search took 490 (2 vCPUs).
+    `interval < 0` are finite filler.  Both come from one search
+    (`_snap_search`); `locate` and a second search took 490 us on 2304
+    reads where this takes 290 (2 vCPUs).
     """
-    N = len(nodes)
-    hi = np.searchsorted(nodes, us, side="right")
-    interval = hi - 1
-    below = nodes.take(interval, mode="clip")
-    above = nodes.take(hi, mode="clip")
-    # `locate`'s test, bit for bit: _SNAP is a power of two, so it scales
-    # a maximum exactly
-    tol = _SNAP * np.maximum(1.0, np.abs(us))
-    exact = np.where((above - us <= np.maximum(tol, _SNAP * np.abs(above)))
-                     & (hi < N), hi, -1)
-    hit = (us - below <= np.maximum(tol, _SNAP * np.abs(below))) & (hi > 0)
-    exact = np.where(hit, interval, exact)
-    on = np.flatnonzero((below == us) & (hi > 1))
-    if len(on):
-        p = nodes[hi[on] - 2]
-        exact[on[us[on] - p <= np.maximum(tol[on], _SNAP * np.abs(p))]] -= 1
+    hi, below, above, exact = _snap_search(nodes, us)
     # outside the grid, and on a one-node grid, the interval is empty
     h = above - below
     h[h == 0.0] = 1.0
     xi = (us - below) / h
     xi[exact >= 0] = 0.0
-    weights = np.empty((4, len(us)))
-    _hermite_weights(xi, h, out=weights)
-    return exact, interval, weights.T
+    return exact, hi - 1, _hermite_weights(xi, h).T
 
 
 def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,

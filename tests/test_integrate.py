@@ -229,10 +229,24 @@ def test_build_nodes_matches_a_linspace_per_segment(points, dt, gaps):
     assert got.tobytes() == want.tobytes()
 
 
+def _three_candidate_locate(points, ts):
+    """The snap rule tried on the three entries around a left-sided
+    search: the oracle for `locate`."""
+    base = np.searchsorted(points, ts)
+    scale = np.maximum(1.0, np.abs(ts))
+    out = np.full(ts.shape, -1, dtype=np.intp)
+    for off in (1, 0, -1):  # the lowest index is written last
+        j = base + off
+        p = points.take(j, mode="clip")
+        hit = np.abs(p - ts) <= integrate._SNAP * np.maximum(scale, np.abs(p))
+        out = np.where(hit & (j >= 0) & (j < len(points)), j, out)
+    return out
+
+
 def _searchsorted_plan(nodes, us):
-    """`locate`, a second search and the Hermite weights on the clipped
-    interval: the oracle for `_read_plan`."""
-    exact = locate(nodes, us)
+    """The three-candidate lookup, a second search and the Hermite weights
+    on the clipped interval: the oracle for `_read_plan`."""
+    exact = _three_candidate_locate(nodes, us)
     interval = np.searchsorted(nodes, us, side="right") - 1
     ic = np.clip(interval, 0, max(len(nodes) - 2, 0))
     h = nodes[ic + 1] - nodes[ic] if len(nodes) > 1 else np.ones(us.shape)
@@ -244,6 +258,7 @@ def _check_read_plan(nodes, us):
     exact, interval, weights = integrate._read_plan(nodes, us)
     want_exact, want_interval, want_weights = _searchsorted_plan(nodes, us)
     npt.assert_array_equal(exact, want_exact)
+    npt.assert_array_equal(locate(nodes, us), want_exact)
     npt.assert_array_equal(interval, want_interval)
     inside = (exact < 0) & (interval >= 0) & (interval < len(nodes) - 1)
     assert weights[inside].tobytes() == want_weights[inside].tobytes()
@@ -300,7 +315,8 @@ def _snap_grids(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_snap_grids())
-def test_read_plan_matches_locate_and_a_second_search(grid):
+def test_read_plan_and_locate_match_three_candidates_and_a_second_search(
+        grid):
     _check_read_plan(*grid)
 
 

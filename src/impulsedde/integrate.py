@@ -28,10 +28,10 @@ one affine map over a run of like steps (`_lift_runs`, `_lift_scan`), so
 the windows end at the smallest long lag.
 
 This module owns the two numerical rules the representation layer shares:
-the snap rule (`_SNAP`), applied through one lookup (`locate`, whose
-answers `_read_plan` gives from one search per read) and one table reader
-(`read_piecewise`), and the lag-image rule (`_image_shifts`),
-applied forward by `_collect_breaks` and backward by `quadrature_nodes`.
+the snap rule (`_SNAP`), applied through one lookup (`locate`, one search
+per time, `_snap_search`) and one table reader (`read_piecewise`), and
+the lag-image rule (`_image_shifts`), applied forward by
+`_collect_breaks` and backward by `quadrature_nodes`.
 `represent` reaches them through those names and `kernel_rows`; none of
 them is exported from the package.  Dense output is read by one plan
 (`_read_plan`), for the sweep's delayed reads and for `Trajectory.value`,
@@ -520,7 +520,7 @@ _WINDOW_BYTES = 1 << 18
 # byte budget of one block of steps, whose read plans and coefficients
 # are set up at once; a step is counted at 1 KiB at most, so a block holds
 # at least 512 steps.  The plan's temporaries set the memory peak: a dense
-# solve (n = 4, two lags, 2e4 steps) traced 294 B per node at 512 KiB, 261
+# solve (n = 4, two lags, 2e4 steps) traced 289 B per node at 512 KiB, 261
 # at 256 KiB with the stage-chain maps and two searches per read, and 337
 # with those at 512 KiB; doubling the budget halved the blocks of the
 # trajectory benchmark (157 to 79)
@@ -555,9 +555,10 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     to (`locate`; -1 when us[k] is interior), `interval[k]` the
     enclosing-interval index, and `weights[k]` the four Hermite weights on
     that interval, (1, 0, 0, 0) where us[k] snaps.  Weight rows where
-    `interval < 0` are finite filler.  Both come from one search
-    (`_snap_search`); `locate` and a second search took 490 us on 2304
-    reads where this takes 290 (2 vCPUs).
+    `interval < 0` are finite filler.  Both come from `locate`'s one
+    search (`_snap_search`): on 2304 reads this took 230-290 us, where
+    the three-candidate lookup and a second search it replaced took
+    360-490 (2 vCPUs).
     """
     hi, below, above, exact = _snap_search(nodes, us)
     # outside the grid, and on a one-node grid, the interval is empty
@@ -581,11 +582,14 @@ def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
     first activation, the left limit at it included, or before the grid --
     take the all-zero rows at `zero_row`.
 
-    The ring is taken modulo once per read: a read's rows may run three
-    rows past the ring's end, into the first spare slot, which holds a
-    copy of slot 0 from the window that wrote it on (`_tail`) until the
-    next window that writes there, and is read with weight zero where it
-    does not.  Without spare slots (a dense sweep) the ring never wraps.
+    The ring is taken modulo once per read, so a read's rows may run up to
+    three rows past the ring's end, into the first spare slot.  An
+    interval read takes y_pre and f_left of the node in slot 0 from
+    there: the window that computed that node wrote it into the spare
+    slot and copied it to slot 0 (`_tail`), and no window writes the
+    spare slot again while the node is within the ring's depth.  A
+    snapped read takes the rows after its node with weight zero.  A
+    dense sweep has no spare slots and never wraps.
 
     Returns (rows, weights, node, need): `node` is the node whose data the
     read takes (huge for zero reads) and `need` the node the sweep must
@@ -597,11 +601,8 @@ def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
     zero = node < k_start + (hit & left)
     base = node * 4 % ring_rows + np.where(hit & left, _Y_PRE, _Y_POST)
     base[zero] = zero_row
-    rows = np.empty((4, len(base)), dtype=np.intp)
-    for q in _QUAD:
-        np.add(base, q, out=rows[q])
-    return (rows.T, weights, np.where(zero, np.iinfo(np.intp).max, node),
-            node + ~hit)
+    return ((base + _QUAD[:, None]).T, weights,
+            np.where(zero, np.iinfo(np.intp).max, node), node + ~hit)
 
 
 def _affine_scan(D: np.ndarray, C: np.ndarray) -> tuple:

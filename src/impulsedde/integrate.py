@@ -18,7 +18,8 @@ the jump offsets act on a constant last component.
 The engine steps a lag window per pass: inside [a, a + theta_min) every
 delayed read lands on history that is already computed (Bellen and
 Zennaro 2003, the method of steps), so the window's reads are one gather
-and one Hermite blend, and each RK4 step is the affine map
+and one Hermite blend, each node read once (and its left limit only where
+the two sides can differ), and each RK4 step is the affine map
 y_{k+1} = P_k y_k + c_k, with c_k computed in bulk and P_k the RK4
 polynomial of the zero-lag part; a doubling scan composes that recurrence
 between jump and activation nodes, so no loop runs step by step.  A lag
@@ -56,6 +57,7 @@ from .system import (
     MatrixTable,
     SystemSpec,
     VectorTable,
+    is_left,
     require_valid,
 )
 
@@ -130,13 +132,13 @@ def _snap_search(points: np.ndarray, ts: np.ndarray) -> tuple:
     return hi, below, above, exact
 
 
-def _pieces(breaks: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
+def _pieces(breaks: np.ndarray, ts: np.ndarray, left: bool) -> np.ndarray:
     """Piece index of a table at each t; a t that snaps to a break is read
     as that break, so a lag image fl(fl(b + theta) - theta) of a break b,
     or a grid node that won the snap merge against b, takes b's pieces."""
     hit = locate(breaks, ts)
     ts = np.where(hit >= 0, breaks[hit], ts)
-    k = np.searchsorted(breaks, ts, side="right" if side == "right" else "left")
+    k = np.searchsorted(breaks, ts, side="left" if left else "right")
     return np.maximum(k - 1, 0)
 
 
@@ -145,12 +147,13 @@ def read_piecewise(sig, ts, side: str = "right", dim: int = 0) -> np.ndarray:
 
     `sig` is None (zero, of length `dim`), a constant array or a
     Matrix/VectorTable; the result has shape ts.shape + the value's shape.
+    `side` is "right" or "left"; any other raises ValueError.
     """
-    ts = np.asarray(ts, dtype=float)
+    left, ts = is_left(side), np.asarray(ts, dtype=float)
     if sig is None:
         return np.zeros(ts.shape + (dim,))
     if isinstance(sig, (MatrixTable, VectorTable)):
-        return sig.values[_pieces(sig.breaks, ts, side)]
+        return sig.values[_pieces(sig.breaks, ts, left)]
     sig = np.asarray(sig, dtype=float)
     return np.broadcast_to(sig, ts.shape + sig.shape)
 
@@ -161,18 +164,9 @@ def _hermite_weights(xi, h) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     xi2 = xi * xi
     xi3 = xi2 * xi
-    w = np.empty((4,) + xi.shape)
-    w0, w1, w2, w3 = (w[q, ...] for q in range(4))
-    np.multiply(xi2, 3.0, out=w2)
-    np.subtract(w2, 2.0 * xi3, out=w2)  # -2 xi^3 + 3 xi^2
-    np.subtract(1.0, w2, out=w0)  # 2 xi^3 - 3 xi^2 + 1, the same bits
-    np.multiply(xi2, 2.0, out=w1)
-    np.subtract(xi3, w1, out=w1)
-    w1 += xi
-    w1 *= h
-    np.subtract(xi3, xi2, out=w3)
-    w3 *= h
-    return w
+    w2 = 3.0 * xi2 - 2.0 * xi3
+    return np.stack((1.0 - w2, (xi3 - 2.0 * xi2 + xi) * h, w2,
+                     (xi3 - xi2) * h))
 
 
 def _positive_lags(spec: SystemSpec) -> list:
@@ -333,9 +327,10 @@ class Trajectory:
         A time that snaps to a node reads y_post there, or y_pre when
         side is "left" (phi's left limit at node 0); a time below `start`
         reads phi on that side, any other the step's Hermite cubic.  An
-        unsnapped time past `t_end` raises ValueError.
+        unsnapped time past `t_end`, or a side other than "right" or
+        "left", raises ValueError.
         """
-        t = np.asarray(t, dtype=float)
+        left, t = is_left(side), np.asarray(t, dtype=float)
         ts = t.reshape(-1)
         exact, interval, w = _read_plan(self.t_nodes, ts)
         hit = exact >= 0
@@ -347,7 +342,6 @@ class Trajectory:
         w = w[:, :, None]
         out = (w[:, 0] * self.y_post[i] + w[:, 1] * self.f_right[i]
                + w[:, 2] * self.y_pre[i + 1] + w[:, 3] * self.f_left[i + 1])
-        left = side != "right"
         out[hit] = (self.y_pre if left else self.y_post)[exact[hit]]
         past = np.where(hit, (exact == 0) & left, ts < self.start)
         if past.any():
@@ -507,23 +501,27 @@ def fundamental_matrix(spec: SystemSpec, s: float,
 
 # rows of a node's slot in the history buffer, in this order so that the
 # four values a Hermite read inside the step after node i blends --
-# y_post[i], f_right[i], y_pre[i+1], f_left[i+1] -- are consecutive rows
+# y_post[i], f_right[i], y_pre[i+1], f_left[i+1] -- are consecutive rows.
+# Only the nodes where the two sides can differ fill their left rows
+# (`_Sweep.side`); a read takes the right rows of the others, two rows on:
+# the offsets of a read's rows by node i+1's side code
 _Y_PRE, _F_LEFT, _Y_POST, _F_RIGHT = range(4)
+_OFFSETS = np.array([[0, 1, 4, 5], [0, 1, 4, 3], [0, 1, 2, 3], [0, 1, 2, 3]])
 # a frozen term's read of its snapshot takes the last of its four rows
 _SNAPPED = np.array([0.0, 0.0, 0.0, 1.0])
 _QUAD = np.arange(4)
-# of a step's three reads (start, mid, end), the end reads the left limit
-_AT_END = np.array([False, False, True])[:, None]
-# byte budget of one lag window's gathered reads and stage arrays; a few
-# dozen steps already amortise a window's fixed cost in numpy calls
+# byte budget of one lag window's gathered reads and stage arrays, two
+# reads per step and term; a few dozen steps already amortise a window's
+# fixed cost in numpy calls
 _WINDOW_BYTES = 1 << 18
 # byte budget of one block of steps, whose read plans and coefficients
 # are set up at once; a step is counted at 1 KiB at most, so a block holds
-# at least 512 steps.  The plan's temporaries set the memory peak: a dense
-# solve (n = 4, two lags, 2e4 steps) traced 289 B per node at 512 KiB, 261
-# at 256 KiB with the stage-chain maps and two searches per read, and 337
-# with those at 512 KiB; doubling the budget halved the blocks of the
-# trajectory benchmark (157 to 79)
+# at least 512 steps.  A step holds three reads per term: its start node's
+# right and left reads and its mid.  The plan's temporaries set the memory
+# peak: a dense solve (n = 4, two lags, 2e4 steps) traced 290 B per node
+# at 512 KiB, 261 at 256 KiB with the stage-chain maps and two searches per
+# read, and 337 with those at 512 KiB; doubling the budget halved the
+# blocks of the trajectory benchmark (157 to 79)
 _PLAN_BYTES = 1 << 19
 # a lag shorter than this many steps is short: its reads land in the last
 # few nodes, which the sweep lifts into its state (`_lift_runs`) rather
@@ -569,27 +567,29 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     return exact, hi - 1, _hermite_weights(xi, h).T
 
 
-def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
-               zero_row: int):
+def _read_rows(st: _Sweep, plan, left: bool):
     """History-buffer rows and blend weights of planned delayed reads.
 
     A read is sum_q weights[:, q] * buffer row rows[:, q]; node j's slot
-    starts at row 4 j modulo `ring_rows`.  A read inside the step after
-    node i blends that step's four Hermite rows; a read that snaps to node
-    i takes y_post[i], or y_pre[i] where `left` (one flag per read) is set,
-    as the first of four rows, with the weights (1, 0, 0, 0) of the plan.
-    Reads of values that are zero in every column -- before `k_start`, the
-    first activation, the left limit at it included, or before the grid --
-    take the all-zero rows at `zero_row`.
+    starts at row 4 j modulo the ring's 4 R rows.  A read inside the step
+    after node i blends that step's four Hermite rows: y_post[i],
+    f_right[i], then y_pre[i+1] where node i+1 is an event and f_left[i+1]
+    where its sides can differ (`_Sweep.side`), and y_post[i+1] and
+    f_right[i+1] elsewhere.  A read that snaps to node i takes y_post[i],
+    or for left limits (`left`) y_pre[i] at an event, as the first of four
+    rows, with the weights (1, 0, 0, 0) of the plan.  Reads of values that
+    are zero in every column -- before
+    `k_start`, the first activation, the left limit at it included, or
+    before the grid -- take the all-zero rows at `zero_row`.
 
     The ring is taken modulo once per read, so a read's rows may run up to
-    three rows past the ring's end, into the first spare slot.  An
-    interval read takes y_pre and f_left of the node in slot 0 from
-    there: the window that computed that node wrote it into the spare
-    slot and copied it to slot 0 (`_tail`), and no window writes the
-    spare slot again while the node is within the ring's depth.  A
-    snapped read takes the rows after its node with weight zero.  A
-    dense sweep has no spare slots and never wraps.
+    five rows past the ring's end, into the first spare slot.  An
+    interval read takes the rows of the node in slot 0 from there: the
+    window that computed that node wrote it into the spare slot and copied
+    it to slot 0 (`_tail`), and no window writes the spare slot again
+    while the node is within the ring's depth.  A snapped read takes the
+    rows after its node with weight zero.  A dense sweep has no spare
+    slots and never wraps.
 
     Returns (rows, weights, node, need): `node` is the node whose data the
     read takes (huge for zero reads) and `need` the node the sweep must
@@ -598,11 +598,14 @@ def _read_rows(plan, left: np.ndarray, k_start: int, ring_rows: int,
     exact, interval, weights = plan
     hit = exact >= 0
     node = np.where(hit, exact, interval)
-    zero = node < k_start + (hit & left)
-    base = node * 4 % ring_rows + np.where(hit & left, _Y_PRE, _Y_POST)
-    base[zero] = zero_row
-    return ((base + _QUAD[:, None]).T, weights,
-            np.where(zero, np.iinfo(np.intp).max, node), node + ~hit)
+    zero = node < st.k_start + (hit if left else 0)
+    base = node * 4 % (4 * st.R) + _Y_POST
+    if left:
+        base -= 2 * (hit & (st.side[node] > 1))
+    base[zero] = st.zero_row
+    rows = base[:, None] + _OFFSETS[np.where(hit | zero, 3, st.side[node + 1])]
+    return (rows, weights, np.where(zero, np.iinfo(np.intp).max, node),
+            node + ~hit)
 
 
 def _affine_scan(D: np.ndarray, C: np.ndarray) -> tuple:
@@ -633,6 +636,12 @@ class _Sweep:
     chunk's own history ring `H`, window buffers, activations and events.
     `_width`, `_at_node`, `_plan` and `_window` each run one part of the
     sweep on it.
+
+    `side` codes each node by the rows its left limits take: 0, none
+    (they are its right ones); 1, f_left, at the nodes where a coefficient
+    changes or a delayed read snaps to an event (`_plan`) and those of
+    lifted runs (`_lifted`); 3, y_pre and f_left, at the events, jumps and
+    activations.  It holds one code past node K.
     """
 
     def __init__(self, shared: dict, c0: int, c1: int):
@@ -645,11 +654,12 @@ class _Sweep:
         self.rows_of = self.H.reshape(4 * self.slots, n, Sc * self.m)
         # window buffers, reused by every window of the chunk: the gathered
         # rows (every column: a gather from a column prefix would copy the
-        # ring first), their blends, the delayed parts d and the stage sums c
-        size = self.wmax * n * Sc * self.m
-        self.bufs = (np.empty(12 * self.nt * size),
-                     np.empty(3 * self.nt * size), np.zeros(3 * size))
-        self.cbuf = np.empty(size)
+        # ring first), their blends, the delayed parts d of each node's and
+        # each step's read, and the stage sums c
+        size = (self.wmax + 1) * n * Sc * self.m
+        self.bufs = (np.empty(8 * self.nt * size),
+                     np.empty(2 * self.nt * size), np.empty(2 * size),
+                     np.empty(size))
         self.snap = [i == self.k_start for i in self.frozen_idx]
         # the chunk's columns that node s activates, as a local range
         self.activate = {s: (bisect.bisect_left(self.s_list, s),
@@ -657,6 +667,8 @@ class _Sweep:
         self.events = sorted(j for j in set(self.activate) | set(self.jumps)
                              if j > self.k_start)
         self.is_event = set(self.events)
+        self.side = np.zeros(len(self.nodes) + 1, dtype=np.int8)
+        self.side[list(self.jumps) + self.s_list] = 3
 
 
 def _width(st: _Sweep, j: int) -> int:
@@ -735,55 +747,74 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
 
 
 def _plan(st: _Sweep, p0: int, p1: int):
-    """The plan of the steps p0 .. p1 - 1: their read rows and weights,
-    coefficients A, zero-lag part M and RK4 maps P - I and G; the node
-    each step's reads need, and the same over long reads alone; and the
-    lifted runs among them (`_lift_runs`)."""
-    n, nt, lags = st.n, st.nt, st.lags
-    t = st.nodes[p0:p1 + 1]
-    h = np.diff(t)
-    mids = t[:-1] + 0.5 * h
-    w = p1 - p0
-    rows = np.empty((w, 3, nt, 4), dtype=np.intp)
-    wts = np.empty((w, 3, nt, 4))
-    need = ready = np.full(w, -1, dtype=np.intp)
-    if lags:
-        # every lag's reads at the step starts, mids and ends (the left
-        # limit there), planned in one call
-        us = np.stack((t[:-1], mids, t[1:]), axis=1)[:, :, None] - st.thetas
-        r, wt, node, ready = _read_rows(
-            _read_plan(st.nodes, us.ravel()),
-            np.broadcast_to(_AT_END, us.shape).ravel(), st.k_start,
-            4 * st.R, st.zero_row)
-        rows[:, :, :len(lags)] = r.reshape(us.shape + (4,))
-        wts[:, :, :len(lags)] = wt.reshape(us.shape + (4,))
-        ready = ready.reshape(us.shape)
-        need = ready.reshape(w, -1).max(axis=1)
-        oldest = node.reshape(w, -1).min(axis=1)
-        bad = np.flatnonzero(oldest <= np.arange(p0, p1) - st.D + 1)
-        if len(bad):
-            # _ring_depth sizes the ring to the deepest read, so this is
-            # an internal error, kept under python -O
-            k = bad[0]
-            raise RuntimeError(
-                f"history ring too shallow: step {p0 + k} reads "
-                f"interval {oldest[k]} with depth {st.D}")
-    for i, snapped in enumerate(st.snap, start=len(lags)):
-        # a frozen term reads the snapshot's y_post, or zero
-        rows[:, :, i] = st.zero_row + (3 if snapped else 0) + _QUAD
-        wts[:, :, i] = _SNAPPED if snapped else 0.0
+    """The plan of the steps p0 .. p1 - 1: the read rows and weights,
+    (w + 1, 3, nt, 4), of each node's read, its step's mid read (none at
+    node p1) and its left read, held only at the block's nodes with two
+    sides (`_Sweep.side`, listed in `_Sweep.tk`); the coefficients A and
+    zero-lag parts M of the steps p0 .. p1 (node K takes step K - 1's),
+    so that a node's derivative and read take those of the step it
+    starts; the RK4 maps P - I and G; the node each step's reads need, and
+    the same over long reads alone; and the lifted runs (`_lift_runs`).
+
+    A node's read serves the step it ends and the step it starts, so each
+    lag's 2 w + 1 reads take one `_read_plan` call; a left read shares the
+    plan of its node's read.
+    """
+    n, nt, L, w = st.n, st.nt, len(st.lags), p1 - p0
+    Nr = (2 * w + 1) * L
+    t = st.nodes[p0:p1 + 2]
+    mids = t[:-1] + 0.5 * np.diff(t)
+    mids = np.append(mids, mids[-1])[:w + 1]  # node K takes step K - 1's
+    t, h = t[:w + 1], np.diff(t[:w + 1])
     # mids never sit on a break, so the side does not matter
     A = (np.concatenate([read_piecewise(c, mids) for c in st.read_coefs],
-                        axis=2) if nt else None)
+                        axis=2) if nt else np.zeros((w + 1, n, 0)))
     M = (sum(read_piecewise(c, mids) for c in st.zero_lag)
          if st.zero_lag else None)
-    maps = _rk4_maps(h, M, n)
+    us = np.stack((t, mids), axis=1)[:, :, None] - st.thetas
+    plan = _read_plan(st.nodes, us.ravel()[:Nr])
+    # the two sides of a node differ where a read snaps to an event, or
+    # where a coefficient table breaks
+    exact = plan[0].reshape(2 * w + 1, L)[2::2]
+    two = ((st.side[exact] > 1) & (exact >= 0)).any(axis=1)
+    st.side[p0 + 1:p1 + 1] |= two | (np.diff(np.searchsorted(
+        st.coef_breaks, mids)) > 0)
+    lk = np.flatnonzero(st.side[p0 + 1:p1 + 1]) + 1
+    st.tk = (lk + p0).tolist()
+    # each node's read and its step's mid read (node K's is empty), and
+    # the left reads of the nodes with two sides
+    right = _read_rows(st, plan, False)
+    left = _read_rows(st, [x[(2 * L * lk[:, None] + np.arange(L)).ravel()]
+                           for x in plan], True)
+    rows = np.empty((w + 1, 3, nt, 4), dtype=np.intp)
+    wts = np.empty((w + 1, 3, nt, 4))
+    for x, y, z in zip((rows, wts), right, left):
+        x[:w, :2, :L] = y[:2 * w * L].reshape(w, 2, L, 4)
+        x[w, 0, :L] = y[2 * w * L:]
+        x[lk, 2, :L] = z.reshape(len(lk), L, 4)
+    rows[w, 1], wts[w, 1] = st.zero_row + _QUAD, 0.0
+    for i, snapped in enumerate(st.snap, start=L):
+        # a frozen term reads the snapshot's y_post, or zero
+        rows[..., i, :] = st.zero_row + (3 if snapped else 0) + _QUAD
+        wts[..., i, :] = _SNAPPED if snapped else 0.0
+    # each step's start, mid and end reads
+    ready, node = (np.stack((x[:-1:2], x[1::2], x[2::2]), axis=1)
+                   for x in (y.reshape(2 * w + 1, L) for y in right[3:1:-1]))
+    oldest = node.reshape(w, -1).min(axis=1, initial=np.iinfo(np.intp).max)
+    bad = np.flatnonzero(oldest <= np.arange(p0, p1) - st.D + 1)
+    if len(bad):
+        # _ring_depth sizes the ring to the deepest read, so this is an
+        # internal error, kept under python -O
+        k = bad[0]
+        raise RuntimeError(f"history ring too shallow: step {p0 + k} reads "
+                           f"interval {oldest[k]} with depth {st.D}")
+    maps = _rk4_maps(h, None if M is None else M[:w], n)
     P, G = None if M is None else maps[:, :, :n], maps[:, :, n:]
     pl = [rows, wts, A, M, P, G]
-    need = np.maximum.accumulate(need)
+    need = np.maximum.accumulate(ready.max(axis=(1, 2), initial=-1))
     if not len(st.short):
         return pl, need, need, []
-    long = np.ones(len(lags), dtype=bool)
+    long = np.ones(L, dtype=bool)
     long[st.short] = False
     need_long = np.maximum.accumulate(ready[:, :, long].max(axis=(1, 2),
                                                             initial=-1))
@@ -801,19 +832,24 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     of one length, with the same short-read rows and weights and the same
     short-lag and zero-lag coefficients, and with no jump, activation or
     start at the nodes the state holds (there y_pre = y_post).  A run of
-    at least `_LIFT_STEPS` such steps is lifted: its short reads are
-    zeroed in the plan, and Psi comes from the run's mean plan.
+    at least `_LIFT_STEPS` such steps is lifted: its windows zero its short
+    reads (`_lifted`), and Psi comes from the run's mean plan.
 
     The runs of a block share one depth r.  Psi holds the rows step k
     writes.  One probe (`_probe`) finds them for every run of the block:
     step j of the probe reads a ring of unit columns with run j's mean
-    plan of the short terms, through `_fresh_rows`, the stage formulas
-    of every window.  y_k is read there but not carried; its carry is S,
-    and its zero-lag part is added after, so that Psi holds P - I and not
-    a rounded P (see `_plan`).
+    plan of the short terms, at its start, mid and end, through the stage
+    formulas of every window; the ring holds both sides of every node.
+    y_k is read there but not carried; its carry is S, and its zero-lag
+    part is added after, so that Psi holds P - I and not a rounded P (see
+    `_plan`).
     """
     rows, wts, A, M, P, G = pl
     n, w, R, sh = st.n, len(h), st.R, st.short
+    A, M = A[:w], None if M is None else M[:w]
+    # each step's start, mid and end reads of the short lags
+    rows, wts = (np.stack((x[:-1, 0], x[:-1, 1], x[1:, 0]), axis=1)[:, :, sh]
+                 for x in (rows, wts))
     ks = np.arange(p0, p0 + w)
     oldest = ready[:, :, sh].min(axis=(1, 2)) - 1
     starts = np.array([st.k_start] + st.events)
@@ -821,7 +857,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     ok = (last < oldest) & (ks - oldest <= st.r_max)
     # steps whose lengths differ by node rounding alone count as one length
     tol = _SNAP * max(1.0, abs(st.nodes[p0]), abs(st.nodes[p0 + w]))
-    rs, ws = rows[:, :, sh].reshape(w, -1), wts[:, :, sh].reshape(w, -1)
+    rs, ws = rows[..., 0].reshape(w, -1), wts.reshape(w, -1)
     As = A[:, :, st.short_cols].reshape(w, -1)
     same = (ok[1:] & ok[:-1] & (np.abs(np.diff(h)) <= tol)
             & ((rs[1:] - rs[:-1]) % (4 * R) == 4).all(axis=1)
@@ -847,35 +883,33 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     cuts = np.stack((k0s, k1s), axis=1).ravel()
     mean = [np.add.reduceat(x, cuts[cuts < w])[::2]
             / (k1s - k0s).reshape((J,) + (1,) * (x.ndim - 1))
-            for x in (wts[:, :, sh], G) + (() if P is None else (P,))]
+            for x in (wts, G) + (() if P is None else (P,))]
     # the short reads of each run's first step, as rows of the nodes
     # k0 - r .. k0 in a ring that starts at node k0 - r
-    rows_p = (rows[k0s][:, :, sh] - 4 * (ks[k0s] - r)[:, None, None, None]
-              ) % (4 * R)
+    rows_p = (rows[k0s][..., :1] + _QUAD
+              - 4 * (ks[k0s] - r)[:, None, None, None]) % (4 * R)
     Ms = None if M is None else M[k0s]
     fresh = _probe(r, n, rows_p, mean[0], A[k0s][:, :, st.short_cols], Ms,
                    mean[1])
     if M is not None:
         # y_k's own zero-lag part: D y_k, f_right = -M y_k and
         # f_left = -M y_{k+1}
-        eye, own = np.eye(n), np.empty((J, 3, n, n))
+        eye, own, zero = np.eye(n), np.empty((J, 3, n, n)), np.zeros(n)
         own[:, 1] = mean[2]
-        _derivatives(Ms, np.broadcast_to(eye, own[:, 1].shape),
-                     eye + mean[2], np.zeros((J, 3, n, n)), own[:, 0],
-                     own[:, 2])
+        _derivative(Ms, np.broadcast_to(eye, own[:, 1].shape), zero,
+                    own[:, 0])
+        _derivative(Ms, eye + mean[2], zero, own[:, 2])
         fresh[:, :, :, 3 * r * n:(3 * r + 1) * n] += own
-    lifted = np.concatenate([np.arange(k0, k1) for k0, k1 in zip(k0s, k1s)])
-    lifted = lifted[:, None, None], np.arange(3)[:, None], sh
-    rows[lifted], wts[lifted] = st.zero_row + _QUAD, 0.0
     return [(p0 + k0, p0 + k1, (r, n, Psi)) for k0, k1, Psi
             in zip(k0s.tolist(), k1s.tolist(), fresh.reshape(J, 3 * n, -1))]
 
 
 def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
-    """The rows that each of J steps writes from a zero start (`_fresh_rows`)
-    when its reads `rows`, `wts` land on the nodes 0 .. r, and those hold
-    one unit column per coordinate of the lifted state (`_lift_layout`):
-    (J, 3, n, d), column j the response to coordinate j.
+    """The rows that each of J steps writes from a zero start when its
+    start, mid and end reads `rows`, `wts` land on the nodes 0 .. r, and
+    those hold one unit column per coordinate of the lifted state
+    (`_lift_layout`): (J, 3, n, d), f_right at its start node and y and
+    f_left at its end, column j the response to coordinate j.
 
     The scratch of the gather and the blend is sized for the steps at
     hand, and steps are probed in groups that keep it within
@@ -893,8 +927,12 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     out = np.empty((J, 3, n, d))
     for j in range(0, J, group):
         part = slice(j, j + group)
-        out[part] = _fresh_rows(ring, bufs, rows[part], wts[part], A[part],
-                                None if M is None else M[part], G[part], d)
+        o, p = out[part], bufs[2][:3 * n * d * len(out[part])]
+        p = p.reshape(-1, 3, n, d)
+        _delayed(ring, bufs, rows[part], wts[part], A[part], p)
+        np.matmul(G[part], p.reshape(-1, 3 * n, d), out=o[:, 1])
+        np.negative(p[:, 0], out=o[:, 0])
+        _derivative(None if M is None else M[part], o[:, 1], p[:, 2], o[:, 2])
     return out
 
 
@@ -1002,63 +1040,72 @@ def _lift_scan(lm: _LiftMap, C: np.ndarray, z0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derivatives(M, y0, y1, d, fr, fl) -> None:
-    """The derivatives at the nodes of steps with delayed parts d: f_right
-    = k1 = -(M y0 + d1) at each step's start value y0, and f_left =
-    -(M y1 + d4) at its end's left limit y1 (M None: no zero-lag part;
-    y0 None: a zero start)."""
-    for f, y, dk in ((fr, y0, d[:, 0]), (fl, y1, d[:, 2])):
-        if M is None or y is None:
-            np.negative(dk, out=f)
-        else:
-            np.matmul(M, y, out=f)
-            f += dk
-            np.negative(f, out=f)
+def _derivative(M, y, d, out) -> np.ndarray:
+    """The derivatives -(M y + d) at nodes with values y and delayed parts
+    d (M None: no zero-lag part), into `out`."""
+    if M is None:
+        return np.negative(d, out=out)
+    np.matmul(M, y, out=out)
+    out += d
+    return np.negative(out, out=out)
 
 
-def _delayed(ring, bufs, rows, wts, A, Wm: int):
-    """The delayed parts d (w, 3, n, Wm) of w steps' three reads of nt
-    terms: one gather from the history rows `ring` (4 per slot, n, cols),
-    one Hermite blend and one product with the terms' coefficients; zero
-    without reads.  `bufs` holds the flat scratch of the gather, the
-    blend and d."""
-    w, nt = len(rows), rows.shape[2]
+def _delayed(ring, bufs, rows, wts, A, d) -> None:
+    """The delayed parts d (N, q, n, Wm) of N groups of q planned reads of
+    nt terms each: one gather from the history rows `ring` (4 per slot, n,
+    cols), one Hermite blend and one product with group i's coefficients
+    A[i]; zero without reads.  `bufs` holds the flat scratch of the gather
+    and the blend."""
+    N, q, nt = rows.shape[:3]
     _, n, cols = ring.shape
-    gbuf, xbuf, dbuf = bufs
-    d = dbuf[:w * 3 * n * Wm].reshape(w, 3, n, Wm)
-    if nt:
-        g = gbuf[:w * 12 * nt * n * cols].reshape(-1, n, cols)
-        np.take(ring, rows.reshape(-1), axis=0, out=g, mode="clip")
-        x = xbuf[:w * 3 * nt * n * cols].reshape(-1, 1, n * cols)
-        np.matmul(wts.reshape(-1, 1, 4), g.reshape(-1, 4, n * cols), out=x)
-        np.matmul(A[:, None], x.reshape(w, 3, nt * n, cols)[..., :Wm], out=d)
-    return d
+    if not nt:
+        d[...] = 0.0
+        return
+    g = bufs[0][:N * q * 4 * nt * n * cols].reshape(-1, n, cols)
+    np.take(ring, rows.reshape(-1), axis=0, out=g, mode="clip")
+    x = bufs[1][:N * q * nt * n * cols].reshape(-1, 1, n * cols)
+    np.matmul(wts.reshape(-1, 1, 4), g.reshape(-1, 4, n * cols), out=x)
+    np.matmul(A[:, None], x.reshape(N, q, nt * n, cols)[..., :d.shape[-1]],
+              out=d)
 
 
-def _fresh_rows(ring, bufs, rows, wts, A, M, G, Wm: int) -> np.ndarray:
-    """The rows each of w steps writes when it starts from zero, with its
-    planned reads (`_delayed`): f_right at its start node, y and f_left
-    at its end node, as (w, 3, n, Wm)."""
-    d = _delayed(ring, bufs, rows, wts, A, Wm)
-    w, _, n, _ = d.shape
-    out = np.empty((w, 3, n, Wm))
-    np.matmul(G, d.reshape(w, 3 * n, Wm), out=out[:, 1])
-    _derivatives(M, None, out[:, 1], d, out[:, 0], out[:, 2])
-    return out
+def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
+    """The delayed parts and stage sums of steps a .. b - 1 (`_plan`'s
+    part for them): d (w + 1, 2, n, Wm), those of each node's read and of
+    each step's mid read, so that step k's [d1; d23; d4] are the 3 n rows
+    from node k's read on; c (w, n, Wm), each step's stage sum on y = 0,
+    G [d1; d23; d4]; and the nodes with two sides, k (from a), with their
+    rows dk, the [d1; d23; d4] of the step they end, whose d4 takes the
+    node's left read and the step's own coefficients, and whose c they
+    give."""
+    rows, wts, A, _, _, G = pl
+    n, w, ring, bufs = st.n, b - a, st.rows_of, st.bufs
+    d = bufs[2][:(w + 1) * 2 * n * Wm].reshape(w + 1, 2, n, Wm)
+    _delayed(ring, bufs, rows[:, :2], wts[:, :2], A, d)
+    c = bufs[3][:w * n * Wm].reshape(w, n, Wm)
+    np.matmul(G[:w], np.ndarray((w, 3 * n, Wm), buffer=d, strides=(
+        d.strides[0], d.strides[2], d.strides[3])), out=c)
+    two = [k - a for k in st.tk[bisect.bisect_right(st.tk, a):
+                                bisect.bisect_right(st.tk, b)]]
+    dl = np.empty((len(two), 3 * n, Wm))
+    for k, dk in zip(two, dl):
+        dk[:2 * n] = d[k - 1].reshape(2 * n, Wm)
+        _delayed(ring, bufs, rows[k:k + 1, 2:], wts[k:k + 1, 2:],
+                 A[k - 1:k], dk[None, None, 2 * n:])
+        np.matmul(G[k - 1], dk, out=c[k - 1])
+    return d, c, two, dl
 
 
 def _window(st: _Sweep, a: int, b: int, pl) -> None:
     """Steps a .. b - 1, whose nodes take the consecutive slots from
-    a % R on."""
-    rows, wts, A, M, P, G = pl
+    a % R on (`_sums`): f_right at every node, and y_pre and f_left only
+    at the nodes with two sides."""
+    M, P = pl[3], pl[4]
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
     Wm = _width(st, b - 1) * m
     yp = H[:, _Y_POST, :, :Wm]
-    pre = H[:, _Y_PRE, :, :Wm]
-    d = _delayed(st.rows_of, st.bufs, rows, wts, A, Wm)
-    c = st.cbuf[:w * n * Wm].reshape(w, n, Wm)
-    np.matmul(G, d.reshape(w, 3 * n, Wm), out=c)
+    d, c, two, dl = _sums(st, a, b, pl, Wm)
     # y_{k+1} = P_k y_k + c_k, composed by a scan between event nodes
     stops = st.events[bisect.bisect_right(st.events, a):
                       bisect.bisect_right(st.events, b)]
@@ -1078,33 +1125,56 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
             np.matmul(D, y, out=seg)
             seg += C
             seg += y
-        pre[sa + u + 1:sa + e + 1] = yp[sa + u + 1:sa + e + 1]
         if a + e in st.is_event:
+            H[sa + e, _Y_PRE, :, :Wm] = yp[sa + e]
             _at_node(st, a + e, sa + e, False)
         u = e
-    _derivatives(M, yp[sa:sa + w], pre[sa + 1:sa + w + 1], d,
-                 H[sa:sa + w, _F_RIGHT, :, :Wm],
-                 H[sa + 1:sa + w + 1, _F_LEFT, :, :Wm])
+    # node a's f_right came with the window before, unless it has two sides
+    lo = 0 if st.side[a] else 1
+    _derivative(None if M is None else M[lo:], yp[sa + lo:sa + w + 1],
+                d[lo:, 0], H[sa + lo:sa + w + 1, _F_RIGHT, :, :Wm])
+    for k, dk in zip(two, dl):
+        _derivative(None if M is None else M[k - 1],
+                    H[sa + k, _Y_PRE if st.side[a + k] > 1 else _Y_POST,
+                      :, :Wm],
+                    dk[2 * n:], H[sa + k, _F_LEFT, :, :Wm])
     _tail(st, a, b)
 
 
 def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     """Steps a .. b - 1 of a lifted run (`_lift_runs`): the long reads
     give the rows each step writes from a zero start, C_k, in bulk
-    (`_fresh_rows`), and the run's map composes them (`_lift_scan`) from
-    the state at node a."""
-    rows, wts, A, M, _, G = pl
+    (`_sums`), and the run's map composes them (`_lift_scan`) from the
+    state at node a.  Its nodes keep both sides, which differ by
+    rounding."""
+    rows, wts, A, M, P, G = pl
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
     Wm = _width(st, b - 1) * m
-    C = _fresh_rows(st.rows_of, st.bufs, rows, wts, A, M, G, Wm)
+    # the run's map holds the short reads
+    rows, wts = rows.copy(), wts.copy()
+    rows[..., st.short, :], wts[..., st.short, :] = st.zero_row + _QUAD, 0.0
+    d, c, two, dl = _sums(st, a, b, [rows, wts, A, M, P, G], Wm)
+    C = np.empty((w, 3, n, Wm))
+    np.negative(d[:w, 0], out=C[:, 0])
+    C[:, 1] = c
+    _derivative(None if M is None else M[:w], c, d[1:, 0], C[:, 2])
+    for k, dk in zip(two, dl):
+        _derivative(None if M is None else M[k - 1], c[k - 1], dk[2 * n:],
+                    C[k - 1, 2])
     offs, kinds, _ = _lift_layout(lift.r, n)
-    z0 = H[(a - lift.r + offs) % R, kinds, :, :Wm].reshape(-1, Wm)
+    at = a - lift.r + offs
+    # a node without two sides holds its f_left in its f_right row
+    kinds = np.where((kinds == _F_LEFT) & (st.side[at] == 0), _F_RIGHT, kinds)
+    z0 = H[at % R, kinds, :, :Wm].reshape(-1, Wm)
     C = _lift_scan(lift, C.reshape(w, 3 * n, Wm),
                    z0).reshape(w, 3, n, Wm)
-    H[sa:sa + w, _F_RIGHT, :, :Wm] = C[:, 0]
+    # reads planned before the run take node b's f_right row, which the
+    # next window gives; until then it holds f_left
+    H[sa:sa + w + 1, _F_RIGHT, :, :Wm] = np.concatenate((C[:, 0], C[-1:, 2]))
     for q, k in ((_Y_POST, 1), (_Y_PRE, 1), (_F_LEFT, 2)):
         H[sa + 1:sa + w + 1, q, :, :Wm] = C[:, k]
+    st.side[a + 1:b + 1] |= 1
     if b in st.is_event:
         _at_node(st, b, sa + w, False)
     _tail(st, a, b)
@@ -1148,7 +1218,15 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     delayed read of its steps lands on history at or before node a (the
     method of steps), so the reads of the whole window are one gather
     from the history ring, one Hermite blend and one batched product with
-    the coefficients of every lag and frozen term.  Each RK4 step is
+    the coefficients of every lag and frozen term.  A step reads at its
+    start, its mid and its end, and its end is the next step's start, so
+    each node is read once and each step's mid once (`_sums`); only where
+    the two sides of a node can differ -- at events, where a read snaps to
+    one, and where a coefficient table breaks -- is its left limit read as
+    well, and only there does the ring hold its y_pre and f_left.  Each
+    node gets one derivative, f_right, from the step it starts; a dense
+    sweep gives the other nodes their left limits in one copy at the end.
+    Each RK4 step is
     affine in its start value, y_{k+1} = P_k y_k + c_k: c_k is the stage
     sum on y = 0, computed in bulk over the window, and P_k the RK4
     polynomial of the zero-lag part (the identity without one, when the
@@ -1224,10 +1302,11 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     D = K + 1 if dense else _ring_depth(
         nodes, max((t.delay.theta for t in lags), default=0.0))
     dl = (3 * r_max + 2) * n if len(short) else 0  # the deepest state
-    # window bytes per step and column; a lifted window (`_lifted`) adds
+    # window bytes per step and column: the gather, blend and delayed
+    # parts of two reads per term, and the stage sums; a lifted window adds
     # its scan's states and forcing, under twice dl + 3 n (`_lift_scan`),
     # and its forcing, padded forcing and rows, 3 n each
-    per_col = ((15 * nt + 4) * n + (2 * dl + 15 * n if dl else 0)) * m * 8
+    per_col = ((10 * nt + 3) * n + (2 * dl + 15 * n if dl else 0)) * m * 8
     per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
     wmax = max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1)))
@@ -1263,6 +1342,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
         thetas=thetas, short=short, r_max=r_max, zero_lag=zero_lag,
         short_cols=(short[:, None] * n + np.arange(n)).ravel(),
+        coef_breaks=np.unique([b for c in read_coefs + zero_lag if
+                               isinstance(c, MatrixTable) for b in c.breaks]),
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
         R=R, slots=slots, zero_row=zero_row, wmax=wmax, samples=samples,
         rec_of_node=rec_of_node, bulk=bulk,
@@ -1284,7 +1365,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                     while a < end:
                         b = p0 + int(np.searchsorted(ready, a, side="right"))
                         b = min(max(b, a + 1), a + wmax, end)
-                        part = [None if v is None else v[a - p0:b - p0]
+                        part = [None if v is None else v[a - p0:b - p0 + 1]
                                 for v in pl]
                         if lift is None:
                             _window(st, a, b, part)
@@ -1296,7 +1377,14 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         if not np.all(np.isfinite(st.H[K % R, _Y_POST])):
             raise NumericalError("state non-finite at final node")
     if dense:
-        # y_pre[0] is y_post[0] by convention
+        # the nodes without two sides hold their left limits in their right
+        # rows: copy them over in blocks (a copy between two rows of one
+        # array takes a temporary of its source); y_pre[0] is y_post[0]
+        for i in range(0, K + 1, 4096):
+            j = min(i + 4096, K + 1)
+            for q, bit in ((_Y_PRE, 2), (_F_LEFT, 1)):
+                np.copyto(st.H[i:j, q], st.H[i:j, q + 2],
+                          where=(st.side[i:j] & bit == 0)[:, None, None])
         st.H[0, _Y_PRE] = st.H[0, _Y_POST]
         out = tuple(st.H[:K + 1, q].reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
                     for q in (_Y_POST, _Y_PRE, _F_RIGHT, _F_LEFT))

@@ -120,38 +120,45 @@ def gronwall_grid(spec: SystemSpec, s_grid, t_grid,
     """`gronwall_bound` over a product grid, shaped like fm.samples.
 
     out[a, b] bounds ||X(t_grid[a], s_grid[b])||; entries with t < s are
-    zero.  For each s, one cumprod over the jump
-    factors after s and, per term, one cumsum over its pieces after s give
-    every t at once.  Products and sums run in the scalar order (the
-    partial last piece added after the cumsum), and exp is `math.exp` per
-    entry, so each entry equals the 1x1 call bit for bit.
+    zero.  One pass covers every s: a cumprod over the jump factors, each
+    row padded with ones before its s, and per term a cumsum over its
+    pieces, each row padded with zeros before the piece of its s, give
+    every (t, s) at once.  Products and sums run in the scalar order (the
+    partial last piece added after the cumsum, the padding exact), and
+    exp is `math.exp` per entry, so each entry equals the 1x1 call bit for
+    bit.
     """
     require_valid(spec)
+    s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     points = spec.impulses.points
     norms = mat_norm(spec.impulses.matrices)
     factors = norms if tight else 1.0 + norms
     reach = max(spec.horizon, float(t_grid.max(initial=0.0)))
-    pieces = [coefficient_pieces(term.coefficient, reach)
-              for term in spec.terms]
+    lo = np.searchsorted(points, s_grid, side="right")
+    pad = np.where(np.arange(len(points)) >= lo[:, None], factors, 1.0)
+    prod = np.concatenate((np.ones((len(s_grid), 1)),
+                           np.cumprod(pad, axis=1)), axis=1)
+    prod = prod.T[np.searchsorted(points, t_grid, side="right")]
+    rate = np.zeros((len(t_grid), len(s_grid)))
+    for term in spec.terms:
+        breaks, values = coefficient_pieces(term.coefficient, reach)
+        i = np.maximum(np.searchsorted(breaks, s_grid, side="right") - 1, 0)
+        j = np.searchsorted(breaks, t_grid, side="left") - 1
+        q = np.arange(len(breaks) - 1)
+        start = np.where(q == i[:, None], s_grid[:, None], breaks[:-1])
+        full = np.where(q >= i[:, None], values[:-1] * (breaks[1:] - start),
+                        0.0)
+        full = np.concatenate((np.zeros((len(s_grid), 1)),
+                               np.cumsum(full, axis=1)), axis=1)
+        k = np.maximum(j, 0)
+        part = values[k] * (t_grid - breaks[k])
+        rate += np.where(j[:, None] > i, full.T[k] + part[:, None],
+                         values[i] * (t_grid[:, None] - s_grid))
     out = np.zeros((len(t_grid), len(s_grid)))
-    for b, s in enumerate(s_grid):
-        later = t_grid >= s
-        t = t_grid[later]
-        lo = int(np.searchsorted(points, s, side="right"))
-        hi = np.searchsorted(points, t, side="right")
-        prod = np.concatenate(([1.0], np.cumprod(factors[lo:])))[hi - lo]
-        rate = np.zeros(len(t))
-        for breaks, values in pieces:
-            i = max(int(np.searchsorted(breaks, s, side="right")) - 1, 0)
-            j = np.searchsorted(breaks, t, side="left") - 1
-            widths = np.diff(np.concatenate(([s], breaks[i + 1:])))
-            full = np.concatenate(([0.0], np.cumsum(values[i:-1] * widths)))
-            rate += np.where(j > i,
-                             full[np.maximum(j - i, 0)]
-                             + values[j] * (t - breaks[j]),
-                             values[i] * (t - s))
-        out[later, b] = prod * np.array([math.exp(r) for r in rate.tolist()])
+    later = t_grid[:, None] >= s_grid
+    out[later] = prod[later] * np.array([math.exp(r)
+                                         for r in rate[later].tolist()])
     return out
 
 

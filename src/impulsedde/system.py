@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def is_left(side: str) -> bool:
+    """Whether a one-sided read asks for the left limit: `side` is "left"
+    or "right", and anything else raises ValueError."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return side == "left"
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -108,8 +116,9 @@ class _Table:
         object.__setattr__(self, "values", _frozen_array(self.values))
 
     def value(self, t: float, side: str = "right") -> np.ndarray:
-        k = int(np.searchsorted(self.breaks, t, side="right" if side == "right" else "left")) - 1
-        return self.values[max(k, 0)]
+        k = int(np.searchsorted(self.breaks, t,
+                                side="left" if is_left(side) else "right"))
+        return self.values[max(k - 1, 0)]
 
 
 class MatrixTable(_Table):

@@ -157,6 +157,34 @@ def test_dense_output_is_continuous_except_at_jump_nodes():
                                                         abs=1e-8)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+def test_both_sides_agree_bit_for_bit_away_from_the_mandatory_breaks(
+        corpus_spec, dt):
+    # away from the segment ends of the grid (jumps, table breaks and their
+    # lag images, the start and the end) nothing jumps, so the left and
+    # right values and derivatives at a node are the same numbers: a dense
+    # solve and the dense columns of X(., 0.3).  No corpus lag is short.
+    assert min(integrate._positive_lags(corpus_spec)) >= \
+        integrate._SHORT_LAG * dt
+    grid = StepControl(dt)
+    hom = integrate._curtailed(corpus_spec)
+    runs = [(solve(corpus_spec, grid), corpus_spec, 0.0)]
+    runs += [(col, hom, 0.3)
+             for col in fundamental_matrix(corpus_spec, 0.3, grid)]
+    for traj, spec, t0 in runs:
+        breaks = integrate._collect_breaks(spec, t0, spec.horizon)
+        off = np.ones(len(traj.t_nodes), dtype=bool)
+        off[locate(traj.t_nodes, breaks)] = False
+        assert off.sum() > 0.95 * len(off)
+        assert np.array_equal(_bits(traj.y_pre[off]), _bits(traj.y_post[off]))
+        assert np.array_equal(_bits(traj.f_left[off]),
+                              _bits(traj.f_right[off]))
+
+
 def _scalar_read(traj, t, side):
     """One dense-output read by a scalar lookup and blend: the oracle for
     the vector query."""
@@ -203,6 +231,22 @@ def test_vector_query_past_the_horizon_raises():
     with pytest.raises(ValueError, match="beyond horizon"):
         traj.value(ts)
     npt.assert_array_equal(traj.value(ts[:2])[1], traj.y_post[-1])
+
+
+@pytest.mark.parametrize("side", ["Right", "LEFT", "", None])
+def test_one_sided_reads_refuse_an_unknown_side(side):
+    # a misspelt side used to read as "left"
+    spec = scalar_forced()
+    traj = solve(spec, StepControl(0.01))
+    reads = [lambda: traj.value(0.9, side),
+             lambda: read_piecewise(spec.forcing, [0.6], side),
+             lambda: read_piecewise(None, [0.6], side, 1),
+             lambda: spec.forcing.value(0.6, side)]
+    for read in reads:
+        with pytest.raises(ValueError, match=f"got {side!r}"):
+            read()
+    assert spec.forcing.value(0.6, "left")[0] == 0.5
+    assert spec.forcing.value(0.6, "right")[0] == -0.25
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +767,46 @@ def test_block_length_does_not_change_the_sweep(monkeypatch):
     for got, want in zip(sweeps(), default):
         npt.assert_allclose(got, want, rtol=0,
                             atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_the_sweep_plans_two_reads_per_step_and_lag(monkeypatch):
+    # a node's read serves the step it ends and the step it starts, so a
+    # block of w steps plans 2 w + 1 reads per lag, and a node where the
+    # two sides differ plans at most one more; three reads per step, one
+    # at each step's start, mid and end, would be 3 w.  Three long lags,
+    # the restart columns of fundamental_grid and the reflected rows.
+    spec = _three_lags_frozen_and_zero_lag()
+    lags, dt = len(integrate._positive_lags(spec)), 2e-3
+    reads, steps, blocks, breaks = [], [], [], []
+    real = integrate._plan, integrate._read_plan, integrate._collect_breaks
+
+    def plan(st, p0, p1):
+        steps.append(p1 - p0)
+        return real[0](st, p0, p1)
+
+    def read_plan(nodes, us):
+        reads.append(len(us))
+        return real[1](nodes, us)
+
+    def collect(*args, **kwargs):
+        breaks.append(len(real[2](*args, **kwargs)))
+        return real[2](*args, **kwargs)
+
+    for name, wrapper in zip(("_plan", "_read_plan", "_collect_breaks"),
+                             (plan, read_plan, collect)):
+        monkeypatch.setattr(integrate, name, wrapper)
+    targets = np.array([0.7, 1.5])
+    for sweep in (lambda: fundamental_grid(spec, np.linspace(0.0, 1.4, 8),
+                                           np.linspace(0.1, 1.5, 15),
+                                           StepControl(dt)),
+                  lambda: integrate.kernel_rows(
+                      spec, integrate.quadrature_nodes(spec, targets, dt),
+                      targets)):
+        reads.clear(), steps.clear(), breaks.clear()
+        sweep()
+        assert sum(steps) >= 700 and breaks
+        assert sum(reads) <= lags * (2 * sum(steps) + len(steps)
+                                     + breaks[-1])
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 17, 256, 400])

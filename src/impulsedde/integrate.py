@@ -784,8 +784,9 @@ def _plan(st: _Sweep, p0: int, p1: int):
     # each node's read and its step's mid read (node K's is empty), and
     # the left reads of the nodes with two sides
     right = _read_rows(st, plan, False)
-    left = _read_rows(st, [x[(2 * L * lk[:, None] + np.arange(L)).ravel()]
-                           for x in plan], True)
+    left = (_read_rows(st, [x[(2 * L * lk[:, None] + np.arange(L)).ravel()]
+                            for x in plan], True) if len(lk)
+            else (np.empty((0, 4)),) * 2)
     rows = np.empty((w + 1, 3, nt, 4), dtype=np.intp)
     wts = np.empty((w + 1, 3, nt, 4))
     for x, y, z in zip((rows, wts), right, left):

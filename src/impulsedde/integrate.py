@@ -18,8 +18,8 @@ the jump offsets act on a constant last component.
 The engine steps a lag window per pass: inside [a, a + theta_min) every
 delayed read lands on history that is already computed (Bellen and
 Zennaro 2003, the method of steps), so the window's reads are one gather
-and one Hermite blend, each node read once (and its left limit only where
-the two sides can differ), and each RK4 step is the affine map
+and one Hermite blend, one per node (both sides only where they can
+differ), and each RK4 step is the affine map
 y_{k+1} = P_k y_k + c_k, with c_k computed in bulk and P_k the RK4
 polynomial of the zero-lag part; a doubling scan composes that recurrence
 between jump and activation nodes, so no loop runs step by step.  A lag
@@ -515,13 +515,9 @@ _QUAD = np.arange(4)
 # fixed cost in numpy calls
 _WINDOW_BYTES = 1 << 18
 # byte budget of one block of steps, whose read plans and coefficients
-# are set up at once; a step is counted at 1 KiB at most, so a block holds
-# at least 512 steps.  A step holds three reads per term: its start node's
-# right and left reads and its mid.  The plan's temporaries set the memory
-# peak: a dense solve (n = 4, two lags, 2e4 steps) traced 290 B per node
-# at 512 KiB, 261 at 256 KiB with the stage-chain maps and two searches per
-# read, and 337 with those at 512 KiB; doubling the budget halved the
-# blocks of the trajectory benchmark (157 to 79)
+# are set up at once; a step holds three reads per term (its start node's
+# right and left reads and its mid) and is counted at 1 KiB at most, so a
+# block holds at least 512 steps
 _PLAN_BYTES = 1 << 19
 # a lag shorter than this many steps is short: its reads land in the last
 # few nodes, which the sweep lifts into its state (`_lift_runs`) rather
@@ -554,9 +550,7 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     enclosing-interval index, and `weights[k]` the four Hermite weights on
     that interval, (1, 0, 0, 0) where us[k] snaps.  Weight rows where
     `interval < 0` are finite filler.  Both come from `locate`'s one
-    search (`_snap_search`): on 2304 reads this took 230-290 us, where
-    the three-candidate lookup and a second search it replaced took
-    360-490 (2 vCPUs).
+    search (`_snap_search`).
     """
     hi, below, above, exact = _snap_search(nodes, us)
     # outside the grid, and on a one-node grid, the interval is empty
@@ -572,24 +566,19 @@ def _read_rows(st: _Sweep, plan, left: bool):
 
     A read is sum_q weights[:, q] * buffer row rows[:, q]; node j's slot
     starts at row 4 j modulo the ring's 4 R rows.  A read inside the step
-    after node i blends that step's four Hermite rows: y_post[i],
-    f_right[i], then y_pre[i+1] where node i+1 is an event and f_left[i+1]
-    where its sides can differ (`_Sweep.side`), and y_post[i+1] and
-    f_right[i+1] elsewhere.  A read that snaps to node i takes y_post[i],
-    or for left limits (`left`) y_pre[i] at an event, as the first of four
-    rows, with the weights (1, 0, 0, 0) of the plan.  Reads of values that
-    are zero in every column -- before
-    `k_start`, the first activation, the left limit at it included, or
-    before the grid -- take the all-zero rows at `zero_row`.
+    after node i blends y_post[i], f_right[i], and y_pre[i+1] at an event
+    and f_left[i+1] where the sides can differ (`_Sweep.side`), else
+    y_post[i+1] and f_right[i+1].  A read that snaps to node i takes
+    y_post[i], or for left limits (`left`) y_pre[i] at an event, as the
+    first of four rows, with the plan's weights (1, 0, 0, 0).  Reads of
+    values zero in every column -- before `k_start`, the first activation,
+    the left limit at it included, or before the grid -- take the zero
+    rows at `zero_row`.
 
     The ring is taken modulo once per read, so a read's rows may run up to
-    five rows past the ring's end, into the first spare slot.  An
-    interval read takes the rows of the node in slot 0 from there: the
-    window that computed that node wrote it into the spare slot and copied
-    it to slot 0 (`_tail`), and no window writes the spare slot again
-    while the node is within the ring's depth.  A snapped read takes the
-    rows after its node with weight zero.  A dense sweep has no spare
-    slots and never wraps.
+    five rows past its end, into the first spare slot, which holds the
+    node of slot 0 (`_tail`) while the node is within the ring's depth.
+    A dense sweep has no spare slots and never wraps.
 
     Returns (rows, weights, node, need): `node` is the node whose data the
     read takes (huge for zero reads) and `need` the node the sweep must
@@ -713,10 +702,8 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
     of steps with one M, in place of the stage chain's (w, n, n)
     temporaries.  In powers of h/6 each coefficient of G is a power of M
     times a power of two, so without M, G equals what the stages give.
-    Each step keeps its own h: one h shared by each run of steps whose
-    lengths differ by node rounding alone gave an error of 1.04e-13 in
-    `test_fundamental_is_exact_across_second_generation_kinks`, past its
-    bound of 1e-13.
+    Each step keeps its own h (one h per run of like steps broke the
+    1e-13 bound of `test_fundamental_is_exact_across_second_generation_kinks`).
     """
     w = len(h)
     hp = np.repeat(h[:, None], 4, axis=1)
@@ -748,13 +735,15 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
 
 def _plan(st: _Sweep, p0: int, p1: int):
     """The plan of the steps p0 .. p1 - 1: the read rows and weights,
-    (w + 1, 3, nt, 4), of each node's read, its step's mid read (none at
-    node p1) and its left read, held only at the block's nodes with two
-    sides (`_Sweep.side`, listed in `_Sweep.tk`); the coefficients A and
+    (w + 1, 2, nt, 4), of each node's read and its step's mid read (none
+    at node p1); the coefficients A and
     zero-lag parts M of the steps p0 .. p1 (node K takes step K - 1's),
     so that a node's derivative and read take those of the step it
-    starts; the RK4 maps P - I and G; the node each step's reads need, and
-    the same over long reads alone; and the lifted runs (`_lift_runs`).
+    starts; the RK4 maps P - I and G; the rows and weights (w + 1, nt, 4)
+    of the left reads, held only at the block's nodes with two sides
+    (`_Sweep.side`, listed in `_Sweep.tk`); the node each step's reads
+    need, and the same over long reads alone; and the lifted runs
+    (`_lift_runs`).
 
     A node's read serves the step it ends and the step it starts, so each
     lag's 2 w + 1 reads take one `_read_plan` call; a left read shares the
@@ -787,17 +776,18 @@ def _plan(st: _Sweep, p0: int, p1: int):
     left = (_read_rows(st, [x[(2 * L * lk[:, None] + np.arange(L)).ravel()]
                             for x in plan], True) if len(lk)
             else (np.empty((0, 4)),) * 2)
-    rows = np.empty((w + 1, 3, nt, 4), dtype=np.intp)
-    wts = np.empty((w + 1, 3, nt, 4))
-    for x, y, z in zip((rows, wts), right, left):
-        x[:w, :2, :L] = y[:2 * w * L].reshape(w, 2, L, 4)
-        x[w, 0, :L] = y[2 * w * L:]
-        x[lk, 2, :L] = z.reshape(len(lk), L, 4)
+    rows, lrows = (np.empty((w + 1,) + sh + (nt, 4), dtype=np.intp)
+                   for sh in ((2,), ()))
+    wts, lwts = np.empty(rows.shape), np.empty(lrows.shape)
+    for x, lx, y, z in zip((rows, wts), (lrows, lwts), right, left):
+        x.reshape(2 * w + 2, nt, 4)[:-1, :L] = y.reshape(2 * w + 1, L, 4)
+        lx[lk, :L] = z.reshape(len(lk), L, 4)
     rows[w, 1], wts[w, 1] = st.zero_row + _QUAD, 0.0
     for i, snapped in enumerate(st.snap, start=L):
         # a frozen term reads the snapshot's y_post, or zero
-        rows[..., i, :] = st.zero_row + (3 if snapped else 0) + _QUAD
-        wts[..., i, :] = _SNAPPED if snapped else 0.0
+        rows[..., i, :] = lrows[:, i] = (st.zero_row + _QUAD
+                                         + (3 if snapped else 0))
+        wts[..., i, :] = lwts[:, i] = _SNAPPED if snapped else 0.0
     # each step's start, mid and end reads
     ready, node = (np.stack((x[:-1:2], x[1::2], x[2::2]), axis=1)
                    for x in (y.reshape(2 * w + 1, L) for y in right[3:1:-1]))
@@ -811,7 +801,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
                            f"interval {oldest[k]} with depth {st.D}")
     maps = _rk4_maps(h, None if M is None else M[:w], n)
     P, G = None if M is None else maps[:, :, :n], maps[:, :, n:]
-    pl = [rows, wts, A, M, P, G]
+    pl = [rows, wts, A, M, P, G, lrows, lwts]
     need = np.maximum.accumulate(ready.max(axis=(1, 2), initial=-1))
     if not len(st.short):
         return pl, need, need, []
@@ -845,7 +835,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     part is added after, so that Psi holds P - I and not a rounded P (see
     `_plan`).
     """
-    rows, wts, A, M, P, G = pl
+    rows, wts, A, M, P, G = pl[:6]
     n, w, R, sh = st.n, len(h), st.R, st.short
     A, M = A[:w], None if M is None else M[:w]
     # each step's start, mid and end reads of the short lags
@@ -1079,10 +1069,10 @@ def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
     rows dk, the [d1; d23; d4] of the step they end, whose d4 takes the
     node's left read and the step's own coefficients, and whose c they
     give."""
-    rows, wts, A, _, _, G = pl
+    rows, wts, A, _, _, G, lrows, lwts = pl
     n, w, ring, bufs = st.n, b - a, st.rows_of, st.bufs
     d = bufs[2][:(w + 1) * 2 * n * Wm].reshape(w + 1, 2, n, Wm)
-    _delayed(ring, bufs, rows[:, :2], wts[:, :2], A, d)
+    _delayed(ring, bufs, rows, wts, A, d)
     c = bufs[3][:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G[:w], np.ndarray((w, 3 * n, Wm), buffer=d, strides=(
         d.strides[0], d.strides[2], d.strides[3])), out=c)
@@ -1091,7 +1081,7 @@ def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
     dl = np.empty((len(two), 3 * n, Wm))
     for k, dk in zip(two, dl):
         dk[:2 * n] = d[k - 1].reshape(2 * n, Wm)
-        _delayed(ring, bufs, rows[k:k + 1, 2:], wts[k:k + 1, 2:],
+        _delayed(ring, bufs, lrows[k:k + 1, None], lwts[k:k + 1, None],
                  A[k - 1:k], dk[None, None, 2 * n:])
         np.matmul(G[k - 1], dk, out=c[k - 1])
     return d, c, two, dl
@@ -1148,14 +1138,15 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     (`_sums`), and the run's map composes them (`_lift_scan`) from the
     state at node a.  Its nodes keep both sides, which differ by
     rounding."""
-    rows, wts, A, M, P, G = pl
+    M, pl = pl[3], list(pl)
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
     Wm = _width(st, b - 1) * m
     # the run's map holds the short reads
-    rows, wts = rows.copy(), wts.copy()
-    rows[..., st.short, :], wts[..., st.short, :] = st.zero_row + _QUAD, 0.0
-    d, c, two, dl = _sums(st, a, b, [rows, wts, A, M, P, G], Wm)
+    for i in (0, 1, 6, 7):
+        pl[i] = pl[i].copy()
+        pl[i][..., st.short, :] = st.zero_row + _QUAD if i % 2 == 0 else 0.0
+    d, c, two, dl = _sums(st, a, b, pl, Wm)
     C = np.empty((w, 3, n, Wm))
     np.negative(d[:w, 0], out=C[:, 0])
     C[:, 1] = c
@@ -1207,58 +1198,35 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     """X(t, s) start for all (record node, s node) pairs, batched over s.
 
     `jumps` maps node index -> jump matrix.  Every column starts as zero
-    and is activated to `start` (n x m, default the identity) when the
-    sweep reaches its s node; zero columns evolve as exact zeros, which
-    realizes X(t, s) = 0 for t < s without masking.  In the forward order
-    a node's jump comes first, so it belongs only to columns with s < tau,
-    and the sample is the post-jump value.  The reflected order (see
-    `_fundamental_rows`) activates first and then jumps every column, the
-    new one included, and samples the pre-jump value.
+    and is activated to `start` (n x m, default the identity) at its s
+    node; zero columns evolve as exact zeros, which realizes X(t, s) = 0
+    for t < s.  In the forward order a node's jump comes first, so it
+    belongs only to columns with s < tau, and the sample is the post-jump
+    value.  The reflected order (`_fundamental_rows`) activates first,
+    then jumps every column, and samples the pre-jump value.
 
-    The unit of work is a lag window of steps [a, b) (`_window`): every
-    delayed read of its steps lands on history at or before node a (the
-    method of steps), so the reads of the whole window are one gather
-    from the history ring, one Hermite blend and one batched product with
-    the coefficients of every lag and frozen term.  A step reads at its
-    start, its mid and its end, and its end is the next step's start, so
-    each node is read once and each step's mid once (`_sums`); only where
-    the two sides of a node can differ -- at events, where a read snaps to
-    one, and where a coefficient table breaks -- is its left limit read as
-    well, and only there does the ring hold its y_pre and f_left.  Each
-    node gets one derivative, f_right, from the step it starts; a dense
-    sweep gives the other nodes their left limits in one copy at the end.
-    Each RK4 step is
-    affine in its start value, y_{k+1} = P_k y_k + c_k: c_k is the stage
-    sum on y = 0, computed in bulk over the window, and P_k the RK4
-    polynomial of the zero-lag part (the identity without one, when the
-    window is one running sum).  Jumps and activations (`_at_node`) split
-    the recurrence at their nodes; each segment between them is composed
-    by one doubling scan (`_affine_scan`) and written as y_u + D y_u + C
-    from its start value y_u, and the derivatives and samples follow in
-    bulk.  Each block of steps plans the delayed reads of every lag term
-    with one `_read_plan` call, one search per read, and sets up its
-    coefficient values and its RK4 maps, as polynomials in h
-    (`_rk4_maps`), at once (`_plan`); blocks are sized by a byte budget
-    (`_PLAN_BYTES`), so their memory does not grow with the grid.
-
-    A lag of fewer than `_SHORT_LAG` mean steps is short, unless its
-    lifted state would hold more than `_LIFT_SIZE` numbers per column
-    (large n), where a shorter lag is needed.  Its reads at
-    step k take the rows of the nodes k - r .. k only, so over a run of
-    like steps (`_lift_runs`) the step is one affine map of a lifted state
-    of those rows, and `_lifted` composes the run's windows in blocks
-    (`_lift_scan`); such a window ends at the smallest long lag, not at
-    the short one.  The first steps after a jump, an activation or a
-    change of step length, and runs shorter than `_LIFT_STEPS`, take the
-    plain windows (`_window`).  This function keeps the chunk and block
-    loops; each chunk of columns runs on its own `_Sweep`.
+    The unit of work is a lag window of steps [a, b) (`_window`), whose
+    delayed reads all land at or before node a: one gather, one Hermite
+    blend and one product with the coefficients of every term, one read
+    per node and per step's mid (`_sums`).  Only where the two sides of a
+    node can differ -- at events, where a read snaps to one, and at
+    coefficient table breaks -- is its left limit read, and only there
+    does the ring hold its y_pre and f_left.  Each RK4 step is
+    y_{k+1} = P_k y_k + c_k, c_k the stage sum on y = 0; jumps and
+    activations (`_at_node`) split the recurrence, and a doubling scan
+    (`_affine_scan`) composes each segment.  Blocks of steps are planned
+    at once (`_plan`), sized by `_PLAN_BYTES`.  A short lag (`_SHORT_LAG`,
+    `_LIFT_SIZE`) is lifted into the state over runs of like steps
+    (`_lift_runs`, `_lifted`), so its windows end at the smallest long
+    lag.  Each chunk of columns runs on its own `_Sweep`.
 
     The ring holds the deepest delayed read (`_ring_depth`), and a window
-    that runs past its end writes on into spare slots.  With
-    `dense` it holds every node and is itself the dense output (y_post,
-    y_pre, f_right, f_left), each (K+1, S, n, m), returned in place of the
-    samples; see `Trajectory`.  A dense sweep whose estimated memory
-    exceeds `mem_cap` bytes is refused before anything is allocated.
+    past its end writes on into spare slots.  With `dense` it holds every
+    node and is the dense output (y_post, y_pre, f_right, f_left), each
+    (K+1, S, n, m), returned in place of the samples (`Trajectory`); the
+    nodes with one side get their left limits in one copy at the end.  A
+    dense sweep whose estimated memory exceeds `mem_cap` bytes is refused
+    before anything is allocated.
     """
     n = spec.dim
     K = len(nodes) - 1

@@ -592,7 +592,8 @@ def _read_rows(st: _Sweep, plan, left: bool):
     if left:
         base -= 2 * (hit & (st.side[node] > 1))
     base[zero] = st.zero_row
-    rows = base[:, None] + _OFFSETS[np.where(hit | zero, 3, st.side[node + 1])]
+    rows = base[:, None] + np.take(
+        _OFFSETS, np.where(hit | zero, 3, st.side[node + 1]), axis=0)
     return (rows, weights, np.where(zero, np.iinfo(np.intp).max, node),
             node + ~hit)
 
@@ -789,9 +790,10 @@ def _plan(st: _Sweep, p0: int, p1: int):
                                          + (3 if snapped else 0))
         wts[..., i, :] = lwts[:, i] = _SNAPPED if snapped else 0.0
     # each step's start, mid and end reads
-    ready, node = (np.stack((x[:-1:2], x[1::2], x[2::2]), axis=1)
-                   for x in (y.reshape(2 * w + 1, L) for y in right[3:1:-1]))
-    oldest = node.reshape(w, -1).min(axis=1, initial=np.iinfo(np.intp).max)
+    ready, node = (y.reshape(2 * w + 1, L) for y in right[3:1:-1])
+    ready = np.stack((ready[:-1:2], ready[1::2], ready[2::2]), axis=1)
+    oldest = np.minimum(np.minimum(node[:-1:2], node[1::2]),
+                        node[2::2]).min(axis=1, initial=np.iinfo(np.intp).max)
     bad = np.flatnonzero(oldest <= np.arange(p0, p1) - st.D + 1)
     if len(bad):
         # _ring_depth sizes the ring to the deepest read, so this is an
@@ -1142,10 +1144,9 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
     Wm = _width(st, b - 1) * m
-    # the run's map holds the short reads
-    for i in (0, 1, 6, 7):
-        pl[i] = pl[i].copy()
-        pl[i][..., st.short, :] = st.zero_row + _QUAD if i % 2 == 0 else 0.0
+    # the run's map holds the short terms
+    pl[2] = pl[2].copy()
+    pl[2][:, :, st.short_cols] = 0.0
     d, c, two, dl = _sums(st, a, b, pl, Wm)
     C = np.empty((w, 3, n, Wm))
     np.negative(d[:w, 0], out=C[:, 0])
@@ -1161,11 +1162,12 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     z0 = H[at % R, kinds, :, :Wm].reshape(-1, Wm)
     C = _lift_scan(lift, C.reshape(w, 3 * n, Wm),
                    z0).reshape(w, 3, n, Wm)
-    # reads planned before the run take node b's f_right row, which the
-    # next window gives; until then it holds f_left
-    H[sa:sa + w + 1, _F_RIGHT, :, :Wm] = np.concatenate((C[:, 0], C[-1:, 2]))
+    H[sa:sa + w, _F_RIGHT, :, :Wm] = C[:, 0]
     for q, k in ((_Y_POST, 1), (_Y_PRE, 1), (_F_LEFT, 2)):
         H[sa + 1:sa + w + 1, q, :, :Wm] = C[:, k]
+    # reads planned before the run take node b's f_right row, which the
+    # next window gives; until then it holds f_left
+    H[sa + w, _F_RIGHT, :, :Wm] = C[-1, 2]
     st.side[a + 1:b + 1] |= 1
     if b in st.is_event:
         _at_node(st, b, sa + w, False)

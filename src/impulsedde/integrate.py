@@ -703,8 +703,8 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
     of steps with one M, in place of the stage chain's (w, n, n)
     temporaries.  In powers of h/6 each coefficient of G is a power of M
     times a power of two, so without M, G equals what the stages give.
-    Each step keeps its own h (one h per run of like steps broke the
-    1e-13 bound of `test_fundamental_is_exact_across_second_generation_kinks`).
+    Each step keeps its own h: one h per run of like steps broke the
+    1e-13 bound of the second-generation-kink exactness test.
     """
     w = len(h)
     hp = np.repeat(h[:, None], 4, axis=1)
@@ -737,14 +737,13 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
 def _plan(st: _Sweep, p0: int, p1: int):
     """The plan of the steps p0 .. p1 - 1: the read rows and weights,
     (w + 1, 2, nt, 4), of each node's read and its step's mid read (none
-    at node p1); the coefficients A and
-    zero-lag parts M of the steps p0 .. p1 (node K takes step K - 1's),
-    so that a node's derivative and read take those of the step it
-    starts; the RK4 maps P - I and G; the rows and weights (w + 1, nt, 4)
-    of the left reads, held only at the block's nodes with two sides
-    (`_Sweep.side`, listed in `_Sweep.tk`); the node each step's reads
-    need, and the same over long reads alone; and the lifted runs
-    (`_lift_runs`).
+    at node p1); the coefficients A and zero-lag parts M of the steps
+    p0 .. p1 (node K takes step K - 1's), so that a node's read and
+    derivative take those of the step it starts; the RK4 maps P - I and
+    G; the rows and weights (w + 1, nt, 4) of the left reads, held only
+    at the block's nodes with two sides (`_Sweep.side`, listed in
+    `_Sweep.tk`); the node each step's reads need, and the same over
+    long reads alone; and the lifted runs (`_lift_runs`).
 
     A node's read serves the step it ends and the step it starts, so each
     lag's 2 w + 1 reads take one `_read_plan` call; a left read shares the

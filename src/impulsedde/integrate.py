@@ -164,9 +164,18 @@ def _hermite_weights(xi, h) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     xi2 = xi * xi
     xi3 = xi2 * xi
-    w2 = 3.0 * xi2 - 2.0 * xi3
-    return np.stack((1.0 - w2, (xi3 - 2.0 * xi2 + xi) * h, w2,
-                     (xi3 - xi2) * h))
+    w = np.empty((4,) + xi.shape)
+    w0, w1, w2, w3 = (w[q, ...] for q in range(4))
+    np.multiply(xi2, 3.0, out=w2)
+    np.subtract(w2, 2.0 * xi3, out=w2)  # -2 xi^3 + 3 xi^2
+    np.subtract(1.0, w2, out=w0)  # 2 xi^3 - 3 xi^2 + 1, the same bits
+    np.multiply(xi2, 2.0, out=w1)
+    np.subtract(xi3, w1, out=w1)
+    w1 += xi
+    w1 *= h
+    np.subtract(xi3, xi2, out=w3)
+    w3 *= h
+    return w
 
 
 def _positive_lags(spec: SystemSpec) -> list:

@@ -508,21 +508,19 @@ def fundamental_matrix(spec: SystemSpec, s: float,
 # ---------------------------------------------------------------------------
 # the RK4 engine, batched over restart columns on one shared grid
 
-# rows of a node's slot in the history buffer, in this order so that the
-# four values a Hermite read inside the step after node i blends --
-# y_post[i], f_right[i], y_pre[i+1], f_left[i+1] -- are consecutive rows.
-# Only the nodes where the two sides can differ fill their left rows
-# (`_Sweep.side`); a read takes the right rows of the others, two rows on:
-# the offsets of a read's rows by node i+1's side code
-_Y_PRE, _F_LEFT, _Y_POST, _F_RIGHT = range(4)
-_OFFSETS = np.array([[0, 1, 4, 5], [0, 1, 4, 3], [0, 1, 2, 3], [0, 1, 2, 3]])
+# rows of a node's slot in the history ring, and of a slot of the left
+# store, which holds the left limits of the nodes whose two sides can
+# differ (`_Sweep.side`)
+_Y_POST, _F_RIGHT = range(2)
+_Y_PRE, _F_LEFT = range(2)
 # a frozen term's read of its snapshot takes the last of its four rows
 _SNAPPED = np.array([0.0, 0.0, 0.0, 1.0])
 _QUAD = np.arange(4)
 # byte budget of one lag window's gathered reads and stage arrays, two
-# reads per step and term; a few dozen steps already amortise a window's
-# fixed cost in numpy calls
-_WINDOW_BYTES = 1 << 18
+# reads per step and term; windows of a few dozen steps still pay their
+# fixed cost in numpy calls, which 512 KiB against 256 KiB cuts by a third
+# on the kernel-sweep benchmark
+_WINDOW_BYTES = 1 << 19
 # byte budget of one block of steps, whose read plans and coefficients
 # are set up at once; a step holds three reads per term (its start node's
 # right and left reads and its mid) and is counted at 1 KiB at most, so a
@@ -551,6 +549,24 @@ def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
     return int(np.max(ks - earliest)) + 3
 
 
+def _longest_window(nodes: np.ndarray, theta: float, cap: int) -> int:
+    """The fewer of `cap` and an upper bound on the steps of a lag window
+    whose reads lag by at least theta.
+
+    A window from node a ends before the first step whose end read, at
+    t_{k+1} - theta, lies past node a, so it holds at most the nodes up to
+    t_a + theta, one more where a read snaps to node a, and one more where
+    two nodes sit within a snap window.  Any span of theta holds at least
+    theta / h steps, h the longest step, so a cap below that needs no
+    search.
+    """
+    h = np.diff(nodes)
+    if not len(h) or cap <= theta / h.max():
+        return cap
+    reach = np.searchsorted(nodes, nodes[:-1] + theta, side="right")
+    return min(cap, int(np.max(reach - np.arange(len(h)))) + 1)
+
+
 def _read_plan(nodes: np.ndarray, us: np.ndarray):
     """Lookup data for delayed reads at the times `us`.
 
@@ -571,13 +587,14 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
 
 
 def _read_rows(st: _Sweep, plan, left: bool):
-    """History-buffer rows and blend weights of planned delayed reads.
+    """Rows of `_Sweep.rows_of` and blend weights of planned delayed reads.
 
-    A read is sum_q weights[:, q] * buffer row rows[:, q]; node j's slot
-    starts at row 4 j modulo the ring's 4 R rows.  A read inside the step
+    A read is sum_q weights[:, q] * row rows[:, q]; node j's ring slot
+    starts at row 2 j modulo the ring's 2 R rows.  A read inside the step
     after node i blends y_post[i], f_right[i], and y_pre[i+1] at an event
-    and f_left[i+1] where the sides can differ (`_Sweep.side`), else
-    y_post[i+1] and f_right[i+1].  A read that snaps to node i takes
+    and f_left[i+1] where the sides can differ (`_Sweep.side`), from node
+    i+1's slot of the left store (`_left_rows`), else y_post[i+1] and
+    f_right[i+1], the next two ring rows.  A read that snaps to node i takes
     y_post[i], or for left limits (`left`) y_pre[i] at an event, as the
     first of four rows, with the plan's weights (1, 0, 0, 0).  Reads of
     values zero in every column -- before `k_start`, the first activation,
@@ -585,7 +602,7 @@ def _read_rows(st: _Sweep, plan, left: bool):
     rows at `zero_row`.
 
     The ring is taken modulo once per read, so a read's rows may run up to
-    five rows past its end, into the first spare slot, which holds the
+    three rows past its end, into the first spare slot, which holds the
     node of slot 0 (`_tail`) while the node is within the ring's depth.
     A dense sweep has no spare slots and never wraps.
 
@@ -597,14 +614,42 @@ def _read_rows(st: _Sweep, plan, left: bool):
     hit = exact >= 0
     node = np.where(hit, exact, interval)
     zero = node < st.k_start + (hit if left else 0)
-    base = node * 4 % (4 * st.R) + _Y_POST
+    rows = (node * 2 % (2 * st.R))[:, None] + _QUAD
+    side = np.where(hit | zero, 0, st.side[node + 1])
+    two = np.flatnonzero(side)
+    if len(two):
+        at = _left_rows(st, node[two] + 1)
+        rows[two, 3] = at + _F_LEFT
+        pre = side[two] > 1
+        rows[two[pre], 2] = at[pre] + _Y_PRE
     if left:
-        base -= 2 * (hit & (st.side[node] > 1))
-    base[zero] = st.zero_row
-    rows = base[:, None] + np.take(
-        _OFFSETS, np.where(hit | zero, 3, st.side[node + 1]), axis=0)
+        two = np.flatnonzero(hit & (st.side[node] > 1))
+        rows[two] = _left_rows(st, node[two])[:, None] + _QUAD
+    rows[zero] = st.zero_row + _QUAD
     return (rows, weights, np.where(zero, np.iinfo(np.intp).max, node),
             node + ~hit)
+
+
+def _left_rows(st: _Sweep, j) -> np.ndarray:
+    """The first rows in `_Sweep.rows_of` (y_pre, then f_left) of the left
+    store's slots of the nodes j with two sides.
+
+    A dense sweep's store holds every node, in order.  A sweep with lifted
+    runs, whose nodes all keep both sides, holds the last `Ls` nodes, by
+    node modulo `Ls`.  Any other sweep holds the candidates `cand`, the
+    nodes that may have two sides, by rank modulo `Ls`, where no span of
+    the ring's reach holds more than `Ls` candidates (`_batch_columns`).
+    """
+    if st.cand is not None:
+        rank = np.searchsorted(st.cand, j)
+        miss = st.cand.take(rank, mode="clip") != j
+        if np.any(miss):
+            # the candidates bound every node with two sides, so this is an
+            # internal error, kept under python -O
+            raise RuntimeError(f"left store misses node "
+                               f"{np.atleast_1d(j)[np.atleast_1d(miss)][0]}")
+        j = rank
+    return st.store_row + 2 * (j % st.Ls)
 
 
 def _affine_scan(D: np.ndarray, C: np.ndarray) -> tuple:
@@ -632,15 +677,19 @@ class _Sweep:
     """The state of one chunk of columns of a sweep (`_batch_columns`).
 
     It holds the sweep's constants, which every chunk shares, and the
-    chunk's own history ring `H`, window buffers, activations and events.
+    chunk's own rows `rows_of`, window buffers, activations and events.
     `_width`, `_at_node`, `_plan` and `_window` each run one part of the
     sweep on it.
 
-    `side` codes each node by the rows its left limits take: 0, none
-    (they are its right ones); 1, f_left, at the nodes where a coefficient
-    changes or a delayed read snaps to an event (`_plan`) and those of
-    lifted runs (`_lifted`); 3, y_pre and f_left, at the events, jumps and
-    activations.  It holds one code past node K.
+    `rows_of` holds, in this order, the history ring `H`, two rows per
+    slot (y_post, f_right), the zero rows and the snapshot row, and the
+    left store `store`, two rows per slot (y_pre, f_left) for the nodes
+    whose sides can differ (`_left_rows`), so that one gather serves
+    every read.  `side` codes each node by the rows its left limits
+    take: 0, none (they are its right ones); 1, f_left, at the nodes
+    where a coefficient changes or a delayed read snaps to an event
+    (`_plan`) and those of lifted runs (`_lifted`); 3, y_pre and f_left,
+    at the events, jumps and activations.  It holds one code past node K.
     """
 
     def __init__(self, shared: dict, c0: int, c1: int):
@@ -649,8 +698,10 @@ class _Sweep:
         self.c0, self.c1, self.Sc = c0, c1, Sc
         self.s_list = self.s_indices[c0:c1].tolist()
         self.k_start = self.s_list[0]
-        self.H = np.zeros((self.slots, 4, n, Sc * self.m))
-        self.rows_of = self.H.reshape(4 * self.slots, n, Sc * self.m)
+        self.rows_of = np.zeros((self.store_row + 2 * self.Ls, n,
+                                 Sc * self.m))
+        self.H = self.rows_of[:self.store_row].reshape(self.slots, 2, n, -1)
+        self.store = self.rows_of[self.store_row:].reshape(self.Ls, 2, n, -1)
         # window buffers, reused by every window of the chunk: the gathered
         # rows (every column: a gather from a column prefix would copy the
         # ring first), their blends, the delayed parts d of each node's and
@@ -690,9 +741,10 @@ def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
         y.reshape(n, Sc, m)[:, lo:hi] = st.start[:, None, :]
     if initial and any(st.snap):
         st.H[st.slots - 1, _Y_POST] = y
-    row = st.rec_of_node.get(j)
-    if row is not None and (initial or (st.reflected and B is not None)):
-        st.samples[row, st.c0:st.c1] = y.reshape(n, Sc, m).transpose(1, 0, 2)
+    if initial or (st.reflected and B is not None):
+        rows = st.rec_rows[np.searchsorted(st.rec_nodes, j):
+                           np.searchsorted(st.rec_nodes, j, side="right")]
+        st.samples[rows, st.c0:st.c1] = y.reshape(n, Sc, m).transpose(1, 0, 2)
     if B is not None and st.reflected:
         Wm = _width(st, j) * m
         y[:, :Wm] = B @ y[:, :Wm]
@@ -779,6 +831,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
         st.coef_breaks, mids)) > 0)
     lk = np.flatnonzero(st.side[p0 + 1:p1 + 1]) + 1
     st.tk = (lk + p0).tolist()
+    st.left_of = dict(zip(st.tk, _left_rows(st, lk + p0).tolist()))
     # each node's read and its step's mid read (node K's is empty), and
     # the left reads of the nodes with two sides
     right = _read_rows(st, plan, False)
@@ -794,8 +847,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
     rows[w, 1], wts[w, 1] = st.zero_row + _QUAD, 0.0
     for i, snapped in enumerate(st.snap, start=L):
         # a frozen term reads the snapshot's y_post, or zero
-        rows[..., i, :] = lrows[:, i] = (st.zero_row + _QUAD
-                                         + (3 if snapped else 0))
+        rows[..., i, :] = lrows[:, i] = st.zero_row + _QUAD + snapped
         wts[..., i, :] = lwts[:, i] = _SNAPPED if snapped else 0.0
     # each step's start, mid and end reads
     ready, node = (y.reshape(2 * w + 1, L) for y in right[3:1:-1])
@@ -861,7 +913,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     rs, ws = rows[..., 0].reshape(w, -1), wts.reshape(w, -1)
     As = A[:, :, st.short_cols].reshape(w, -1)
     same = (ok[1:] & ok[:-1] & (np.abs(np.diff(h)) <= tol)
-            & ((rs[1:] - rs[:-1]) % (4 * R) == 4).all(axis=1)
+            & ((rs[1:] - rs[:-1]) % (2 * R) == 2).all(axis=1)
             & (np.abs(ws[1:] - ws[:-1]) <= (4.0 * tol / h[1:])[:, None])
             .all(axis=1) & (As[1:] == As[:-1]).all(axis=1))
     if M is not None:
@@ -886,9 +938,9 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
             / (k1s - k0s).reshape((J,) + (1,) * (x.ndim - 1))
             for x in (wts, G) + (() if P is None else (P,))]
     # the short reads of each run's first step, as rows of the nodes
-    # k0 - r .. k0 in a ring that starts at node k0 - r
-    rows_p = (rows[k0s][..., :1] + _QUAD
-              - 4 * (ks[k0s] - r)[:, None, None, None]) % (4 * R)
+    # k0 - r .. k0 in the probe's ring, which starts at node k0 - r
+    rows_p = 3 * ((rows[k0s][..., :1] // 2 - (ks[k0s] - r)[:, None, None,
+                                                          None]) % R) + _PROBE
     Ms = None if M is None else M[k0s]
     fresh = _probe(r, n, rows_p, mean[0], A[k0s][:, :, st.short_cols], Ms,
                    mean[1])
@@ -910,7 +962,9 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     start, mid and end reads `rows`, `wts` land on the nodes 0 .. r, and
     those hold one unit column per coordinate of the lifted state
     (`_lift_layout`): (J, 3, n, d), f_right at its start node and y and
-    f_left at its end, column j the response to coordinate j.
+    f_left at its end, column j the response to coordinate j.  Node i of
+    the probe's ring holds the rows y, f_left and f_right, and a read in
+    the step after it takes rows 3 i + `_PROBE`.
 
     The scratch of the gather and the blend is sized for the steps at
     hand, and steps are probed in groups that keep it within
@@ -918,9 +972,8 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     """
     offs, kinds, src = _lift_layout(r, n)
     d = src.shape[1]
-    ring = np.zeros((r + 2, 4, n, d))  # node r + 1 holds the zero rows
+    ring = np.zeros((r + 2, 3, n, d))  # node r + 1 holds the zero rows
     ring[offs, kinds] = np.eye(d).reshape(len(offs), n, d)
-    ring[:, _Y_PRE] = ring[:, _Y_POST]
     ring = ring.reshape(-1, n, d)
     J, ns = len(rows), rows.shape[2]
     group = max(1, _WINDOW_BYTES // ((15 * ns + 6) * n * d * 8))
@@ -937,14 +990,20 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     return out
 
 
+# the rows y[i], f_right[i], y[i+1] and f_left[i+1] of a read in the step
+# after node i of the probe's ring, from row 3 i on (`_probe`)
+_PROBE = np.array([0, 2, 3, 4])
+
+
 @functools.lru_cache(maxsize=None)
 def _lift_layout(r: int, n: int) -> tuple:
     """Coordinates of the lifted state z_k, and the powers S^0 .. S^{r+1}
     of the exact part S of a step, as row sources.
 
     z_k holds y (y_pre = y_post), f_left and f_right of the nodes
-    k - r .. k, as node offsets `offs` and rows `kinds`, except node k's
-    f_right, which step k computes.  Its last three coordinates are the
+    k - r .. k, as node offsets `offs` and kinds `kinds` (0, 1 and 2, the
+    rows of a node in the probe's ring), except node k's f_right, which
+    step k computes.  Its last three coordinates are the
     rows step k writes: f_right of node k, and y and f_left of node
     k + 1.  S shifts the older rows by one node and carries y_k on to
     y_{k+1}; each row of S holds one 1 at most, so row i of S^j z is
@@ -953,7 +1012,7 @@ def _lift_layout(r: int, n: int) -> tuple:
     """
     m = 3 * r + 2
     offs = np.repeat(np.arange(r + 1), 3)[:-1]
-    kinds = np.tile([_Y_POST, _F_LEFT, _F_RIGHT], r + 1)[:-1]
+    kinds = np.tile([0, 1, 2], r + 1)[:-1]
     shift = np.full(m + 1, m)  # m stands for a zero row
     shift[np.append(np.arange(3 * r - 1), 3 * r)] = np.append(
         np.arange(3, m), 3 * r)
@@ -1053,7 +1112,7 @@ def _derivative(M, y, d, out) -> np.ndarray:
 
 def _delayed(ring, bufs, rows, wts, A, d) -> None:
     """The delayed parts d (N, q, n, Wm) of N groups of q planned reads of
-    nt terms each: one gather from the history rows `ring` (4 per slot, n,
+    nt terms each: one gather from the history rows `ring` (rows, n,
     cols), one Hermite blend and one product with group i's coefficients
     A[i]; zero without reads.  `bufs` holds the flat scratch of the gather
     and the blend."""
@@ -1098,9 +1157,9 @@ def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
 
 
 def _window(st: _Sweep, a: int, b: int, pl) -> None:
-    """Steps a .. b - 1, whose nodes take the consecutive slots from
-    a % R on (`_sums`): f_right at every node, and y_pre and f_left only
-    at the nodes with two sides."""
+    """Steps a .. b - 1, whose nodes take the consecutive ring slots from
+    a % R on (`_sums`): y_post and f_right at every node, and in the left
+    store y_pre at the events and f_left at the nodes with two sides."""
     M, P = pl[3], pl[4]
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
@@ -1127,7 +1186,7 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
             seg += C
             seg += y
         if a + e in st.is_event:
-            H[sa + e, _Y_PRE, :, :Wm] = yp[sa + e]
+            st.rows_of[st.left_of[a + e] + _Y_PRE, :, :Wm] = yp[sa + e]
             _at_node(st, a + e, sa + e, False)
         u = e
     # node a's f_right came with the window before, unless it has two sides
@@ -1135,10 +1194,10 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
     _derivative(None if M is None else M[lo:], yp[sa + lo:sa + w + 1],
                 d[lo:, 0], H[sa + lo:sa + w + 1, _F_RIGHT, :, :Wm])
     for k, dk in zip(two, dl):
+        left = st.rows_of[st.left_of[a + k]:, :, :Wm]
         _derivative(None if M is None else M[k - 1],
-                    H[sa + k, _Y_PRE if st.side[a + k] > 1 else _Y_POST,
-                      :, :Wm],
-                    dk[2 * n:], H[sa + k, _F_LEFT, :, :Wm])
+                    left[_Y_PRE] if st.side[a + k] > 1 else yp[sa + k],
+                    dk[2 * n:], left[_F_LEFT])
     _tail(st, a, b)
 
 
@@ -1147,7 +1206,8 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     give the rows each step writes from a zero start, C_k, in bulk
     (`_sums`), and the run's map composes them (`_lift_scan`) from the
     state at node a.  Its nodes keep both sides, which differ by
-    rounding."""
+    rounding: f_left goes to the left store, which a sweep that lifts
+    sizes for every node within the ring's reach (`_left_rows`)."""
     M, pl = pl[3], list(pl)
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
@@ -1165,19 +1225,24 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
                     C[k - 1, 2])
     offs, kinds, _ = _lift_layout(lift.r, n)
     at = a - lift.r + offs
-    # a node without two sides holds its f_left in its f_right row
-    kinds = np.where((kinds == _F_LEFT) & (st.side[at] == 0), _F_RIGHT, kinds)
-    z0 = H[at % R, kinds, :, :Wm].reshape(-1, Wm)
+    # y and f_right from the ring, f_left from the store; a node without
+    # two sides holds its f_left in its f_right row
+    rows = 2 * (at % R) + np.where(kinds == 0, _Y_POST, _F_RIGHT)
+    left = np.flatnonzero((kinds == 1) & (st.side[at] != 0))
+    rows[left] = _left_rows(st, at[left]) + _F_LEFT
+    z0 = st.rows_of[rows, :, :Wm].reshape(-1, Wm)
     C = _lift_scan(lift, C.reshape(w, 3 * n, Wm),
                    z0).reshape(w, 3, n, Wm)
     H[sa:sa + w, _F_RIGHT, :, :Wm] = C[:, 0]
-    for q, k in ((_Y_POST, 1), (_Y_PRE, 1), (_F_LEFT, 2)):
-        H[sa + 1:sa + w + 1, q, :, :Wm] = C[:, k]
+    H[sa + 1:sa + w + 1, _Y_POST, :, :Wm] = C[:, 1]
+    st.rows_of[_left_rows(st, np.arange(a + 1, b + 1)) + _F_LEFT,
+               :, :Wm] = C[:, 2]
     # reads planned before the run take node b's f_right row, which the
     # next window gives; until then it holds f_left
     H[sa + w, _F_RIGHT, :, :Wm] = C[-1, 2]
     st.side[a + 1:b + 1] |= 1
     if b in st.is_event:
+        st.rows_of[st.left_of[b] + _Y_PRE, :, :Wm] = C[-1, 1]
         _at_node(st, b, sa + w, False)
     _tail(st, a, b)
 
@@ -1187,8 +1252,8 @@ def _tail(st: _Sweep, a: int, b: int) -> None:
     finiteness check, and the spare slots copied back to the ring."""
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
-    lo = bisect.bisect_right(st.bulk, a)
-    hi = bisect.bisect_right(st.bulk, b)
+    # a numpy search per window costs more than a bisection of the list
+    lo, hi = bisect.bisect_right(st.bulk, a), bisect.bisect_right(st.bulk, b)
     if hi > lo:
         # node b may activate columns beyond the window's width
         W = _width(st, b)
@@ -1221,7 +1286,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     per node and per step's mid (`_sums`).  Only where the two sides of a
     node can differ -- at events, where a read snaps to one, and at
     coefficient table breaks -- is its left limit read, and only there
-    does the ring hold its y_pre and f_left.  Each RK4 step is
+    does the left store hold its y_pre and f_left (`_left_rows`); the
+    ring holds y_post and f_right.  Each RK4 step is
     y_{k+1} = P_k y_k + c_k, c_k the stage sum on y = 0; jumps and
     activations (`_at_node`) split the recurrence, and a doubling scan
     (`_affine_scan`) composes each segment.  Blocks of steps are planned
@@ -1231,12 +1297,14 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     lag.  Each chunk of columns runs on its own `_Sweep`.
 
     The ring holds the deepest delayed read (`_ring_depth`), and a window
-    past its end writes on into spare slots.  With `dense` it holds every
-    node and is the dense output (y_post, y_pre, f_right, f_left), each
-    (K+1, S, n, m), returned in place of the samples (`Trajectory`); the
-    nodes with one side get their left limits in one copy at the end.  A
-    dense sweep whose estimated memory exceeds `mem_cap` bytes is refused
-    before anything is allocated.
+    past its end writes on into spare slots.  A window holds at most
+    `_WINDOW_BYTES` of buffers and the longest window the smallest long
+    lag allows (`_longest_window`).  With `dense` the ring and the store
+    hold every node and are the dense output (y_post, y_pre, f_right,
+    f_left), each (K+1, S, n, m), returned in place of the samples
+    (`Trajectory`); the nodes with one side get their left limits in one
+    copy at the end.  A dense sweep whose estimated memory exceeds
+    `mem_cap` bytes is refused before anything is allocated.
     """
     n = spec.dim
     K = len(nodes) - 1
@@ -1275,9 +1343,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
 
     # node j sits in ring slot j % R; a window may run on into the spare
     # slots after the ring, which are copied back to its start.  Then come
-    # the zero and the snapshot slots.  A slot's columns beyond the width
-    # active at its node hold zero (the nodes a slot held before were never
-    # wider), which is the value an inactive column must supply.
+    # the zero rows, the snapshot row and the left store.  A slot's columns
+    # beyond the width active at its node hold zero (the nodes a slot held
+    # before were never wider), which is the value an inactive column must
+    # supply.
     D = K + 1 if dense else _ring_depth(
         nodes, max((t.delay.theta for t in lags), default=0.0))
     dl = (3 * r_max + 2) * n if len(short) else 0  # the deepest state
@@ -1288,19 +1357,40 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     per_col = ((10 * nt + 3) * n + (2 * dl + 15 * n if dl else 0)) * m * 8
     per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
+    # the smallest long lag ends the windows, the short ones being lifted
+    long = np.delete(thetas, short)
     wmax = max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1)))
+    if len(long):
+        wmax = _longest_window(nodes, long.min(), wmax)
     R, spare = (K + 1, 0) if dense else (max(D, wmax), wmax)
-    slots = R + spare + 2
-    zero_row = 4 * (R + spare)
-    chunk = max(16, int(mem_cap // max(slots * 4 * n * m * 8, 1)))
+    slots = R + spare + 3
+    zero_row = 2 * (R + spare)
+    coef_breaks = np.unique([b for c in read_coefs + zero_lag
+                             if isinstance(c, MatrixTable) for b in c.breaks])
+    # the left store (`_left_rows`): a read reaches fewer than D nodes
+    # back and a window writes at most wmax nodes ahead, so the nodes whose
+    # left rows are in use at once lie within D + wmax of each other
+    cand = None
+    if dense:
+        Ls = K + 1
+    elif len(short):
+        Ls = min(K + 1, D + wmax)
+    else:
+        events = np.union1d(np.fromiter(jumps, np.intp, len(jumps)),
+                            s_indices)
+        cand = _two_sided_candidates(nodes, events, thetas, coef_breaks)
+        Ls = int(np.max(np.searchsorted(cand, cand + D + wmax)
+                        - np.arange(len(cand))))
+    nrows = 2 * (slots + Ls)
+    chunk = max(16, int(mem_cap // max(nrows * n * m * 8, 1)))
     if dense:
         if S > chunk:
             raise ValueError(f"dense output of {S} columns needs more than "
                              f"one chunk of {chunk}")
-        # the ring, one window's buffers and one block's plan; with short
-        # lags, a run's map and two of its powers, the probe's ring and
-        # scratch (`_probe`) and the block's rows Psi
-        need_bytes = (slots * 4 * n * S * m * 8 + min(wmax, K) * per_col * S
+        # the ring and the store, one window's buffers and one block's
+        # plan; with short lags, a run's map and two of its powers, the
+        # probe's ring and scratch (`_probe`) and the block's rows Psi
+        need_bytes = (nrows * n * S * m * 8 + min(wmax, K) * per_col * S
                       + block * per_step)
         if dl:
             need_bytes += 8 * (6 * dl * dl + 4 * (r_max + 2) * n * dl
@@ -1312,22 +1402,22 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                              f"more than the memory budget of {mem_cap} bytes")
 
     samples = np.zeros((len(record_indices), S, n, m))
-    rec_of_node = {int(node): row for row, node in enumerate(record_indices)}
+    record_indices = np.asarray(record_indices, dtype=np.intp)
+    rec_rows = np.argsort(record_indices, kind="stable")
+    rec_nodes = record_indices[rec_rows]
     # the reflected order samples a jump node before its jump, in _at_node
-    bulk = sorted(node for node in rec_of_node
-                  if not (reflected and node in jumps))
+    keep = ~np.isin(rec_nodes, list(jumps)) if reflected else slice(None)
     shared = dict(
         n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
         s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
         thetas=thetas, short=short, r_max=r_max, zero_lag=zero_lag,
         short_cols=(short[:, None] * n + np.arange(n)).ravel(),
-        coef_breaks=np.unique([b for c in read_coefs + zero_lag if
-                               isinstance(c, MatrixTable) for b in c.breaks]),
+        coef_breaks=coef_breaks,
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
-        R=R, slots=slots, zero_row=zero_row, wmax=wmax, samples=samples,
-        rec_of_node=rec_of_node, bulk=bulk,
-        bulk_nodes=np.asarray(bulk, dtype=np.intp),
-        bulk_rows=np.asarray([rec_of_node[j] for j in bulk], dtype=np.intp))
+        R=R, slots=slots, zero_row=zero_row, store_row=2 * slots, Ls=Ls,
+        cand=cand, wmax=wmax, samples=samples, rec_nodes=rec_nodes,
+        rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
+        bulk_nodes=rec_nodes[keep], bulk_rows=rec_rows[keep])
     for c0 in range(0, S, chunk):
         st = _Sweep(shared, c0, min(c0 + chunk, S))
         _at_node(st, st.k_start, st.k_start % R, True)
@@ -1356,19 +1446,35 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         if not np.all(np.isfinite(st.H[K % R, _Y_POST])):
             raise NumericalError("state non-finite at final node")
     if dense:
-        # the nodes without two sides hold their left limits in their right
-        # rows: copy them over in blocks (a copy between two rows of one
-        # array takes a temporary of its source); y_pre[0] is y_post[0]
-        for i in range(0, K + 1, 4096):
-            j = min(i + 4096, K + 1)
-            for q, bit in ((_Y_PRE, 2), (_F_LEFT, 1)):
-                np.copyto(st.H[i:j, q], st.H[i:j, q + 2],
-                          where=(st.side[i:j] & bit == 0)[:, None, None])
-        st.H[0, _Y_PRE] = st.H[0, _Y_POST]
-        out = tuple(st.H[:K + 1, q].reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
-                    for q in (_Y_POST, _Y_PRE, _F_RIGHT, _F_LEFT))
+        # the nodes without two sides hold their left limits in their ring
+        # rows: copy them into the store; y_pre[0] is y_post[0]
+        H, store = st.H[:K + 1], st.store
+        for q, r, bit in ((_Y_PRE, _Y_POST, 2), (_F_LEFT, _F_RIGHT, 1)):
+            np.copyto(store[:, q], H[:, r],
+                      where=(st.side[:K + 1] & bit == 0)[:, None, None])
+        store[0, _Y_PRE] = H[0, _Y_POST]
+        out = tuple(x.reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
+                    for x in (H[:, _Y_POST], store[:, _Y_PRE],
+                              H[:, _F_RIGHT], store[:, _F_LEFT]))
         return out if unsort is None else tuple(a[:, unsort] for a in out)
     return samples if unsort is None else samples[:, unsort]
+
+
+def _two_sided_candidates(nodes: np.ndarray, events: np.ndarray,
+                          thetas: np.ndarray, coef_breaks) -> np.ndarray:
+    """The sorted nodes that may get two sides in a sweep without lifted
+    runs (`_Sweep.side`): the events, the nodes whose delayed read snaps
+    to an event, one per event and lag, found among the four nodes around
+    the event's image, and the node after each coefficient break's step
+    mid, by `_plan`'s own arithmetic."""
+    K = len(nodes) - 1
+    near = np.searchsorted(nodes, np.add.outer(nodes[events], thetas))
+    k = np.clip(near[..., None] + np.arange(-2, 2), 0, K)
+    hit = locate(nodes, nodes[k] - thetas[:, None])
+    snaps = events.take(np.searchsorted(events, hit), mode="clip") == hit
+    mids = nodes[:-1] + 0.5 * np.diff(nodes)
+    return np.unique(np.concatenate((
+        events, k[snaps], np.searchsorted(mids, coef_breaks, side="right"))))
 
 
 def _reflect_coefficient(coef, shift: float):
@@ -1428,9 +1534,10 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
     """The rows s -> X(t, s) over every node s, for each target time t.
 
     Returns (right, left, jump_nodes): `right[k, i]` = X(targets[k],
-    nodes[i]) as `_fundamental_rows` gives it, `left` the same with the
-    s-left limit X(t, tau_j) B_j at each jump node, and the grid's jump
-    map, so trapezoid panels read one-sided limits directly.
+    nodes[i]) as `_fundamental_rows` gives it, the grid's jump map, and
+    `left[k, j]` the s-left limit X(targets[k], tau) B at the j-th jump
+    node of the map, where alone it differs from `right`, so trapezoid
+    panels read one-sided limits directly.
     """
     rows = locate(nodes, targets)
     if np.any(rows < 0):
@@ -1438,9 +1545,9 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
     jump_nodes = _jump_map(spec.impulses, nodes)
     jumps = _jump_matrices(spec, jump_nodes)
     right = _fundamental_rows(spec, nodes, jumps, rows)
-    left = right.copy()
-    for idx, B in jumps.items():
-        left[:, idx] = right[:, idx] @ B
+    left = np.empty((len(rows), len(jumps)) + right.shape[2:])
+    for j, (idx, B) in enumerate(jumps.items()):
+        left[:, j] = right[:, idx] @ B
     return right, left, jump_nodes
 
 

@@ -65,18 +65,23 @@ def _phi_rows(phi, zetas: np.ndarray, side: str, dim: int) -> np.ndarray:
 
 
 def _panel_sum(nodes: np.ndarray, right: np.ndarray, left: np.ndarray,
-               i_hi: int, vec_right: np.ndarray,
+               at: np.ndarray, i_hi: int, vec_right: np.ndarray,
                vec_left: np.ndarray) -> np.ndarray:
     """Composite trapezoid of s -> X(t,s) g(s) over nodes[0..i_hi].
 
-    `right`/`left` are one row of `kernel_rows`; `vec_right[i]`/`vec_left[i]`
-    are the one-sided values of g at node i.  Panels use the right values
-    at their left endpoint and the left values at their right endpoint,
+    `right`/`left` are one row of `kernel_rows`, `left` at the jump nodes
+    `at` only, where s -> X(t,s) has the left limit X(t,tau_j) B_j; it
+    equals `right` at every other node.  `vec_right[i]`/`vec_left[i]` are
+    the one-sided values of g at node i.  Panels use the right values at
+    their left endpoint and the left values at their right endpoint,
     which is exact up to O(h^2) on each smooth piece.
     """
     h = np.diff(nodes[: i_hi + 1])
     lo = np.einsum("sij,sj->si", right[:i_hi], vec_right[:i_hi])
-    hi = np.einsum("sij,sj->si", left[1 : i_hi + 1], vec_left[1 : i_hi + 1])
+    hi = np.einsum("sij,sj->si", right[1 : i_hi + 1], vec_left[1 : i_hi + 1])
+    inside = (at >= 1) & (at <= i_hi)
+    hi[at[inside] - 1] = np.einsum("sij,sj->si", left[inside],
+                                   vec_left[at[inside]])
     return 0.5 * (h[:, None] * (lo + hi)).sum(axis=0)
 
 
@@ -148,8 +153,9 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
 
     targets = np.array([t])
     nodes = quadrature_nodes(spec, targets, grid.dt, f.breaks)
-    right, left, _ = kernel_rows(spec, nodes, targets)
-    return _panel_sum(nodes, right[0], left[0], len(nodes) - 1,
+    right, left, jump_nodes = kernel_rows(spec, nodes, targets)
+    at = np.fromiter(jump_nodes, np.intp, len(jump_nodes))
+    return _panel_sum(nodes, right[0], left[0], at, len(nodes) - 1,
                       read_piecewise(f, nodes, "right"),
                       read_piecewise(f, nodes, "left"))
 
@@ -171,6 +177,7 @@ def represent_solution(inp: RepresentationInput) -> np.ndarray:
     targets = np.unique(np.asarray(inp.target_times, dtype=float))
     nodes = inp.quad_grid
     right, left, jump_nodes = kernel_rows(spec, nodes, targets)
+    at = np.fromiter(jump_nodes, np.intp, len(jump_nodes))
     dim = spec.dim
 
     r_right = read_piecewise(spec.forcing, nodes, "right", dim)
@@ -189,9 +196,11 @@ def represent_solution(inp: RepresentationInput) -> np.ndarray:
 
     out = np.zeros((len(targets), dim))
     for row, i_hi in enumerate(locate(nodes, targets)):
-        acc = _panel_sum(nodes, right[row], left[row], i_hi, r_right, r_left)
+        acc = _panel_sum(nodes, right[row], left[row], at, i_hi, r_right,
+                         r_left)
         for g_r, g_l in phi_terms:
-            acc -= _panel_sum(nodes, right[row], left[row], i_hi, g_r, g_l)
+            acc -= _panel_sum(nodes, right[row], left[row], at, i_hi, g_r,
+                              g_l)
         if spec.x0 is not None:
             acc += right[row, 0] @ spec.x0
         for idx, j in jump_nodes.items():

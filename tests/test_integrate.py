@@ -1221,3 +1221,146 @@ def test_dense_sweep_refuses_an_oversized_grid_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**5
+
+
+def _clustered_counterexample():
+    """x' - 0.9 x(t - 0.05) = 0 with B = 0.9 at k and k + 0.001 for
+    k = 1..20: jumps 0.001 apart, each read a lag later by a snapped
+    node, and windows that end at the lag."""
+    points = [p for k in range(1, 21) for p in (float(k), k + 0.001)]
+    return SystemSpec(
+        dim=1, terms=[DelayTerm(np.array([[-0.9]]), ConstantLag(0.05))],
+        impulses=ImpulseSchedule(points, [[[0.9]]] * len(points), None, 1),
+        x0=[1.0], horizon=20.5)
+
+
+def _three_sweeps(monkeypatch, spec, dt):
+    """The chunk states and outputs of a dense solve, a fundamental_grid
+    and a kernel_rows sweep of `spec`."""
+    states, real = [], integrate._plan
+
+    def plan(st, p0, p1):
+        if st not in states:
+            states.append(st)
+        return real(st, p0, p1)
+
+    monkeypatch.setattr(integrate, "_plan", plan)
+    T, grid = spec.horizon, StepControl(dt)
+    targets = np.array([0.5 * T, T])
+    out = (solve(spec, grid).y_pre,
+           fundamental_grid(spec, np.linspace(0.0, 0.5 * T, 9),
+                            np.linspace(0.0, T, 17), grid).samples,
+           *integrate.kernel_rows(
+               spec, integrate.quadrature_nodes(spec, targets, dt),
+               targets)[:2])
+    monkeypatch.setattr(integrate, "_plan", real)
+    return states, out
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["clustered"])
+def test_the_ring_holds_two_rows_per_node_and_the_store_its_bound(
+        monkeypatch, name):
+    # each sweep's ring holds y_post and f_right; the left store holds
+    # y_pre and f_left of the nodes with two sides, and no span of the
+    # ring's reach, D + wmax nodes, holds more of them than the store's
+    # slots, which a sweep without lifted runs bounds up front by its
+    # candidates
+    spec = CORPUS[name]() if name in CORPUS else _clustered_counterexample()
+    states, got = _three_sweeps(monkeypatch, spec, 2e-3)
+    assert len(states) == 3
+    for st in states:
+        K = len(st.nodes) - 1
+        assert st.H.shape == (st.slots, 2, st.n, st.Sc * st.m)
+        assert st.store.shape == (st.Ls, 2, st.n, st.Sc * st.m)
+        two = np.flatnonzero(st.side[:K + 1])
+        reach = np.searchsorted(two, two + st.D + st.wmax) - np.arange(len(two))
+        assert np.max(reach, initial=0) <= st.Ls <= K + 1
+        if st.cand is not None:
+            assert np.isin(two, st.cand).all()
+            assert st.Ls <= st.R // 2
+    # a ring as deep as the grid reuses no slot of the ring or the store
+    monkeypatch.setattr(integrate, "_ring_depth", lambda nodes, theta:
+                        len(nodes))
+    _, want = _three_sweeps(monkeypatch, spec, 2e-3)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def _wide_sweep(monkeypatch):
+    """Window lengths of a fundamental_grid of n = 2 over S = 49 restart
+    columns: one lag of 0.93, a zero-lag term, a coefficient table and
+    twelve jumps, on steps of 2e-3."""
+    rng = np.random.default_rng(4)
+    A = rng.uniform(-0.4, 0.4, (4, 2, 2))
+    spec = SystemSpec(
+        dim=2,
+        terms=[DelayTerm(MatrixTable([0.0, 5.1], A[:2]), ConstantLag(0.93)),
+               DelayTerm(A[2], ConstantLag(0.0))],
+        impulses=ImpulseSchedule.periodic(1.0, A[3] + np.eye(2),
+                                          horizon=12.0, dim=2),
+        x0=[1.0, 0.0], horizon=12.0)
+    windows, real = [], integrate._window
+
+    def counted(st, a, b, pl):
+        windows.append(b - a)
+        real(st, a, b, pl)
+
+    monkeypatch.setattr(integrate, "_window", counted)
+    fundamental_grid(spec, np.arange(49) * 0.125, np.arange(49) * 0.25,
+                     StepControl(2e-3))
+    monkeypatch.setattr(integrate, "_window", real)
+    return windows
+
+
+def test_a_wide_fundamental_grid_runs_about_half_the_windows(monkeypatch):
+    # there the window budget, not the lag, ends the windows: 512 KiB
+    # runs the same steps as 256 KiB in at most 55 % of the windows
+    windows = _wide_sweep(monkeypatch)
+    monkeypatch.setattr(integrate, "_WINDOW_BYTES", 1 << 18)
+    before = _wide_sweep(monkeypatch)
+    assert sum(windows) == sum(before)
+    assert len(windows) <= 0.55 * len(before)
+
+
+def test_window_buffers_hold_the_longest_window_the_sweep_runs(monkeypatch):
+    # the clustered counterexample's windows end at its lag, 25 steps of
+    # 2e-3, well within the window budget: the buffers hold two steps more
+    # than the longest window, and the windows are those of buffers sized
+    # by the budget alone
+    spec = _clustered_counterexample()
+    windows, wmax, real = [], [], integrate._window
+
+    def counted(st, a, b, pl):
+        windows.append(b - a)
+        wmax.append(st.wmax)
+        real(st, a, b, pl)
+
+    monkeypatch.setattr(integrate, "_window", counted)
+
+    def sweep():
+        windows.clear(), wmax.clear()
+        out = fundamental_grid(spec, np.linspace(0.0, 10.0, 41),
+                               np.linspace(0.0, 20.5, 83), StepControl(2e-3))
+        return out.samples, list(windows), max(wmax)
+
+    got, runs, sized = sweep()
+    assert max(runs) <= sized <= max(runs) + 2
+    monkeypatch.setattr(integrate, "_longest_window",
+                        lambda nodes, theta, cap: cap)
+    want, runs_budget, budget = sweep()
+    assert runs == runs_budget and budget >= 2 * sized
+    assert got.tobytes() == want.tobytes()
+
+
+def test_recorded_nodes_may_come_in_any_order():
+    # records are looked up in sorted index arrays: unsorted and repeated
+    # record nodes each get their node's sample
+    hom = integrate._curtailed(planar_rotation())
+    nodes, jump_nodes = integrate._prepare_grid(hom, 0.0, hom.horizon, 0.01)
+    jumps = integrate._jump_matrices(hom, jump_nodes)
+    rec = np.array([200, 17, 120, 17, 240, 0])
+    got = integrate._batch_columns(hom, nodes, jumps, [0, 30, 60], rec)
+    want = integrate._batch_columns(hom, nodes, jumps, [0, 30, 60],
+                                    np.unique(rec))
+    assert got.tobytes() == want[np.searchsorted(np.unique(rec),
+                                                 rec)].tobytes()

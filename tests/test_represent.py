@@ -22,8 +22,10 @@ from impulsedde import (
     solve,
     vec_norm,
 )
-from corpus import (CORPUS, multi_piece_history, scalar_forced,
-                    scalar_table_homogeneous)
+from impulsedde.integrate import kernel_rows, quadrature_nodes, read_piecewise
+from impulsedde.represent import _panel_sum
+from corpus import (CORPUS, multi_piece_history, planar_singular_reset,
+                    scalar_forced, scalar_table_homogeneous)
 
 
 def _plain_decay(a=1.0, horizon=2.0):
@@ -63,6 +65,31 @@ def test_cauchy_is_exact_for_piecewise_constant_kernels():
     f = VectorTable([0.0], [[1.0]])
     out = cauchy_apply(spec, f, 2.0, StepControl(0.05))
     assert out[0] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_panel_sums_apply_the_jump_matrices_at_the_jump_nodes():
+    # kernel_rows keeps the left limits X(t, tau) B at the jump nodes only;
+    # the panel sum equals the trapezoid over rows whose jump nodes hold
+    # them, bit for bit (a singular reset and a rank-one jump)
+    spec = planar_singular_reset()
+    targets = np.array([1.2, 1.7, 2.4])
+    nodes = quadrature_nodes(spec, targets, 2e-3)
+    right, left, jump_nodes = kernel_rows(spec, nodes, targets)
+    at = np.fromiter(jump_nodes, np.intp)
+    assert left.shape == (3, 2, 2, 2) and len(at) == 2
+    full = right.copy()
+    for j, (i, k) in enumerate(jump_nodes.items()):
+        full[:, i] = right[:, i] @ spec.impulses.matrices[k]
+        assert full[:, i].tobytes() == left[:, j].tobytes()
+    g_r = read_piecewise(spec.phi, nodes, "right", 2) + nodes[:, None]
+    g_l = read_piecewise(spec.phi, nodes, "left", 2) - nodes[:, None]
+    for row, i_hi in enumerate(np.searchsorted(nodes, targets)):
+        h = np.diff(nodes[:i_hi + 1])
+        lo = np.einsum("sij,sj->si", right[row, :i_hi], g_r[:i_hi])
+        hi = np.einsum("sij,sj->si", full[row, 1:i_hi + 1], g_l[1:i_hi + 1])
+        want = 0.5 * (h[:, None] * (lo + hi)).sum(axis=0)
+        got = _panel_sum(nodes, right[row], left[row], at, i_hi, g_r, g_l)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_cauchy_with_a_frozen_term_at_zero_matches_closed_form():

@@ -1257,7 +1257,7 @@ def _tail(st: _Sweep, a: int, b: int) -> None:
     if hi > lo:
         # node b may activate columns beyond the window's width
         W = _width(st, b)
-        y = H[st.bulk_nodes[lo:hi] - a + sa, _Y_POST, :, :W * m]
+        y = H[np.subtract(st.bulk[lo:hi], a - sa), _Y_POST, :, :W * m]
         st.samples[st.bulk_rows[lo:hi], st.c0:st.c0 + W] = \
             y.reshape(-1, n, W, m).transpose(0, 2, 1, 3)
     if b // 256 != a // 256 and not np.all(np.isfinite(H[sa + w, _Y_POST])):
@@ -1417,7 +1417,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         R=R, slots=slots, zero_row=zero_row, store_row=2 * slots, Ls=Ls,
         cand=cand, wmax=wmax, samples=samples, rec_nodes=rec_nodes,
         rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
-        bulk_nodes=rec_nodes[keep], bulk_rows=rec_rows[keep])
+        bulk_rows=rec_rows[keep])
     for c0 in range(0, S, chunk):
         st = _Sweep(shared, c0, min(c0 + chunk, S))
         _at_node(st, st.k_start, st.k_start % R, True)

@@ -1273,7 +1273,8 @@ def test_the_ring_holds_two_rows_per_node_and_the_store_its_bound(
         assert st.H.shape == (st.slots, 2, st.n, st.Sc * st.m)
         assert st.store.shape == (st.Ls, 2, st.n, st.Sc * st.m)
         two = np.flatnonzero(st.side[:K + 1])
-        reach = np.searchsorted(two, two + st.D + st.wmax) - np.arange(len(two))
+        reach = (np.searchsorted(two, two + st.D + st.wmax)
+                 - np.arange(len(two)))
         assert np.max(reach, initial=0) <= st.Ls <= K + 1
         if st.cand is not None:
             assert np.isin(two, st.cand).all()

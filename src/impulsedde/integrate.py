@@ -26,7 +26,11 @@ between jump and activation nodes, so no loop runs step by step.  A lag
 of fewer than `_SHORT_LAG` steps does not cut the windows: its reads stay
 within the last few nodes, whose rows form a lifted state that evolves by
 one affine map over a run of like steps (`_lift_runs`, `_lift_scan`), so
-the windows end at the smallest long lag.
+the windows end at the smallest long lag.  Before its first step a sweep
+searches its grid once, at the lag images of its nodes, events and
+coefficient breaks (`_reach`): that gives the depth of its history ring,
+its longest window, and the nodes whose two sides can differ, which alone
+take slots of a small left store, in turn.
 
 This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`, one search
@@ -539,32 +543,50 @@ _LIFT_SIZE = 150
 _LIFT_STEPS = 16
 
 
-def _ring_depth(nodes: np.ndarray, theta_max: float) -> int:
-    K = len(nodes) - 1
-    if K <= 0 or not (theta_max > 0) or not math.isfinite(theta_max):
-        return 2
-    ks = np.arange(K)
-    earliest = np.searchsorted(nodes, nodes[:K] - theta_max, side="right") - 1
-    earliest = np.maximum(earliest, 0)
-    return int(np.max(ks - earliest)) + 3
+def _reach(nodes: np.ndarray, thetas: np.ndarray, long: np.ndarray,
+           events: np.ndarray, coef_breaks: np.ndarray, cap: int,
+           dense: bool) -> tuple:
+    """(D, wmax, cand): the ring depth, the longest window and the sorted
+    nodes that may get two sides (`_Sweep.side`), from one search of the
+    grid at the lag images of its nodes, events and coefficient breaks.
 
-
-def _longest_window(nodes: np.ndarray, theta: float, cap: int) -> int:
-    """The fewer of `cap` and an upper bound on the steps of a lag window
-    whose reads lag by at least theta.
-
-    A window from node a ends before the first step whose end read, at
-    t_{k+1} - theta, lies past node a, so it holds at most the nodes up to
+    At step k the oldest node a read takes is the last one at or before
+    t_k - theta, theta the largest lag: D is the widest such reach plus
+    three slots, which `_plan` checks.  A window from node a ends before
+    the first step whose end read, at t_{k+1} - theta, theta the smallest
+    long lag, lies past node a, so it holds at most the nodes up to
     t_a + theta, one more where a read snaps to node a, and one more where
-    two nodes sit within a snap window.  Any span of theta holds at least
-    theta / h steps, h the longest step, so a cap below that needs no
-    search.
+    two nodes sit within a snap window; wmax is the fewer of that and
+    `cap`, and any span of theta holds at least theta / h steps, h the
+    longest step, so a cap below that needs no search.  The candidates are
+    the events, the nodes whose read snaps to an event (one per event and
+    lag, among the nodes around the event's image, by `locate`) and the
+    node after each coefficient break's step mid, by `_plan`'s own
+    arithmetic.  A dense sweep's ring and candidates are every node.
     """
-    h = np.diff(nodes)
-    if not len(h) or cap <= theta / h.max():
-        return cap
-    reach = np.searchsorted(nodes, nodes[:-1] + theta, side="right")
-    return min(cap, int(np.max(reach - np.arange(len(h)))) + 1)
+    K = len(nodes) - 1
+    back = nodes[:K] - thetas.max() if len(thetas) and not dense else nodes[:0]
+    wide = len(long) and K and cap > long.min() / np.diff(nodes).max()
+    ahead = nodes[:K] + long.min() if wide else nodes[:0]
+    us = (back, ahead, np.add.outer(nodes[events], thetas).ravel(),
+          coef_breaks)
+    back, ahead, near, i = np.split(
+        np.searchsorted(nodes, np.concatenate(us), side="right"),
+        np.cumsum([len(u) for u in us[:-1]]))
+    D = int(np.max(np.arange(len(back)) - np.maximum(back - 1, 0),
+                   initial=-1)) + 3
+    wmax = min(cap, int(np.max(ahead - np.arange(K))) + 1) if wide else cap
+    if dense:
+        return K + 1, wmax, range(K + 1)
+    k = np.clip(near.reshape(len(events), len(thetas), 1) + np.arange(-3, 2),
+                0, K)
+    hit = locate(nodes, nodes[k] - thetas[:, None])
+    snaps = events.take(np.searchsorted(events, hit), mode="clip") == hit
+    # the node after each coefficient break's step mid, as `_plan` finds it
+    j = np.clip(i, 1, K)
+    mids = nodes[j - 1] + 0.5 * (nodes[j] - nodes[j - 1])
+    return D, wmax, np.unique(np.concatenate(
+        (events, k[snaps], np.maximum(j - (mids > coef_breaks), 0))))
 
 
 def _read_plan(nodes: np.ndarray, us: np.ndarray):
@@ -593,7 +615,7 @@ def _read_rows(st: _Sweep, plan, left: bool):
     starts at row 2 j modulo the ring's 2 R rows.  A read inside the step
     after node i blends y_post[i], f_right[i], and y_pre[i+1] at an event
     and f_left[i+1] where the sides can differ (`_Sweep.side`), from node
-    i+1's slot of the left store (`_left_rows`), else y_post[i+1] and
+    i+1's slot of the left store (`_Sweep.left_row`), else y_post[i+1] and
     f_right[i+1], the next two ring rows.  A read that snaps to node i takes
     y_post[i], or for left limits (`left`) y_pre[i] at an event, as the
     first of four rows, with the plan's weights (1, 0, 0, 0).  Reads of
@@ -617,39 +639,16 @@ def _read_rows(st: _Sweep, plan, left: bool):
     rows = (node * 2 % (2 * st.R))[:, None] + _QUAD
     side = np.where(hit | zero, 0, st.side[node + 1])
     two = np.flatnonzero(side)
-    if len(two):
-        at = _left_rows(st, node[two] + 1)
-        rows[two, 3] = at + _F_LEFT
-        pre = side[two] > 1
-        rows[two[pre], 2] = at[pre] + _Y_PRE
+    at = st.left_row[node[two] + 1]
+    rows[two, 3] = at + _F_LEFT
+    pre = side[two] > 1
+    rows[two[pre], 2] = at[pre] + _Y_PRE
     if left:
         two = np.flatnonzero(hit & (st.side[node] > 1))
-        rows[two] = _left_rows(st, node[two])[:, None] + _QUAD
+        rows[two] = st.left_row[node[two]][:, None] + _QUAD
     rows[zero] = st.zero_row + _QUAD
     return (rows, weights, np.where(zero, np.iinfo(np.intp).max, node),
             node + ~hit)
-
-
-def _left_rows(st: _Sweep, j) -> np.ndarray:
-    """The first rows in `_Sweep.rows_of` (y_pre, then f_left) of the left
-    store's slots of the nodes j with two sides.
-
-    A dense sweep's store holds every node, in order.  A sweep with lifted
-    runs, whose nodes all keep both sides, holds the last `Ls` nodes, by
-    node modulo `Ls`.  Any other sweep holds the candidates `cand`, the
-    nodes that may have two sides, by rank modulo `Ls`, where no span of
-    the ring's reach holds more than `Ls` candidates (`_batch_columns`).
-    """
-    if st.cand is not None:
-        rank = np.searchsorted(st.cand, j)
-        miss = st.cand.take(rank, mode="clip") != j
-        if np.any(miss):
-            # the candidates bound every node with two sides, so this is an
-            # internal error, kept under python -O
-            raise RuntimeError(f"left store misses node "
-                               f"{np.atleast_1d(j)[np.atleast_1d(miss)][0]}")
-        j = rank
-    return st.store_row + 2 * (j % st.Ls)
 
 
 def _affine_scan(D: np.ndarray, C: np.ndarray) -> tuple:
@@ -684,12 +683,15 @@ class _Sweep:
     `rows_of` holds, in this order, the history ring `H`, two rows per
     slot (y_post, f_right), the zero rows and the snapshot row, and the
     left store `store`, two rows per slot (y_pre, f_left) for the nodes
-    whose sides can differ (`_left_rows`), so that one gather serves
-    every read.  `side` codes each node by the rows its left limits
-    take: 0, none (they are its right ones); 1, f_left, at the nodes
-    where a coefficient changes or a delayed read snaps to an event
-    (`_plan`) and those of lifted runs (`_lifted`); 3, y_pre and f_left,
-    at the events, jumps and activations.  It holds one code past node K.
+    whose sides can differ, so that one gather serves every read.
+    `left_row` maps each node to the first row of its store slot, or to -1:
+    the candidates of `_reach` take the slots in turn, and no span of the
+    ring's reach holds more candidates than the store has slots
+    (`_batch_columns`).  `side` codes each node by the rows its left
+    limits take: 0, none (they are its right ones); 1, f_left, at the
+    nodes where a coefficient changes or a delayed read snaps to an event
+    (`_plan`); 3, y_pre and f_left, at the events, jumps and activations.
+    It holds one code past node K.
     """
 
     def __init__(self, shared: dict, c0: int, c1: int):
@@ -698,10 +700,9 @@ class _Sweep:
         self.c0, self.c1, self.Sc = c0, c1, Sc
         self.s_list = self.s_indices[c0:c1].tolist()
         self.k_start = self.s_list[0]
-        self.rows_of = np.zeros((self.store_row + 2 * self.Ls, n,
-                                 Sc * self.m))
-        self.H = self.rows_of[:self.store_row].reshape(self.slots, 2, n, -1)
-        self.store = self.rows_of[self.store_row:].reshape(self.Ls, 2, n, -1)
+        self.rows_of = np.zeros((self.nrows, n, Sc * self.m))
+        self.H, self.store = (x.reshape(-1, 2, n, Sc * self.m) for x in
+                              np.split(self.rows_of, [2 * self.slots]))
         # window buffers, reused by every window of the chunk: the gathered
         # rows (every column: a gather from a column prefix would copy the
         # ring first), their blends, the delayed parts d of each node's and
@@ -830,14 +831,17 @@ def _plan(st: _Sweep, p0: int, p1: int):
     st.side[p0 + 1:p1 + 1] |= two | (np.diff(np.searchsorted(
         st.coef_breaks, mids)) > 0)
     lk = np.flatnonzero(st.side[p0 + 1:p1 + 1]) + 1
+    miss = lk[st.left_row[lk + p0] < 0] + p0
+    if len(miss):
+        # the candidates bound every node with two sides, so this is an
+        # internal error, kept under python -O
+        raise RuntimeError(f"left store misses node {miss[0]}")
     st.tk = (lk + p0).tolist()
-    st.left_of = dict(zip(st.tk, _left_rows(st, lk + p0).tolist()))
     # each node's read and its step's mid read (node K's is empty), and
     # the left reads of the nodes with two sides
     right = _read_rows(st, plan, False)
-    left = (_read_rows(st, [x[(2 * L * lk[:, None] + np.arange(L)).ravel()]
-                            for x in plan], True) if len(lk)
-            else (np.empty((0, 4)),) * 2)
+    left = _read_rows(st, [x[(2 * L * lk[:, None] + np.arange(L)).ravel()]
+                           for x in plan], True)
     rows, lrows = (np.empty((w + 1,) + sh + (nt, 4), dtype=np.intp)
                    for sh in ((2,), ()))
     wts, lwts = np.empty(rows.shape), np.empty(lrows.shape)
@@ -856,7 +860,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
                         node[2::2]).min(axis=1, initial=np.iinfo(np.intp).max)
     bad = np.flatnonzero(oldest <= np.arange(p0, p1) - st.D + 1)
     if len(bad):
-        # _ring_depth sizes the ring to the deepest read, so this is an
+        # _reach sizes the ring to the deepest read, so this is an
         # internal error, kept under python -O
         k = bad[0]
         raise RuntimeError(f"history ring too shallow: step {p0 + k} reads "
@@ -867,10 +871,8 @@ def _plan(st: _Sweep, p0: int, p1: int):
     need = np.maximum.accumulate(ready.max(axis=(1, 2), initial=-1))
     if not len(st.short):
         return pl, need, need, []
-    long = np.ones(L, dtype=bool)
-    long[st.short] = False
-    need_long = np.maximum.accumulate(ready[:, :, long].max(axis=(1, 2),
-                                                            initial=-1))
+    need_long = np.maximum.accumulate(ready[:, :, st.long].max(axis=(1, 2),
+                                                               initial=-1))
     return pl, need, need_long, _lift_runs(st, p0, pl, h, ready)
 
 
@@ -1145,8 +1147,8 @@ def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
     c = bufs[3][:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G[:w], np.ndarray((w, 3 * n, Wm), buffer=d, strides=(
         d.strides[0], d.strides[2], d.strides[3])), out=c)
-    two = [k - a for k in st.tk[bisect.bisect_right(st.tk, a):
-                                bisect.bisect_right(st.tk, b)]]
+    two = np.array(st.tk[bisect.bisect_right(st.tk, a):
+                         bisect.bisect_right(st.tk, b)], dtype=np.intp) - a
     dl = np.empty((len(two), 3 * n, Wm))
     for k, dk in zip(two, dl):
         dk[:2 * n] = d[k - 1].reshape(2 * n, Wm)
@@ -1186,7 +1188,7 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
             seg += C
             seg += y
         if a + e in st.is_event:
-            st.rows_of[st.left_of[a + e] + _Y_PRE, :, :Wm] = yp[sa + e]
+            st.rows_of[st.left_row[a + e] + _Y_PRE, :, :Wm] = yp[sa + e]
             _at_node(st, a + e, sa + e, False)
         u = e
     # node a's f_right came with the window before, unless it has two sides
@@ -1194,7 +1196,7 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
     _derivative(None if M is None else M[lo:], yp[sa + lo:sa + w + 1],
                 d[lo:, 0], H[sa + lo:sa + w + 1, _F_RIGHT, :, :Wm])
     for k, dk in zip(two, dl):
-        left = st.rows_of[st.left_of[a + k]:, :, :Wm]
+        left = st.rows_of[st.left_row[a + k]:, :, :Wm]
         _derivative(None if M is None else M[k - 1],
                     left[_Y_PRE] if st.side[a + k] > 1 else yp[sa + k],
                     dk[2 * n:], left[_F_LEFT])
@@ -1205,9 +1207,10 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     """Steps a .. b - 1 of a lifted run (`_lift_runs`): the long reads
     give the rows each step writes from a zero start, C_k, in bulk
     (`_sums`), and the run's map composes them (`_lift_scan`) from the
-    state at node a.  Its nodes keep both sides, which differ by
-    rounding: f_left goes to the left store, which a sweep that lifts
-    sizes for every node within the ring's reach (`_left_rows`)."""
+    state at node a.  The state's f_left of a node differs from its
+    f_right by rounding alone, unless `_plan` marked the node two-sided
+    (`_Sweep.side`): only those f_left go to the left store, and every
+    other node keeps one side, its f_right."""
     M, pl = pl[3], list(pl)
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
@@ -1229,20 +1232,17 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     # two sides holds its f_left in its f_right row
     rows = 2 * (at % R) + np.where(kinds == 0, _Y_POST, _F_RIGHT)
     left = np.flatnonzero((kinds == 1) & (st.side[at] != 0))
-    rows[left] = _left_rows(st, at[left]) + _F_LEFT
+    rows[left] = st.left_row[at[left]] + _F_LEFT
     z0 = st.rows_of[rows, :, :Wm].reshape(-1, Wm)
-    C = _lift_scan(lift, C.reshape(w, 3 * n, Wm),
-                   z0).reshape(w, 3, n, Wm)
+    C = _lift_scan(lift, C.reshape(w, 3 * n, Wm), z0).reshape(C.shape)
     H[sa:sa + w, _F_RIGHT, :, :Wm] = C[:, 0]
     H[sa + 1:sa + w + 1, _Y_POST, :, :Wm] = C[:, 1]
-    st.rows_of[_left_rows(st, np.arange(a + 1, b + 1)) + _F_LEFT,
-               :, :Wm] = C[:, 2]
-    # reads planned before the run take node b's f_right row, which the
-    # next window gives; until then it holds f_left
+    st.rows_of[st.left_row[a + two] + _F_LEFT, :, :Wm] = C[two - 1, 2]
+    # node b's f_right row holds its f_left until a window gives f_right,
+    # which one does only where node b has two sides
     H[sa + w, _F_RIGHT, :, :Wm] = C[-1, 2]
-    st.side[a + 1:b + 1] |= 1
     if b in st.is_event:
-        st.rows_of[st.left_of[b] + _Y_PRE, :, :Wm] = C[-1, 1]
+        st.rows_of[st.left_row[b] + _Y_PRE, :, :Wm] = C[-1, 1]
         _at_node(st, b, sa + w, False)
     _tail(st, a, b)
 
@@ -1286,8 +1286,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     per node and per step's mid (`_sums`).  Only where the two sides of a
     node can differ -- at events, where a read snaps to one, and at
     coefficient table breaks -- is its left limit read, and only there
-    does the left store hold its y_pre and f_left (`_left_rows`); the
-    ring holds y_post and f_right.  Each RK4 step is
+    does the left store hold its y_pre and f_left (`_Sweep.left_row`);
+    the ring holds y_post and f_right.  Each RK4 step is
     y_{k+1} = P_k y_k + c_k, c_k the stage sum on y = 0; jumps and
     activations (`_at_node`) split the recurrence, and a doubling scan
     (`_affine_scan`) composes each segment.  Blocks of steps are planned
@@ -1296,12 +1296,14 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     (`_lift_runs`, `_lifted`), so its windows end at the smallest long
     lag.  Each chunk of columns runs on its own `_Sweep`.
 
-    The ring holds the deepest delayed read (`_ring_depth`), and a window
-    past its end writes on into spare slots.  A window holds at most
-    `_WINDOW_BYTES` of buffers and the longest window the smallest long
-    lag allows (`_longest_window`).  With `dense` the ring and the store
-    hold every node and are the dense output (y_post, y_pre, f_right,
-    f_left), each (K+1, S, n, m), returned in place of the samples
+    One search of the grid at its lag images (`_reach`) sizes the sweep:
+    the ring holds the deepest delayed read, and a window past its end
+    writes on into spare slots; a window holds at most `_WINDOW_BYTES` of
+    buffers and the longest window the smallest long lag allows; the
+    nodes that may get two sides take the store's slots in turn.  With
+    `dense` every node is such a node, and the ring and the store hold
+    every node and are the dense output (y_post, y_pre, f_right, f_left),
+    each (K+1, S, n, m), returned in place of the samples
     (`Trajectory`); the nodes with one side get their left limits in one
     copy at the end.  A dense sweep whose estimated memory exceeds
     `mem_cap` bytes is refused before anything is allocated.
@@ -1347,8 +1349,6 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     # beyond the width active at its node hold zero (the nodes a slot held
     # before were never wider), which is the value an inactive column must
     # supply.
-    D = K + 1 if dense else _ring_depth(
-        nodes, max((t.delay.theta for t in lags), default=0.0))
     dl = (3 * r_max + 2) * n if len(short) else 0  # the deepest state
     # window bytes per step and column: the gather, blend and delayed
     # parts of two reads per term, and the stage sums; a lifted window adds
@@ -1357,30 +1357,23 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     per_col = ((10 * nt + 3) * n + (2 * dl + 15 * n if dl else 0)) * m * 8
     per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
+    coef_breaks = np.unique([b for c in read_coefs + zero_lag
+                             if isinstance(c, MatrixTable) for b in c.breaks])
     # the smallest long lag ends the windows, the short ones being lifted
-    long = np.delete(thetas, short)
-    wmax = max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1)))
-    if len(long):
-        wmax = _longest_window(nodes, long.min(), wmax)
+    long = np.delete(np.arange(len(thetas)), short)
+    D, wmax, cand = _reach(
+        nodes, thetas, thetas[long],
+        np.union1d(np.fromiter(jumps, np.intp, len(jumps)), s_indices),
+        coef_breaks, max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1))),
+        dense)
     R, spare = (K + 1, 0) if dense else (max(D, wmax), wmax)
     slots = R + spare + 3
     zero_row = 2 * (R + spare)
-    coef_breaks = np.unique([b for c in read_coefs + zero_lag
-                             if isinstance(c, MatrixTable) for b in c.breaks])
-    # the left store (`_left_rows`): a read reaches fewer than D nodes
-    # back and a window writes at most wmax nodes ahead, so the nodes whose
-    # left rows are in use at once lie within D + wmax of each other
-    cand = None
-    if dense:
-        Ls = K + 1
-    elif len(short):
-        Ls = min(K + 1, D + wmax)
-    else:
-        events = np.union1d(np.fromiter(jumps, np.intp, len(jumps)),
-                            s_indices)
-        cand = _two_sided_candidates(nodes, events, thetas, coef_breaks)
-        Ls = int(np.max(np.searchsorted(cand, cand + D + wmax)
-                        - np.arange(len(cand))))
+    # the left store: a read reaches fewer than D nodes back and a window
+    # writes at most wmax nodes ahead, so the candidates whose left rows
+    # are in use at once lie within D + wmax of each other
+    Ls = len(cand) if dense else int(np.max(
+        np.searchsorted(cand, cand + D + wmax) - np.arange(len(cand))))
     nrows = 2 * (slots + Ls)
     chunk = max(16, int(mem_cap // max(nrows * n * m * 8, 1)))
     if dense:
@@ -1401,6 +1394,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
                              f"more than the memory budget of {mem_cap} bytes")
 
+    left_row = np.full(K + 1, -1)
+    left_row[cand] = 2 * slots + 2 * (np.arange(len(cand)) % Ls)
     samples = np.zeros((len(record_indices), S, n, m))
     record_indices = np.asarray(record_indices, dtype=np.intp)
     rec_rows = np.argsort(record_indices, kind="stable")
@@ -1410,12 +1405,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     shared = dict(
         n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
         s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
-        thetas=thetas, short=short, r_max=r_max, zero_lag=zero_lag,
+        thetas=thetas, short=short, long=long, r_max=r_max, zero_lag=zero_lag,
         short_cols=(short[:, None] * n + np.arange(n)).ravel(),
         coef_breaks=coef_breaks,
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
-        R=R, slots=slots, zero_row=zero_row, store_row=2 * slots, Ls=Ls,
-        cand=cand, wmax=wmax, samples=samples, rec_nodes=rec_nodes,
+        R=R, slots=slots, zero_row=zero_row, nrows=nrows, left_row=left_row,
+        dense=dense, wmax=wmax, samples=samples, rec_nodes=rec_nodes,
         rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
         bulk_rows=rec_rows[keep])
     for c0 in range(0, S, chunk):
@@ -1428,18 +1423,15 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             # plain windows up to each lifted run, then the run's windows
             for k0, k1, run in runs + [(p1, p1, None)]:
                 # a run's map is built when the run is reached
-                run = None if run is None else _LiftMap(*run)
-                for end, ready, lift in ((k0, need, None),
-                                         (k1, need_long, run)):
+                run = () if run is None else (_LiftMap(*run),)
+                for end, ready, steps, lift in ((k0, need, _window, ()),
+                                                (k1, need_long, _lifted, run)):
                     while a < end:
                         b = p0 + int(np.searchsorted(ready, a, side="right"))
                         b = min(max(b, a + 1), a + wmax, end)
                         part = [None if v is None else v[a - p0:b - p0 + 1]
                                 for v in pl]
-                        if lift is None:
-                            _window(st, a, b, part)
-                        else:
-                            _lifted(st, a, b, part, lift)
+                        steps(st, a, b, part, *lift)
                         a = b
             # free this block's plan and last map before the next is set up
             del pl, need, need_long, runs, run
@@ -1458,23 +1450,6 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                               H[:, _F_RIGHT], store[:, _F_LEFT]))
         return out if unsort is None else tuple(a[:, unsort] for a in out)
     return samples if unsort is None else samples[:, unsort]
-
-
-def _two_sided_candidates(nodes: np.ndarray, events: np.ndarray,
-                          thetas: np.ndarray, coef_breaks) -> np.ndarray:
-    """The sorted nodes that may get two sides in a sweep without lifted
-    runs (`_Sweep.side`): the events, the nodes whose delayed read snaps
-    to an event, one per event and lag, found among the four nodes around
-    the event's image, and the node after each coefficient break's step
-    mid, by `_plan`'s own arithmetic."""
-    K = len(nodes) - 1
-    near = np.searchsorted(nodes, np.add.outer(nodes[events], thetas))
-    k = np.clip(near[..., None] + np.arange(-2, 2), 0, K)
-    hit = locate(nodes, nodes[k] - thetas[:, None])
-    snaps = events.take(np.searchsorted(events, hit), mode="clip") == hit
-    mids = nodes[:-1] + 0.5 * np.diff(nodes)
-    return np.unique(np.concatenate((
-        events, k[snaps], np.searchsorted(mids, coef_breaks, side="right"))))
 
 
 def _reflect_coefficient(coef, shift: float):

@@ -670,11 +670,43 @@ def test_adjoint_rows_resolve_cross_lag_images():
                         rtol=0, atol=1e-9)
 
 
+def _sized(monkeypatch, depth=None, window=None):
+    """Replace the ring depth of every sweep by depth(nodes), and its
+    longest window by window(cap), where given (`integrate._reach`)."""
+    real = integrate._reach
+
+    def reach(nodes, thetas, long, events, coef_breaks, cap, dense):
+        D, wmax, cand = real(nodes, thetas, long, events, coef_breaks, cap,
+                             dense)
+        return (D if depth is None else depth(nodes),
+                wmax if window is None else window(cap), cand)
+
+    monkeypatch.setattr(integrate, "_reach", reach)
+
+
 def test_shallow_history_ring_raises(monkeypatch):
     # the ring-depth check is an error, not an assert, so it holds under -O
-    monkeypatch.setattr(integrate, "_ring_depth", lambda nodes, theta: 2)
+    _sized(monkeypatch, depth=lambda nodes: 2)
     with pytest.raises(RuntimeError, match="history ring too shallow"):
         fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
+
+
+def test_a_two_sided_node_outside_the_left_store_raises(monkeypatch):
+    # the store-miss check is an error, not an assert, so it holds under
+    # -O: the store is sized without the jump node at 0.9, which has two
+    # sides, and the sweep names that node
+    real, dropped = integrate._reach, []
+
+    def reach(nodes, *args):
+        D, wmax, cand = real(nodes, *args)
+        dropped.append(cand[np.argmin(np.abs(nodes[cand] - 0.9))])
+        return D, wmax, cand[cand != dropped[-1]]
+
+    monkeypatch.setattr(integrate, "_reach", reach)
+    with pytest.raises(RuntimeError, match=r"^left store misses node \d+$") \
+            as err:
+        fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
+    assert str(err.value) == f"left store misses node {dropped[0]}"
 
 
 def test_dense_sweep_refuses_more_than_one_chunk():
@@ -700,7 +732,7 @@ def test_chunked_sweep_matches_one_chunk():
 
 
 def test_shallow_history_ring_names_the_step_and_the_depth(monkeypatch):
-    monkeypatch.setattr(integrate, "_ring_depth", lambda nodes, theta: 2)
+    _sized(monkeypatch, depth=lambda nodes: 2)
     with pytest.raises(RuntimeError, match=r"^history ring too shallow: "
                        r"step \d+ reads interval \d+ with depth 2$"):
         fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
@@ -888,6 +920,38 @@ def test_the_short_lag_lift_does_not_change_the_sweep(monkeypatch, steps,
     assert steps_lifted > 0.6 * (len(nodes) - 1) * 3 and steps_plain == 0
     for a, b in zip(got, want):
         assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("zero_lag", [False, True])
+@pytest.mark.parametrize("steps", [1.0, 3.0, 2.5])
+def test_both_sides_agree_bit_for_bit_with_a_lifted_short_lag(monkeypatch,
+                                                             steps, zero_lag):
+    # the nodes of lifted runs keep one side unless the sweep marks them
+    # two-sided, so away from the segment ends of the grid their left and
+    # right values and derivatives are the same numbers, as without a
+    # short lag: a dense solve and the dense columns of X(., 0.3)
+    dt = 0.005
+    spec = _short_lag_spec(steps * dt, zero_lag)
+    grid = StepControl(dt)
+    lifted, real = [], integrate._lifted
+
+    def counted(st, a, b, *rest):
+        lifted.append(b - a)
+        real(st, a, b, *rest)
+
+    monkeypatch.setattr(integrate, "_lifted", counted)
+    hom = integrate._curtailed(spec)
+    runs = [(solve(spec, grid), spec, 0.0)]
+    runs += [(col, hom, 0.3) for col in fundamental_matrix(spec, 0.3, grid)]
+    assert sum(lifted) > 0.6 * sum(len(r[0].t_nodes) for r in runs[:2])
+    for traj, sys_spec, t0 in runs:
+        breaks = integrate._collect_breaks(sys_spec, t0, sys_spec.horizon)
+        off = np.ones(len(traj.t_nodes), dtype=bool)
+        off[locate(traj.t_nodes, breaks)] = False
+        assert off.sum() > 0.95 * len(off)
+        assert np.array_equal(_bits(traj.y_pre[off]), _bits(traj.y_post[off]))
+        assert np.array_equal(_bits(traj.f_left[off]),
+                              _bits(traj.f_right[off]))
 
 
 @pytest.mark.parametrize("zero_lag", [False, True])
@@ -1257,34 +1321,67 @@ def _three_sweeps(monkeypatch, spec, dt):
     return states, out
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS) + ["clustered"])
+@pytest.mark.parametrize("name",
+                         sorted(CORPUS) + ["clustered", "short-lag"])
 def test_the_ring_holds_two_rows_per_node_and_the_store_its_bound(
         monkeypatch, name):
     # each sweep's ring holds y_post and f_right; the left store holds
     # y_pre and f_left of the nodes with two sides, and no span of the
     # ring's reach, D + wmax nodes, holds more of them than the store's
-    # slots, which a sweep without lifted runs bounds up front by its
-    # candidates
-    spec = CORPUS[name]() if name in CORPUS else _clustered_counterexample()
+    # slots, which a sweep without dense output bounds up front by its
+    # candidates, lifted runs or not
+    spec = (CORPUS[name]() if name in CORPUS
+            else _clustered_counterexample() if name == "clustered"
+            else _short_lag_spec(3 * 2e-3, True))
     states, got = _three_sweeps(monkeypatch, spec, 2e-3)
     assert len(states) == 3
     for st in states:
-        K = len(st.nodes) - 1
+        K, Ls = len(st.nodes) - 1, len(st.store)
         assert st.H.shape == (st.slots, 2, st.n, st.Sc * st.m)
-        assert st.store.shape == (st.Ls, 2, st.n, st.Sc * st.m)
+        assert st.store.shape == (Ls, 2, st.n, st.Sc * st.m)
         two = np.flatnonzero(st.side[:K + 1])
         reach = (np.searchsorted(two, two + st.D + st.wmax)
                  - np.arange(len(two)))
-        assert np.max(reach, initial=0) <= st.Ls <= K + 1
-        if st.cand is not None:
-            assert np.isin(two, st.cand).all()
-            assert st.Ls <= st.R // 2
+        assert np.max(reach, initial=0) <= Ls <= K + 1
+        if not st.dense:
+            assert np.isin(two, np.flatnonzero(st.left_row >= 0)).all()
+            assert Ls <= st.R // 2
     # a ring as deep as the grid reuses no slot of the ring or the store
-    monkeypatch.setattr(integrate, "_ring_depth", lambda nodes, theta:
-                        len(nodes))
+    _sized(monkeypatch, depth=len)
     _, want = _three_sweeps(monkeypatch, spec, 2e-3)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["short-lag"])
+def test_halving_or_doubling_a_budget_moves_no_output(monkeypatch, name):
+    # the window and plan budgets set where windows, blocks and the zero-lag
+    # scan's segments start, and so the rounding of each step's sum: the
+    # dense output of solve, fundamental_grid and kernel_rows move by at
+    # most 1e-13 relative when either budget is halved or doubled
+    spec = (CORPUS[name]() if name in CORPUS
+            else _short_lag_spec(3 * 2e-3, True))
+    T, grid = spec.horizon, StepControl(2e-3)
+    targets = np.array([0.5 * T, T])
+    nodes = integrate.quadrature_nodes(spec, targets, 2e-3)
+
+    def outputs():
+        traj = solve(spec, grid)
+        return (traj.y_post, traj.y_pre, traj.f_right, traj.f_left,
+                fundamental_grid(spec, np.linspace(0.0, 0.5 * T, 9),
+                                 np.linspace(0.0, T, 17), grid).samples,
+                *integrate.kernel_rows(spec, nodes, targets)[:2])
+
+    want = outputs()
+    for budget in ("_WINDOW_BYTES", "_PLAN_BYTES"):
+        for scale in (0.5, 2.0):
+            with monkeypatch.context() as patch:
+                patch.setattr(integrate, budget,
+                              int(scale * getattr(integrate, budget)))
+                got = outputs()
+            for a, b in zip(got, want):
+                assert np.all(np.abs(a - b)
+                              <= 1e-13 * np.maximum(1.0, np.abs(b)))
 
 
 def _wide_sweep(monkeypatch):
@@ -1346,8 +1443,7 @@ def test_window_buffers_hold_the_longest_window_the_sweep_runs(monkeypatch):
 
     got, runs, sized = sweep()
     assert max(runs) <= sized <= max(runs) + 2
-    monkeypatch.setattr(integrate, "_longest_window",
-                        lambda nodes, theta, cap: cap)
+    _sized(monkeypatch, window=lambda cap: cap)
     want, runs_budget, budget = sweep()
     assert runs == runs_budget and budget >= 2 * sized
     assert got.tobytes() == want.tobytes()

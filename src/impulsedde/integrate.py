@@ -577,7 +577,11 @@ def _reach(nodes: np.ndarray, thetas: np.ndarray, long: np.ndarray,
                    initial=-1)) + 3
     wmax = min(cap, int(np.max(ahead - np.arange(K))) + 1) if wide else cap
     if dense:
+        # every node, as a range, which allocates nothing before the
+        # dense sweep's memory check
         return K + 1, wmax, range(K + 1)
+    # a right-sided search lands at most one node past the left-sided one,
+    # so these five nodes hold the four around each image
     k = np.clip(near.reshape(len(events), len(thetas), 1) + np.arange(-3, 2),
                 0, K)
     hit = locate(nodes, nodes[k] - thetas[:, None])
@@ -1147,8 +1151,8 @@ def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
     c = bufs[3][:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G[:w], np.ndarray((w, 3 * n, Wm), buffer=d, strides=(
         d.strides[0], d.strides[2], d.strides[3])), out=c)
-    two = np.array(st.tk[bisect.bisect_right(st.tk, a):
-                         bisect.bisect_right(st.tk, b)], dtype=np.intp) - a
+    two = [k - a for k in st.tk[bisect.bisect_right(st.tk, a):
+                                bisect.bisect_right(st.tk, b)]]
     dl = np.empty((len(two), 3 * n, Wm))
     for k, dk in zip(two, dl):
         dk[:2 * n] = d[k - 1].reshape(2 * n, Wm)
@@ -1237,7 +1241,8 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     C = _lift_scan(lift, C.reshape(w, 3 * n, Wm), z0).reshape(C.shape)
     H[sa:sa + w, _F_RIGHT, :, :Wm] = C[:, 0]
     H[sa + 1:sa + w + 1, _Y_POST, :, :Wm] = C[:, 1]
-    st.rows_of[st.left_row[a + two] + _F_LEFT, :, :Wm] = C[two - 1, 2]
+    for k in two:
+        st.rows_of[st.left_row[a + k] + _F_LEFT, :, :Wm] = C[k - 1, 2]
     # node b's f_right row holds its f_left until a window gives f_right,
     # which one does only where node b has two sides
     H[sa + w, _F_RIGHT, :, :Wm] = C[-1, 2]
@@ -1394,8 +1399,11 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
                              f"more than the memory budget of {mem_cap} bytes")
 
+    # the candidates take the store's slots in turn; a dense sweep's are
+    # every node, whose range would index element by element
     left_row = np.full(K + 1, -1)
-    left_row[cand] = 2 * slots + 2 * (np.arange(len(cand)) % Ls)
+    left_row[np.arange(K + 1) if dense else cand] = (
+        2 * slots + 2 * (np.arange(len(cand)) % Ls))
     samples = np.zeros((len(record_indices), S, n, m))
     record_indices = np.asarray(record_indices, dtype=np.intp)
     rec_rows = np.argsort(record_indices, kind="stable")
@@ -1410,7 +1418,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         coef_breaks=coef_breaks,
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
         R=R, slots=slots, zero_row=zero_row, nrows=nrows, left_row=left_row,
-        dense=dense, wmax=wmax, samples=samples, rec_nodes=rec_nodes,
+        wmax=wmax, samples=samples, rec_nodes=rec_nodes,
         rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
         bulk_rows=rec_rows[keep])
     for c0 in range(0, S, chunk):

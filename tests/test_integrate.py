@@ -1343,7 +1343,7 @@ def test_the_ring_holds_two_rows_per_node_and_the_store_its_bound(
         reach = (np.searchsorted(two, two + st.D + st.wmax)
                  - np.arange(len(two)))
         assert np.max(reach, initial=0) <= Ls <= K + 1
-        if not st.dense:
+        if st is not states[0]:  # the solve's sweep, which is dense
             assert np.isin(two, np.flatnonzero(st.left_row >= 0)).all()
             assert Ls <= st.R // 2
     # a ring as deep as the grid reuses no slot of the ring or the store

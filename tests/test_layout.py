@@ -23,7 +23,7 @@ SOURCES = {path.name: path.read_text(encoding="utf-8")
 TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
 
 # code lines at most, as `code_lines` counts them
-CEILINGS = {"integrate.py": 893, "package": 2148}
+CEILINGS = {"integrate.py": 895, "package": 2150}
 
 
 def code_lines(source: str) -> int:

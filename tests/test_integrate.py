@@ -943,7 +943,9 @@ def test_both_sides_agree_bit_for_bit_with_a_lifted_short_lag(monkeypatch,
     hom = integrate._curtailed(spec)
     runs = [(solve(spec, grid), spec, 0.0)]
     runs += [(col, hom, 0.3) for col in fundamental_matrix(spec, 0.3, grid)]
-    assert sum(lifted) > 0.6 * sum(len(r[0].t_nodes) for r in runs[:2])
+    # most steps of the two sweeps, the solve's and the columns', are lifted
+    assert sum(lifted) > 0.6 * (len(runs[0][0].t_nodes)
+                                + len(runs[1][0].t_nodes))
     for traj, sys_spec, t0 in runs:
         breaks = integrate._collect_breaks(sys_spec, t0, sys_spec.horizon)
         off = np.ones(len(traj.t_nodes), dtype=bool)

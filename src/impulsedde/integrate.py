@@ -24,13 +24,14 @@ y_{k+1} = P_k y_k + c_k, with c_k computed in bulk and P_k the RK4
 polynomial of the zero-lag part; a doubling scan composes that recurrence
 between jump and activation nodes, so no loop runs step by step.  A lag
 of fewer than `_SHORT_LAG` steps does not cut the windows: its reads stay
-within the last few nodes, whose rows form a lifted state that evolves by
-one affine map over a run of like steps (`_lift_runs`, `_lift_scan`), so
-the windows end at the smallest long lag.  Before its first step a sweep
-searches its grid once, at the lag images of its nodes, events and
-coefficient breaks (`_reach`): that gives the depth of its history ring,
-its longest window, and the nodes whose two sides can differ, which alone
-take slots of a small left store, in turn.
+within the last few nodes, whose ring rows, y and one f each, form a
+lifted state that evolves by one affine map over a run of like steps
+(`_lift_runs`, `_lift_scan`), so the windows end at the smallest long
+lag; the runs stop at the nodes whose two sides can differ.  Before its
+first step a sweep searches its grid once, at the lag images of its
+nodes, events and coefficient breaks (`_reach`): that gives the depth of
+its history ring, its longest window, and the nodes whose two sides can
+differ, which alone take slots of a small left store, in turn.
 
 This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`, one search
@@ -537,7 +538,8 @@ _PLAN_BYTES = 1 << 19
 _SHORT_LAG = 8
 # the most numbers per column a lifted state may hold: its maps are dense
 # in them, and lifting stopped paying between 121 and 154 (n = 11 at lags
-# of 2 and 3 steps)
+# of 2 and 3 steps).  That was measured on states of three rows per node,
+# (3r + 2) n numbers, and is not re-tuned for the two rows they hold now.
 _LIFT_SIZE = 150
 # the fewest steps of a lifted run, below which its probe does not pay
 _LIFT_STEPS = 16
@@ -886,22 +888,24 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
 
     The reads of a short lag (`_SHORT_LAG`) at step k take rows of the
     nodes k - r .. k only, so the step is affine in the lifted state z_k
-    of those rows (`_lift_layout`): z_{k+1} = (S + Psi) z_k + C_k, where
-    C_k holds the long reads.  The map stays the same over a run of steps
-    of one length, with the same short-read rows and weights and the same
-    short-lag and zero-lag coefficients, and with no jump, activation or
-    start at the nodes the state holds (there y_pre = y_post).  A run of
-    at least `_LIFT_STEPS` such steps is lifted: its windows zero its short
+    of those rows, y and one f per node as the ring holds them
+    (`_lift_layout`): z_{k+1} = (S + Psi) z_k + C_k, where C_k holds the
+    long reads.  The map stays the same over a run of steps of one
+    length, with the same short-read rows and weights and the same
+    short-lag and zero-lag coefficients.  No node the state holds may
+    have two sides (`_Sweep.side`): elsewhere y_pre = y_post, and f_left
+    and f_right differ by rounding alone, so one f serves both, and the
+    runs are cut at the two-sided nodes as at the events.  A run of at
+    least `_LIFT_STEPS` such steps is lifted: its windows zero its short
     reads (`_lifted`), and Psi comes from the run's mean plan.
 
     The runs of a block share one depth r.  Psi holds the rows step k
-    writes.  One probe (`_probe`) finds them for every run of the block:
-    step j of the probe reads a ring of unit columns with run j's mean
-    plan of the short terms, at its start, mid and end, through the stage
-    formulas of every window; the ring holds both sides of every node.
-    y_k is read there but not carried; its carry is S, and its zero-lag
-    part is added after, so that Psi holds P - I and not a rounded P (see
-    `_plan`).
+    writes, y and f of node k + 1.  One probe (`_probe`) finds them for
+    every run of the block: step j of the probe reads a ring of unit
+    columns with run j's mean plan of the short terms, at its start, mid
+    and end, through the stage formulas of every window.  y_k is read
+    there but not carried; its carry is S, and its zero-lag part is added
+    after, so that Psi holds P - I and not a rounded P (see `_plan`).
     """
     rows, wts, A, M, P, G = pl[:6]
     n, w, R, sh = st.n, len(h), st.R, st.short
@@ -911,7 +915,9 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
                  for x in (rows, wts))
     ks = np.arange(p0, p0 + w)
     oldest = ready[:, :, sh].min(axis=(1, 2)) - 1
-    starts = np.array([st.k_start] + st.events)
+    # the start node and the nodes with two sides, `_plan` having marked
+    # the block's
+    starts = np.flatnonzero(st.side[:p0 + w])
     last = starts[np.searchsorted(starts, ks, side="right") - 1]
     ok = (last < oldest) & (ks - oldest <= st.r_max)
     # steps whose lengths differ by node rounding alone count as one length
@@ -930,7 +936,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     if not keep.any():
         return []
     # one depth r for the block's runs: a run starts where the state of
-    # its r + 1 nodes holds no jump, activation or start
+    # its r + 1 nodes holds no node with two sides
     r = int((ks - oldest)[k0s[keep]].max())
     k0s = np.maximum(k0s, last[k0s] + r + 1 - p0)
     keep &= k1s - k0s >= _LIFT_STEPS
@@ -945,97 +951,79 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
             for x in (wts, G) + (() if P is None else (P,))]
     # the short reads of each run's first step, as rows of the nodes
     # k0 - r .. k0 in the probe's ring, which starts at node k0 - r
-    rows_p = 3 * ((rows[k0s][..., :1] // 2 - (ks[k0s] - r)[:, None, None,
-                                                          None]) % R) + _PROBE
+    rows_p = 2 * ((rows[k0s][..., :1] // 2 - (ks[k0s] - r)[:, None, None,
+                                                          None]) % R) + _QUAD
     Ms = None if M is None else M[k0s]
     fresh = _probe(r, n, rows_p, mean[0], A[k0s][:, :, st.short_cols], Ms,
                    mean[1])
     if M is not None:
-        # y_k's own zero-lag part: D y_k, f_right = -M y_k and
-        # f_left = -M y_{k+1}
-        eye, own, zero = np.eye(n), np.empty((J, 3, n, n)), np.zeros(n)
-        own[:, 1] = mean[2]
-        _derivative(Ms, np.broadcast_to(eye, own[:, 1].shape), zero,
-                    own[:, 0])
-        _derivative(Ms, eye + mean[2], zero, own[:, 2])
-        fresh[:, :, :, 3 * r * n:(3 * r + 1) * n] += own
+        # y_k's own zero-lag part: D y_k, and f = -M y_{k+1}
+        own = np.empty((J, 2, n, n))
+        own[:, 0] = mean[2]
+        _derivative(Ms, np.eye(n) + mean[2], np.zeros(n), own[:, 1])
+        fresh[:, :, :, 2 * r * n:(2 * r + 1) * n] += own
     return [(p0 + k0, p0 + k1, (r, n, Psi)) for k0, k1, Psi
-            in zip(k0s.tolist(), k1s.tolist(), fresh.reshape(J, 3 * n, -1))]
+            in zip(k0s.tolist(), k1s.tolist(), fresh.reshape(J, 2 * n, -1))]
 
 
 def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     """The rows that each of J steps writes from a zero start when its
     start, mid and end reads `rows`, `wts` land on the nodes 0 .. r, and
     those hold one unit column per coordinate of the lifted state
-    (`_lift_layout`): (J, 3, n, d), f_right at its start node and y and
-    f_left at its end, column j the response to coordinate j.  Node i of
-    the probe's ring holds the rows y, f_left and f_right, and a read in
-    the step after it takes rows 3 i + `_PROBE`.
+    (`_lift_layout`): (J, 2, n, d), y and f at its end node, column j the
+    response to coordinate j.  The probe's ring is laid out as the
+    sweep's: node i holds y and f from row 2 i on, so a read in the step
+    after it takes rows 2 i + `_QUAD`, and node r + 1 holds zero rows.
 
     The scratch of the gather and the blend is sized for the steps at
     hand, and steps are probed in groups that keep it within
     `_WINDOW_BYTES` (one step at least).
     """
-    offs, kinds, src = _lift_layout(r, n)
-    d = src.shape[1]
-    ring = np.zeros((r + 2, 3, n, d))  # node r + 1 holds the zero rows
-    ring[offs, kinds] = np.eye(d).reshape(len(offs), n, d)
-    ring = ring.reshape(-1, n, d)
+    d = (2 * r + 2) * n
+    ring = np.eye(d + 2 * n, d).reshape(-1, n, d)
     J, ns = len(rows), rows.shape[2]
     group = max(1, _WINDOW_BYTES // ((15 * ns + 6) * n * d * 8))
     bufs = [np.empty(k * min(J, group) * n * d) for k in (12 * ns, 3 * ns, 3)]
-    out = np.empty((J, 3, n, d))
+    out = np.empty((J, 2, n, d))
     for j in range(0, J, group):
         part = slice(j, j + group)
         o, p = out[part], bufs[2][:3 * n * d * len(out[part])]
         p = p.reshape(-1, 3, n, d)
         _delayed(ring, bufs, rows[part], wts[part], A[part], p)
-        np.matmul(G[part], p.reshape(-1, 3 * n, d), out=o[:, 1])
-        np.negative(p[:, 0], out=o[:, 0])
-        _derivative(None if M is None else M[part], o[:, 1], p[:, 2], o[:, 2])
+        np.matmul(G[part], p.reshape(-1, 3 * n, d), out=o[:, 0])
+        _derivative(None if M is None else M[part], o[:, 0], p[:, 2], o[:, 1])
     return out
 
 
-# the rows y[i], f_right[i], y[i+1] and f_left[i+1] of a read in the step
-# after node i of the probe's ring, from row 3 i on (`_probe`)
-_PROBE = np.array([0, 2, 3, 4])
-
-
 @functools.lru_cache(maxsize=None)
-def _lift_layout(r: int, n: int) -> tuple:
-    """Coordinates of the lifted state z_k, and the powers S^0 .. S^{r+1}
-    of the exact part S of a step, as row sources.
+def _lift_layout(r: int, n: int) -> np.ndarray:
+    """The powers S^0 .. S^{r+1} of the exact part S of a step, as row
+    sources on the lifted state z_k.
 
-    z_k holds y (y_pre = y_post), f_left and f_right of the nodes
-    k - r .. k, as node offsets `offs` and kinds `kinds` (0, 1 and 2, the
-    rows of a node in the probe's ring), except node k's f_right, which
-    step k computes.  Its last three coordinates are the
-    rows step k writes: f_right of node k, and y and f_left of node
-    k + 1.  S shifts the older rows by one node and carries y_k on to
-    y_{k+1}; each row of S holds one 1 at most, so row i of S^j z is
-    z[src[j, i]], or zero where src[j, i] is d, the state's size.  From
-    S^{r+1} on, the powers only copy y_k.
+    z_k holds y (y_pre = y_post) and f of the nodes k - r .. k, two rows
+    per node as the sweep's ring holds them: node k - r + i's y from
+    coordinate 2 i n on and its f from (2 i + 1) n.  Its last two rows,
+    y and f of node k, are those step k - 1 writes.  S shifts the rows by
+    one node and carries y_k on to y_{k+1}; each row of S holds one 1 at
+    most, so row i of S^j z is z[src[j, i]], or zero where src[j, i] is
+    d, the state's size.  From S^{r+1} on, the powers only copy y_k.
     """
-    m = 3 * r + 2
-    offs = np.repeat(np.arange(r + 1), 3)[:-1]
-    kinds = np.tile([0, 1, 2], r + 1)[:-1]
+    m = 2 * r + 2
     shift = np.full(m + 1, m)  # m stands for a zero row
-    shift[np.append(np.arange(3 * r - 1), 3 * r)] = np.append(
-        np.arange(3, m), 3 * r)
+    shift[:2 * r + 1] = np.append(np.arange(2, m), 2 * r)
     src = [np.arange(m)]
     for _ in range(r + 1):
         src.append(shift[src[-1]])
     src = np.minimum(np.stack(src)[:, :, None] * n + np.arange(n), m * n)
-    out = offs, kinds, src.reshape(r + 2, m * n)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    src = src.reshape(r + 2, m * n)
+    src.setflags(write=False)
+    return src
 
 
 class _LiftMap:
     """The map z -> (S + Psi) z + E C of one lifted run's steps, of depth
-    r (`_lift_layout`), with Psi zero but in its last c = 3n rows, given
-    as `Psi`, and E adding C to those rows.
+    r (`_lift_layout`), with Psi zero but in its last c = 2n rows, y and f
+    of the step's end node, given as `Psi`, and E adding C to those rows.
 
     `src` gives the powers S^0 .. S^{r+1} as row sources; `step` is
     [S + Psi | E], one step with its forcing as extra rows, and `powers`
@@ -1044,7 +1032,7 @@ class _LiftMap:
 
     def __init__(self, r: int, n: int, Psi: np.ndarray):
         self.r, self.Psi, self.powers = r, Psi, {}
-        self.src = _lift_layout(r, n)[2]
+        self.src = _lift_layout(r, n)
         c, d = Psi.shape
         self.step = np.zeros((d, d + c))
         rows = np.flatnonzero(self.src[1] < d)
@@ -1211,10 +1199,12 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     """Steps a .. b - 1 of a lifted run (`_lift_runs`): the long reads
     give the rows each step writes from a zero start, C_k, in bulk
     (`_sums`), and the run's map composes them (`_lift_scan`) from the
-    state at node a.  The state's f_left of a node differs from its
-    f_right by rounding alone, unless `_plan` marked the node two-sided
-    (`_Sweep.side`): only those f_left go to the left store, and every
-    other node keeps one side, its f_right."""
+    state at node a, the ring's rows of the nodes a - r .. a.  The run
+    writes y and f of the nodes a + 1 .. b into their ring rows: f is the
+    derivative a step ends with, which the next step would start with up
+    to rounding, as no node before b has two sides.  Node b may have
+    them: its f_left goes to the left store, and the window after it
+    gives its f_right."""
     M, pl = pl[3], list(pl)
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
@@ -1223,31 +1213,20 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     pl[2] = pl[2].copy()
     pl[2][:, :, st.short_cols] = 0.0
     d, c, two, dl = _sums(st, a, b, pl, Wm)
-    C = np.empty((w, 3, n, Wm))
-    np.negative(d[:w, 0], out=C[:, 0])
-    C[:, 1] = c
-    _derivative(None if M is None else M[:w], c, d[1:, 0], C[:, 2])
+    C = np.empty((w, 2, n, Wm))
+    C[:, 0] = c
+    _derivative(None if M is None else M[:w], c, d[1:, 0], C[:, 1])
     for k, dk in zip(two, dl):
         _derivative(None if M is None else M[k - 1], c[k - 1], dk[2 * n:],
-                    C[k - 1, 2])
-    offs, kinds, _ = _lift_layout(lift.r, n)
-    at = a - lift.r + offs
-    # y and f_right from the ring, f_left from the store; a node without
-    # two sides holds its f_left in its f_right row
-    rows = 2 * (at % R) + np.where(kinds == 0, _Y_POST, _F_RIGHT)
-    left = np.flatnonzero((kinds == 1) & (st.side[at] != 0))
-    rows[left] = st.left_row[at[left]] + _F_LEFT
+                    C[k - 1, 1])
+    rows = (2 * (a - lift.r) + np.arange(2 * lift.r + 2)) % (2 * R)
     z0 = st.rows_of[rows, :, :Wm].reshape(-1, Wm)
-    C = _lift_scan(lift, C.reshape(w, 3 * n, Wm), z0).reshape(C.shape)
-    H[sa:sa + w, _F_RIGHT, :, :Wm] = C[:, 0]
-    H[sa + 1:sa + w + 1, _Y_POST, :, :Wm] = C[:, 1]
+    C = _lift_scan(lift, C.reshape(w, 2 * n, Wm), z0).reshape(C.shape)
+    H[sa + 1:sa + w + 1, :, :, :Wm] = C
     for k in two:
-        st.rows_of[st.left_row[a + k] + _F_LEFT, :, :Wm] = C[k - 1, 2]
-    # node b's f_right row holds its f_left until a window gives f_right,
-    # which one does only where node b has two sides
-    H[sa + w, _F_RIGHT, :, :Wm] = C[-1, 2]
+        st.rows_of[st.left_row[a + k] + _F_LEFT, :, :Wm] = C[k - 1, 1]
     if b in st.is_event:
-        st.rows_of[st.left_row[b] + _Y_PRE, :, :Wm] = C[-1, 1]
+        st.rows_of[st.left_row[b] + _Y_PRE, :, :Wm] = C[-1, 0]
         _at_node(st, b, sa + w, False)
     _tail(st, a, b)
 
@@ -1329,9 +1308,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     read_coefs = [t.coefficient for t in lags + frozen]
     nt = len(read_coefs)
     thetas = np.array([t.delay.theta for t in lags])
-    # a lifted state of depth r holds (3r + 2) n numbers (`_lift_layout`),
-    # with r at most _SHORT_LAG + 2, and less where the state would
-    # outgrow _LIFT_SIZE; a lag under r_max - 2 mean steps is short (a
+    # a lifted state of depth r holds (2r + 2) n numbers (`_lift_layout`),
+    # with r at most _SHORT_LAG + 2, and less where a state of three rows
+    # per node, (3r + 2) n numbers, would outgrow _LIFT_SIZE, the rule it
+    # was measured with; a lag under r_max - 2 mean steps is short (a
     # step-by-step test would cost a pass over the grid before a dense
     # sweep can be refused)
     r_max = min(_SHORT_LAG + 2, (_LIFT_SIZE // n - 2) // 3)
@@ -1354,12 +1334,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     # beyond the width active at its node hold zero (the nodes a slot held
     # before were never wider), which is the value an inactive column must
     # supply.
-    dl = (3 * r_max + 2) * n if len(short) else 0  # the deepest state
+    dl = (2 * r_max + 2) * n if len(short) else 0  # the deepest state
     # window bytes per step and column: the gather, blend and delayed
     # parts of two reads per term, and the stage sums; a lifted window adds
-    # its scan's states and forcing, under twice dl + 3 n (`_lift_scan`),
-    # and its forcing, padded forcing and rows, 3 n each
-    per_col = ((10 * nt + 3) * n + (2 * dl + 15 * n if dl else 0)) * m * 8
+    # its scan's states and forcing, under twice dl + 2 n (`_lift_scan`),
+    # and its forcing, padded forcing and rows, 2 n each
+    per_col = ((10 * nt + 3) * n + (2 * dl + 10 * n if dl else 0)) * m * 8
     per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
     coef_breaks = np.unique([b for c in read_coefs + zero_lag
@@ -1394,7 +1374,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             need_bytes += 8 * (6 * dl * dl + 4 * (r_max + 2) * n * dl
                                + max(_WINDOW_BYTES // 8,
                                      (15 * len(short) + 6) * n * dl)
-                               + 6 * n * dl * block // _LIFT_STEPS)
+                               + 4 * n * dl * block // _LIFT_STEPS)
         if need_bytes > mem_cap:
             raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
                              f"more than the memory budget of {mem_cap} bytes")

@@ -849,31 +849,34 @@ def test_lift_scan_matches_the_step_loop(length):
     # on a batch of columns
     rng = np.random.default_rng(length)
     n, width = 2, 3
-    d = 14 * n
-    S = integrate._LiftMap(4, n, np.zeros((3 * n, d))).step[:, :d]
+    d = 10 * n
+    S = integrate._LiftMap(4, n, np.zeros((2 * n, d))).step[:, :d]
     Psi = np.zeros_like(S)
-    Psi[-3 * n:] = rng.uniform(-1.0, 1.0, (3 * n, len(S)))
+    Psi[-2 * n:] = rng.uniform(-1.0, 1.0, (2 * n, len(S)))
     Psi[-2 * n:-n] *= 1e-2
-    C = rng.uniform(-1e-2, 1e-2, (length, 3 * n, width))
+    C = rng.uniform(-1e-2, 1e-2, (length, 2 * n, width))
     z = z0 = rng.uniform(-1.0, 1.0, (len(S), width))
     want = np.empty_like(C)
     for k in range(length):
         z = S @ z + Psi @ z
-        z[-3 * n:] += C[k]
-        want[k] = z[-3 * n:]
-    got = integrate._lift_scan(integrate._LiftMap(4, n, Psi[-3 * n:]), C, z0)
+        z[-2 * n:] += C[k]
+        want[k] = z[-2 * n:]
+    got = integrate._lift_scan(integrate._LiftMap(4, n, Psi[-2 * n:]), C, z0)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _short_lag_spec(theta, zero_lag):
+def _short_lag_spec(theta, zero_lag, long_break=None):
     """A short lag whose coefficient table breaks at 1.3, a long lag, a
     jump at 0.8 with an offset, forcing and a history: with steps of
-    0.005, long uniform stretches hold a jump and a table break."""
+    0.005, long uniform stretches hold a jump and a table break.  With
+    `long_break`, the long lag's coefficient changes sign there."""
     rng = np.random.default_rng(5)
     A = rng.uniform(-0.8, 0.8, (4, 2, 2))
+    long = A[2] if long_break is None else MatrixTable([0.0, long_break],
+                                                       [A[2], -A[2]])
     terms = [DelayTerm(MatrixTable([0.0, 1.3], A[:2]), ConstantLag(theta)),
-             DelayTerm(A[2], ConstantLag(0.37))]
+             DelayTerm(long, ConstantLag(0.37))]
     if zero_lag:
         terms.append(DelayTerm(A[3], ConstantLag(0.0)))
     return SystemSpec(
@@ -885,15 +888,20 @@ def _short_lag_spec(theta, zero_lag):
         x0=[1.0, 0.5], horizon=3.0)
 
 
-@pytest.mark.parametrize("zero_lag", [False, True])
-@pytest.mark.parametrize("steps", [1.0, 3.0, 2.5])
+@pytest.mark.parametrize(
+    "steps, zero_lag, long_break",
+    [(steps, zero_lag, None) for zero_lag in (False, True)
+     for steps in (1.0, 3.0, 2.5)] + [(3.0, True, 2.4)],
+    ids=[f"{steps}-{zero_lag}" for zero_lag in (False, True)
+         for steps in (1.0, 3.0, 2.5)] + ["3.0-True-long-break"])
 def test_the_short_lag_lift_does_not_change_the_sweep(monkeypatch, steps,
-                                                      zero_lag):
+                                                      zero_lag, long_break):
     # theta = h, 3h and 2.5h: solve (dense), fundamental_grid on a ring
     # with several columns, and kernel_rows (the reflected order), with
-    # the lift on and switched off
+    # the lift on and switched off; the long-break case puts a node with
+    # two sides that no event's image reaches inside a lifted stretch
     dt = 0.005
-    spec = _short_lag_spec(steps * dt, zero_lag)
+    spec = _short_lag_spec(steps * dt, zero_lag, long_break)
     grid = StepControl(dt)
     s_grid, t_grid = np.linspace(0.0, 2.0, 5), np.linspace(0.5, 3.0, 26)
     targets = np.array([1.1, 2.2, 3.0])

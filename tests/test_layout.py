@@ -23,7 +23,7 @@ SOURCES = {path.name: path.read_text(encoding="utf-8")
 TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
 
 # code lines at most, as `code_lines` counts them
-CEILINGS = {"integrate.py": 895, "package": 2150}
+CEILINGS = {"integrate.py": 877, "package": 2132}
 
 
 def code_lines(source: str) -> int:

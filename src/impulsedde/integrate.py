@@ -48,7 +48,6 @@ entry point passes the spec through `system.require_valid` first.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -580,7 +579,7 @@ def _reach(nodes: np.ndarray, thetas: np.ndarray, long: np.ndarray,
     wmax = min(cap, int(np.max(ahead - np.arange(K))) + 1) if wide else cap
     if dense:
         # every node, as a range, which allocates nothing before the
-        # dense sweep's memory check
+        # sweep's memory estimate
         return K + 1, wmax, range(K + 1)
     # a right-sided search lands at most one node past the left-sided one,
     # so these five nodes hold the four around each image
@@ -889,7 +888,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     The reads of a short lag (`_SHORT_LAG`) at step k take rows of the
     nodes k - r .. k only, so the step is affine in the lifted state z_k
     of those rows, y and one f per node as the ring holds them
-    (`_lift_layout`): z_{k+1} = (S + Psi) z_k + C_k, where C_k holds the
+    (`_LiftMap`): z_{k+1} = (S + Psi) z_k + C_k, where C_k holds the
     long reads.  The map stays the same over a run of steps of one
     length, with the same short-read rows and weights and the same
     short-lag and zero-lag coefficients.  No node the state holds may
@@ -970,7 +969,7 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     """The rows that each of J steps writes from a zero start when its
     start, mid and end reads `rows`, `wts` land on the nodes 0 .. r, and
     those hold one unit column per coordinate of the lifted state
-    (`_lift_layout`): (J, 2, n, d), y and f at its end node, column j the
+    (`_LiftMap`): (J, 2, n, d), y and f at its end node, column j the
     response to coordinate j.  The probe's ring is laid out as the
     sweep's: node i holds y and f from row 2 i on, so a read in the step
     after it takes rows 2 i + `_QUAD`, and node r + 1 holds zero rows.
@@ -995,50 +994,27 @@ def _probe(r: int, n: int, rows, wts, A, M, G) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _lift_layout(r: int, n: int) -> np.ndarray:
-    """The powers S^0 .. S^{r+1} of the exact part S of a step, as row
-    sources on the lifted state z_k.
-
-    z_k holds y (y_pre = y_post) and f of the nodes k - r .. k, two rows
-    per node as the sweep's ring holds them: node k - r + i's y from
-    coordinate 2 i n on and its f from (2 i + 1) n.  Its last two rows,
-    y and f of node k, are those step k - 1 writes.  S shifts the rows by
-    one node and carries y_k on to y_{k+1}; each row of S holds one 1 at
-    most, so row i of S^j z is z[src[j, i]], or zero where src[j, i] is
-    d, the state's size.  From S^{r+1} on, the powers only copy y_k.
-    """
-    m = 2 * r + 2
-    shift = np.full(m + 1, m)  # m stands for a zero row
-    shift[:2 * r + 1] = np.append(np.arange(2, m), 2 * r)
-    src = [np.arange(m)]
-    for _ in range(r + 1):
-        src.append(shift[src[-1]])
-    src = np.minimum(np.stack(src)[:, :, None] * n + np.arange(n), m * n)
-    src = src.reshape(r + 2, m * n)
-    src.setflags(write=False)
-    return src
-
-
 class _LiftMap:
     """The map z -> (S + Psi) z + E C of one lifted run's steps, of depth
-    r (`_lift_layout`), with Psi zero but in its last c = 2n rows, y and f
-    of the step's end node, given as `Psi`, and E adding C to those rows.
+    r, with Psi zero but in its last c = 2n rows, y and f of the step's
+    end node, given as `Psi`, and E adding C to those rows.
 
-    `src` gives the powers S^0 .. S^{r+1} as row sources; `step` is
-    [S + Psi | E], one step with its forcing as extra rows, and `powers`
-    keeps [(S + Psi)^s | I] by s (`_lift_scan`).
+    The lifted state z_k holds y (y_pre = y_post) and f of the nodes
+    k - r .. k, two rows per node as the sweep's ring holds them: node
+    k - r + i's y from coordinate 2 i n on and its f from (2 i + 1) n.
+    S, the exact part of a step, shifts the rows by one node and carries
+    y_k on to y_{k+1}, with f_{k+1} zero.  `step` is [S + Psi | E], one
+    step with its forcing as extra rows, and `powers` keeps
+    [(S + Psi)^s | I] by s (`_lift_scan`).
     """
 
     def __init__(self, r: int, n: int, Psi: np.ndarray):
-        self.r, self.Psi, self.powers = r, Psi, {}
-        self.src = _lift_layout(r, n)
+        self.r, self.n, self.Psi, self.powers = r, n, Psi, {}
         c, d = Psi.shape
-        self.step = np.zeros((d, d + c))
-        rows = np.flatnonzero(self.src[1] < d)
-        self.step[rows, self.src[1][rows]] = 1.0
+        # the shift by one node and E, then the carry of y
+        self.step = np.eye(d, d + c, c)
+        self.step[range(d - c, d - n), range(d - c, d - n)] = 1.0
         self.step[d - c:, :d] += Psi
-        self.step[range(d - c, d), range(d, d + c)] = 1.0
 
 
 def _lift_scan(lm: _LiftMap, C: np.ndarray, z0: np.ndarray) -> np.ndarray:
@@ -1065,14 +1041,15 @@ def _lift_scan(lm: _LiftMap, C: np.ndarray, z0: np.ndarray) -> np.ndarray:
         power = lm.step[:, :d]
         for _ in range(s.bit_length() - 1):
             power = power @ power
-        lm.powers[s] = np.zeros((d, 2 * d))
-        lm.powers[s][:, :d] = power
-        lm.powers[s][range(d), range(d, 2 * d)] = 1.0
+        lm.powers[s] = np.concatenate((power, np.eye(d)), axis=1)
     # X[i] = [u; forcing] of step i of every block, block j in column j;
-    # S^k z0, and so Psi S^k z0, is the same from k = r + 1 on
+    # S^k z0 is z0 shifted by k nodes, with k copies of its last node's
+    # (y, 0) behind, and the same from k = r + 1 on
     X = np.zeros((s + 1, d + c, nb, cols))
     Cb = np.zeros((nb * s, c, cols))
-    Sz = np.concatenate((z0, np.zeros((1, cols))))[lm.src]
+    ext = np.concatenate([z0] + [z0[d - c:d - lm.n],
+                                 np.zeros((lm.n, cols))] * (lm.r + 1))
+    Sz = np.stack([ext[c * j:c * j + d] for j in range(lm.r + 2)])
     push = np.matmul(lm.Psi, Sz)
     np.add(C[:k], push[:k], out=Cb[:k])
     np.add(C[k:], push[-1], out=Cb[k:w])
@@ -1289,8 +1266,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     every node and are the dense output (y_post, y_pre, f_right, f_left),
     each (K+1, S, n, m), returned in place of the samples
     (`Trajectory`); the nodes with one side get their left limits in one
-    copy at the end.  A dense sweep whose estimated memory exceeds
-    `mem_cap` bytes is refused before anything is allocated.
+    copy at the end.
+
+    One estimate of the bytes the sweep holds at once sizes its chunks of
+    columns, at least 16 (a dense sweep must fit one), within `mem_cap`;
+    a sweep whose estimate exceeds `mem_cap` even so raises ValueError
+    before its ring, store, samples or plans are allocated.
     """
     n = spec.dim
     K = len(nodes) - 1
@@ -1308,12 +1289,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     read_coefs = [t.coefficient for t in lags + frozen]
     nt = len(read_coefs)
     thetas = np.array([t.delay.theta for t in lags])
-    # a lifted state of depth r holds (2r + 2) n numbers (`_lift_layout`),
+    # a lifted state of depth r holds (2r + 2) n numbers (`_LiftMap`),
     # with r at most _SHORT_LAG + 2, and less where a state of three rows
     # per node, (3r + 2) n numbers, would outgrow _LIFT_SIZE, the rule it
     # was measured with; a lag under r_max - 2 mean steps is short (a
-    # step-by-step test would cost a pass over the grid before a dense
-    # sweep can be refused)
+    # step-by-step test would cost a pass over the grid before the sweep
+    # can be refused)
     r_max = min(_SHORT_LAG + 2, (_LIFT_SIZE // n - 2) // 3)
     short = np.flatnonzero(thetas * K < (r_max - 2) * (nodes[-1] - nodes[0]))
 
@@ -1360,24 +1341,27 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     Ls = len(cand) if dense else int(np.max(
         np.searchsorted(cand, cand + D + wmax) - np.arange(len(cand))))
     nrows = 2 * (slots + Ls)
-    chunk = max(16, int(mem_cap // max(nrows * n * m * 8, 1)))
-    if dense:
-        if S > chunk:
-            raise ValueError(f"dense output of {S} columns needs more than "
-                             f"one chunk of {chunk}")
-        # the ring and the store, one window's buffers and one block's
-        # plan; with short lags, a run's map and two of its powers, the
-        # probe's ring and scratch (`_probe`) and the block's rows Psi
-        need_bytes = (nrows * n * S * m * 8 + min(wmax, K) * per_col * S
-                      + block * per_step)
-        if dl:
-            need_bytes += 8 * (6 * dl * dl + 4 * (r_max + 2) * n * dl
-                               + max(_WINDOW_BYTES // 8,
-                                     (15 * len(short) + 6) * n * dl)
-                               + 4 * n * dl * block // _LIFT_STEPS)
-        if need_bytes > mem_cap:
-            raise ValueError(f"dense sweep needs about {need_bytes} bytes, "
-                             f"more than the memory budget of {mem_cap} bytes")
+    # the bytes the sweep holds at once: per column, the ring and store
+    # rows, the window buffers and the zero-lag scan's states, and the
+    # samples (twice when they are un-permuted); per node, the store map,
+    # the sides and the reach pass, and per record its lists; one block's
+    # plan with its transients, a quarter more than it keeps and about
+    # 320 B per term and step of read plans; and with short lags, the
+    # runs' analysis and probe, 512 B per lag and step, and a run's map
+    T, w = len(record_indices), min(block, K)
+    col = (nrows + 2 * wmax + 2) * n * m * 8 + (wmax + 1) * per_col
+    held = (T * S * n * m * 8 * (1 if unsort is None else 2) + 72 * (K + 1)
+            + 64 * T + w * (5 * per_step // 4 + 320 * nt)
+            + (dl and 512 * len(short) * w + 24 * dl * dl))
+    chunk = max(16, int((mem_cap - held) // col))
+    nbytes = held + min(S, chunk) * col
+    if dense and S > chunk:
+        raise ValueError(f"dense output of {S} columns needs more than "
+                         f"one chunk of {chunk}")
+    if nbytes > mem_cap:
+        raise ValueError(f"{'dense sweep' if dense else 'sweep'} needs about "
+                         f"{nbytes} bytes, more than the memory budget of "
+                         f"{mem_cap} bytes")
 
     # the candidates take the store's slots in turn; a dense sweep's are
     # every node, whose range would index element by element
@@ -1402,6 +1386,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
         bulk_rows=rec_rows[keep])
     for c0 in range(0, S, chunk):
+        st = None  # the last chunk's rows go before the next one's come
         st = _Sweep(shared, c0, min(c0 + chunk, S))
         _at_node(st, st.k_start, st.k_start % R, True)
         for p0 in range(st.k_start, K, block):
@@ -1422,7 +1407,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                         steps(st, a, b, part, *lift)
                         a = b
             # free this block's plan and last map before the next is set up
-            del pl, need, need_long, runs, run
+            del pl, need, need_long, runs, run, part
         if not np.all(np.isfinite(st.H[K % R, _Y_POST])):
             raise NumericalError("state non-finite at final node")
     if dense:

@@ -261,14 +261,15 @@ def evaluate_delay(term: DelayTerm, t: float) -> float:
 
 def periodic_count(period: float, horizon: float, dim: int) -> int:
     """Number of jump points j * period, j >= 1, up to the horizon, as
-    `ImpulseSchedule.periodic` expands them.
+    `ImpulseSchedule.periodic` expands them; none for a negative horizon,
+    which `validate` then names.
 
     Raises ValueError, naming the period, when horizon / period is not
     finite or when the expanded points, matrices and offsets would take
     more than np.iinfo(np.intp).max bytes, count * 8 * (1 + n + n^2).
     """
     ratio = horizon / period
-    count = int(math.floor(ratio + 1e-12)) if math.isfinite(ratio) else 0
+    count = max(0, math.floor(ratio + 1e-12)) if math.isfinite(ratio) else 0
     if (not math.isfinite(ratio)
             or count * 8 * (1 + dim + dim * dim) > np.iinfo(np.intp).max):
         raise ValueError(f"too small: period {period!r} gives horizon / "

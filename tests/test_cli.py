@@ -389,6 +389,21 @@ def test_oversized_dense_sweep_exits_1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_oversized_fundamental_sweep_exits_1(tmp_path, monkeypatch, capsys):
+    # a sweep without dense output is refused as a dense one is
+    from impulsedde import integrate
+
+    sweep = integrate._batch_columns
+    monkeypatch.setattr(integrate, "_batch_columns",
+                        lambda *a, **k: sweep(*a, **k, mem_cap=1000))
+    path = _write(tmp_path, "s.json", MINIMAL)
+    assert main(["fundamental", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: sweep needs about" in err
+    assert "more than the memory budget of 1000 bytes" in err
+    assert not (tmp_path / "fundamental.csv").exists()
+
+
 def _rate_sign(**fields):
     return dict({"kind": "rate-sign", "expect": "positive",
                  "s_grid": "0:1:0.5", "t_grid": "0:2:0.25",
@@ -442,6 +457,16 @@ def test_a_non_finite_horizon_flag_exits_4(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 4
     assert "invalid config: --horizon:" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
+
+
+def test_a_negative_horizon_on_a_periodic_schedule_exits_4(tmp_path, capsys):
+    # the periodic schedule expands to no points, and validate names the
+    # horizon, as for a config without one
+    assert main(["simulate", "paper-sec2-destabilize", "--horizon", "-1",
+                 "--out", str(tmp_path)]) == 4
+    assert ("invalid config: spec: horizon: must be positive and finite, "
+            "got -1.0") in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_certify_exit_codes_track_the_verdict(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -718,16 +719,43 @@ def test_dense_sweep_refuses_more_than_one_chunk():
                                  [], dense=True, mem_cap=1)
 
 
-def test_chunked_sweep_matches_one_chunk():
-    # a tiny memory cap splits 20 restart columns into chunks of 16 and 4;
-    # planar-rotation has a zero-lag term, a lag and two jumps
+def _estimated_bytes(sweep) -> int:
+    """The bytes a sweep estimates it holds, for one chunk of at most 16
+    columns, read from its refusal under a budget of one byte:
+    `sweep(mem_cap)` runs `_batch_columns` with that budget."""
+    with pytest.raises(ValueError, match=r"sweep needs about \d+ bytes, "
+                       r"more than the memory budget of 1 bytes$") as err:
+        sweep(1)
+    return int(re.search(r"needs about (\d+) bytes", str(err.value))[1])
+
+
+def _twenty_columns():
+    """A sweep of planar-rotation's curtailed system, which has a zero-lag
+    term, a lag and two jumps, over 20 restart columns, as the arguments
+    of `_batch_columns`."""
     hom = integrate._curtailed(planar_rotation())
     nodes, jump_nodes = integrate._prepare_grid(hom, 0.0, hom.horizon, 0.01)
     jumps = integrate._jump_matrices(hom, jump_nodes)
     s_idx = np.arange(0, len(nodes) - 1, (len(nodes) - 1) // 20)[:20]
-    rec = np.arange(len(nodes))
-    whole = integrate._batch_columns(hom, nodes, jumps, s_idx, rec)
-    parts = integrate._batch_columns(hom, nodes, jumps, s_idx, rec, mem_cap=1)
+    return hom, nodes, jumps, s_idx, np.arange(len(nodes))
+
+
+def test_chunked_sweep_matches_one_chunk(monkeypatch):
+    # a memory cap that admits 16 columns, the estimate for a chunk of 16,
+    # splits 20 restart columns into chunks of 16 and 4
+    args = _twenty_columns()
+    whole = integrate._batch_columns(*args)
+    cap = _estimated_bytes(
+        lambda mem_cap: integrate._batch_columns(*args, mem_cap=mem_cap))
+    widths, real = [], integrate._Sweep
+
+    def sweep(shared, c0, c1):
+        widths.append(c1 - c0)
+        return real(shared, c0, c1)
+
+    monkeypatch.setattr(integrate, "_Sweep", sweep)
+    parts = integrate._batch_columns(*args, mem_cap=cap)
+    assert widths == [16, 4]
     npt.assert_allclose(parts, whole, rtol=0, atol=1e-14)
 
 
@@ -1294,6 +1322,88 @@ def test_dense_sweep_refuses_an_oversized_grid_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 10**5
+
+
+def _traced_peak(call) -> tuple:
+    """The result of `call()` and the peak of the bytes it traces."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["clustered", "short-lag"])
+def test_the_memory_estimate_is_within_twice_the_traced_peak(monkeypatch,
+                                                             name):
+    # each sweep's estimate of the bytes it holds, which sizes its chunks
+    # and refuses it, is at least the traced peak of the sweep and at most
+    # twice it: a dense solve, a fundamental_grid and a reflected
+    # kernel_rows, whose restart columns are unsorted, on the corpus, the
+    # clustered counterexample and a lifted short lag
+    ratios, kinds, real = [], [], integrate._batch_columns
+
+    def traced(*args, **kwargs):
+        nbytes = _estimated_bytes(
+            lambda mem_cap: real(*args, **kwargs, mem_cap=mem_cap))
+        out, peak = _traced_peak(lambda: real(*args, **kwargs))
+        ratios.append(nbytes / peak)
+        kinds.append((kwargs.get("dense", False),
+                      kwargs.get("reflected", False),
+                      bool(np.any(np.diff(args[3]) < 0))))
+        return out
+
+    spec = (CORPUS[name]() if name in CORPUS
+            else _clustered_counterexample() if name == "clustered"
+            else _short_lag_spec(3 * 2e-3, True))
+    monkeypatch.setattr(integrate, "_batch_columns", traced)
+    _three_sweeps(monkeypatch, spec, 2e-3)
+    assert kinds == [(True, False, False), (False, False, False),
+                     (False, True, True)]
+    assert all(1.0 <= ratio <= 2.0 for ratio in ratios), ratios
+
+
+def test_the_memory_estimate_of_a_chunked_sweep_is_within_twice_its_peak():
+    # 20 columns under a budget that admits 16 run in chunks of 16 and 4,
+    # the first chunk's rows freed before the second's are allocated
+    args = _twenty_columns()
+    sweep = integrate._batch_columns
+    cap = _estimated_bytes(lambda mem_cap: sweep(*args, mem_cap=mem_cap))
+    _, peak = _traced_peak(lambda: sweep(*args, mem_cap=cap))
+    assert 1.0 <= cap / peak <= 2.0
+
+
+@pytest.mark.parametrize("sweep", ["fundamental_grid", "kernel_rows"])
+def test_a_sweep_without_dense_output_refuses_before_allocating(
+        monkeypatch, sweep):
+    # 400 x 20 samples of X(t, s) on a grid of about 500 nodes, or the rows
+    # s -> X(t, s) of 100 targets over 201 nodes: each sweep's estimate,
+    # with its ring, window buffers and plans, is 1.4-1.7 MB, over a budget
+    # of 1e6 bytes, and it is refused before any of them is allocated (a
+    # first, untraced call imports what numpy loads lazily)
+    real = integrate._batch_columns
+    monkeypatch.setattr(integrate, "_batch_columns",
+                        lambda *a, **k: real(*a, **k, mem_cap=10**6))
+    spec, targets = planar_rotation(), np.linspace(0.02, 2.0, 100)
+    nodes = integrate.quadrature_nodes(spec, targets, 0.01)
+    call = {"fundamental_grid": lambda: fundamental_grid(
+                spec, np.linspace(0.0, 1.0, 20), np.linspace(0.0, 2.0, 400),
+                StepControl(0.05)),
+            "kernel_rows": lambda: integrate.kernel_rows(spec, nodes,
+                                                         targets)}[sweep]
+    for traced in (False, True):
+        if traced:
+            tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^sweep needs about \d+ "
+                               r"bytes, more than the memory budget of "
+                               r"1000000 bytes$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 10**5
 
 

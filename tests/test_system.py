@@ -124,6 +124,13 @@ def test_periodic_schedule_refuses_a_period_too_small_to_expand(period,
         ImpulseSchedule.periodic(period, [[0.5]], horizon=horizon)
 
 
+def test_periodic_schedule_on_a_negative_horizon_has_no_points():
+    # validate, not the expansion, refuses the horizon
+    sched = ImpulseSchedule.periodic(1.0, [[0.5]], horizon=-3.0)
+    assert len(sched) == 0
+    assert sched.matrices.shape == (0, 1, 1)
+
+
 def test_count_impulses_matches_brute_force():
     sched = ImpulseSchedule([0.5, 1.0, 2.5], [[[1.0]]] * 3, None, 1)
     for s, t in [(0.0, 3.0), (0.5, 1.0), (0.6, 2.5), (1.1, 2.4), (2.5, 2.5)]:

@@ -1378,7 +1378,7 @@ def test_the_memory_estimate_of_a_chunked_sweep_is_within_twice_its_peak():
 @pytest.mark.parametrize("sweep", ["fundamental_grid", "kernel_rows"])
 def test_a_sweep_without_dense_output_refuses_before_allocating(
         monkeypatch, sweep):
-    # 400 x 20 samples of X(t, s) on a grid of about 500 nodes, or the rows
+    # 400 x 20 samples of X(t, s) on a grid of 450 nodes, or the rows
     # s -> X(t, s) of 100 targets over 201 nodes: each sweep's estimate,
     # with its ring, window buffers and plans, is 1.4-1.7 MB, over a budget
     # of 1e6 bytes, and it is refused before any of them is allocated (a
@@ -1393,17 +1393,17 @@ def test_a_sweep_without_dense_output_refuses_before_allocating(
                 StepControl(0.05)),
             "kernel_rows": lambda: integrate.kernel_rows(spec, nodes,
                                                          targets)}[sweep]
-    for traced in (False, True):
-        if traced:
-            tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"^sweep needs about \d+ "
-                               r"bytes, more than the memory budget of "
-                               r"1000000 bytes$"):
-                call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    with pytest.raises(ValueError):
+        call()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^sweep needs about \d+ "
+                           r"bytes, more than the memory budget of "
+                           r"1000000 bytes$"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 10**5
 
 

@@ -290,7 +290,7 @@ def quadrature_nodes(spec: SystemSpec, targets: np.ndarray, dt: float,
     """Quadrature grid on [0, max target] for the rows s -> X(t, s).
 
     The rows solve the adjoint equation backward in s (see
-    `_fundamental_rows`), so their breaks mirror those of `_collect_breaks`:
+    `kernel_rows`), so their breaks mirror those of `_collect_breaks`:
     a row jumps at its target and at the jump points, and the coefficient
     breaks enter through A_i(s + theta_i).  Each such anchor a gets the
     images a - u for u in `_image_shifts` (a - theta_i and
@@ -739,7 +739,7 @@ def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
     n, m, Sc = st.n, st.m, st.Sc
     y = st.H[slot, _Y_POST]
     B = st.jumps.get(j)
-    if B is not None and not st.reflected and not initial:
+    if B is not None and not st.reflected:
         Wm = _width(st, j - 1) * m
         y[:, :Wm] = B @ y[:, :Wm]
     if j in st.activate:
@@ -1238,8 +1238,11 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     node; zero columns evolve as exact zeros, which realizes X(t, s) = 0
     for t < s.  In the forward order a node's jump comes first, so it
     belongs only to columns with s < tau, and the sample is the post-jump
-    value.  The reflected order (`_fundamental_rows`) activates first,
-    then jumps every column, and samples the pre-jump value.
+    value.  The reflected order (`kernel_rows`) activates first, then
+    jumps every column, and samples the pre-jump value.  The s nodes
+    ascend, so that within each chunk the active columns are a prefix, to
+    which every operation is sliced: the sweep costs the triangle the zero
+    structure allows, not the rectangle.
 
     The unit of work is a lag window of steps [a, b) (`_window`), whose
     delayed reads all land at or before node a: one gather, one Hermite
@@ -1298,17 +1301,6 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     r_max = min(_SHORT_LAG + 2, (_LIFT_SIZE // n - 2) // 3)
     short = np.flatnonzero(thetas * K < (r_max - 2) * (nodes[-1] - nodes[0]))
 
-    # process columns in ascending s order so that within each chunk the
-    # active columns are always a prefix; every operation is then sliced to
-    # that prefix, which turns the rectangular sweep cost into the
-    # triangular one the zero structure allows.  Un-permute the sample axis
-    # at the end if a sort was needed.
-    unsort = None
-    if np.any(np.diff(s_indices) < 0):
-        order = np.argsort(s_indices, kind="stable")
-        unsort = np.argsort(order)
-        s_indices = s_indices[order]
-
     # node j sits in ring slot j % R; a window may run on into the spare
     # slots after the ring, which are copied back to its start.  Then come
     # the zero rows, the snapshot row and the left store.  A slot's columns
@@ -1343,14 +1335,14 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     nrows = 2 * (slots + Ls)
     # the bytes the sweep holds at once: per column, the ring and store
     # rows, the window buffers and the zero-lag scan's states, and the
-    # samples (twice when they are un-permuted); per node, the store map,
-    # the sides and the reach pass, and per record its lists; one block's
-    # plan with its transients, a quarter more than it keeps and about
-    # 320 B per term and step of read plans; and with short lags, the
-    # runs' analysis and probe, 512 B per lag and step, and a run's map
+    # samples; per node, the store map, the sides and the reach pass, and
+    # per record its lists; one block's plan with its transients, a quarter
+    # more than it keeps and about 320 B per term and step of read plans;
+    # and with short lags, the runs' analysis and probe, 512 B per lag and
+    # step, and a run's map
     T, w = len(record_indices), min(block, K)
     col = (nrows + 2 * wmax + 2) * n * m * 8 + (wmax + 1) * per_col
-    held = (T * S * n * m * 8 * (1 if unsort is None else 2) + 72 * (K + 1)
+    held = (T * S * n * m * 8 + 72 * (K + 1)
             + 64 * T + w * (5 * per_step // 4 + 320 * nt)
             + (dl and 512 * len(short) * w + 24 * dl * dl))
     chunk = max(16, int((mem_cap - held) // col))
@@ -1418,11 +1410,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
             np.copyto(store[:, q], H[:, r],
                       where=(st.side[:K + 1] & bit == 0)[:, None, None])
         store[0, _Y_PRE] = H[0, _Y_POST]
-        out = tuple(x.reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
-                    for x in (H[:, _Y_POST], store[:, _Y_PRE],
-                              H[:, _F_RIGHT], store[:, _F_LEFT]))
-        return out if unsort is None else tuple(a[:, unsort] for a in out)
-    return samples if unsort is None else samples[:, unsort]
+        return tuple(x.reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
+                     for x in (H[:, _Y_POST], store[:, _Y_PRE],
+                               H[:, _F_RIGHT], store[:, _F_LEFT]))
+    return samples
 
 
 def _reflect_coefficient(coef, shift: float):
@@ -1441,14 +1432,17 @@ def _reflect_coefficient(coef, shift: float):
     return MatrixTable(breaks, values.transpose(0, 2, 1))
 
 
-def _fundamental_rows(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
-                      rows) -> np.ndarray:
-    """X(nodes[r], s) at every node s, for each r in `rows`, in one sweep.
+def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
+    """The rows s -> X(t, s) over every node s, for each target time t, in
+    one sweep.
 
-    Returns out[k, i] = X(nodes[rows[k]], nodes[i]), right-continuous in s
-    (the impulse at s = tau is not applied) and zero for s > t; the s-left
-    limit at a jump node is out[k, i] @ B_j.  `jumps` maps node index ->
-    jump matrix.
+    Returns (right, left, jump_nodes): `right[k, i]` = X(targets[k],
+    nodes[i]), right-continuous in s (the impulse at s = tau is not
+    applied) and zero for s > t; the grid's jump map; and `left[k, j]` the
+    s-left limit X(targets[k], tau) B at the j-th jump node of the map,
+    where alone it differs from `right`, so trapezoid panels read
+    one-sided limits directly.  The targets must increase and lie on grid
+    nodes, else ValueError.
 
     For fixed t the row solves the formal adjoint equation
     d/ds X(t,s) = sum_i X(t, s + theta_i) A_i(s + theta_i) with X(t,t) = I,
@@ -1462,7 +1456,12 @@ def _fundamental_rows(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     s = 0 column, a null set for the integrals the rows feed, and are left
     out.
     """
+    rows = locate(nodes, targets)
+    if np.any(rows < 0) or np.any(np.diff(rows) < 0):
+        raise ValueError("target times must increase and lie on grid nodes")
     _check_causal(spec, nodes[0])
+    jump_nodes = _jump_map(spec.impulses, nodes)
+    B = spec.impulses.matrices
     t_end = float(nodes[-1])
     K = len(nodes) - 1
     terms = [DelayTerm(_reflect_coefficient(term.coefficient,
@@ -1470,38 +1469,19 @@ def _fundamental_rows(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                        term.delay)
              for term in spec.terms if isinstance(term.delay, ConstantLag)]
     mirror = SystemSpec(dim=spec.dim, terms=terms, horizon=t_end)
-    sigma = t_end - nodes[::-1]
-    mirror_jumps = {K - i: B.T for i, B in jumps.items()}
-    samples = _batch_columns(mirror, sigma, mirror_jumps,
-                             K - np.asarray(rows, dtype=np.intp),
-                             np.arange(K + 1), reflected=True)
-    return samples[::-1].transpose(1, 0, 3, 2)
-
-
-def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
-    """The rows s -> X(t, s) over every node s, for each target time t.
-
-    Returns (right, left, jump_nodes): `right[k, i]` = X(targets[k],
-    nodes[i]) as `_fundamental_rows` gives it, the grid's jump map, and
-    `left[k, j]` the s-left limit X(targets[k], tau) B at the j-th jump
-    node of the map, where alone it differs from `right`, so trapezoid
-    panels read one-sided limits directly.
-    """
-    rows = locate(nodes, targets)
-    if np.any(rows < 0):
-        raise ValueError("target times could not be pinned to grid nodes")
-    jump_nodes = _jump_map(spec.impulses, nodes)
-    jumps = _jump_matrices(spec, jump_nodes)
-    right = _fundamental_rows(spec, nodes, jumps, rows)
-    left = np.empty((len(rows), len(jumps)) + right.shape[2:])
-    for j, (idx, B) in enumerate(jumps.items()):
-        left[:, j] = right[:, idx] @ B
+    # the latest target restarts first, so the columns ascend
+    samples = _batch_columns(mirror, t_end - nodes[::-1],
+                             {K - i: B[j].T for i, j in jump_nodes.items()},
+                             K - rows[::-1], np.arange(K + 1), reflected=True)
+    right = samples[::-1, ::-1].transpose(1, 0, 3, 2)
+    left = right[:, list(jump_nodes)] @ B[list(jump_nodes.values())]
     return right, left, jump_nodes
 
 
 def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
                      grid: StepControl = StepControl()) -> FundamentalMatrix:
-    """Sample X(t, s) on the product grid; zero-fill for t < s."""
+    """Sample X(t, s) on the product grid; zero-fill for t < s, also for
+    restarts s past the last t."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if s_grid.size == 0 or t_grid.size == 0:
@@ -1513,7 +1493,7 @@ def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
         raise ValueError("grids must lie within [0, horizon]")
     require_valid(spec)
 
-    t_end = float(t_grid[-1])
+    t_end = float(max(t_grid[-1], s_grid[-1]))
     # each column jumps to I at its s, like x at t_start: pin its images
     images = np.add.outer(s_grid, _image_shifts(_positive_lags(spec)))
     extra = np.unique(np.concatenate((t_grid, images.ravel())))

@@ -405,10 +405,13 @@ def hypotheses_report(spec: SystemSpec, window: float | None = None) -> Hypothes
     (default horizon/4).  The maximum over continuous endpoints is attained
     at impulse-point pairs with the segment length clamped to the window,
     so an exact enumeration over point pairs suffices.  An invalid spec
-    raises ValueError("invalid spec: ...") (`require_valid`).
+    raises ValueError("invalid spec: ...") (`require_valid`), and so does
+    a window that is not positive and finite.
     """
     require_valid(spec)
     w = spec.horizon / 4.0 if window is None else float(window)
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"window must be positive and finite, got {w}")
     sch = spec.impulses
     keep = sch.points <= spec.horizon
     M = float(mat_norm(sch.matrices[keep]).max(initial=0.0))

@@ -582,6 +582,17 @@ def test_estimate_rate_default_window_takes_rho_up_to_the_horizon(tmp_path):
     assert doc["window"] == [3.0, 8.0]
 
 
+def test_fundamental_restarts_past_the_last_t_exit_0(tmp_path):
+    # s = 6 comes after every t: its column is zero
+    assert main(["fundamental", "paper-sec5-stabilize", "--dt", "0.01",
+                 "--s-grid", "0:6:3", "--t-grid", "0:4:1",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "fundamental.csv", newline="") as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 5 * 3
+    assert all(x == 0.0 for t, s, x in rows if s == 6.0)
+
+
 def test_fundamental_default_grids_are_21_by_5(tmp_path):
     path = _write(tmp_path, "s.json", MINIMAL)
     assert run(RunConfig("fundamental", path, dt=0.01,

@@ -30,8 +30,8 @@ from impulsedde import (
     vec_norm,
 )
 from impulsedde import integrate
-from impulsedde.integrate import (_fundamental_rows, _hermite_weights,
-                                  _jump_map, locate, read_piecewise)
+from impulsedde.integrate import (_hermite_weights, kernel_rows, locate,
+                                  read_piecewise)
 from corpus import (CORPUS, multi_piece_history, planar_rotation,
                     planar_singular_reset, scalar_forced,
                     scalar_table_homogeneous, two_off_lattice_lags)
@@ -643,9 +643,7 @@ def test_adjoint_rows_match_fundamental_grid(corpus_spec):
                                         [0.5 * horizon, horizon])))
     grid = StepControl(2e-3)
     nodes = RepresentationInput(spec, tuple(targets), grid=grid).quad_grid
-    jumps = {i: spec.impulses.matrices[j]
-             for i, j in _jump_map(spec.impulses, nodes).items()}
-    rows = _fundamental_rows(spec, nodes, jumps, locate(nodes, targets))
+    rows = kernel_rows(spec, nodes, targets)[0]
     s_grid = np.unique(np.concatenate((nodes[::97], spec.impulses.points,
                                        targets)))
     fm = fundamental_grid(spec, s_grid, targets, grid)
@@ -661,14 +659,21 @@ def test_adjoint_rows_resolve_cross_lag_images():
     targets = np.array([0.77, 1.25, 1.53, 2.5])
     grid = StepControl(2e-3)
     nodes = RepresentationInput(spec, tuple(targets), grid=grid).quad_grid
-    jumps = {i: spec.impulses.matrices[j]
-             for i, j in _jump_map(spec.impulses, nodes).items()}
-    rows = _fundamental_rows(spec, nodes, jumps, locate(nodes, targets))
+    rows = kernel_rows(spec, nodes, targets)[0]
     s_grid = np.unique(np.concatenate((nodes[::97], spec.impulses.points,
                                        targets)))
     fm = fundamental_grid(spec, s_grid, targets, grid)
     npt.assert_allclose(rows[:, locate(nodes, s_grid)], fm.samples,
                         rtol=0, atol=1e-9)
+
+
+def test_kernel_rows_reject_decreasing_targets():
+    # the sweep restarts at the targets from the last one back, which
+    # needs them in increasing order
+    spec = planar_rotation()
+    nodes = integrate.quadrature_nodes(spec, np.array([0.5, 1.5]), 0.01)
+    with pytest.raises(ValueError, match="must increase"):
+        kernel_rows(spec, nodes, [1.5, 0.5])
 
 
 def _sized(monkeypatch, depth=None, window=None):
@@ -1055,6 +1060,16 @@ def test_fundamental_grid_rejects_bad_grids():
         fundamental_grid(spec, [0.0], [5.0])
 
 
+def test_fundamental_grid_zero_fills_restarts_past_the_last_t():
+    # a restart after every t gives a zero column, and the columns before
+    # it equal those of a grid without it
+    spec = _decay()
+    fm = fundamental_grid(spec, [0.0, 1.5], [0.0, 1.0])
+    assert not fm.samples[:, 1].any()
+    alone = fundamental_grid(spec, [0.0], [0.0, 1.0])
+    assert fm.samples[:, :1].tobytes() == alone.samples.tobytes()
+
+
 def test_fundamental_matrix_requires_s_inside_domain():
     with pytest.raises(ValueError):
         fundamental_matrix(_decay(), 5.0)
@@ -1341,8 +1356,8 @@ def test_the_memory_estimate_is_within_twice_the_traced_peak(monkeypatch,
     # each sweep's estimate of the bytes it holds, which sizes its chunks
     # and refuses it, is at least the traced peak of the sweep and at most
     # twice it: a dense solve, a fundamental_grid and a reflected
-    # kernel_rows, whose restart columns are unsorted, on the corpus, the
-    # clustered counterexample and a lifted short lag
+    # kernel_rows, whose restart columns ascend like every sweep's, on the
+    # corpus, the clustered counterexample and a lifted short lag
     ratios, kinds, real = [], [], integrate._batch_columns
 
     def traced(*args, **kwargs):
@@ -1361,7 +1376,7 @@ def test_the_memory_estimate_is_within_twice_the_traced_peak(monkeypatch,
     monkeypatch.setattr(integrate, "_batch_columns", traced)
     _three_sweeps(monkeypatch, spec, 2e-3)
     assert kinds == [(True, False, False), (False, False, False),
-                     (False, True, True)]
+                     (False, True, False)]
     assert all(1.0 <= ratio <= 2.0 for ratio in ratios), ratios
 
 

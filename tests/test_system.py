@@ -352,6 +352,14 @@ def test_i_hat_equals_the_pairwise_enumeration(points, window):
     assert hypotheses_report(spec, window).I_hat == _i_hat_by_pairs(pts, w)
 
 
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+def test_hypotheses_report_rejects_a_window_not_positive_and_finite(window):
+    # a window of nan or inf read I_hat = 0.0, and one of 0 or less read
+    # inf with a divide warning
+    with pytest.raises(ValueError, match="window must be positive and finite"):
+        hypotheses_report(planar_rotation(), window)
+
+
 @settings(max_examples=25)
 @given(st.lists(st.floats(0.1, 9.9), min_size=1, max_size=6, unique=True))
 def test_count_is_additive_over_adjacent_open_closed_segments(points):

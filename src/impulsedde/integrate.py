@@ -1436,13 +1436,10 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
     """The rows s -> X(t, s) over every node s, for each target time t, in
     one sweep.
 
-    Returns (right, left, jump_nodes): `right[k, i]` = X(targets[k],
-    nodes[i]), right-continuous in s (the impulse at s = tau is not
-    applied) and zero for s > t; the grid's jump map; and `left[k, j]` the
-    s-left limit X(targets[k], tau) B at the j-th jump node of the map,
-    where alone it differs from `right`, so trapezoid panels read
-    one-sided limits directly.  The targets must increase and lie on grid
-    nodes, else ValueError.
+    Returns (rows, jump_nodes): `rows[k, i]` = X(targets[k], nodes[i]),
+    right-continuous in s (the impulse at s = tau is not applied) and zero
+    for s > t, and the grid's jump map.  The targets must increase and lie
+    on grid nodes, else ValueError.
 
     For fixed t the row solves the formal adjoint equation
     d/ds X(t,s) = sum_i X(t, s + theta_i) A_i(s + theta_i) with X(t,t) = I,
@@ -1456,8 +1453,8 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
     s = 0 column, a null set for the integrals the rows feed, and are left
     out.
     """
-    rows = locate(nodes, targets)
-    if np.any(rows < 0) or np.any(np.diff(rows) < 0):
+    at = locate(nodes, targets)
+    if np.any(at < 0) or np.any(np.diff(at) < 0):
         raise ValueError("target times must increase and lie on grid nodes")
     _check_causal(spec, nodes[0])
     jump_nodes = _jump_map(spec.impulses, nodes)
@@ -1472,10 +1469,8 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
     # the latest target restarts first, so the columns ascend
     samples = _batch_columns(mirror, t_end - nodes[::-1],
                              {K - i: B[j].T for i, j in jump_nodes.items()},
-                             K - rows[::-1], np.arange(K + 1), reflected=True)
-    right = samples[::-1, ::-1].transpose(1, 0, 3, 2)
-    left = right[:, list(jump_nodes)] @ B[list(jump_nodes.values())]
-    return right, left, jump_nodes
+                             K - at[::-1], np.arange(K + 1), reflected=True)
+    return samples[::-1, ::-1].transpose(1, 0, 3, 2), jump_nodes
 
 
 def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
@@ -1486,10 +1481,10 @@ def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if s_grid.size == 0 or t_grid.size == 0:
         raise ValueError("empty s or t grid")
-    if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(t_grid) <= 0):
+    if not (np.all(np.diff(s_grid) > 0) and np.all(np.diff(t_grid) > 0)):
         raise ValueError("grids must be strictly increasing")
-    hi = spec.horizon
-    if s_grid[0] < 0 or t_grid[0] < 0 or s_grid[-1] > hi or t_grid[-1] > hi:
+    both = np.concatenate((s_grid, t_grid))
+    if not np.all((both >= 0) & (both <= spec.horizon)):
         raise ValueError("grids must lie within [0, horizon]")
     require_valid(spec)
 

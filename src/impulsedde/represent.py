@@ -19,12 +19,13 @@ system, O(K) steps for all targets together), the snap-tolerant node
 lookup (`locate`) and the one-sided table reads (`read_piecewise`) all come
 from `integrate`, which owns the snap rule and the lag-image rule.
 Quadrature panels are split at every jump point (s -> X(t,s) jumps there,
-with left limit X(t,tau_j) B_j), at every table breakpoint of the forcing
-and the coefficients, at the images of phi's breakpoints, and at the
-backward lag images a - theta_i and a - theta_i - theta_l (all pairs) of
-the targets, jump points and coefficient breaks a, where the rows have
-derivative jumps, so each panel has a smooth integrand evaluated with
-one-sided limits at its endpoints.
+with left limit X(t,tau_j) B_j, which `_panel_sum` alone applies), at
+every table breakpoint of the forcing and the coefficients, at the images
+of phi's breakpoints, and at the backward lag images a - theta_i and
+a - theta_i - theta_l (all pairs) of the targets, jump points and
+coefficient breaks a, where the rows have derivative jumps, so each panel
+has a smooth integrand evaluated with one-sided limits at its endpoints.
+All targets share one integrand and one product with the rows.
 """
 
 from __future__ import annotations
@@ -64,25 +65,38 @@ def _phi_rows(phi, zetas: np.ndarray, side: str, dim: int) -> np.ndarray:
     return np.where(zero[:, None], 0.0, vals)
 
 
-def _panel_sum(nodes: np.ndarray, right: np.ndarray, left: np.ndarray,
-               at: np.ndarray, i_hi: int, vec_right: np.ndarray,
-               vec_left: np.ndarray) -> np.ndarray:
-    """Composite trapezoid of s -> X(t,s) g(s) over nodes[0..i_hi].
+def _integrand(spec: SystemSpec, nodes: np.ndarray, side: str) -> np.ndarray:
+    """r(s) - sum_i A_i(s) phi(s - theta_i) at the nodes, on one side."""
+    return read_piecewise(spec.forcing, nodes, side, spec.dim) - sum(
+        np.einsum("sij,sj->si", read_piecewise(term.coefficient, nodes, side),
+                  _phi_rows(spec.phi, nodes - term.delay.theta, side,
+                            spec.dim))
+        for term in spec.terms if term.delay.theta > 0.0)
 
-    `right`/`left` are one row of `kernel_rows`, `left` at the jump nodes
-    `at` only, where s -> X(t,s) has the left limit X(t,tau_j) B_j; it
-    equals `right` at every other node.  `vec_right[i]`/`vec_left[i]` are
-    the one-sided values of g at node i.  Panels use the right values at
-    their left endpoint and the left values at their right endpoint,
-    which is exact up to O(h^2) on each smooth piece.
+
+def _panel_sum(spec: SystemSpec, nodes: np.ndarray, rows: np.ndarray,
+               jump_nodes: dict, last, g_right: np.ndarray,
+               g_left: np.ndarray) -> np.ndarray:
+    """Composite trapezoid of s -> X(t,s) g(s) over nodes[0..last[k]] for
+    every target k at once.
+
+    `rows, jump_nodes` are what `kernel_rows` returns; `g_right[i]` and
+    `g_left[i]` are the one-sided values of g at node i.  At a jump node
+    tau_j the left limit of the integrand is X(t,tau_j - 0) g =
+    X(t,tau_j) (B_j g), so B_j goes into g_left there.  Panels use the
+    right values at their left endpoint and the left values at their right
+    endpoint, which is exact up to O(h^2) on each smooth piece.
     """
-    h = np.diff(nodes[: i_hi + 1])
-    lo = np.einsum("sij,sj->si", right[:i_hi], vec_right[:i_hi])
-    hi = np.einsum("sij,sj->si", right[1 : i_hi + 1], vec_left[1 : i_hi + 1])
-    inside = (at >= 1) & (at <= i_hi)
-    hi[at[inside] - 1] = np.einsum("sij,sj->si", left[inside],
-                                   vec_left[at[inside]])
-    return 0.5 * (h[:, None] * (lo + hi)).sum(axis=0)
+    at = list(jump_nodes)
+    g_left = g_left.copy()
+    g_left[at] = np.einsum("jik,jk->ji",
+                           spec.impulses.matrices[list(jump_nodes.values())],
+                           g_left[at])
+    lo = rows[:, :-1] @ g_right[:-1, :, None]
+    lo += rows[:, 1:] @ g_left[1:, :, None]
+    w = np.where(np.arange(len(nodes) - 1) < np.asarray(last)[:, None],
+                 0.5 * np.diff(nodes), 0.0)
+    return np.einsum("ts,tsi->ti", w, lo[..., 0])
 
 
 @dataclass(frozen=True)
@@ -91,10 +105,10 @@ class RepresentationInput:
 
     When `quad_grid` is omitted it is derived from the spec's own
     breakpoints (jumps, table breaks, lag images) refined to the step of
-    `grid`; a supplied grid must be strictly increasing and contain every
-    jump point up to the last target as well as every target time.  An
-    invalid spec raises ValueError("invalid spec: ...") before any grid
-    is built.
+    `grid`; a supplied grid must start at 0, be strictly increasing and
+    contain every jump point up to the last target as well as every target
+    time.  An invalid spec raises ValueError("invalid spec: ...") before
+    any grid is built.
     """
 
     spec: SystemSpec
@@ -107,7 +121,7 @@ class RepresentationInput:
         targets = np.asarray(self.target_times, dtype=float)
         if targets.size == 0:
             raise ValueError("no target times")
-        if targets.min() < 0 or targets.max() > self.spec.horizon:
+        if not np.all((targets >= 0) & (targets <= self.spec.horizon)):
             raise ValueError("target times must lie within [0, horizon]")
         object.__setattr__(self, "target_times", tuple(float(t) for t in targets))
         if self.quad_grid is None:
@@ -115,8 +129,10 @@ class RepresentationInput:
             object.__setattr__(self, "quad_grid", nodes)
         else:
             nodes = np.asarray(self.quad_grid, dtype=float)
-            if nodes.ndim != 1 or len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
-                raise ValueError("quad_grid must be strictly increasing")
+            if (nodes.ndim != 1 or len(nodes) < 2
+                    or not np.all(np.diff(nodes) > 0)
+                    or locate(np.zeros(1), nodes[0]) < 0):
+                raise ValueError("quad_grid must increase strictly from 0")
             taus = self.spec.impulses.points
             taus = taus[taus <= nodes[-1]]
             for what, ts in (("jump point", taus), ("target time", targets)):
@@ -153,11 +169,10 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
 
     targets = np.array([t])
     nodes = quadrature_nodes(spec, targets, grid.dt, f.breaks)
-    right, left, jump_nodes = kernel_rows(spec, nodes, targets)
-    at = np.fromiter(jump_nodes, np.intp, len(jump_nodes))
-    return _panel_sum(nodes, right[0], left[0], at, len(nodes) - 1,
+    rows, jump_nodes = kernel_rows(spec, nodes, targets)
+    return _panel_sum(spec, nodes, rows, jump_nodes, [len(nodes) - 1],
                       read_piecewise(f, nodes, "right"),
-                      read_piecewise(f, nodes, "left"))
+                      read_piecewise(f, nodes, "left"))[0]
 
 
 def represent_solution(inp: RepresentationInput) -> np.ndarray:
@@ -169,43 +184,20 @@ def represent_solution(inp: RepresentationInput) -> np.ndarray:
     """
     spec = inp.spec
     require_valid(spec)
-    for term in spec.terms:
-        if isinstance(term.delay, FrozenTime):
-            raise ValueError("frozen-time terms have no bounded-lag "
-                             "representation; integrate directly instead")
+    if any(isinstance(term.delay, FrozenTime) for term in spec.terms):
+        raise ValueError("frozen-time terms have no bounded-lag "
+                         "representation; integrate directly instead")
 
     targets = np.unique(np.asarray(inp.target_times, dtype=float))
     nodes = inp.quad_grid
-    right, left, jump_nodes = kernel_rows(spec, nodes, targets)
-    at = np.fromiter(jump_nodes, np.intp, len(jump_nodes))
-    dim = spec.dim
-
-    r_right = read_piecewise(spec.forcing, nodes, "right", dim)
-    r_left = read_piecewise(spec.forcing, nodes, "left", dim)
-    phi_terms = []
-    for term in spec.terms:
-        theta = term.delay.theta
-        if theta <= 0.0 or spec.phi is None:
-            continue
-        a_r = read_piecewise(term.coefficient, nodes, "right")
-        a_l = read_piecewise(term.coefficient, nodes, "left")
-        p_r = _phi_rows(spec.phi, nodes - theta, "right", dim)
-        p_l = _phi_rows(spec.phi, nodes - theta, "left", dim)
-        phi_terms.append((np.einsum("sij,sj->si", a_r, p_r),
-                          np.einsum("sij,sj->si", a_l, p_l)))
-
-    out = np.zeros((len(targets), dim))
-    for row, i_hi in enumerate(locate(nodes, targets)):
-        acc = _panel_sum(nodes, right[row], left[row], at, i_hi, r_right,
-                         r_left)
-        for g_r, g_l in phi_terms:
-            acc -= _panel_sum(nodes, right[row], left[row], at, i_hi, g_r,
-                              g_l)
-        if spec.x0 is not None:
-            acc += right[row, 0] @ spec.x0
-        for idx, j in jump_nodes.items():
-            acc += right[row, idx] @ spec.impulses.offsets[j]
-        out[row] = acc
+    rows, jump_nodes = kernel_rows(spec, nodes, targets)
+    out = _panel_sum(spec, nodes, rows, jump_nodes, locate(nodes, targets),
+                     _integrand(spec, nodes, "right"),
+                     _integrand(spec, nodes, "left"))
+    # the jump sum, with node 0 as the jump tau_0 = 0 carrying alpha_0 = x(0)
+    alphas = np.concatenate((spec.x0[None],
+                             spec.impulses.offsets[list(jump_nodes.values())]))
+    out += np.einsum("tkij,kj->ti", rows[:, [0, *jump_nodes]], alphas)
 
     order = np.searchsorted(targets, np.asarray(inp.target_times, dtype=float))
     result = out[order]

@@ -131,6 +131,8 @@ def gronwall_grid(spec: SystemSpec, s_grid, t_grid,
     require_valid(spec)
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not (np.all(np.isfinite(s_grid)) and np.all(np.isfinite(t_grid))):
+        raise ValueError("s and t must be finite")
     points = spec.impulses.points
     norms = mat_norm(spec.impulses.matrices)
     factors = norms if tight else 1.0 + norms

@@ -24,7 +24,7 @@ SOURCES = {path.name: path.read_text(encoding="utf-8")
 TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
 
 # code lines at most, as `code_lines` counts them
-CEILINGS = {"integrate.py": 848, "package": 2105}
+CEILINGS = {"integrate.py": 846, "package": 2093}
 
 
 def code_lines(source: str) -> int:

@@ -68,28 +68,31 @@ def test_cauchy_is_exact_for_piecewise_constant_kernels():
 
 
 def test_panel_sums_apply_the_jump_matrices_at_the_jump_nodes():
-    # kernel_rows keeps the left limits X(t, tau) B at the jump nodes only;
-    # the panel sum equals the trapezoid over rows whose jump nodes hold
-    # them, bit for bit (a singular reset and a rank-one jump)
+    # kernel_rows returns the right-continuous rows alone; the panel sum
+    # puts B_j into the integrand's left values at the jump nodes, and
+    # matches the trapezoid over rows that hold X(t, tau) B there, up to
+    # the rounding of (X B) g against X (B g) (a singular reset and a
+    # rank-one jump)
     spec = planar_singular_reset()
     targets = np.array([1.2, 1.7, 2.4])
     nodes = quadrature_nodes(spec, targets, 2e-3)
-    right, left, jump_nodes = kernel_rows(spec, nodes, targets)
-    at = np.fromiter(jump_nodes, np.intp)
-    assert left.shape == (3, 2, 2, 2) and len(at) == 2
-    full = right.copy()
-    for j, (i, k) in enumerate(jump_nodes.items()):
-        full[:, i] = right[:, i] @ spec.impulses.matrices[k]
-        assert full[:, i].tobytes() == left[:, j].tobytes()
+    rows, jump_nodes = kernel_rows(spec, nodes, targets)
+    assert rows.shape == (3, len(nodes), 2, 2) and len(jump_nodes) == 2
+    full = rows.copy()
+    for i, k in jump_nodes.items():
+        full[:, i] = rows[:, i] @ spec.impulses.matrices[k]
     g_r = read_piecewise(spec.phi, nodes, "right", 2) + nodes[:, None]
     g_l = read_piecewise(spec.phi, nodes, "left", 2) - nodes[:, None]
-    for row, i_hi in enumerate(np.searchsorted(nodes, targets)):
+    last = np.searchsorted(nodes, targets)
+    got = _panel_sum(spec, nodes, rows, jump_nodes, last, g_r, g_l)
+    assert got.shape == (3, 2)
+    for row, i_hi in enumerate(last):
         h = np.diff(nodes[:i_hi + 1])
-        lo = np.einsum("sij,sj->si", right[row, :i_hi], g_r[:i_hi])
+        lo = np.einsum("sij,sj->si", rows[row, :i_hi], g_r[:i_hi])
         hi = np.einsum("sij,sj->si", full[row, 1:i_hi + 1], g_l[1:i_hi + 1])
         want = 0.5 * (h[:, None] * (lo + hi)).sum(axis=0)
-        got = _panel_sum(nodes, right[row], left[row], at, i_hi, g_r, g_l)
-        assert got.tobytes() == want.tobytes()
+        scale = 0.5 * (h[:, None] * (np.abs(lo) + np.abs(hi))).sum(axis=0)
+        assert np.all(np.abs(got[row] - want) <= 1e-15 * scale)
 
 
 def test_cauchy_with_a_frozen_term_at_zero_matches_closed_form():
@@ -231,10 +234,53 @@ def test_representation_input_validates_targets_and_grids():
         RepresentationInput(spec, (5.0,))  # beyond horizon
     with pytest.raises(ValueError):
         RepresentationInput(spec, ())
+    with pytest.raises(ValueError):
+        RepresentationInput(spec, (math.nan,))
     # a user grid must contain every jump and every target
     with pytest.raises(ValueError):
         RepresentationInput(spec, (1.0,),
                             quad_grid=np.linspace(0.0, 2.5, 11))
+    # and start at 0: a grid from 0.5 or -0.5 would shift every integral
+    decay = _plain_decay()
+    for start in (0.5, -0.5):
+        with pytest.raises(ValueError, match="from 0"):
+            RepresentationInput(decay, (1.0,),
+                                quad_grid=np.linspace(start, 1.0, 51))
+
+
+def _two_lags_with_offsets() -> SystemSpec:
+    return SystemSpec(
+        dim=2,
+        terms=[DelayTerm(np.array(a), ConstantLag(theta)) for a, theta in (
+            ([[0.6, -0.2], [0.3, 0.5]], 0.3), ([[-0.4, 0.1], [0.2, 0.7]], 0.7),
+            ([[0.5, 0.0], [0.0, 0.2]], 0.0))],
+        impulses=ImpulseSchedule([0.9, 1.6], [[[0.5, 0.1], [0.0, -0.8]],
+                                              [[1.2, 0.0], [0.3, 0.4]]],
+                                 [[0.25, -0.5], [-0.1, 0.3]], 2),
+        forcing=VectorTable([0.0, 1.1], [[1.0, -0.5], [0.2, 0.4]]),
+        phi=VectorTable([-0.7, -0.25], [[0.3, -0.1], [-0.6, 0.8]]),
+        x0=[1.0, -2.0],
+        horizon=2.0,
+    )
+
+
+def test_all_targets_in_one_call_match_each_target_alone():
+    # one integrand and one product over every target: on a shared grid,
+    # t = 0, a jump point, an off-lattice node and the horizon together
+    # give what each gives alone
+    spec = _two_lags_with_offsets()
+    targets = (0.0, 0.9, 1.2345, 2.0)
+    grid = quadrature_nodes(spec, np.array(targets), 5e-3)
+    together = represent_solution(RepresentationInput(spec, targets,
+                                                      quad_grid=grid))
+    for t, got in zip(targets, together):
+        alone = represent_solution(RepresentationInput(spec, (t,),
+                                                       quad_grid=grid))
+        scale = max(1.0, vec_norm(alone[0]))
+        assert np.all(np.abs(got - alone[0]) <= 1e-13 * scale)
+    npt.assert_array_equal(together[0], spec.x0)
+    res = representation_residuals(spec, targets, StepControl(5e-3))
+    assert max(res) < 1e-4
 
 
 def test_user_quadrature_grid_is_honored():

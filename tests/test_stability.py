@@ -76,6 +76,9 @@ def test_gronwall_integrates_coefficient_tables_exactly():
 def test_gronwall_rejects_reversed_segments():
     with pytest.raises(ValueError):
         gronwall_bound(_stabilized(), 2.0, 1.0)
+    for s, t in ((math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            gronwall_bound(_stabilized(), s, t)
 
 
 def test_gronwall_dominates_sampled_norms():

@@ -37,7 +37,9 @@ This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`, one search
 per time, `_snap_search`) and one table reader (`read_piecewise`), and
 the lag-image rule (`_image_shifts`), applied forward by
-`_collect_breaks` and backward by `quadrature_nodes`.
+`_collect_breaks` and backward by `quadrature_nodes`.  It also owns the
+source g = r - sum_i A_i phi(. - theta_i) with phi = 0 on [0, inf)
+(`source_table`), which `solve` steps and the representation integrates.
 `represent` reaches them through those names and `kernel_rows`; none of
 them is exported from the package.  Dense output is read by one plan
 (`_read_plan`), for the sweep's delayed reads and for `Trajectory.value`,
@@ -404,57 +406,69 @@ def _curtailed(spec: SystemSpec) -> SystemSpec:
                       forcing=None, phi=None, x0=None, horizon=spec.horizon)
 
 
+def source_table(spec: SystemSpec):
+    """The source g(s) = r(s) - sum_i A_i(s) phi(s - theta_i) of the
+    variation-of-constants form, with phi(zeta) = 0 for zeta >= 0, as a
+    VectorTable on [0, horizon), or None when the spec has no forcing and
+    no lagged history read.
+
+    g is constant between the breaks of r, of every coefficient table, of
+    the lags theta_i and of phi's lag images b + theta_i, all of them
+    nodes of `solve`'s grid, and each piece holds g at its midpoint.
+    `solve` takes it as its zero-lag source, and the representation
+    integrals read it on both sides at each quadrature node.
+    """
+    lagged = [term for term in spec.terms if spec.phi is not None
+              and isinstance(term.delay, ConstantLag) and term.delay.theta > 0]
+    if spec.forcing is None and not lagged:
+        return None
+    cuts = [0.0]
+    for table in [spec.forcing] + [term.coefficient for term in spec.terms]:
+        if isinstance(table, (MatrixTable, VectorTable)):
+            cuts.extend(table.breaks)
+    # each lag theta_i and the images b + theta_i of phi's breaks
+    phi_breaks = spec.phi.breaks if isinstance(spec.phi, VectorTable) else []
+    for term in lagged:
+        cuts.extend(np.append(phi_breaks, 0.0) + term.delay.theta)
+    breaks = np.unique(cuts)
+    breaks = breaks[(breaks >= 0.0) & (breaks < spec.horizon)]
+    mids = 0.5 * (breaks + np.append(breaks[1:], spec.horizon))
+    g = read_piecewise(spec.forcing, mids, "right", spec.dim)
+    for term in lagged:
+        theta = term.delay.theta
+        p = read_piecewise(spec.phi, mids - theta, "right", spec.dim)
+        ap = np.matmul(read_piecewise(term.coefficient, mids), p[:, :, None])
+        g = g - np.where((mids < theta)[:, None], ap[:, :, 0], 0.0)
+    return VectorTable(breaks, g)
+
+
 def _augmented(spec: SystemSpec) -> SystemSpec:
     """Homogeneous system in (x, z) whose solution from (x0, 1) is (x, 1).
 
     Every coefficient and jump matrix gets a zero last row, except the unit
-    jump diagonal that keeps z = 1.  The forcing r(t) and the history reads
-    -A_i(t) phi(t - theta_i) on [0, theta_i) become one zero-lag
-    coefficient acting on z, constant between the breaks of r, of the
-    coefficient tables and of phi's lag images, and the lags themselves
-    (all grid nodes of `solve`); the offsets alpha_j become the last
-    column of the jump matrices.  Frozen terms carry over.
+    jump diagonal that keeps z = 1.  The source g of `source_table`, the
+    forcing minus the history reads, becomes one zero-lag coefficient
+    -g acting on z, piecewise constant on that table's breaks (all grid
+    nodes of `solve`); the offsets alpha_j become the last column of the
+    jump matrices.  Frozen terms carry over.
     """
     n, size = spec.dim, spec.dim + 1
 
     def pad(m):
+        if isinstance(m, MatrixTable):
+            return MatrixTable(m.breaks, pad(m.values))
         m = np.asarray(m, dtype=float)
         out = np.zeros(m.shape[:-2] + (size, size))
         out[..., :n, :n] = m
         return out
 
-    terms, lagged, cuts = [], [], [0.0]
-    for term in spec.terms:
-        coef = term.coefficient
-        if isinstance(coef, MatrixTable):
-            terms.append(DelayTerm(MatrixTable(coef.breaks, pad(coef.values)),
-                                   term.delay))
-            cuts.extend(coef.breaks)
-        else:
-            terms.append(DelayTerm(pad(coef), term.delay))
-        if (isinstance(term.delay, ConstantLag) and term.delay.theta > 0
-                and spec.phi is not None):
-            lagged.append(term)
-            cuts.append(term.delay.theta)
-            if isinstance(spec.phi, VectorTable):
-                cuts.extend(spec.phi.breaks + term.delay.theta)
-    if isinstance(spec.forcing, VectorTable):
-        cuts.extend(spec.forcing.breaks)
-
-    if spec.forcing is not None or lagged:
-        breaks = np.unique(cuts)
-        breaks = breaks[(breaks >= 0.0) & (breaks < spec.horizon)]
-        mids = 0.5 * (breaks + np.append(breaks[1:], spec.horizon))
-        g = read_piecewise(spec.forcing, mids, "right", n)
-        for term in lagged:
-            theta = term.delay.theta
-            a = read_piecewise(term.coefficient, mids)
-            p = read_piecewise(spec.phi, mids - theta, "right", n)
-            g = g - np.where((mids < theta)[:, None],
-                             np.matmul(a, p[:, :, None])[:, :, 0], 0.0)
-        source = np.zeros((len(breaks), size, size))
-        source[:, :n, n] = -g
-        terms.append(DelayTerm(MatrixTable(breaks, source), ConstantLag(0.0)))
+    terms = [DelayTerm(pad(term.coefficient), term.delay)
+             for term in spec.terms]
+    g = source_table(spec)
+    if g is not None:
+        source = np.zeros((len(g.breaks), size, size))
+        source[:, :n, n] = -g.values
+        terms.append(DelayTerm(MatrixTable(g.breaks, source), ConstantLag(0.0)))
 
     sch = spec.impulses
     mats = pad(sch.matrices)

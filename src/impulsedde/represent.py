@@ -15,9 +15,13 @@ is exposed on its own as the Cauchy operator.
 This module is the quadrature layer only.  The grid (`quadrature_nodes`),
 the kernel rows s -> X(t,s) for the few target times t at every node s
 (`kernel_rows`, one reflected sweep of the batched engine over the adjoint
-system, O(K) steps for all targets together), the snap-tolerant node
-lookup (`locate`) and the one-sided table reads (`read_piecewise`) all come
-from `integrate`, which owns the snap rule and the lag-image rule.
+system, O(K) steps for all targets together), the integrand
+g(s) = r(s) - sum_i A_i(s) phi(s - theta_i) as one piecewise-constant
+table (`source_table`, the zero-lag source `solve` steps), the
+snap-tolerant node lookup (`locate`) and the one-sided table reads
+(`read_piecewise`) all come from `integrate`, which owns the snap rule,
+the lag-image rule and the history convention; this module reads neither
+the forcing nor phi of a spec.
 Quadrature panels are split at every jump point (s -> X(t,s) jumps there,
 with left limit X(t,tau_j) B_j, which `_panel_sum` alone applies), at
 every table breakpoint of the forcing and the coefficients, at the images
@@ -25,7 +29,8 @@ of phi's breakpoints, and at the backward lag images a - theta_i and
 a - theta_i - theta_l (all pairs) of the targets, jump points and
 coefficient breaks a, where the rows have derivative jumps, so each panel
 has a smooth integrand evaluated with one-sided limits at its endpoints.
-All targets share one integrand and one product with the rows.
+All targets share one integrand table, read on both sides at each node,
+and one product with the rows.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .integrate import (
     quadrature_nodes,
     read_piecewise,
     solve,
+    source_table,
 )
 
 __all__ = [
@@ -53,42 +59,22 @@ __all__ = [
 ]
 
 
-def _phi_rows(phi, zetas: np.ndarray, side: str, dim: int) -> np.ndarray:
-    """phi evaluated at zetas with the zero extension phi(zeta) = 0, zeta >= 0.
-
-    On the left side a zeta that snaps to 0 means the limit from below,
-    which for a piecewise-constant history is its last piece.
-    """
-    zetas = np.where(locate(np.zeros(1), zetas) >= 0, 0.0, zetas)
-    vals = read_piecewise(phi, np.minimum(zetas, 0.0), side, dim)
-    zero = zetas >= 0.0 if side == "right" else zetas > 0.0
-    return np.where(zero[:, None], 0.0, vals)
-
-
-def _integrand(spec: SystemSpec, nodes: np.ndarray, side: str) -> np.ndarray:
-    """r(s) - sum_i A_i(s) phi(s - theta_i) at the nodes, on one side."""
-    return read_piecewise(spec.forcing, nodes, side, spec.dim) - sum(
-        np.einsum("sij,sj->si", read_piecewise(term.coefficient, nodes, side),
-                  _phi_rows(spec.phi, nodes - term.delay.theta, side,
-                            spec.dim))
-        for term in spec.terms if term.delay.theta > 0.0)
-
-
 def _panel_sum(spec: SystemSpec, nodes: np.ndarray, rows: np.ndarray,
-               jump_nodes: dict, last, g_right: np.ndarray,
-               g_left: np.ndarray) -> np.ndarray:
+               jump_nodes: dict, last, g) -> np.ndarray:
     """Composite trapezoid of s -> X(t,s) g(s) over nodes[0..last[k]] for
     every target k at once.
 
-    `rows, jump_nodes` are what `kernel_rows` returns; `g_right[i]` and
-    `g_left[i]` are the one-sided values of g at node i.  At a jump node
-    tau_j the left limit of the integrand is X(t,tau_j - 0) g =
-    X(t,tau_j) (B_j g), so B_j goes into g_left there.  Panels use the
-    right values at their left endpoint and the left values at their right
-    endpoint, which is exact up to O(h^2) on each smooth piece.
+    `rows, jump_nodes` are what `kernel_rows` returns; `g` is a
+    piecewise-constant VectorTable (or None for zero), read on both sides
+    at every node.  At a jump node tau_j the left limit of the integrand
+    is X(t,tau_j - 0) g = X(t,tau_j) (B_j g), so B_j goes into g's left
+    value there.  Panels use the right values at their left endpoint and
+    the left values at their right endpoint, which is exact up to O(h^2)
+    on each smooth piece.
     """
+    g_right = read_piecewise(g, nodes, "right", spec.dim)
+    g_left = read_piecewise(g, nodes, "left", spec.dim)
     at = list(jump_nodes)
-    g_left = g_left.copy()
     g_left[at] = np.einsum("jik,jk->ji",
                            spec.impulses.matrices[list(jump_nodes.values())],
                            g_left[at])
@@ -170,9 +156,7 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
     targets = np.array([t])
     nodes = quadrature_nodes(spec, targets, grid.dt, f.breaks)
     rows, jump_nodes = kernel_rows(spec, nodes, targets)
-    return _panel_sum(spec, nodes, rows, jump_nodes, [len(nodes) - 1],
-                      read_piecewise(f, nodes, "right"),
-                      read_piecewise(f, nodes, "left"))[0]
+    return _panel_sum(spec, nodes, rows, jump_nodes, [len(nodes) - 1], f)[0]
 
 
 def represent_solution(inp: RepresentationInput) -> np.ndarray:
@@ -192,8 +176,7 @@ def represent_solution(inp: RepresentationInput) -> np.ndarray:
     nodes = inp.quad_grid
     rows, jump_nodes = kernel_rows(spec, nodes, targets)
     out = _panel_sum(spec, nodes, rows, jump_nodes, locate(nodes, targets),
-                     _integrand(spec, nodes, "right"),
-                     _integrand(spec, nodes, "left"))
+                     source_table(spec))
     # the jump sum, with node 0 as the jump tau_0 = 0 carrying alpha_0 = x(0)
     alphas = np.concatenate((spec.x0[None],
                              spec.impulses.offsets[list(jump_nodes.values())]))

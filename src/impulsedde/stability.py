@@ -188,8 +188,8 @@ def c0_closed_form(a: float, schedule: ImpulseSchedule, s: float,
     impulses multiplying on the left, composing the jump maps along the
     flow; it is the identity when no jump point falls in (s, t].
     """
-    if s > t:
-        raise ValueError(f"s={s} > t={t}")
+    if not s <= t:
+        raise ValueError(f"need s <= t, got s={s}, t={t}")
     out = np.eye(schedule.dim)
     lo = int(np.searchsorted(schedule.points, s, side="right"))
     hi = int(np.searchsorted(schedule.points, t, side="right"))
@@ -212,13 +212,13 @@ def c0_estimate(schedule: ImpulseSchedule, s: float, t: float,
     min(1, (1/gamma) exp[(ln gamma / rho)(t-s)]), since gaps of at most rho
     only guarantee floor((t-s)/rho) jumps in (s, t].
     """
-    if s > t:
-        raise ValueError(f"s={s} > t={t}")
+    if not s <= t:
+        raise ValueError(f"need s <= t, got s={s}, t={t}")
     if not (0.0 < zeta <= rho):
         raise ValueError(f"need 0 < zeta <= rho, got zeta={zeta}, rho={rho}")
     gamma = float(mat_norm(schedule.matrices).max(initial=0.0))
-    if gamma >= 1.0:
-        raise ValueError(f"bound inapplicable: gamma={gamma} >= 1")
+    if not gamma < 1.0:
+        raise ValueError(f"bound inapplicable: need gamma < 1, got {gamma}")
     alpha = math.inf if gamma == 0.0 else -math.log(gamma) / zeta
     if t - s > rho:
         return math.exp(-alpha * (t - s))

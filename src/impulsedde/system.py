@@ -252,9 +252,9 @@ def evaluate_delay(term: DelayTerm, t: float) -> float:
     """Delayed argument h(t) of a term; always <= t on its domain."""
     if isinstance(term.delay, ConstantLag):
         return t - term.delay.theta
-    if t < term.delay.c:
+    if not t >= term.delay.c:
         raise ValueError(
-            f"frozen-time delay h(t) = {term.delay.c} queried at t = {t} < c; "
+            f"frozen-time delay h(t) = {term.delay.c} queried at t = {t}; "
             "the equation requires h(t) <= t")
     return term.delay.c
 
@@ -279,7 +279,7 @@ def periodic_count(period: float, horizon: float, dim: int) -> int:
 
 def count_impulses(schedule: ImpulseSchedule, s: float, t: float) -> int:
     """i(t, s): number of jump points in the closed segment [s, t]."""
-    if s > t:
+    if not s <= t:
         raise ValueError(f"count_impulses needs s <= t, got s={s}, t={t}")
     lo = int(np.searchsorted(schedule.points, s, side="left"))
     hi = int(np.searchsorted(schedule.points, t, side="right"))

@@ -120,6 +120,42 @@ def test_history_reads_at_lag_images_of_phi_breaks_take_the_next_piece():
         assert got == pytest.approx(exact, abs=1e-13)
 
 
+@pytest.mark.parametrize("make", [multi_piece_history, two_off_lattice_lags])
+def test_source_table_holds_forcing_minus_history_reads_per_piece(make):
+    # g = r - sum_i A_i phi(. - theta_i), phi = 0 on [0, inf), read by the
+    # tables' own `value` at each piece's midpoint; phi's breaks b enter
+    # as fl(b + theta), which need not round-trip to b
+    spec = make()
+    g = integrate.source_table(spec)
+    lags = [term.delay.theta for term in spec.terms]
+    images = [b + theta for b in spec.phi.breaks for theta in lags]
+    assert g.breaks[0] == 0.0 and g.breaks[-1] < spec.horizon
+    assert set(lags + [b for b in images if b >= 0.0]) <= set(g.breaks)
+    mids = 0.5 * (g.breaks + np.append(g.breaks[1:], spec.horizon))
+    for mid, got in zip(mids, g.values):
+        want = (np.zeros(1) if spec.forcing is None
+                else spec.forcing.value(mid))
+        for term in spec.terms:
+            theta = term.delay.theta
+            if mid < theta:
+                want = want - term.coefficient @ spec.phi.value(mid - theta)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-15)
+    # constant on every panel of the quadrature grid: the left value at
+    # node i + 1 is the right value at node i
+    nodes = integrate.quadrature_nodes(spec, np.array([spec.horizon]), 1e-2)
+    assert np.array_equal(read_piecewise(g, nodes[1:], "left"),
+                          read_piecewise(g, nodes[:-1], "right"))
+
+
+def test_source_table_is_none_without_forcing_or_lagged_history_reads():
+    # phi is set, but a zero lag and a frozen time never read it
+    spec = SystemSpec(dim=1,
+                      terms=[DelayTerm(np.array([[1.0]]), ConstantLag(0.0)),
+                             DelayTerm(np.array([[0.5]]), FrozenTime(0.0))],
+                      phi=VectorTable([-1.0], [[0.5]]), x0=[1.0], horizon=1.0)
+    assert integrate.source_table(spec) is None
+
+
 def test_queries_beyond_horizon_raise():
     traj = solve(_decay(horizon=1.0), StepControl(0.1))
     with pytest.raises(ValueError):

@@ -81,10 +81,15 @@ def test_panel_sums_apply_the_jump_matrices_at_the_jump_nodes():
     full = rows.copy()
     for i, k in jump_nodes.items():
         full[:, i] = rows[:, i] @ spec.impulses.matrices[k]
-    g_r = read_piecewise(spec.phi, nodes, "right", 2) + nodes[:, None]
-    g_l = read_piecewise(spec.phi, nodes, "left", 2) - nodes[:, None]
+    # an integrand table with a break at every node, so that its left and
+    # right values differ at each one
+    g = VectorTable(nodes, read_piecewise(spec.phi, nodes, "right", 2)
+                    + np.cos(7.0 * nodes)[:, None])
+    g_r = read_piecewise(g, nodes, "right")
+    g_l = read_piecewise(g, nodes, "left")
+    assert np.all(g_r[1:] != g_l[1:])
     last = np.searchsorted(nodes, targets)
-    got = _panel_sum(spec, nodes, rows, jump_nodes, last, g_r, g_l)
+    got = _panel_sum(spec, nodes, rows, jump_nodes, last, g)
     assert got.shape == (3, 2)
     for row, i_hi in enumerate(last):
         h = np.diff(nodes[:i_hi + 1])

@@ -188,6 +188,13 @@ def test_c0_closed_form_orders_noncommuting_factors():
     npt.assert_allclose(got, B2 @ B1, atol=0)  # latest factor leftmost
 
 
+def test_c0_closed_form_rejects_reversed_and_nan_segments():
+    sched = ImpulseSchedule([1.0, 2.0], [[[0.5]], [[0.5]]], None, 1)
+    for s, t in ((2.0, 1.0), (math.nan, 1.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="s <= t"):
+            c0_closed_form(1.0, sched, s, t)
+
+
 def test_c0_estimate_values_and_threshold():
     sched = ImpulseSchedule.periodic(1.0, [[0.5]], horizon=10.0, dim=1)
     assert c0_estimate(sched, 0.0, 0.5, zeta=1.0, rho=1.0) == 1.0
@@ -199,6 +206,9 @@ def test_c0_estimate_rejects_noncontracting_jumps():
     sched = ImpulseSchedule([1.0], [[[1.0]]], None, 1)
     with pytest.raises(ValueError, match="inapplicable"):
         c0_estimate(sched, 0.0, 2.0, zeta=1.0, rho=1.0)
+    nan_jump = ImpulseSchedule([1.0], [[[math.nan]]], None, 1)
+    with pytest.raises(ValueError, match="inapplicable"):
+        c0_estimate(nan_jump, 0.0, 2.0, zeta=1.0, rho=1.0)
 
 
 def test_c0_estimate_validates_gap_parameters():
@@ -207,6 +217,9 @@ def test_c0_estimate_validates_gap_parameters():
         c0_estimate(sched, 0.0, 2.0, zeta=2.0, rho=1.0)
     with pytest.raises(ValueError):
         c0_estimate(sched, 2.0, 1.0, zeta=1.0, rho=1.0)
+    for s, t in ((math.nan, 3.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="s <= t"):
+            c0_estimate(sched, s, t, zeta=1.0, rho=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,10 @@ def test_frozen_argument_is_constant_and_guards_domain():
     assert evaluate_delay(term, 3.0) == 1.0
     with pytest.raises(ValueError):
         evaluate_delay(term, 0.5)
+    # NaN fails the positive domain test t >= c rather than passing a
+    # negative one
+    with pytest.raises(ValueError):
+        evaluate_delay(DelayTerm(np.eye(1), FrozenTime(0.5)), math.nan)
 
 
 def test_periodic_schedule_expands_to_horizon():
@@ -142,6 +146,10 @@ def test_count_impulses_rejects_reversed_segment():
     sched = ImpulseSchedule.empty(1)
     with pytest.raises(ValueError):
         count_impulses(sched, 2.0, 1.0)
+    two = ImpulseSchedule([1.0, 2.0], [[[0.5]], [[0.5]]], None, 1)
+    for s, t in ((math.nan, 1.5), (0.5, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="s <= t"):
+            count_impulses(two, s, t)
 
 
 # ---------------------------------------------------------------------------

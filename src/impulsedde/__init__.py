@@ -13,90 +13,21 @@ with piecewise-constant data and the max-norm throughout:
 * `stability`: a-priori envelopes and an executable exponential-stability
                certificate,
 * `cli`:       the `impulsedde` command-line front end.
+
+A name is public if and only if it is in its module's `__all__`; the
+package re-exports exactly those.  A name without an underscore outside
+every `__all__` (`require_valid`, `kernel_rows`, ...) is shared between
+modules but not exported.
 """
 
-from .system import (
-    ConstantLag,
-    DelayTerm,
-    FrozenTime,
-    HypothesesReport,
-    ImpulseSchedule,
-    MatrixTable,
-    SystemSpec,
-    VectorTable,
-    count_impulses,
-    evaluate_delay,
-    hypotheses_report,
-    mat_norm,
-    validate,
-    vec_norm,
-)
-from .integrate import (
-    FundamentalMatrix,
-    NumericalError,
-    StepControl,
-    Trajectory,
-    fundamental_grid,
-    fundamental_matrix,
-    solve,
-)
-from .represent import (
-    RepresentationInput,
-    cauchy_apply,
-    represent_solution,
-    representation_residual,
-    representation_residuals,
-)
-from .stability import (
-    RateEstimate,
-    StabilityCertificate,
-    c0_closed_form,
-    c0_estimate,
-    certify,
-    estimate_rate,
-    gronwall_bound,
-)
-from .cli import RunConfig, dump_spec, load_spec, run
+from . import system, integrate, represent, stability, cli
+from .system import *
+from .integrate import *
+from .represent import *
+from .stability import *
+from .cli import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ConstantLag",
-    "DelayTerm",
-    "FrozenTime",
-    "HypothesesReport",
-    "ImpulseSchedule",
-    "MatrixTable",
-    "SystemSpec",
-    "VectorTable",
-    "count_impulses",
-    "evaluate_delay",
-    "hypotheses_report",
-    "mat_norm",
-    "validate",
-    "vec_norm",
-    "FundamentalMatrix",
-    "NumericalError",
-    "StepControl",
-    "Trajectory",
-    "fundamental_grid",
-    "fundamental_matrix",
-    "solve",
-    "RepresentationInput",
-    "cauchy_apply",
-    "represent_solution",
-    "representation_residual",
-    "representation_residuals",
-    "RateEstimate",
-    "StabilityCertificate",
-    "c0_closed_form",
-    "c0_estimate",
-    "certify",
-    "estimate_rate",
-    "gronwall_bound",
-    "RunConfig",
-    "dump_spec",
-    "load_spec",
-    "run",
-    "__version__",
-]
+__all__ = [*system.__all__, *integrate.__all__, *represent.__all__,
+           *stability.__all__, *cli.__all__, "__version__"]

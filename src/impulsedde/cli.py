@@ -57,12 +57,10 @@ from .represent import representation_residuals
 from .stability import certify, estimate_rate, gronwall_grid
 
 __all__ = [
-    "SchemaError",
     "RunConfig",
     "load_spec",
     "dump_spec",
     "run",
-    "main",
 ]
 
 EXIT_OK = 0
@@ -162,8 +160,6 @@ def _impulses(x, path: str, n: int, horizon: float) -> ImpulseSchedule:
         _check_keys(p, f"{path}.periodic", required=("period", "matrix"),
                     optional=("offset",))
         period = _num(p["period"], f"{path}.periodic.period")
-        if period <= 0:
-            raise SchemaError(f"{path}.periodic.period", "must be positive")
         try:
             periodic_count(period, horizon, n)
         except ValueError as e:

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system import FrozenTime, SystemSpec, VectorTable, require_valid
+from .system import (FrozenTime, SystemSpec, VectorTable, field_problems,
+                     require_valid)
 from .integrate import (
     StepControl,
     kernel_rows,
@@ -133,7 +134,10 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
                  grid: StepControl = StepControl()) -> np.ndarray:
     """The Cauchy operator (Cf)(t) = int_0^t X(t,s) f(s) ds.
 
-    `f` is a piecewise-constant VectorTable on [0, t] (or None for zero).
+    `f` is a piecewise-constant VectorTable on [0, t] (or None for zero),
+    held to the rule `validate` applies to a spec's forcing: one finite
+    value of width dim per break, and finite, strictly increasing breaks;
+    a table that breaks it raises ValueError naming what is wrong.
     The spec contributes only its dynamics and jump matrices; its own
     forcing, history and offsets do not enter.  A frozen-time term at c = 0
     changes X(t, s) only at s = 0, a null set for the integral; c > 0 is
@@ -146,10 +150,9 @@ def cauchy_apply(spec: SystemSpec, f, t: float,
         return np.zeros(spec.dim)
     if not isinstance(f, VectorTable):
         raise TypeError("f must be a VectorTable or None")
-    if f.values.shape[1:] != (spec.dim,):
-        raise ValueError("forcing table dimension mismatch")
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("forcing table is not bounded")
+    problems = field_problems("f", f, (spec.dim,))
+    if problems:
+        raise ValueError("; ".join(problems))
     if t == 0.0:
         return np.zeros(spec.dim)
 

@@ -40,7 +40,6 @@ __all__ = [
     "validate",
     "evaluate_delay",
     "count_impulses",
-    "periodic_count",
     "hypotheses_report",
 ]
 
@@ -264,10 +263,13 @@ def periodic_count(period: float, horizon: float, dim: int) -> int:
     `ImpulseSchedule.periodic` expands them; none for a negative horizon,
     which `validate` then names.
 
-    Raises ValueError, naming the period, when horizon / period is not
-    finite or when the expanded points, matrices and offsets would take
+    Raises ValueError("must be positive, got ...") unless period > 0 (NaN
+    included), and ValueError, naming the period, when horizon / period is
+    not finite or when the expanded points, matrices and offsets would take
     more than np.iinfo(np.intp).max bytes, count * 8 * (1 + n + n^2).
     """
+    if not period > 0:
+        raise ValueError(f"must be positive, got {period!r}")
     ratio = horizon / period
     count = max(0, math.floor(ratio + 1e-12)) if math.isfinite(ratio) else 0
     if (not math.isfinite(ratio)
@@ -315,11 +317,12 @@ def schedule_gaps(schedule: ImpulseSchedule,
     return float(gaps.min()), float(gaps.max())
 
 
-def _field_problems(name: str, value, shape: tuple) -> list[str]:
+def field_problems(name: str, value, shape: tuple) -> list[str]:
     """What is wrong with one array field of a spec.  It must be None
     (zero), a finite constant of `shape`, or (a coefficient, the forcing or
     phi) a non-empty table with one finite value of `shape` per break and
-    finite, strictly increasing breaks."""
+    finite, strictly increasing breaks.  `cauchy_apply` holds its forcing
+    table to the same rule; the name is shared, not exported."""
     if value is None:
         return []
     if not isinstance(value, _Table):
@@ -353,7 +356,7 @@ def validate(spec: SystemSpec) -> list[str]:
         bad.append(f"horizon: must be positive and finite, got {spec.horizon}")
 
     for i, term in enumerate(spec.terms):
-        bad += _field_problems(f"terms[{i}].coefficient", term.coefficient, (n, n))
+        bad += field_problems(f"terms[{i}].coefficient", term.coefficient, (n, n))
         d = term.delay
         if isinstance(d, ConstantLag):
             if not (math.isfinite(d.theta) and d.theta >= 0):
@@ -373,10 +376,10 @@ def validate(spec: SystemSpec) -> list[str]:
         bad.append("impulses.points: not strictly increasing")
     if not np.all(np.isfinite(sch.points)):
         bad.append("impulses.points: non-finite entries")
-    bad += _field_problems("impulses.matrices", sch.matrices, (len(sch), n, n))
-    bad += _field_problems("impulses.offsets", sch.offsets, (len(sch), n))
-    bad += _field_problems("forcing", spec.forcing, (n,))
-    phi_bad = _field_problems("phi", spec.phi, (n,))
+    bad += field_problems("impulses.matrices", sch.matrices, (len(sch), n, n))
+    bad += field_problems("impulses.offsets", sch.offsets, (len(sch), n))
+    bad += field_problems("forcing", spec.forcing, (n,))
+    phi_bad = field_problems("phi", spec.phi, (n,))
     bad += phi_bad
 
     delta = spec.max_lag()
@@ -387,7 +390,7 @@ def validate(spec: SystemSpec) -> list[str]:
         if spec.phi.breaks[-1] >= 0:
             bad.append("phi: table breaks must lie below 0 (phi is the history on (-inf, 0))")
 
-    return bad + _field_problems("x0", spec.x0, (n,))
+    return bad + field_problems("x0", spec.x0, (n,))
 
 
 def require_valid(spec: SystemSpec) -> None:

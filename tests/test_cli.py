@@ -212,6 +212,9 @@ def _periodic(period, matrix=((0.5,),)):
     (_periodic(1e-300), "impulses.periodic.period: too small"),
     # a count that fits an index, but whose arrays would not fit in memory
     (_periodic(1e-18), "impulses.periodic.period: too small"),
+    # the positive-period rule is the library's, in `periodic_count`
+    (_periodic(0), "impulses.periodic.period: must be positive"),
+    (_periodic(-1.0), "impulses.periodic.period: must be positive"),
 ])
 def test_configs_the_gate_refuses_exit_4_naming_the_field(cfg, field, tmp_path,
                                                           capsys):

@@ -123,6 +123,20 @@ def test_cauchy_rejects_wrong_width_forcing():
         cauchy_apply(_plain_decay(), f, 1.0)
 
 
+@pytest.mark.parametrize("breaks, values, problem", [
+    ([1.0, 0.0], [[1.0], [2.0]], "f: table breaks not strictly increasing"),
+    ([0.0, math.nan], [[1.0], [2.0]], "f: non-finite table breaks"),
+    ([0.0, 1.0, 1.0], [[1.0], [2.0], [3.0]],
+     "f: table breaks not strictly increasing"),
+    ([0.0, 1.0], [[1.0], [math.inf]], "f: non-finite entries"),
+])
+def test_cauchy_rejects_malformed_forcing_tables(breaks, values, problem):
+    # the rule `validate` applies to a spec's forcing; these breaks once
+    # gave a value with no error
+    with pytest.raises(ValueError, match=problem):
+        cauchy_apply(_plain_decay(), VectorTable(breaks, values), 1.0)
+
+
 def test_cauchy_rejects_targets_outside_domain():
     f = VectorTable([0.0], [[1.0]])
     with pytest.raises(ValueError):

@@ -128,6 +128,12 @@ def test_periodic_schedule_refuses_a_period_too_small_to_expand(period,
         ImpulseSchedule.periodic(period, [[0.5]], horizon=horizon)
 
 
+@pytest.mark.parametrize("period", [-1.0, 0.0, math.nan])
+def test_periodic_schedule_refuses_a_period_that_is_not_positive(period):
+    with pytest.raises(ValueError, match=f"must be positive, got {period!r}"):
+        ImpulseSchedule.periodic(period, [[0.5]], horizon=10.0)
+
+
 def test_periodic_schedule_on_a_negative_horizon_has_no_points():
     # validate, not the expansion, refuses the horizon
     sched = ImpulseSchedule.periodic(1.0, [[0.5]], horizon=-3.0)

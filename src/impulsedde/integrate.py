@@ -27,11 +27,11 @@ of fewer than `_SHORT_LAG` steps does not cut the windows: its reads stay
 within the last few nodes, whose ring rows, y and one f each, form a
 lifted state that evolves by one affine map over a run of like steps
 (`_lift_runs`, `_lift_scan`), so the windows end at the smallest long
-lag; the runs stop at the nodes whose two sides can differ.  Before its
-first step a sweep searches its grid once, at the lag images of its
-nodes, events and coefficient breaks (`_reach`): that gives the depth of
-its history ring, its longest window, and the nodes whose two sides can
-differ, which alone take slots of a small left store, in turn.
+lag; the runs stop at the nodes with two sides.  Before its first step
+a sweep searches its grid once, at the lag images of its nodes, events
+and coefficient breaks (`_reach`): that gives the depth of its history
+ring, its longest window, and the nodes with two sides, which alone take
+slots of a small left store, in turn; no later step changes that set.
 
 This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`, one search
@@ -298,7 +298,8 @@ def quadrature_nodes(spec: SystemSpec, targets: np.ndarray, dt: float,
     images a - u for u in `_image_shifts` (a - theta_i and
     a - theta_i - theta_l over all pairs), where a row or its first two
     derivatives may jump; they are pinned, with `extra_breaks`, as exact
-    nodes of the `solve` grid.
+    nodes of the `solve` grid, those in [0, max target] only
+    (`_collect_breaks` drops the rest).
     """
     t_end = float(targets[-1])
     anchors = [targets, spec.impulses.points]
@@ -308,7 +309,6 @@ def quadrature_nodes(spec: SystemSpec, targets: np.ndarray, dt: float,
                                _image_shifts(_positive_lags(spec)))
     extra = np.unique(np.concatenate(
         (np.asarray(extra_breaks, dtype=float), images.ravel())))
-    extra = extra[(extra >= 0.0) & (extra <= t_end)]
     nodes, _ = _prepare_grid(spec, 0.0, t_end, dt, extra=extra)
     return nodes
 
@@ -562,22 +562,25 @@ def _reach(nodes: np.ndarray, thetas: np.ndarray, long: np.ndarray,
            events: np.ndarray, coef_breaks: np.ndarray, cap: int,
            dense: bool) -> tuple:
     """(D, wmax, cand): the ring depth, the longest window and the sorted
-    nodes that may get two sides (`_Sweep.side`), from one search of the
-    grid at the lag images of its nodes, events and coefficient breaks.
+    nodes with two sides (`_Sweep.side`), from one search of the grid at
+    the lag images of its nodes, events and coefficient breaks.  This is
+    the one place that decides which nodes have two sides.
 
     At step k the oldest node a read takes is the last one at or before
     t_k - theta, theta the largest lag: D is the widest such reach plus
-    three slots, which `_plan` checks.  A window from node a ends before
-    the first step whose end read, at t_{k+1} - theta, theta the smallest
-    long lag, lies past node a, so it holds at most the nodes up to
-    t_a + theta, one more where a read snaps to node a, and one more where
-    two nodes sit within a snap window; wmax is the fewer of that and
-    `cap`, and any span of theta holds at least theta / h steps, h the
-    longest step, so a cap below that needs no search.  The candidates are
-    the events, the nodes whose read snaps to an event (one per event and
-    lag, among the nodes around the event's image, by `locate`) and the
-    node after each coefficient break's step mid, by `_plan`'s own
-    arithmetic.  A dense sweep's ring and candidates are every node.
+    three slots, which `_plan` checks; a dense sweep's ring holds every
+    node, D = K + 1.  A window from node a ends before the first step
+    whose end read, at t_{k+1} - theta, theta the smallest long lag, lies
+    past node a, so it holds at most the nodes up to t_a + theta, one more
+    where a read snaps to node a, and one more where two nodes sit within
+    a snap window; wmax is the fewer of that and `cap`, and any span of
+    theta holds at least theta / h steps, h the longest step, so a cap
+    below that needs no search.  The nodes with two sides are the events,
+    the nodes whose read snaps to an event (one per event and lag, among
+    the nodes around the event's image, by `locate`, as `_plan` reads
+    them) and, among the nodes 1 .. K - 1, the node after each
+    coefficient break's step mid: there the steps on either side take
+    different coefficients.
     """
     K = len(nodes) - 1
     back = nodes[:K] - thetas.max() if len(thetas) and not dense else nodes[:0]
@@ -588,24 +591,21 @@ def _reach(nodes: np.ndarray, thetas: np.ndarray, long: np.ndarray,
     back, ahead, near, i = np.split(
         np.searchsorted(nodes, np.concatenate(us), side="right"),
         np.cumsum([len(u) for u in us[:-1]]))
-    D = int(np.max(np.arange(len(back)) - np.maximum(back - 1, 0),
-                   initial=-1)) + 3
+    D = K + 1 if dense else int(np.max(
+        np.arange(len(back)) - np.maximum(back - 1, 0), initial=-1)) + 3
     wmax = min(cap, int(np.max(ahead - np.arange(K))) + 1) if wide else cap
-    if dense:
-        # every node, as a range, which allocates nothing before the
-        # sweep's memory estimate
-        return K + 1, wmax, range(K + 1)
     # a right-sided search lands at most one node past the left-sided one,
     # so these five nodes hold the four around each image
     k = np.clip(near.reshape(len(events), len(thetas), 1) + np.arange(-3, 2),
                 0, K)
     hit = locate(nodes, nodes[k] - thetas[:, None])
     snaps = events.take(np.searchsorted(events, hit), mode="clip") == hit
-    # the node after each coefficient break's step mid, as `_plan` finds it
+    # the node after each coefficient break's step mid, by `_plan`'s mids
     j = np.clip(i, 1, K)
     mids = nodes[j - 1] + 0.5 * (nodes[j] - nodes[j - 1])
+    j -= mids > coef_breaks
     return D, wmax, np.unique(np.concatenate(
-        (events, k[snaps], np.maximum(j - (mids > coef_breaks), 0))))
+        (events, k[snaps], j[(j > 0) & (j < K)])))
 
 
 def _read_plan(nodes: np.ndarray, us: np.ndarray):
@@ -702,15 +702,19 @@ class _Sweep:
     `rows_of` holds, in this order, the history ring `H`, two rows per
     slot (y_post, f_right), the zero rows and the snapshot row, and the
     left store `store`, two rows per slot (y_pre, f_left) for the nodes
-    whose sides can differ, so that one gather serves every read.
+    with two sides, so that one gather serves every read.
     `left_row` maps each node to the first row of its store slot, or to -1:
-    the candidates of `_reach` take the slots in turn, and no span of the
-    ring's reach holds more candidates than the store has slots
+    the two-sided nodes of `_reach` take the slots in turn, and no span of
+    the ring's reach holds more of them than the store has slots
     (`_batch_columns`).  `side` codes each node by the rows its left
     limits take: 0, none (they are its right ones); 1, f_left, at the
-    nodes where a coefficient changes or a delayed read snaps to an event
-    (`_plan`); 3, y_pre and f_left, at the events, jumps and activations.
-    It holds one code past node K.
+    other nodes of `_reach`, where a coefficient changes or a delayed read
+    snaps to an event; 3, y_pre and f_left, at the jumps and the chunk's
+    activations, so a node after `k_start` is an event exactly where its
+    code is 3.  The codes are set here, once per chunk, before the first
+    step, and `tk` lists the nodes with two sides; a node of another
+    chunk's activations takes code 1, its f_left then equal to its
+    f_right up to rounding.  It holds one code past node K.
     """
 
     def __init__(self, shared: dict, c0: int, c1: int):
@@ -736,9 +740,15 @@ class _Sweep:
                              _width(self, s)) for s in self.s_list}
         self.events = sorted(j for j in set(self.activate) | set(self.jumps)
                              if j > self.k_start)
-        self.is_event = set(self.events)
         self.side = np.zeros(len(self.nodes) + 1, dtype=np.int8)
+        self.side[self.cand] = 1
         self.side[list(self.jumps) + self.s_list] = 3
+        miss = np.flatnonzero(self.side[:-1] & (self.left_row < 0))
+        if len(miss):
+            # `_reach` gives both the sides and the store's slots, so this
+            # is an internal error, kept under python -O
+            raise RuntimeError(f"left store misses node {miss[0]}")
+        self.tk = np.flatnonzero(self.side).tolist()
 
 
 def _width(st: _Sweep, j: int) -> int:
@@ -747,11 +757,14 @@ def _width(st: _Sweep, j: int) -> int:
 
 
 def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
-    """The events of node j, whose slot holds its pre-jump value: the
-    forward order's jump, and every activation, snapshot, sample and
-    reflected jump."""
+    """The events of node j, whose slot holds its pre-jump value: that
+    value, stored as y_pre in its slot of the left store, then the forward
+    order's jump, and every activation, snapshot, sample and reflected
+    jump.  The one handler of an event node, at the sweep's start and at
+    the end of the window or lifted run that reaches it."""
     n, m, Sc = st.n, st.m, st.Sc
     y = st.H[slot, _Y_POST]
+    st.rows_of[st.left_row[j] + _Y_PRE] = y
     B = st.jumps.get(j)
     if B is not None and not st.reflected:
         Wm = _width(st, j - 1) * m
@@ -822,9 +835,10 @@ def _plan(st: _Sweep, p0: int, p1: int):
     p0 .. p1 (node K takes step K - 1's), so that a node's read and
     derivative take those of the step it starts; the RK4 maps P - I and
     G; the rows and weights (w + 1, nt, 4) of the left reads, held only
-    at the block's nodes with two sides (`_Sweep.side`, listed in
-    `_Sweep.tk`); the node each step's reads need, and the same over
-    long reads alone; and the lifted runs (`_lift_runs`).
+    at the block's nodes with two sides (`_Sweep.side`, set before the
+    first step, which `_plan` only reads); the node each step's reads
+    need, and the same over long reads alone; and the lifted runs
+    (`_lift_runs`).
 
     A node's read serves the step it ends and the step it starts, so each
     lag's 2 w + 1 reads take one `_read_plan` call; a left read shares the
@@ -843,19 +857,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
          if st.zero_lag else None)
     us = np.stack((t, mids), axis=1)[:, :, None] - st.thetas
     plan = _read_plan(st.nodes, us.ravel()[:Nr])
-    # the two sides of a node differ where a read snaps to an event, or
-    # where a coefficient table breaks
-    exact = plan[0].reshape(2 * w + 1, L)[2::2]
-    two = ((st.side[exact] > 1) & (exact >= 0)).any(axis=1)
-    st.side[p0 + 1:p1 + 1] |= two | (np.diff(np.searchsorted(
-        st.coef_breaks, mids)) > 0)
     lk = np.flatnonzero(st.side[p0 + 1:p1 + 1]) + 1
-    miss = lk[st.left_row[lk + p0] < 0] + p0
-    if len(miss):
-        # the candidates bound every node with two sides, so this is an
-        # internal error, kept under python -O
-        raise RuntimeError(f"left store misses node {miss[0]}")
-    st.tk = (lk + p0).tolist()
     # each node's read and its step's mid read (node K's is empty), and
     # the left reads of the nodes with two sides
     right = _read_rows(st, plan, False)
@@ -928,8 +930,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
                  for x in (rows, wts))
     ks = np.arange(p0, p0 + w)
     oldest = ready[:, :, sh].min(axis=(1, 2)) - 1
-    # the start node and the nodes with two sides, `_plan` having marked
-    # the block's
+    # the start node and the nodes with two sides
     starts = np.flatnonzero(st.side[:p0 + w])
     last = starts[np.searchsorted(starts, ks, side="right") - 1]
     ok = (last < oldest) & (ks - oldest <= st.r_max)
@@ -1144,7 +1145,8 @@ def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
 def _window(st: _Sweep, a: int, b: int, pl) -> None:
     """Steps a .. b - 1, whose nodes take the consecutive ring slots from
     a % R on (`_sums`): y_post and f_right at every node, and in the left
-    store y_pre at the events and f_left at the nodes with two sides."""
+    store f_left at the nodes with two sides; each event it reaches goes
+    to `_at_node`, which stores its y_pre."""
     M, P = pl[3], pl[4]
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
@@ -1170,8 +1172,7 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
             np.matmul(D, y, out=seg)
             seg += C
             seg += y
-        if a + e in st.is_event:
-            st.rows_of[st.left_row[a + e] + _Y_PRE, :, :Wm] = yp[sa + e]
+        if st.side[a + e] == 3:
             _at_node(st, a + e, sa + e, False)
         u = e
     # node a's f_right came with the window before, unless it has two sides
@@ -1194,8 +1195,8 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     writes y and f of the nodes a + 1 .. b into their ring rows: f is the
     derivative a step ends with, which the next step would start with up
     to rounding, as no node before b has two sides.  Node b may have
-    them: its f_left goes to the left store, and the window after it
-    gives its f_right."""
+    them: its f_left goes to the left store, an event there goes to
+    `_at_node`, and the window after it gives its f_right."""
     M, pl = pl[3], list(pl)
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
@@ -1216,8 +1217,7 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     H[sa + 1:sa + w + 1, :, :, :Wm] = C
     for k in two:
         st.rows_of[st.left_row[a + k] + _F_LEFT, :, :Wm] = C[k - 1, 1]
-    if b in st.is_event:
-        st.rows_of[st.left_row[b] + _Y_PRE, :, :Wm] = C[-1, 0]
+    if st.side[b] == 3:
         _at_node(st, b, sa + w, False)
     _tail(st, a, b)
 
@@ -1274,16 +1274,16 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     (`_lift_runs`, `_lifted`), so its windows end at the smallest long
     lag.  Each chunk of columns runs on its own `_Sweep`.
 
-    One search of the grid at its lag images (`_reach`) sizes the sweep:
+    One search of the grid at its lag images (`_reach`) sizes the sweep
+    and decides, before the first step, which nodes have two sides:
     the ring holds the deepest delayed read, and a window past its end
     writes on into spare slots; a window holds at most `_WINDOW_BYTES` of
     buffers and the longest window the smallest long lag allows; the
-    nodes that may get two sides take the store's slots in turn.  With
-    `dense` every node is such a node, and the ring and the store hold
-    every node and are the dense output (y_post, y_pre, f_right, f_left),
-    each (K+1, S, n, m), returned in place of the samples
-    (`Trajectory`); the nodes with one side get their left limits in one
-    copy at the end.
+    nodes with two sides take the store's slots in turn.  With `dense`
+    the ring and the store hold every node and are the dense output
+    (y_post, y_pre, f_right, f_left), each (K+1, S, n, m), returned in
+    place of the samples (`Trajectory`); the nodes with one side get
+    their left limits in one copy at the end.
 
     One estimate of the bytes the sweep holds at once sizes its chunks of
     columns, at least 16 (a dense sweep must fit one), within `mem_cap`;
@@ -1342,10 +1342,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     slots = R + spare + 3
     zero_row = 2 * (R + spare)
     # the left store: a read reaches fewer than D nodes back and a window
-    # writes at most wmax nodes ahead, so the candidates whose left rows
-    # are in use at once lie within D + wmax of each other
-    Ls = len(cand) if dense else int(np.max(
-        np.searchsorted(cand, cand + D + wmax) - np.arange(len(cand))))
+    # writes at most wmax nodes ahead, so the two-sided nodes whose left
+    # rows are in use at once lie within D + wmax of each other; a dense
+    # store holds every node
+    Ls = K + 1 if dense else int(np.max(
+        np.searchsorted(cand, cand + D + wmax) - np.arange(len(cand)),
+        initial=0))
     nrows = 2 * (slots + Ls)
     # the bytes the sweep holds at once: per column, the ring and store
     # rows, the window buffers and the zero-lag scan's states, and the
@@ -1369,11 +1371,11 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                          f"{nbytes} bytes, more than the memory budget of "
                          f"{mem_cap} bytes")
 
-    # the candidates take the store's slots in turn; a dense sweep's are
-    # every node, whose range would index element by element
+    # the two-sided nodes take the store's slots in turn, every node in a
+    # dense sweep
     left_row = np.full(K + 1, -1)
-    left_row[np.arange(K + 1) if dense else cand] = (
-        2 * slots + 2 * (np.arange(len(cand)) % Ls))
+    at = np.arange(K + 1) if dense else cand
+    left_row[at] = 2 * slots + 2 * (np.arange(len(at)) % Ls)
     samples = np.zeros((len(record_indices), S, n, m))
     record_indices = np.asarray(record_indices, dtype=np.intp)
     rec_rows = np.argsort(record_indices, kind="stable")
@@ -1384,8 +1386,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
         s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
         thetas=thetas, short=short, long=long, r_max=r_max, zero_lag=zero_lag,
-        short_cols=(short[:, None] * n + np.arange(n)).ravel(),
-        coef_breaks=coef_breaks,
+        short_cols=(short[:, None] * n + np.arange(n)).ravel(), cand=cand,
         frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
         R=R, slots=slots, zero_row=zero_row, nrows=nrows, left_row=left_row,
         wmax=wmax, samples=samples, rec_nodes=rec_nodes,
@@ -1489,8 +1490,12 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
 
 def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
                      grid: StepControl = StepControl()) -> FundamentalMatrix:
-    """Sample X(t, s) on the product grid; zero-fill for t < s, also for
-    restarts s past the last t."""
+    """Sample X(t, s) on the product grid; zero-fill for t < s.
+
+    One sweep over [0, t_grid[-1]] runs the restarts s <= t_grid[-1]; a
+    restart past the last t has a zero column, filled in after the sweep
+    (which then may have no column at all).
+    """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if s_grid.size == 0 or t_grid.size == 0:
@@ -1502,18 +1507,20 @@ def fundamental_grid(spec: SystemSpec, s_grid, t_grid,
         raise ValueError("grids must lie within [0, horizon]")
     require_valid(spec)
 
-    t_end = float(max(t_grid[-1], s_grid[-1]))
+    t_end = float(t_grid[-1])
+    S = int(np.searchsorted(s_grid, t_end, side="right"))
     # each column jumps to I at its s, like x at t_start: pin its images
     images = np.add.outer(s_grid, _image_shifts(_positive_lags(spec)))
     extra = np.unique(np.concatenate((t_grid, images.ravel())))
-    extra = extra[extra <= t_end]
     hom = _curtailed(spec)
     nodes, jump_nodes = _prepare_grid(hom, 0.0, t_end, grid.dt, extra=extra)
-    s_idx, t_idx = locate(nodes, s_grid), locate(nodes, t_grid)
+    s_idx, t_idx = locate(nodes, s_grid[:S]), locate(nodes, t_grid)
     if np.any(s_idx < 0) or np.any(t_idx < 0):
         raise ValueError("grid values could not be pinned to integration nodes")
     samples = _batch_columns(hom, nodes, _jump_matrices(hom, jump_nodes),
                              s_idx, t_idx)
+    if S < len(s_grid):
+        samples = np.pad(samples, ((0, 0), (0, len(s_grid) - S), (0, 0), (0, 0)))
     samples.setflags(write=False)
     return FundamentalMatrix(s_grid=s_grid.copy(), t_grid=t_grid.copy(),
                              samples=samples)

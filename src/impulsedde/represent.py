@@ -66,24 +66,29 @@ def _panel_sum(spec: SystemSpec, nodes: np.ndarray, rows: np.ndarray,
     every target k at once.
 
     `rows, jump_nodes` are what `kernel_rows` returns; `g` is a
-    piecewise-constant VectorTable (or None for zero), read on both sides
-    at every node.  At a jump node tau_j the left limit of the integrand
-    is X(t,tau_j - 0) g = X(t,tau_j) (B_j g), so B_j goes into g's left
-    value there.  Panels use the right values at their left endpoint and
-    the left values at their right endpoint, which is exact up to O(h^2)
-    on each smooth piece.
+    piecewise-constant VectorTable (or None for zero, which integrates to
+    zero), read on both sides at every node.  At a jump node tau_j the
+    left limit of the integrand is X(t,tau_j - 0) g = X(t,tau_j) (B_j g),
+    so B_j goes into g's left value there.  Panels use the right values
+    at their left endpoint and the left values at their right endpoint,
+    which is exact up to O(h^2) on each smooth piece: node i weighs
+    h_i / 2 times its right value plus h_{i-1} / 2 times its left one.
+    The rows vanish past each target, so one product of the rows with
+    these weighted values sums every target's panels, less the half panel
+    after its own node.
     """
-    g_right = read_piecewise(g, nodes, "right", spec.dim)
-    g_left = read_piecewise(g, nodes, "left", spec.dim)
-    at = list(jump_nodes)
-    g_left[at] = np.einsum("jik,jk->ji",
-                           spec.impulses.matrices[list(jump_nodes.values())],
-                           g_left[at])
-    lo = rows[:, :-1] @ g_right[:-1, :, None]
-    lo += rows[:, 1:] @ g_left[1:, :, None]
-    w = np.where(np.arange(len(nodes) - 1) < np.asarray(last)[:, None],
-                 0.5 * np.diff(nodes), 0.0)
-    return np.einsum("ts,tsi->ti", w, lo[..., 0])
+    if g is None:
+        return np.zeros((len(last), spec.dim))
+    g_right, g_left = (read_piecewise(g, nodes, side)
+                       for side in ("right", "left"))
+    at, B = list(jump_nodes), spec.impulses.matrices[list(jump_nodes.values())]
+    g_left[at] = np.einsum("jik,jk->ji", B, g_left[at])
+    h = 0.5 * np.diff(nodes)
+    right = np.append(h, 0.0)[:, None] * g_right
+    v = right + np.append(0.0, h)[:, None] * g_left
+    out = (rows @ v[:, :, None]).sum(axis=1)
+    out -= rows[np.arange(len(last)), last] @ right[last, :, None]
+    return out[..., 0]
 
 
 @dataclass(frozen=True)

@@ -596,6 +596,17 @@ def test_fundamental_restarts_past_the_last_t_exit_0(tmp_path):
     assert all(x == 0.0 for t, s, x in rows if s == 6.0)
 
 
+def test_fundamental_restarts_all_past_the_last_t_exit_0(tmp_path):
+    # s = 5 and 6 come after every t: every column is zero
+    assert main(["fundamental", "paper-sec5-stabilize", "--dt", "0.01",
+                 "--s-grid", "5:6:1", "--t-grid", "0:4:1",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "fundamental.csv", newline="") as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 5 * 2
+    assert all(x == 0.0 for t, s, x in rows)
+
+
 def test_fundamental_default_grids_are_21_by_5(tmp_path):
     path = _write(tmp_path, "s.json", MINIMAL)
     assert run(RunConfig("fundamental", path, dt=0.01,

@@ -1110,6 +1110,25 @@ def test_fundamental_grid_zero_fills_restarts_past_the_last_t():
     assert fm.samples[:, :1].tobytes() == alone.samples.tobytes()
 
 
+def test_fundamental_grid_sweeps_no_further_than_the_last_t(monkeypatch):
+    # a restart past the last t leaves the sweep's grid ending at
+    # t_grid[-1]; a grid of such restarts alone sweeps no column there and
+    # returns zeros
+    ends, real = [], integrate._batch_columns
+
+    def spy(spec, nodes, *args, **kwargs):
+        ends.append(float(nodes[-1]))
+        return real(spec, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_batch_columns", spy)
+    spec, grid = CORPUS["scalar-stabilized-forced"](), StepControl(1e-2)
+    fm = fundamental_grid(spec, [0.0, 1.0, 3.5], [0.0, 1.0, 2.0, 3.0], grid)
+    assert ends == [3.0] and not fm.samples[:, 2].any()
+    late = fundamental_grid(spec, [3.0], [0.0, 1.0, 2.0], grid)
+    assert ends == [3.0, 2.0]
+    assert late.samples.shape == (3, 1, 1, 1) and not late.samples.any()
+
+
 def test_fundamental_matrix_requires_s_inside_domain():
     with pytest.raises(ValueError):
         fundamental_matrix(_decay(), 5.0)
@@ -1526,6 +1545,28 @@ def test_the_ring_holds_two_rows_per_node_and_the_store_its_bound(
     _, want = _three_sweeps(monkeypatch, spec, 2e-3)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name",
+                         sorted(CORPUS) + ["clustered", "short-lag"])
+def test_a_sweeps_sides_are_fixed_before_its_first_step(monkeypatch, name):
+    # `_reach` alone decides which nodes have two sides: each chunk holds
+    # at its first block plan the side codes it ends with, in a dense
+    # solve, a fundamental_grid and a kernel_rows sweep
+    sides, real = {}, integrate._plan
+
+    def plan(st, p0, p1):
+        sides.setdefault(id(st), st.side.copy())
+        return real(st, p0, p1)
+
+    monkeypatch.setattr(integrate, "_plan", plan)
+    spec = (CORPUS[name]() if name in CORPUS
+            else _clustered_counterexample() if name == "clustered"
+            else _short_lag_spec(3 * 2e-3, True))
+    states, _ = _three_sweeps(monkeypatch, spec, 2e-3)
+    assert len(states) == len(sides) == 3
+    for st in states:
+        assert st.side.tobytes() == sides[id(st)].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["short-lag"])

@@ -28,7 +28,7 @@ SOURCES = {path.name: path.read_text(encoding="utf-8")
 TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
 
 # code lines at most, as `code_lines` counts them
-CEILINGS = {"integrate.py": 846, "package": 2003}
+CEILINGS = {"integrate.py": 841, "package": 1999}
 
 
 def code_lines(source: str) -> int:

@@ -18,20 +18,21 @@ the jump offsets act on a constant last component.
 The engine steps a lag window per pass: inside [a, a + theta_min) every
 delayed read lands on history that is already computed (Bellen and
 Zennaro 2003, the method of steps), so the window's reads are one gather
-and one Hermite blend, one per node (both sides only where they can
-differ), and each RK4 step is the affine map
+and one Hermite blend, one per node, and each RK4 step is the affine map
 y_{k+1} = P_k y_k + c_k, with c_k computed in bulk and P_k the RK4
 polynomial of the zero-lag part; a doubling scan composes that recurrence
 between jump and activation nodes, so no loop runs step by step.  A lag
 of fewer than `_SHORT_LAG` steps does not cut the windows: its reads stay
-within the last few nodes, whose ring rows, y and one f each, form a
-lifted state that evolves by one affine map over a run of like steps
+within the last few nodes, whose ring rows, y and f each, form a lifted
+state that evolves by one affine map over a run of like steps
 (`_lift_runs`, `_lift_scan`), so the windows end at the smallest long
-lag; the runs stop at the nodes with two sides.  Before its first step
-a sweep searches its grid once, at the lag images of its nodes, events
-and coefficient breaks (`_reach`): that gives the depth of its history
-ring, its longest window, and the nodes with two sides, which alone take
-slots of a small left store, in turn; no later step changes that set.
+lag.  Before its first step a sweep searches its grid once, at the lag
+images of its nodes, events and coefficient breaks (`_reach`): that
+gives the depth of its history ring, its longest window, and the nodes
+whose two sides can differ.  The sweep's grid holds each of those twice,
+a left copy and a right copy joined by a step of length zero, so every
+grid node has one value and one derivative; no later step changes that
+grid.
 
 This module owns the two numerical rules the representation layer shares:
 the snap rule (`_SNAP`), applied through one lookup (`locate`, one search
@@ -526,11 +527,8 @@ def fundamental_matrix(spec: SystemSpec, s: float,
 # ---------------------------------------------------------------------------
 # the RK4 engine, batched over restart columns on one shared grid
 
-# rows of a node's slot in the history ring, and of a slot of the left
-# store, which holds the left limits of the nodes whose two sides can
-# differ (`_Sweep.side`)
-_Y_POST, _F_RIGHT = range(2)
-_Y_PRE, _F_LEFT = range(2)
+# rows of a grid node's slot in the history ring: its value and derivative
+_Y, _F = range(2)
 # a frozen term's read of its snapshot takes the last of its four rows
 _SNAPPED = np.array([0.0, 0.0, 0.0, 1.0])
 _QUAD = np.arange(4)
@@ -561,51 +559,68 @@ _LIFT_STEPS = 16
 def _reach(nodes: np.ndarray, thetas: np.ndarray, long: np.ndarray,
            events: np.ndarray, coef_breaks: np.ndarray, cap: int,
            dense: bool) -> tuple:
-    """(D, wmax, cand): the ring depth, the longest window and the sorted
-    nodes with two sides (`_Sweep.side`), from one search of the grid at
-    the lag images of its nodes, events and coefficient breaks.  This is
-    the one place that decides which nodes have two sides.
+    """(D, wmax, cand): the ring depth and the longest window, counted in
+    steps of the sweep's grid, and the sorted nodes that the grid doubles,
+    from searches of `nodes` at the lag images of its nodes, events and
+    coefficient breaks.  This is the one place that decides which nodes
+    have two sides.
 
-    At step k the oldest node a read takes is the last one at or before
-    t_k - theta, theta the largest lag: D is the widest such reach plus
-    three slots, which `_plan` checks; a dense sweep's ring holds every
-    node, D = K + 1.  A window from node a ends before the first step
-    whose end read, at t_{k+1} - theta, theta the smallest long lag, lies
-    past node a, so it holds at most the nodes up to t_a + theta, one more
-    where a read snaps to node a, and one more where two nodes sit within
-    a snap window; wmax is the fewer of that and `cap`, and any span of
-    theta holds at least theta / h steps, h the longest step, so a cap
-    below that needs no search.  The nodes with two sides are the events,
-    the nodes whose read snaps to an event (one per event and lag, among
-    the nodes around the event's image, by `locate`, as `_plan` reads
-    them) and, among the nodes 1 .. K - 1, the node after each
-    coefficient break's step mid: there the steps on either side take
-    different coefficients.
+    The doubled nodes are the events, the nodes whose read snaps to an
+    event (one per event and lag, among the nodes around the event's
+    image, by `locate`) and, among the nodes 1 .. K - 1, the node after
+    each coefficient break's step mid: there the steps on either side
+    take different coefficients.  The sweep's grid holds each of them
+    twice, its left copy and then its right copy (`_batch_columns`), so
+    node j is grid node j + (doubled nodes up to j), or one less for a
+    left copy.
+
+    At grid step k the oldest grid node a read takes is the first copy of
+    the last node at or before t_k - theta, theta the largest lag: D is
+    the widest such reach plus three slots, which `_plan` checks; a dense
+    sweep's ring holds every grid node.  A window from grid node a ends
+    before the first step whose end read, at t_{k+1} - theta, theta the
+    smallest long lag, lies past node a, so it holds at most the grid
+    nodes up to t_a + theta, one more where a read snaps to node a, and
+    one more where two nodes sit within a snap window; wmax is the fewer
+    of that and `cap`.  It is searched from the nodes that are not left
+    copies, as a window from a left copy reaches no further than one from
+    its right copy; and any span of theta holds at least theta / h steps,
+    h the longest step, so a cap below that needs no search.
     """
     K = len(nodes) - 1
-    back = nodes[:K] - thetas.max() if len(thetas) and not dense else nodes[:0]
-    wide = len(long) and K and cap > long.min() / np.diff(nodes).max()
-    ahead = nodes[:K] + long.min() if wide else nodes[:0]
-    us = (back, ahead, np.add.outer(nodes[events], thetas).ravel(),
-          coef_breaks)
-    back, ahead, near, i = np.split(
-        np.searchsorted(nodes, np.concatenate(us), side="right"),
-        np.cumsum([len(u) for u in us[:-1]]))
-    D = K + 1 if dense else int(np.max(
-        np.arange(len(back)) - np.maximum(back - 1, 0), initial=-1)) + 3
-    wmax = min(cap, int(np.max(ahead - np.arange(K))) + 1) if wide else cap
     # a right-sided search lands at most one node past the left-sided one,
     # so these five nodes hold the four around each image
-    k = np.clip(near.reshape(len(events), len(thetas), 1) + np.arange(-3, 2),
-                0, K)
+    near = np.searchsorted(nodes, np.add.outer(nodes[events], thetas),
+                           side="right")
+    k = np.clip(near[:, :, None] + np.arange(-3, 2), 0, K)
     hit = locate(nodes, nodes[k] - thetas[:, None])
     snaps = events.take(np.searchsorted(events, hit), mode="clip") == hit
     # the node after each coefficient break's step mid, by `_plan`'s mids
-    j = np.clip(i, 1, K)
+    j = np.clip(np.searchsorted(nodes, coef_breaks, side="right"), 1, K)
     mids = nodes[j - 1] + 0.5 * (nodes[j] - nodes[j - 1])
     j -= mids > coef_breaks
-    return D, wmax, np.unique(np.concatenate(
-        (events, k[snaps], j[(j > 0) & (j < K)])))
+    cand = np.unique(np.concatenate((events, k[snaps], j[(j > 0) & (j < K)])))
+    D, wmax = K + len(cand) + 1 if dense else 2, cap
+    if not len(thetas):
+        return D, wmax, cand
+    # each node's right copy on the grid, its left copy one before
+    marks = np.bincount(cand, minlength=K + 1)
+    right = np.cumsum(marks) + np.arange(K + 1)
+    if not dense:
+        back = np.searchsorted(nodes, nodes[:K] - thetas.max(), side="right")
+        D = int(np.max(right[:K] - (right - marks)[np.maximum(back - 1, 0)],
+                       initial=-1)) + 3
+    if len(long) and K and cap > long.min() / np.diff(nodes).max():
+        ahead = np.searchsorted(nodes, nodes[:K] + long.min(), side="right")
+        wmax = min(cap, int(np.max(right[ahead - 1] - right[:K])) + 2)
+    return D, wmax, cand
+
+
+def _copy(cand: np.ndarray, j, side: str = "right"):
+    """The grid index of node j's right copy, or with side "left" of its
+    first copy, on the sweep's grid, which holds the nodes `cand` twice
+    (`_reach`); -1 stays -1."""
+    return j + np.searchsorted(cand, j, side=side)
 
 
 def _read_plan(nodes: np.ndarray, us: np.ndarray):
@@ -627,20 +642,18 @@ def _read_plan(nodes: np.ndarray, us: np.ndarray):
     return exact, hi - 1, _hermite_weights(xi, h).T
 
 
-def _read_rows(st: _Sweep, plan, left: bool):
-    """Rows of `_Sweep.rows_of` and blend weights of planned delayed reads.
+def _read_rows(st: _Sweep, plan):
+    """Rows of `_Sweep.rows_of` and blend weights of planned delayed reads
+    on the sweep's grid.
 
-    A read is sum_q weights[:, q] * row rows[:, q]; node j's ring slot
+    A read is sum_q weights[:, q] * row rows[:, q]; grid node j's ring slot
     starts at row 2 j modulo the ring's 2 R rows.  A read inside the step
-    after node i blends y_post[i], f_right[i], and y_pre[i+1] at an event
-    and f_left[i+1] where the sides can differ (`_Sweep.side`), from node
-    i+1's slot of the left store (`_Sweep.left_row`), else y_post[i+1] and
-    f_right[i+1], the next two ring rows.  A read that snaps to node i takes
-    y_post[i], or for left limits (`left`) y_pre[i] at an event, as the
-    first of four rows, with the plan's weights (1, 0, 0, 0).  Reads of
-    values zero in every column -- before `k_start`, the first activation,
-    the left limit at it included, or before the grid -- take the zero
-    rows at `zero_row`.
+    after grid node i blends y and f of nodes i and i + 1, the four ring
+    rows from 2 i on; where node i + 1 is a left copy, they are its left
+    limits.  A read that snaps to node i takes y[i] as the first of four
+    rows, with the plan's weights (1, 0, 0, 0).  Reads of values zero in
+    every column -- before `k_start`, the first activation, its left copy
+    included, or before the grid -- take the zero rows at `zero_row`.
 
     The ring is taken modulo once per read, so a read's rows may run up to
     three rows past its end, into the first spare slot, which holds the
@@ -654,17 +667,8 @@ def _read_rows(st: _Sweep, plan, left: bool):
     exact, interval, weights = plan
     hit = exact >= 0
     node = np.where(hit, exact, interval)
-    zero = node < st.k_start + (hit if left else 0)
+    zero = node < st.k_start
     rows = (node * 2 % (2 * st.R))[:, None] + _QUAD
-    side = np.where(hit | zero, 0, st.side[node + 1])
-    two = np.flatnonzero(side)
-    at = st.left_row[node[two] + 1]
-    rows[two, 3] = at + _F_LEFT
-    pre = side[two] > 1
-    rows[two[pre], 2] = at[pre] + _Y_PRE
-    if left:
-        two = np.flatnonzero(hit & (st.side[node] > 1))
-        rows[two] = st.left_row[node[two]][:, None] + _QUAD
     rows[zero] = st.zero_row + _QUAD
     return (rows, weights, np.where(zero, np.iinfo(np.intp).max, node),
             node + ~hit)
@@ -700,21 +704,14 @@ class _Sweep:
     sweep on it.
 
     `rows_of` holds, in this order, the history ring `H`, two rows per
-    slot (y_post, f_right), the zero rows and the snapshot row, and the
-    left store `store`, two rows per slot (y_pre, f_left) for the nodes
-    with two sides, so that one gather serves every read.
-    `left_row` maps each node to the first row of its store slot, or to -1:
-    the two-sided nodes of `_reach` take the slots in turn, and no span of
-    the ring's reach holds more of them than the store has slots
-    (`_batch_columns`).  `side` codes each node by the rows its left
-    limits take: 0, none (they are its right ones); 1, f_left, at the
-    other nodes of `_reach`, where a coefficient changes or a delayed read
-    snaps to an event; 3, y_pre and f_left, at the jumps and the chunk's
-    activations, so a node after `k_start` is an event exactly where its
-    code is 3.  The codes are set here, once per chunk, before the first
-    step, and `tk` lists the nodes with two sides; a node of another
-    chunk's activations takes code 1, its f_left then equal to its
-    f_right up to rounding.  It holds one code past node K.
+    slot, the y and f of one grid node, then the zero rows and the
+    snapshot row, so that one gather serves every read.  The grid holds
+    each node with two sides twice (`_reach`): first its left copy, with
+    its left limits y_pre and f_left, then its right copy, with y_post and
+    f_right, joined by a step of length zero; `lefts` lists the left
+    copies, and `left` marks them, with one False past the last grid node
+    for a read of no node (-1).  The events -- the jumps and the chunk's
+    activations -- sit at right copies, as do the samples and snapshots.
     """
 
     def __init__(self, shared: dict, c0: int, c1: int):
@@ -723,9 +720,8 @@ class _Sweep:
         self.c0, self.c1, self.Sc = c0, c1, Sc
         self.s_list = self.s_indices[c0:c1].tolist()
         self.k_start = self.s_list[0]
-        self.rows_of = np.zeros((self.nrows, n, Sc * self.m))
-        self.H, self.store = (x.reshape(-1, 2, n, Sc * self.m) for x in
-                              np.split(self.rows_of, [2 * self.slots]))
+        self.rows_of = np.zeros((2 * self.slots, n, Sc * self.m))
+        self.H = self.rows_of.reshape(-1, 2, n, Sc * self.m)
         # window buffers, reused by every window of the chunk: the gathered
         # rows (every column: a gather from a column prefix would copy the
         # ring first), their blends, the delayed parts d of each node's and
@@ -740,15 +736,6 @@ class _Sweep:
                              _width(self, s)) for s in self.s_list}
         self.events = sorted(j for j in set(self.activate) | set(self.jumps)
                              if j > self.k_start)
-        self.side = np.zeros(len(self.nodes) + 1, dtype=np.int8)
-        self.side[self.cand] = 1
-        self.side[list(self.jumps) + self.s_list] = 3
-        miss = np.flatnonzero(self.side[:-1] & (self.left_row < 0))
-        if len(miss):
-            # `_reach` gives both the sides and the store's slots, so this
-            # is an internal error, kept under python -O
-            raise RuntimeError(f"left store misses node {miss[0]}")
-        self.tk = np.flatnonzero(self.side).tolist()
 
 
 def _width(st: _Sweep, j: int) -> int:
@@ -757,14 +744,12 @@ def _width(st: _Sweep, j: int) -> int:
 
 
 def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
-    """The events of node j, whose slot holds its pre-jump value: that
-    value, stored as y_pre in its slot of the left store, then the forward
-    order's jump, and every activation, snapshot, sample and reflected
-    jump.  The one handler of an event node, at the sweep's start and at
-    the end of the window or lifted run that reaches it."""
+    """The events of grid node j, a right copy whose slot holds the value
+    of its left copy: the forward order's jump, and every activation,
+    snapshot, sample and reflected jump.  The one handler of an event
+    node, at the sweep's start and in the window that reaches it."""
     n, m, Sc = st.n, st.m, st.Sc
-    y = st.H[slot, _Y_POST]
-    st.rows_of[st.left_row[j] + _Y_PRE] = y
+    y = st.H[slot, _Y]
     B = st.jumps.get(j)
     if B is not None and not st.reflected:
         Wm = _width(st, j - 1) * m
@@ -773,7 +758,7 @@ def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
         lo, hi = st.activate[j]
         y.reshape(n, Sc, m)[:, lo:hi] = st.start[:, None, :]
     if initial and any(st.snap):
-        st.H[st.slots - 1, _Y_POST] = y
+        st.H[st.slots - 1, _Y] = y
     if initial or (st.reflected and B is not None):
         rows = st.rec_rows[np.searchsorted(st.rec_nodes, j):
                            np.searchsorted(st.rec_nodes, j, side="right")]
@@ -829,53 +814,58 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
 
 
 def _plan(st: _Sweep, p0: int, p1: int):
-    """The plan of the steps p0 .. p1 - 1: the read rows and weights,
+    """The plan of the grid steps p0 .. p1 - 1: the read rows and weights,
     (w + 1, 2, nt, 4), of each node's read and its step's mid read (none
     at node p1); the coefficients A and zero-lag parts M of the steps
-    p0 .. p1 (node K takes step K - 1's), so that a node's read and
-    derivative take those of the step it starts; the RK4 maps P - I and
-    G; the rows and weights (w + 1, nt, 4) of the left reads, held only
-    at the block's nodes with two sides (`_Sweep.side`, set before the
-    first step, which `_plan` only reads); the node each step's reads
-    need, and the same over long reads alone; and the lifted runs
-    (`_lift_runs`).
+    p0 .. p1 (the last grid node takes the last step's), so that a node's
+    read and derivative take those of the step it starts; the RK4 maps
+    P - I and G; the node each step's reads need, and the same over long
+    reads alone; and the lifted runs (`_lift_runs`).
+
+    A step of length zero, from a left copy to its right copy, takes the
+    mid of the step before it: so a left copy's read and derivative take
+    the coefficients of the step the node ends, and its maps are P = I,
+    G = 0.  A read that snaps to a doubled node takes the right copy,
+    unless it is the read of a left copy, which takes the left copy.
 
     A node's read serves the step it ends and the step it starts, so each
-    lag's 2 w + 1 reads take one `_read_plan` call; a left read shares the
-    plan of its node's read.
+    lag's 2 w + 1 reads take one `_read_plan` call.
     """
     n, nt, L, w = st.n, st.nt, len(st.lags), p1 - p0
     Nr = (2 * w + 1) * L
-    t = st.nodes[p0:p1 + 2]
+    # from step p0 - 1 on: a sweep starts at a right copy, so p0 > 0
+    t = st.nodes[p0 - 1:p1 + 2]
     mids = t[:-1] + 0.5 * np.diff(t)
-    mids = np.append(mids, mids[-1])[:w + 1]  # node K takes step K - 1's
-    t, h = t[:w + 1], np.diff(t[:w + 1])
+    zero = np.flatnonzero(t[1:] == t[:-1])
+    mids[zero] = mids[zero - 1]
+    # the last grid node takes the last step's
+    mids, t = np.append(mids, mids[-1])[1:w + 2], t[1:w + 2]
+    h = np.diff(t)
     # mids never sit on a break, so the side does not matter
     A = (np.concatenate([read_piecewise(c, mids) for c in st.read_coefs],
                         axis=2) if nt else np.zeros((w + 1, n, 0)))
     M = (sum(read_piecewise(c, mids) for c in st.zero_lag)
          if st.zero_lag else None)
     us = np.stack((t, mids), axis=1)[:, :, None] - st.thetas
-    plan = _read_plan(st.nodes, us.ravel()[:Nr])
-    lk = np.flatnonzero(st.side[p0 + 1:p1 + 1]) + 1
-    # each node's read and its step's mid read (node K's is empty), and
-    # the left reads of the nodes with two sides
-    right = _read_rows(st, plan, False)
-    left = _read_rows(st, [x[(2 * L * lk[:, None] + np.arange(L)).ravel()]
-                           for x in plan], True)
-    rows, lrows = (np.empty((w + 1,) + sh + (nt, 4), dtype=np.intp)
-                   for sh in ((2,), ()))
-    wts, lwts = np.empty(rows.shape), np.empty(lrows.shape)
-    for x, lx, y, z in zip((rows, wts), (lrows, lwts), right, left):
+    exact, interval, weights = _read_plan(st.nodes, us.ravel()[:Nr])
+    own = np.zeros((w + 1, 2, L), dtype=bool)
+    own[:, 0] = st.left[p0:p1 + 1, None]
+    # a read of no node (-1) finds no left copy: `left` ends in a False
+    # past the grid, whose last node is a right copy
+    exact = np.where(own.ravel()[:Nr], exact - st.left[exact - 1],
+                     exact + st.left[exact])
+    plan = _read_rows(st, (exact, interval, weights))
+    rows = np.empty((w + 1, 2, nt, 4), dtype=np.intp)
+    wts = np.empty(rows.shape)
+    for x, y in zip((rows, wts), plan):
         x.reshape(2 * w + 2, nt, 4)[:-1, :L] = y.reshape(2 * w + 1, L, 4)
-        lx[lk, :L] = z.reshape(len(lk), L, 4)
     rows[w, 1], wts[w, 1] = st.zero_row + _QUAD, 0.0
     for i, snapped in enumerate(st.snap, start=L):
-        # a frozen term reads the snapshot's y_post, or zero
-        rows[..., i, :] = lrows[:, i] = st.zero_row + _QUAD + snapped
-        wts[..., i, :] = lwts[:, i] = _SNAPPED if snapped else 0.0
+        # a frozen term reads the snapshot's y, or zero
+        rows[..., i, :] = st.zero_row + _QUAD + snapped
+        wts[..., i, :] = _SNAPPED if snapped else 0.0
     # each step's start, mid and end reads
-    ready, node = (y.reshape(2 * w + 1, L) for y in right[3:1:-1])
+    ready, node = (y.reshape(2 * w + 1, L) for y in plan[3:1:-1])
     ready = np.stack((ready[:-1:2], ready[1::2], ready[2::2]), axis=1)
     oldest = np.minimum(np.minimum(node[:-1:2], node[1::2]),
                         node[2::2]).min(axis=1, initial=np.iinfo(np.intp).max)
@@ -888,7 +878,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
                            f"interval {oldest[k]} with depth {st.D}")
     maps = _rk4_maps(h, None if M is None else M[:w], n)
     P, G = None if M is None else maps[:, :, :n], maps[:, :, n:]
-    pl = [rows, wts, A, M, P, G, lrows, lwts]
+    pl = [rows, wts, A, M, P, G]
     need = np.maximum.accumulate(ready.max(axis=(1, 2), initial=-1))
     if not len(st.short):
         return pl, need, need, []
@@ -902,17 +892,17 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     last the arguments of the run's `_LiftMap`.
 
     The reads of a short lag (`_SHORT_LAG`) at step k take rows of the
-    nodes k - r .. k only, so the step is affine in the lifted state z_k
-    of those rows, y and one f per node as the ring holds them
+    grid nodes k - r .. k only, so the step is affine in the lifted state
+    z_k of those rows, y and f per node as the ring holds them
     (`_LiftMap`): z_{k+1} = (S + Psi) z_k + C_k, where C_k holds the
     long reads.  The map stays the same over a run of steps of one
     length, with the same short-read rows and weights and the same
-    short-lag and zero-lag coefficients.  No node the state holds may
-    have two sides (`_Sweep.side`): elsewhere y_pre = y_post, and f_left
-    and f_right differ by rounding alone, so one f serves both, and the
-    runs are cut at the two-sided nodes as at the events.  A run of at
-    least `_LIFT_STEPS` such steps is lifted: its windows zero its short
-    reads (`_lifted`), and Psi comes from the run's mean plan.
+    short-lag and zero-lag coefficients, so a step of length zero ends a
+    run, and no run reaches an event.  The state may not hold a node
+    before an activation: only the window after it gives the activated
+    columns their f there.  A run of at least `_LIFT_STEPS` such steps is
+    lifted: its windows zero its short reads (`_lifted`), and Psi comes
+    from the run's mean plan.
 
     The runs of a block share one depth r.  Psi holds the rows step k
     writes, y and f of node k + 1.  One probe (`_probe`) finds them for
@@ -930,9 +920,9 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
                  for x in (rows, wts))
     ks = np.arange(p0, p0 + w)
     oldest = ready[:, :, sh].min(axis=(1, 2)) - 1
-    # the start node and the nodes with two sides
-    starts = np.flatnonzero(st.side[:p0 + w])
-    last = starts[np.searchsorted(starts, ks, side="right") - 1]
+    # the last activation at or before each step
+    acts = np.asarray(st.s_list)
+    last = acts[np.searchsorted(acts, ks, side="right") - 1]
     ok = (last < oldest) & (ks - oldest <= st.r_max)
     # steps whose lengths differ by node rounding alone count as one length
     tol = _SNAP * max(1.0, abs(st.nodes[p0]), abs(st.nodes[p0 + w]))
@@ -940,7 +930,8 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     As = A[:, :, st.short_cols].reshape(w, -1)
     same = (ok[1:] & ok[:-1] & (np.abs(np.diff(h)) <= tol)
             & ((rs[1:] - rs[:-1]) % (2 * R) == 2).all(axis=1)
-            & (np.abs(ws[1:] - ws[:-1]) <= (4.0 * tol / h[1:])[:, None])
+            & (np.abs(ws[1:] - ws[:-1])
+               <= (4.0 * tol / np.maximum(h[1:], tol))[:, None])
             .all(axis=1) & (As[1:] == As[:-1]).all(axis=1))
     if M is not None:
         same &= (M[1:] == M[:-1]).all(axis=(1, 2))
@@ -950,7 +941,7 @@ def _lift_runs(st: _Sweep, p0: int, pl, h, ready) -> list:
     if not keep.any():
         return []
     # one depth r for the block's runs: a run starts where the state of
-    # its r + 1 nodes holds no node with two sides
+    # its r + 1 nodes holds no activation
     r = int((ks - oldest)[k0s[keep]].max())
     k0s = np.maximum(k0s, last[k0s] + r + 1 - p0)
     keep &= k1s - k0s >= _LIFT_STEPS
@@ -1014,8 +1005,8 @@ class _LiftMap:
     r, with Psi zero but in its last c = 2n rows, y and f of the step's
     end node, given as `Psi`, and E adding C to those rows.
 
-    The lifted state z_k holds y (y_pre = y_post) and f of the nodes
-    k - r .. k, two rows per node as the sweep's ring holds them: node
+    The lifted state z_k holds y and f of the grid nodes k - r .. k, two
+    rows per node as the sweep's ring holds them: node
     k - r + i's y from coordinate 2 i n on and its f from (2 i + 1) n.
     S, the exact part of a step, shifts the rows by one node and carries
     y_k on to y_{k+1}, with f_{k+1} zero.  `step` is [S + Psi | E], one
@@ -1088,12 +1079,14 @@ def _lift_scan(lm: _LiftMap, C: np.ndarray, z0: np.ndarray) -> np.ndarray:
 
 def _derivative(M, y, d, out) -> np.ndarray:
     """The derivatives -(M y + d) at nodes with values y and delayed parts
-    d (M None: no zero-lag part), into `out`."""
+    d (M None: no zero-lag part), into `out`.  The sign flips multiply by
+    -1: numpy 2.4.6's AVX-512 `negative` writes -0.0 past the first
+    element into a strided output of 64-byte steps."""
     if M is None:
-        return np.negative(d, out=out)
+        return np.multiply(d, -1.0, out=out)
     np.matmul(M, y, out=out)
     out += d
-    return np.negative(out, out=out)
+    return np.multiply(out, -1.0, out=out)
 
 
 def _delayed(ring, bufs, rows, wts, A, d) -> None:
@@ -1119,40 +1112,29 @@ def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
     """The delayed parts and stage sums of steps a .. b - 1 (`_plan`'s
     part for them): d (w + 1, 2, n, Wm), those of each node's read and of
     each step's mid read, so that step k's [d1; d23; d4] are the 3 n rows
-    from node k's read on; c (w, n, Wm), each step's stage sum on y = 0,
-    G [d1; d23; d4]; and the nodes with two sides, k (from a), with their
-    rows dk, the [d1; d23; d4] of the step they end, whose d4 takes the
-    node's left read and the step's own coefficients, and whose c they
-    give."""
-    rows, wts, A, _, _, G, lrows, lwts = pl
-    n, w, ring, bufs = st.n, b - a, st.rows_of, st.bufs
+    from node k's read on; and c (w, n, Wm), each step's stage sum on
+    y = 0, G [d1; d23; d4]."""
+    rows, wts, A, _, _, G = pl
+    n, w, bufs = st.n, b - a, st.bufs
     d = bufs[2][:(w + 1) * 2 * n * Wm].reshape(w + 1, 2, n, Wm)
-    _delayed(ring, bufs, rows, wts, A, d)
+    _delayed(st.rows_of, bufs, rows, wts, A, d)
     c = bufs[3][:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G[:w], np.ndarray((w, 3 * n, Wm), buffer=d, strides=(
         d.strides[0], d.strides[2], d.strides[3])), out=c)
-    two = [k - a for k in st.tk[bisect.bisect_right(st.tk, a):
-                                bisect.bisect_right(st.tk, b)]]
-    dl = np.empty((len(two), 3 * n, Wm))
-    for k, dk in zip(two, dl):
-        dk[:2 * n] = d[k - 1].reshape(2 * n, Wm)
-        _delayed(ring, bufs, lrows[k:k + 1, None], lwts[k:k + 1, None],
-                 A[k - 1:k], dk[None, None, 2 * n:])
-        np.matmul(G[k - 1], dk, out=c[k - 1])
-    return d, c, two, dl
+    return d, c
 
 
 def _window(st: _Sweep, a: int, b: int, pl) -> None:
-    """Steps a .. b - 1, whose nodes take the consecutive ring slots from
-    a % R on (`_sums`): y_post and f_right at every node, and in the left
-    store f_left at the nodes with two sides; each event it reaches goes
-    to `_at_node`, which stores its y_pre."""
+    """Steps a .. b - 1, whose grid nodes take the consecutive ring slots
+    from a % R on (`_sums`): y and f at every node; each event it reaches
+    goes to `_at_node`.  The doubling scan rounds a step of length zero,
+    so each right copy then takes its left copy's y exactly."""
     M, P = pl[3], pl[4]
-    n, m, R, H = st.n, st.m, st.R, st.H
+    m, R, H = st.m, st.R, st.H
     w, sa = b - a, a % R
     Wm = _width(st, b - 1) * m
-    yp = H[:, _Y_POST, :, :Wm]
-    d, c, two, dl = _sums(st, a, b, pl, Wm)
+    yp = H[:, _Y, :, :Wm]
+    d, c = _sums(st, a, b, pl, Wm)
     # y_{k+1} = P_k y_k + c_k, composed by a scan between event nodes
     stops = st.events[bisect.bisect_right(st.events, a):
                       bisect.bisect_right(st.events, b)]
@@ -1172,18 +1154,16 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
             np.matmul(D, y, out=seg)
             seg += C
             seg += y
-        if st.side[a + e] == 3:
+        for j in st.lefts[bisect.bisect_left(st.lefts, a + u):
+                          bisect.bisect_left(st.lefts, a + e)]:
+            yp[j - a + sa + 1] = yp[j - a + sa]
+        if a + e in st.jumps or a + e in st.activate:
             _at_node(st, a + e, sa + e, False)
         u = e
-    # node a's f_right came with the window before, unless it has two sides
-    lo = 0 if st.side[a] else 1
+    # node a's f came with the window before, unless it activates columns
+    lo = 0 if a in st.activate else 1
     _derivative(None if M is None else M[lo:], yp[sa + lo:sa + w + 1],
-                d[lo:, 0], H[sa + lo:sa + w + 1, _F_RIGHT, :, :Wm])
-    for k, dk in zip(two, dl):
-        left = st.rows_of[st.left_row[a + k]:, :, :Wm]
-        _derivative(None if M is None else M[k - 1],
-                    left[_Y_PRE] if st.side[a + k] > 1 else yp[sa + k],
-                    dk[2 * n:], left[_F_LEFT])
+                d[lo:, 0], H[sa + lo:sa + w + 1, _F, :, :Wm])
     _tail(st, a, b)
 
 
@@ -1191,12 +1171,10 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     """Steps a .. b - 1 of a lifted run (`_lift_runs`): the long reads
     give the rows each step writes from a zero start, C_k, in bulk
     (`_sums`), and the run's map composes them (`_lift_scan`) from the
-    state at node a, the ring's rows of the nodes a - r .. a.  The run
-    writes y and f of the nodes a + 1 .. b into their ring rows: f is the
-    derivative a step ends with, which the next step would start with up
-    to rounding, as no node before b has two sides.  Node b may have
-    them: its f_left goes to the left store, an event there goes to
-    `_at_node`, and the window after it gives its f_right."""
+    state at node a, the ring's rows of the grid nodes a - r .. a.  The
+    run writes y and f of the nodes a + 1 .. b into their ring rows: f is
+    the derivative a step ends with, which the next step starts with, as
+    the two take the same coefficients within a run and at its end."""
     M, pl = pl[3], list(pl)
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
@@ -1204,21 +1182,14 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
     # the run's map holds the short terms
     pl[2] = pl[2].copy()
     pl[2][:, :, st.short_cols] = 0.0
-    d, c, two, dl = _sums(st, a, b, pl, Wm)
+    d, c = _sums(st, a, b, pl, Wm)
     C = np.empty((w, 2, n, Wm))
     C[:, 0] = c
     _derivative(None if M is None else M[:w], c, d[1:, 0], C[:, 1])
-    for k, dk in zip(two, dl):
-        _derivative(None if M is None else M[k - 1], c[k - 1], dk[2 * n:],
-                    C[k - 1, 1])
     rows = (2 * (a - lift.r) + np.arange(2 * lift.r + 2)) % (2 * R)
     z0 = st.rows_of[rows, :, :Wm].reshape(-1, Wm)
     C = _lift_scan(lift, C.reshape(w, 2 * n, Wm), z0).reshape(C.shape)
     H[sa + 1:sa + w + 1, :, :, :Wm] = C
-    for k in two:
-        st.rows_of[st.left_row[a + k] + _F_LEFT, :, :Wm] = C[k - 1, 1]
-    if st.side[b] == 3:
-        _at_node(st, b, sa + w, False)
     _tail(st, a, b)
 
 
@@ -1232,10 +1203,10 @@ def _tail(st: _Sweep, a: int, b: int) -> None:
     if hi > lo:
         # node b may activate columns beyond the window's width
         W = _width(st, b)
-        y = H[np.subtract(st.bulk[lo:hi], a - sa), _Y_POST, :, :W * m]
+        y = H[np.subtract(st.bulk[lo:hi], a - sa), _Y, :, :W * m]
         st.samples[st.bulk_rows[lo:hi], st.c0:st.c0 + W] = \
             y.reshape(-1, n, W, m).transpose(0, 2, 1, 3)
-    if b // 256 != a // 256 and not np.all(np.isfinite(H[sa + w, _Y_POST])):
+    if b // 256 != a // 256 and not np.all(np.isfinite(H[sa + w, _Y])):
         raise NumericalError(f"state non-finite at t={st.nodes[b]}")
     if sa + w >= R:
         H[:sa + w + 1 - R] = H[R:sa + w + 1]
@@ -1261,11 +1232,11 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     The unit of work is a lag window of steps [a, b) (`_window`), whose
     delayed reads all land at or before node a: one gather, one Hermite
     blend and one product with the coefficients of every term, one read
-    per node and per step's mid (`_sums`).  Only where the two sides of a
-    node can differ -- at events, where a read snaps to one, and at
-    coefficient table breaks -- is its left limit read, and only there
-    does the left store hold its y_pre and f_left (`_Sweep.left_row`);
-    the ring holds y_post and f_right.  Each RK4 step is
+    per node and per step's mid (`_sums`).  Where the two sides of a node
+    can differ -- at events, where a read snaps to one, and at coefficient
+    table breaks -- the sweep's grid holds the node twice, its left copy
+    and then its right copy, joined by a step of length zero, so that
+    every grid node has one y and one f in the ring.  Each RK4 step is
     y_{k+1} = P_k y_k + c_k, c_k the stage sum on y = 0; jumps and
     activations (`_at_node`) split the recurrence, and a doubling scan
     (`_affine_scan`) composes each segment.  Blocks of steps are planned
@@ -1275,20 +1246,20 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     lag.  Each chunk of columns runs on its own `_Sweep`.
 
     One search of the grid at its lag images (`_reach`) sizes the sweep
-    and decides, before the first step, which nodes have two sides:
-    the ring holds the deepest delayed read, and a window past its end
-    writes on into spare slots; a window holds at most `_WINDOW_BYTES` of
-    buffers and the longest window the smallest long lag allows; the
-    nodes with two sides take the store's slots in turn.  With `dense`
-    the ring and the store hold every node and are the dense output
-    (y_post, y_pre, f_right, f_left), each (K+1, S, n, m), returned in
-    place of the samples (`Trajectory`); the nodes with one side get
-    their left limits in one copy at the end.
+    and decides, before the first step, which nodes the grid doubles: the
+    ring holds the deepest delayed read, and a window past its end writes
+    on into spare slots; a window holds at most `_WINDOW_BYTES` of buffers
+    and the longest window the smallest long lag allows.  The events,
+    samples and snapshots sit at right copies.  With `dense` the ring
+    holds every grid node and gives the dense output (y_post, y_pre,
+    f_right, f_left), each (K+1, S, n, m), returned in place of the
+    samples (`Trajectory`): the left limits are one gather of the nodes'
+    first copies, and the right copies move down to the first K + 1 slots.
 
     One estimate of the bytes the sweep holds at once sizes its chunks of
     columns, at least 16 (a dense sweep must fit one), within `mem_cap`;
     a sweep whose estimate exceeds `mem_cap` even so raises ValueError
-    before its ring, store, samples or plans are allocated.
+    before its grid, ring, samples or plans are allocated.
     """
     n = spec.dim
     K = len(nodes) - 1
@@ -1315,9 +1286,9 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     r_max = min(_SHORT_LAG + 2, (_LIFT_SIZE // n - 2) // 3)
     short = np.flatnonzero(thetas * K < (r_max - 2) * (nodes[-1] - nodes[0]))
 
-    # node j sits in ring slot j % R; a window may run on into the spare
-    # slots after the ring, which are copied back to its start.  Then come
-    # the zero rows, the snapshot row and the left store.  A slot's columns
+    # grid node j sits in ring slot j % R; a window may run on into the
+    # spare slots after the ring, which are copied back to its start.  Then
+    # come the zero rows and the snapshot row.  A slot's columns
     # beyond the width active at its node hold zero (the nodes a slot held
     # before were never wider), which is the value an inactive column must
     # supply.
@@ -1338,27 +1309,22 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         np.union1d(np.fromiter(jumps, np.intp, len(jumps)), s_indices),
         coef_breaks, max(1, min(block, _WINDOW_BYTES // max(per_col * S, 1))),
         dense)
-    R, spare = (K + 1, 0) if dense else (max(D, wmax), wmax)
+    K2 = K + len(cand)  # the grid's steps, one of length zero per copy
+    R, spare = (K2 + 1, 0) if dense else (max(D, wmax), wmax)
     slots = R + spare + 3
     zero_row = 2 * (R + spare)
-    # the left store: a read reaches fewer than D nodes back and a window
-    # writes at most wmax nodes ahead, so the two-sided nodes whose left
-    # rows are in use at once lie within D + wmax of each other; a dense
-    # store holds every node
-    Ls = K + 1 if dense else int(np.max(
-        np.searchsorted(cand, cand + D + wmax) - np.arange(len(cand)),
-        initial=0))
-    nrows = 2 * (slots + Ls)
-    # the bytes the sweep holds at once: per column, the ring and store
-    # rows, the window buffers and the zero-lag scan's states, and the
-    # samples; per node, the store map, the sides and the reach pass, and
-    # per record its lists; one block's plan with its transients, a quarter
-    # more than it keeps and about 320 B per term and step of read plans;
-    # and with short lags, the runs' analysis and probe, 512 B per lag and
-    # step, and a run's map
-    T, w = len(record_indices), min(block, K)
-    col = (nrows + 2 * wmax + 2) * n * m * 8 + (wmax + 1) * per_col
-    held = (T * S * n * m * 8 + 72 * (K + 1)
+    # the bytes the sweep holds at once: per column, the ring rows, the
+    # window buffers and the zero-lag scan's states, the samples, and with
+    # dense output its left limits and the move of the right copies; per
+    # grid node, the grid, its marks and the reach pass, and per record
+    # its lists; one block's plan with its transients, a quarter more than
+    # it keeps and about 320 B per term and step of read plans; and with
+    # short lags, the runs' analysis and probe, 512 B per lag and step,
+    # and a run's map
+    T, w = len(record_indices), min(block, K2)
+    col = ((2 * slots + 2 * wmax + 2 + (2 * K + 2 if dense else 0)) * n * m * 8
+           + (wmax + 1) * per_col)
+    held = (T * S * n * m * 8 + 40 * (K2 + 1)
             + 64 * T + w * (5 * per_step // 4 + 320 * nt)
             + (dl and 512 * len(short) * w + 24 * dl * dl))
     chunk = max(16, int((mem_cap - held) // col))
@@ -1371,24 +1337,28 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                          f"{nbytes} bytes, more than the memory budget of "
                          f"{mem_cap} bytes")
 
-    # the two-sided nodes take the store's slots in turn, every node in a
-    # dense sweep
-    left_row = np.full(K + 1, -1)
-    at = np.arange(K + 1) if dense else cand
-    left_row[at] = 2 * slots + 2 * (np.arange(len(at)) % Ls)
+    # the sweep's grid: each node of `cand` twice, its left copy first
+    grid = np.insert(nodes, cand, nodes[cand])
+    lefts = cand + np.arange(len(cand))
+    left = np.zeros(K2 + 2, dtype=bool)
+    left[lefts] = True
+    jumps = dict(zip(_copy(cand, np.fromiter(jumps, np.intp,
+                                             len(jumps))).tolist(),
+                     jumps.values()))
     samples = np.zeros((len(record_indices), S, n, m))
-    record_indices = np.asarray(record_indices, dtype=np.intp)
+    record_indices = _copy(cand, np.asarray(record_indices, dtype=np.intp))
     rec_rows = np.argsort(record_indices, kind="stable")
     rec_nodes = record_indices[rec_rows]
     # the reflected order samples a jump node before its jump, in _at_node
     keep = ~np.isin(rec_nodes, list(jumps)) if reflected else slice(None)
     shared = dict(
-        n=n, m=m, nodes=nodes, jumps=jumps, start=start, reflected=reflected,
-        s_indices=s_indices, lags=lags, nt=nt, read_coefs=read_coefs,
+        n=n, m=m, nodes=grid, jumps=jumps, start=start, reflected=reflected,
+        s_indices=_copy(cand, s_indices), lags=lags, nt=nt, read_coefs=read_coefs,
         thetas=thetas, short=short, long=long, r_max=r_max, zero_lag=zero_lag,
-        short_cols=(short[:, None] * n + np.arange(n)).ravel(), cand=cand,
-        frozen_idx=[int(locate(nodes, t.delay.c)) for t in frozen], D=D,
-        R=R, slots=slots, zero_row=zero_row, nrows=nrows, left_row=left_row,
+        short_cols=(short[:, None] * n + np.arange(n)).ravel(), left=left,
+        lefts=lefts.tolist(), D=D, R=R, slots=slots, zero_row=zero_row,
+        frozen_idx=[int(_copy(cand, locate(nodes, t.delay.c)))
+                    for t in frozen],
         wmax=wmax, samples=samples, rec_nodes=rec_nodes,
         rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
         bulk_rows=rec_rows[keep])
@@ -1396,8 +1366,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         st = None  # the last chunk's rows go before the next one's come
         st = _Sweep(shared, c0, min(c0 + chunk, S))
         _at_node(st, st.k_start, st.k_start % R, True)
-        for p0 in range(st.k_start, K, block):
-            p1 = min(p0 + block, K)
+        for p0 in range(st.k_start, K2, block):
+            p1 = min(p0 + block, K2)
             pl, need, need_long, runs = _plan(st, p0, p1)
             a = p0
             # plain windows up to each lifted run, then the run's windows
@@ -1415,19 +1385,18 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                         a = b
             # free this block's plan and last map before the next is set up
             del pl, need, need_long, runs, run, part
-        if not np.all(np.isfinite(st.H[K % R, _Y_POST])):
+        if not np.all(np.isfinite(st.H[K2 % R, _Y])):
             raise NumericalError("state non-finite at final node")
     if dense:
-        # the nodes without two sides hold their left limits in their ring
-        # rows: copy them into the store; y_pre[0] is y_post[0]
-        H, store = st.H[:K + 1], st.store
-        for q, r, bit in ((_Y_PRE, _Y_POST, 2), (_F_LEFT, _F_RIGHT, 1)):
-            np.copyto(store[:, q], H[:, r],
-                      where=(st.side[:K + 1] & bit == 0)[:, None, None])
-        store[0, _Y_PRE] = H[0, _Y_POST]
+        # the left limits are the first copies, the right ones move down;
+        # y_pre[0] is y_post[0]
+        j = np.arange(K + 1)
+        pre = st.H[_copy(cand, j, "left")]
+        H = st.H[:K + 1]
+        H[...] = st.H[_copy(cand, j)]
+        pre[0, _Y] = H[0, _Y]
         return tuple(x.reshape(K + 1, n, S, m).transpose(0, 2, 1, 3)
-                     for x in (H[:, _Y_POST], store[:, _Y_PRE],
-                               H[:, _F_RIGHT], store[:, _F_LEFT]))
+                     for x in (H[:, _Y], pre[:, _Y], H[:, _F], pre[:, _F]))
     return samples
 
 

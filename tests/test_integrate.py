@@ -712,6 +712,41 @@ def test_kernel_rows_reject_decreasing_targets():
         kernel_rows(spec, nodes, [1.5, 0.5])
 
 
+def _lag_and_zero_lag():
+    """x' = -0.5 x(t - 0.1) + 0.3 x: one scalar column per restart, a
+    zero-lag term, and on a chunk of four columns with one active, a
+    derivative written with a stride of 64 bytes."""
+    return SystemSpec(dim=1, terms=[DelayTerm(np.array([[0.5]]),
+                                              ConstantLag(0.1)),
+                                    DelayTerm(np.array([[-0.3]]),
+                                              ConstantLag(0.0))],
+                      x0=[1.0], horizon=2.0)
+
+
+def test_kernel_rows_of_several_targets_match_each_target_alone():
+    # numpy 2.4.6's `negative` on an AVX-512 host wrote -0.0 into such a
+    # strided derivative, and the four targets' rows were off by 5.5e-6
+    spec, targets = _lag_and_zero_lag(), np.array([0.5, 1.0, 1.5, 2.0])
+    nodes = integrate.quadrature_nodes(spec, targets, 0.01)
+    rows = kernel_rows(spec, nodes, targets)[0]
+    for k, target in enumerate(targets):
+        alone = kernel_rows(spec, nodes, [target])[0][0]
+        assert np.all(np.abs(rows[k] - alone)
+                      <= 1e-15 * np.maximum(1.0, np.abs(alone)))
+
+
+def test_fundamental_grid_of_several_restarts_matches_each_restart_alone():
+    # the same strided derivative in the forward order: restarts 0, 0.5,
+    # 1 and 1.5 were off by up to 8.8e-7 against each restart alone
+    spec, grid = _lag_and_zero_lag(), StepControl(0.01)
+    s_grid, t_grid = np.array([0.0, 0.5, 1.0, 1.5]), np.linspace(0.0, 2.0, 9)
+    samples = fundamental_grid(spec, s_grid, t_grid, grid).samples
+    for k, s in enumerate(s_grid):
+        alone = fundamental_grid(spec, [s], t_grid, grid).samples[:, 0]
+        assert np.all(np.abs(samples[:, k] - alone)
+                      <= 1e-15 * np.maximum(1.0, np.abs(alone)))
+
+
 def _sized(monkeypatch, depth=None, window=None):
     """Replace the ring depth of every sweep by depth(nodes), and its
     longest window by window(cap), where given (`integrate._reach`)."""
@@ -731,24 +766,6 @@ def test_shallow_history_ring_raises(monkeypatch):
     _sized(monkeypatch, depth=lambda nodes: 2)
     with pytest.raises(RuntimeError, match="history ring too shallow"):
         fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
-
-
-def test_a_two_sided_node_outside_the_left_store_raises(monkeypatch):
-    # the store-miss check is an error, not an assert, so it holds under
-    # -O: the store is sized without the jump node at 0.9, which has two
-    # sides, and the sweep names that node
-    real, dropped = integrate._reach, []
-
-    def reach(nodes, *args):
-        D, wmax, cand = real(nodes, *args)
-        dropped.append(cand[np.argmin(np.abs(nodes[cand] - 0.9))])
-        return D, wmax, cand[cand != dropped[-1]]
-
-    monkeypatch.setattr(integrate, "_reach", reach)
-    with pytest.raises(RuntimeError, match=r"^left store misses node \d+$") \
-            as err:
-        fundamental_grid(scalar_forced(), [0.0], [2.0], StepControl(1e-2))
-    assert str(err.value) == f"left store misses node {dropped[0]}"
 
 
 def test_dense_sweep_refuses_more_than_one_chunk():
@@ -1517,32 +1534,20 @@ def _three_sweeps(monkeypatch, spec, dt):
 
 @pytest.mark.parametrize("name",
                          sorted(CORPUS) + ["clustered", "short-lag"])
-def test_the_ring_holds_two_rows_per_node_and_the_store_its_bound(
-        monkeypatch, name):
-    # each sweep's ring holds y_post and f_right; the left store holds
-    # y_pre and f_left of the nodes with two sides, and no span of the
-    # ring's reach, D + wmax nodes, holds more of them than the store's
-    # slots, which a sweep without dense output bounds up front by its
-    # candidates, lifted runs or not
+def test_the_ring_holds_two_rows_per_grid_node(monkeypatch, name):
+    # each sweep's ring holds one y and one f per node of its grid, and a
+    # ring as deep as that grid, which reuses no slot, gives the same bytes
     spec = (CORPUS[name]() if name in CORPUS
             else _clustered_counterexample() if name == "clustered"
             else _short_lag_spec(3 * 2e-3, True))
     states, got = _three_sweeps(monkeypatch, spec, 2e-3)
     assert len(states) == 3
     for st in states:
-        K, Ls = len(st.nodes) - 1, len(st.store)
         assert st.H.shape == (st.slots, 2, st.n, st.Sc * st.m)
-        assert st.store.shape == (Ls, 2, st.n, st.Sc * st.m)
-        two = np.flatnonzero(st.side[:K + 1])
-        reach = (np.searchsorted(two, two + st.D + st.wmax)
-                 - np.arange(len(two)))
-        assert np.max(reach, initial=0) <= Ls <= K + 1
-        if st is not states[0]:  # the solve's sweep, which is dense
-            assert np.isin(two, np.flatnonzero(st.left_row >= 0)).all()
-            assert Ls <= st.R // 2
-    # a ring as deep as the grid reuses no slot of the ring or the store
-    _sized(monkeypatch, depth=len)
-    _, want = _three_sweeps(monkeypatch, spec, 2e-3)
+        assert st.rows_of.shape == (2 * st.slots, st.n, st.Sc * st.m)
+    _sized(monkeypatch, depth=lambda nodes: 2 * len(nodes))
+    deep, want = _three_sweeps(monkeypatch, spec, 2e-3)
+    assert all(st.R >= len(st.nodes) for st in deep)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
@@ -1550,23 +1555,40 @@ def test_the_ring_holds_two_rows_per_node_and_the_store_its_bound(
 @pytest.mark.parametrize("name",
                          sorted(CORPUS) + ["clustered", "short-lag"])
 def test_a_sweeps_sides_are_fixed_before_its_first_step(monkeypatch, name):
-    # `_reach` alone decides which nodes have two sides: each chunk holds
-    # at its first block plan the side codes it ends with, in a dense
-    # solve, a fundamental_grid and a kernel_rows sweep
-    sides, real = {}, integrate._plan
+    # `_reach` alone decides which nodes have two sides, and the sweep's
+    # grid, set before its first step and kept to its end, holds each of
+    # them twice: its left copy and then its right copy, adjacent and equal
+    # in time, in a dense solve, a fundamental_grid and a kernel_rows sweep
+    doubled, grids, real = [], {}, (integrate._reach, integrate._plan)
+
+    def reach(nodes, *args):
+        D, wmax, cand = real[0](nodes, *args)
+        doubled.append((nodes, cand))
+        return D, wmax, cand
 
     def plan(st, p0, p1):
-        sides.setdefault(id(st), st.side.copy())
-        return real(st, p0, p1)
+        grids.setdefault(id(st), (st.nodes.copy(), list(st.lefts)))
+        return real[1](st, p0, p1)
 
-    monkeypatch.setattr(integrate, "_plan", plan)
+    monkeypatch.setattr(integrate, "_reach", reach)
     spec = (CORPUS[name]() if name in CORPUS
             else _clustered_counterexample() if name == "clustered"
             else _short_lag_spec(3 * 2e-3, True))
+    monkeypatch.setattr(integrate, "_plan", plan)
     states, _ = _three_sweeps(monkeypatch, spec, 2e-3)
-    assert len(states) == len(sides) == 3
-    for st in states:
-        assert st.side.tobytes() == sides[id(st)].tobytes()
+    assert len(states) == len(doubled) == len(grids) == 3
+    for st, (nodes, cand) in zip(states, doubled):
+        grid, lefts = grids[id(st)]
+        assert len(cand) > 0
+        assert grid.tobytes() == np.sort(np.append(nodes,
+                                                   nodes[cand])).tobytes()
+        assert st.nodes.tobytes() == grid.tobytes() and st.lefts == lefts
+        lefts = np.asarray(lefts)
+        assert lefts.tolist() == (cand + np.arange(len(cand))).tolist()
+        steps = np.diff(grid)
+        assert np.all(steps[lefts] == 0.0)
+        assert np.all(np.delete(steps, lefts) > 0.0)
+        assert np.flatnonzero(st.left).tolist() == lefts.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["short-lag"])

@@ -11,9 +11,9 @@ One engine, batched over the restart time s, computes everything: the
 fundamental matrix X(t, s) of the s-curtailed equation (zero history below
 s, X(s, s) = identity, impulses only at tau_j > s, X(t, s) = 0 for t < s);
 run over the reflected adjoint system, the rows s -> X(t, s) for a few t at
-once; and the solution itself, as the (x0, 1) column of a homogeneous
-system one dimension larger, in which the forcing, the history reads and
-the jump offsets act on a constant last component.
+once; and the solution itself, one column from x0 in the system's own
+dimension, whose delayed parts take the source g (the forcing less the
+history reads) and whose jumps add the offsets alpha_j after B_j.
 
 The engine steps a lag window per pass: inside [a, a + theta_min) every
 delayed read lands on history that is already computed (Bellen and
@@ -416,8 +416,9 @@ def source_table(spec: SystemSpec):
     g is constant between the breaks of r, of every coefficient table, of
     the lags theta_i and of phi's lag images b + theta_i, all of them
     nodes of `solve`'s grid, and each piece holds g at its midpoint.
-    `solve` takes it as its zero-lag source, and the representation
-    integrals read it on both sides at each quadrature node.
+    `solve`'s sweep adds it to every derivative, with its breaks as
+    two-sided nodes, and the representation integrals read it on both
+    sides at each quadrature node.
     """
     lagged = [term for term in spec.terms if spec.phi is not None
               and isinstance(term.delay, ConstantLag) and term.delay.theta > 0]
@@ -443,48 +444,11 @@ def source_table(spec: SystemSpec):
     return VectorTable(breaks, g)
 
 
-def _augmented(spec: SystemSpec) -> SystemSpec:
-    """Homogeneous system in (x, z) whose solution from (x0, 1) is (x, 1).
-
-    Every coefficient and jump matrix gets a zero last row, except the unit
-    jump diagonal that keeps z = 1.  The source g of `source_table`, the
-    forcing minus the history reads, becomes one zero-lag coefficient
-    -g acting on z, piecewise constant on that table's breaks (all grid
-    nodes of `solve`); the offsets alpha_j become the last column of the
-    jump matrices.  Frozen terms carry over.
-    """
-    n, size = spec.dim, spec.dim + 1
-
-    def pad(m):
-        if isinstance(m, MatrixTable):
-            return MatrixTable(m.breaks, pad(m.values))
-        m = np.asarray(m, dtype=float)
-        out = np.zeros(m.shape[:-2] + (size, size))
-        out[..., :n, :n] = m
-        return out
-
-    terms = [DelayTerm(pad(term.coefficient), term.delay)
-             for term in spec.terms]
-    g = source_table(spec)
-    if g is not None:
-        source = np.zeros((len(g.breaks), size, size))
-        source[:, :n, n] = -g.values
-        terms.append(DelayTerm(MatrixTable(g.breaks, source), ConstantLag(0.0)))
-
-    sch = spec.impulses
-    mats = pad(sch.matrices)
-    mats[:, :n, n] = sch.offsets
-    mats[:, n, n] = 1.0
-    return SystemSpec(dim=size, terms=terms,
-                      impulses=ImpulseSchedule(sch.points, mats, None, size),
-                      horizon=spec.horizon)
-
-
 def _trajectory(nodes: np.ndarray, jump_nodes: dict, dense, dim: int,
                 col: int, **history) -> Trajectory:
-    """Trajectory of column `col`, rows :dim, of a dense single sweep: views
-    into the sweep's own arrays, so no copy is made."""
-    y_post, y_pre, f_right, f_left = (a[:, 0, :dim, col] for a in dense)
+    """Trajectory of column `col` of a dense single sweep: views into the
+    sweep's own arrays, so no copy is made."""
+    y_post, y_pre, f_right, f_left = (a[:, 0, :, col] for a in dense)
     for arr in (nodes, y_post, y_pre, f_right, f_left):
         arr.setflags(write=False)
     return Trajectory(t_nodes=nodes, y_post=y_post, y_pre=y_pre,
@@ -495,15 +459,16 @@ def _trajectory(nodes: np.ndarray, jump_nodes: dict, dense, dim: int,
 def solve(spec: SystemSpec, grid: StepControl = StepControl()) -> Trajectory:
     """Numerical solution of the full problem on [0, horizon].
 
-    One dense sweep of the augmented homogeneous system (`_augmented`) from
-    (x0, 1), on the grid of the original problem.
+    One dense sweep of the spec from x0, in its own dimension: the source
+    g of `source_table`, the forcing less the history reads, enters every
+    delayed part, and the offsets alpha_j follow B_j at the jumps.
     """
     require_valid(spec)
     nodes, jump_nodes = _prepare_grid(spec, 0.0, spec.horizon, grid.dt)
-    aug = _augmented(spec)
-    dense = _batch_columns(aug, nodes, _jump_matrices(aug, jump_nodes), [0],
-                           [], start=np.append(spec.x0, 1.0)[:, None],
-                           dense=True)
+    offsets = {i: spec.impulses.offsets[j] for i, j in jump_nodes.items()}
+    dense = _batch_columns(spec, nodes, _jump_matrices(spec, jump_nodes), [0],
+                           [], start=spec.x0[:, None], dense=True,
+                           source=source_table(spec), offsets=offsets)
     return _trajectory(nodes, jump_nodes, dense, spec.dim, 0, start=0.0,
                        t_end=spec.horizon, phi=spec.phi)
 
@@ -745,15 +710,18 @@ def _width(st: _Sweep, j: int) -> int:
 
 def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
     """The events of grid node j, a right copy whose slot holds the value
-    of its left copy: the forward order's jump, and every activation,
-    snapshot, sample and reflected jump.  The one handler of an event
-    node, at the sweep's start and in the window that reaches it."""
+    of its left copy: the forward order's jump and its offset, and every
+    activation, snapshot, sample and reflected jump.  The one handler of
+    an event node, at the sweep's start and in the window that reaches
+    it."""
     n, m, Sc = st.n, st.m, st.Sc
     y = st.H[slot, _Y]
     B = st.jumps.get(j)
     if B is not None and not st.reflected:
         Wm = _width(st, j - 1) * m
         y[:, :Wm] = B @ y[:, :Wm]
+        if j in st.offsets:
+            y[:, :Wm] += st.offsets[j][:, None]
     if j in st.activate:
         lo, hi = st.activate[j]
         y.reshape(n, Sc, m)[:, lo:hi] = st.start[:, None, :]
@@ -816,11 +784,11 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
 def _plan(st: _Sweep, p0: int, p1: int):
     """The plan of the grid steps p0 .. p1 - 1: the read rows and weights,
     (w + 1, 2, nt, 4), of each node's read and its step's mid read (none
-    at node p1); the coefficients A and zero-lag parts M of the steps
-    p0 .. p1 (the last grid node takes the last step's), so that a node's
-    read and derivative take those of the step it starts; the RK4 maps
-    P - I and G; the node each step's reads need, and the same over long
-    reads alone; and the lifted runs (`_lift_runs`).
+    at node p1); the coefficients A, zero-lag parts M and sources g of the
+    steps p0 .. p1 (the last grid node takes the last step's), so that a
+    node's read and derivative take those of the step it starts; the RK4
+    maps P - I and G; the node each step's reads need, and the same over
+    long reads alone; and the lifted runs (`_lift_runs`).
 
     A step of length zero, from a left copy to its right copy, takes the
     mid of the step before it: so a left copy's read and derivative take
@@ -846,6 +814,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
                         axis=2) if nt else np.zeros((w + 1, n, 0)))
     M = (sum(read_piecewise(c, mids) for c in st.zero_lag)
          if st.zero_lag else None)
+    g = None if st.source is None else read_piecewise(st.source, mids)
     us = np.stack((t, mids), axis=1)[:, :, None] - st.thetas
     exact, interval, weights = _read_plan(st.nodes, us.ravel()[:Nr])
     own = np.zeros((w + 1, 2, L), dtype=bool)
@@ -878,7 +847,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
                            f"interval {oldest[k]} with depth {st.D}")
     maps = _rk4_maps(h, None if M is None else M[:w], n)
     P, G = None if M is None else maps[:, :, :n], maps[:, :, n:]
-    pl = [rows, wts, A, M, P, G]
+    pl = [rows, wts, A, M, P, G, g]
     need = np.maximum.accumulate(ready.max(axis=(1, 2), initial=-1))
     if not len(st.short):
         return pl, need, need, []
@@ -1111,13 +1080,15 @@ def _delayed(ring, bufs, rows, wts, A, d) -> None:
 def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
     """The delayed parts and stage sums of steps a .. b - 1 (`_plan`'s
     part for them): d (w + 1, 2, n, Wm), those of each node's read and of
-    each step's mid read, so that step k's [d1; d23; d4] are the 3 n rows
-    from node k's read on; and c (w, n, Wm), each step's stage sum on
-    y = 0, G [d1; d23; d4]."""
-    rows, wts, A, _, _, G = pl
+    each step's mid read less the source g, as f = -(M y + d), so that
+    step k's [d1; d23; d4] are the 3 n rows from node k's read on; and
+    c (w, n, Wm), each step's stage sum on y = 0, G [d1; d23; d4]."""
+    rows, wts, A, _, _, G, g = pl
     n, w, bufs = st.n, b - a, st.bufs
     d = bufs[2][:(w + 1) * 2 * n * Wm].reshape(w + 1, 2, n, Wm)
     _delayed(st.rows_of, bufs, rows, wts, A, d)
+    if g is not None:
+        d -= g[:, None, :, None]
     c = bufs[3][:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G[:w], np.ndarray((w, 3 * n, Wm), buffer=d, strides=(
         d.strides[0], d.strides[2], d.strides[3])), out=c)
@@ -1215,7 +1186,8 @@ def _tail(st: _Sweep, a: int, b: int) -> None:
 def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
                    s_indices: np.ndarray, record_indices: np.ndarray,
                    reflected: bool = False, start: np.ndarray = None,
-                   dense: bool = False, mem_cap: int = 512 << 20):
+                   dense: bool = False, mem_cap: int = 512 << 20,
+                   source: VectorTable = None, offsets: dict = None):
     """X(t, s) start for all (record node, s node) pairs, batched over s.
 
     `jumps` maps node index -> jump matrix.  Every column starts as zero
@@ -1224,7 +1196,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     for t < s.  In the forward order a node's jump comes first, so it
     belongs only to columns with s < tau, and the sample is the post-jump
     value.  The reflected order (`kernel_rows`) activates first, then
-    jumps every column, and samples the pre-jump value.  The s nodes
+    jumps every column, and samples the pre-jump value.  `solve` alone
+    passes a `source` g, which every column's derivative gains, and
+    `offsets`, node index -> alpha, added to every column after the
+    node's jump in the forward order; it sweeps one column.  The s nodes
     ascend, so that within each chunk the active columns are a prefix, to
     which every operation is sliced: the sweep costs the triangle the zero
     structure allows, not the rectangle.
@@ -1234,9 +1209,9 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     blend and one product with the coefficients of every term, one read
     per node and per step's mid (`_sums`).  Where the two sides of a node
     can differ -- at events, where a read snaps to one, and at coefficient
-    table breaks -- the sweep's grid holds the node twice, its left copy
-    and then its right copy, joined by a step of length zero, so that
-    every grid node has one y and one f in the ring.  Each RK4 step is
+    and source table breaks -- the sweep's grid holds the node twice, its
+    left copy and then its right copy, joined by a step of length zero, so
+    that every grid node has one y and one f in the ring.  Each RK4 step is
     y_{k+1} = P_k y_k + c_k, c_k the stage sum on y = 0; jumps and
     activations (`_at_node`) split the recurrence, and a doubling scan
     (`_affine_scan`) composes each segment.  Blocks of steps are planned
@@ -1298,10 +1273,14 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     # its scan's states and forcing, under twice dl + 2 n (`_lift_scan`),
     # and its forcing, padded forcing and rows, 2 n each
     per_col = ((10 * nt + 3) * n + (2 * dl + 10 * n if dl else 0)) * m * 8
-    per_step = 192 * nt + 8 * (nt + 5) * n * n + 32  # plan bytes per step
+    # plan bytes per step, with the source's n values
+    per_step = (192 * nt + 8 * (nt + 5) * n * n + 32
+                + (0 if source is None else 8 * n))
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
-    coef_breaks = np.unique([b for c in read_coefs + zero_lag
-                             if isinstance(c, MatrixTable) for b in c.breaks])
+    # the source's breaks have two sides as well
+    coef_breaks = np.unique([b for c in read_coefs + zero_lag + [source]
+                             if isinstance(c, (MatrixTable, VectorTable))
+                             for b in c.breaks])
     # the smallest long lag ends the windows, the short ones being lifted
     long = np.delete(np.arange(len(thetas)), short)
     D, wmax, cand = _reach(
@@ -1342,9 +1321,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     lefts = cand + np.arange(len(cand))
     left = np.zeros(K2 + 2, dtype=bool)
     left[lefts] = True
-    jumps = dict(zip(_copy(cand, np.fromiter(jumps, np.intp,
-                                             len(jumps))).tolist(),
-                     jumps.values()))
+    at = dict(zip(jumps, _copy(cand, np.fromiter(jumps, np.intp,
+                                                 len(jumps))).tolist()))
+    jumps = {at[i]: B for i, B in jumps.items()}
+    offsets = {at[i]: alpha for i, alpha in (offsets or {}).items()}
     samples = np.zeros((len(record_indices), S, n, m))
     record_indices = _copy(cand, np.asarray(record_indices, dtype=np.intp))
     rec_rows = np.argsort(record_indices, kind="stable")
@@ -1352,9 +1332,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     # the reflected order samples a jump node before its jump, in _at_node
     keep = ~np.isin(rec_nodes, list(jumps)) if reflected else slice(None)
     shared = dict(
-        n=n, m=m, nodes=grid, jumps=jumps, start=start, reflected=reflected,
-        s_indices=_copy(cand, s_indices), lags=lags, nt=nt, read_coefs=read_coefs,
-        thetas=thetas, short=short, long=long, r_max=r_max, zero_lag=zero_lag,
+        n=n, m=m, nodes=grid, jumps=jumps, offsets=offsets, source=source,
+        start=start, reflected=reflected, s_indices=_copy(cand, s_indices),
+        lags=lags, nt=nt, read_coefs=read_coefs, thetas=thetas, short=short,
+        long=long, r_max=r_max, zero_lag=zero_lag,
         short_cols=(short[:, None] * n + np.arange(n)).ravel(), left=left,
         lefts=lefts.tolist(), D=D, R=R, slots=slots, zero_row=zero_row,
         frozen_idx=[int(_copy(cand, locate(nodes, t.delay.c)))

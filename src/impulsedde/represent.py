@@ -17,7 +17,7 @@ the kernel rows s -> X(t,s) for the few target times t at every node s
 (`kernel_rows`, one reflected sweep of the batched engine over the adjoint
 system, O(K) steps for all targets together), the integrand
 g(s) = r(s) - sum_i A_i(s) phi(s - theta_i) as one piecewise-constant
-table (`source_table`, the zero-lag source `solve` steps), the
+table (`source_table`, the source `solve` adds to its derivatives), the
 snap-tolerant node lookup (`locate`) and the one-sided table reads
 (`read_piecewise`) all come from `integrate`, which owns the snap rule,
 the lag-image rule and the history convention; this module reads neither

@@ -156,6 +156,63 @@ def test_source_table_is_none_without_forcing_or_lagged_history_reads():
     assert integrate.source_table(spec) is None
 
 
+def _singular_jumps_with_offsets() -> SystemSpec:
+    """Planar, two lags, forced: a rank-one jump, a full reset and a
+    regular jump, each with a nonzero offset."""
+    return SystemSpec(
+        dim=2,
+        terms=[DelayTerm(np.array([[0.3, -0.2], [0.1, 0.4]]),
+                         ConstantLag(0.25)),
+               DelayTerm(np.array([[-0.1, 0.0], [0.2, 0.1]]),
+                         ConstantLag(0.6))],
+        impulses=ImpulseSchedule(
+            [0.5, 1.1, 1.6],
+            [[[1.0, 2.0], [0.5, 1.0]], np.zeros((2, 2)),
+             [[0.8, 0.1], [-0.3, 0.9]]],
+            [[0.3, -0.7], [-0.2, 0.4], [0.05, 0.15]], 2),
+        forcing=VectorTable([0.0, 0.9], [[0.2, -0.1], [-0.4, 0.3]]),
+        phi=VectorTable([-0.6], [[0.5, -0.5]]), x0=[1.0, -0.5],
+        horizon=2.0)
+
+
+@pytest.mark.parametrize("make", list(CORPUS.values())
+                         + [_singular_jumps_with_offsets])
+def test_each_jump_adds_its_offset_after_its_matrix(make):
+    # x(tau_j) = B_j x(tau_j - 0) + alpha_j at every jump node, and
+    # alpha_j exactly where B_j = 0
+    spec = make()
+    sch = spec.impulses
+    traj = solve(spec, StepControl(1e-2))
+    assert sorted(traj.jump_nodes.values()) == list(range(len(sch.points)))
+    for i, j in traj.jump_nodes.items():
+        want = sch.matrices[j] @ traj.y_pre[i] + sch.offsets[j]
+        npt.assert_allclose(traj.y_post[i], want, rtol=0,
+                            atol=1e-15 * max(1.0, np.max(np.abs(want))))
+        if not sch.matrices[j].any():
+            assert np.array_equal(traj.y_post[i], sch.offsets[j])
+
+
+def test_a_source_break_is_a_node_with_two_derivatives():
+    # x' = -0.6 x(t - 1) + r(t): g = r - A phi(t - 1) breaks at phi's
+    # image 0.6 and at r's break 1.37, where the delayed read is smooth.
+    # x is continuous there, and x' jumps by the step of g
+    spec = SystemSpec(
+        dim=1, terms=[DelayTerm(np.array([[0.6]]), ConstantLag(1.0))],
+        forcing=VectorTable([0.0, 1.37], [[0.4], [-0.9]]),
+        phi=VectorTable([-1.0, -0.4], [[0.7], [-0.2]]), x0=[1.0],
+        horizon=2.0)
+    g = integrate.source_table(spec)
+    traj = solve(spec, StepControl(1e-2))
+    for b in (0.6, 1.37):
+        i = int(locate(traj.t_nodes, b))
+        assert i > 0
+        assert np.array_equal(traj.y_pre[i], traj.y_post[i])
+        step = read_piecewise(g, b) - read_piecewise(g, b, "left")
+        assert abs(step[0]) > 0.1
+        npt.assert_allclose(traj.f_right[i] - traj.f_left[i], step, rtol=0,
+                            atol=1e-13)
+
+
 def test_queries_beyond_horizon_raise():
     traj = solve(_decay(horizon=1.0), StepControl(0.1))
     with pytest.raises(ValueError):
@@ -1296,6 +1353,43 @@ def _lattice_specs(draw):
                       phi=phi, x0=draw(vector), horizon=horizon)
 
 
+def _augmented(spec: SystemSpec) -> SystemSpec:
+    """Homogeneous system in (x, z) whose solution from (x0, 1) is (x, 1).
+
+    Every coefficient and jump matrix gets a zero last row, except the unit
+    jump diagonal that keeps z = 1.  The source g of `source_table`, the
+    forcing minus the history reads, becomes one zero-lag coefficient
+    -g acting on z, piecewise constant on that table's breaks; the offsets
+    alpha_j become the last column of the jump matrices.  Frozen terms
+    carry over.
+    """
+    n, size = spec.dim, spec.dim + 1
+
+    def pad(m):
+        if isinstance(m, MatrixTable):
+            return MatrixTable(m.breaks, pad(m.values))
+        m = np.asarray(m, dtype=float)
+        out = np.zeros(m.shape[:-2] + (size, size))
+        out[..., :n, :n] = m
+        return out
+
+    terms = [DelayTerm(pad(term.coefficient), term.delay)
+             for term in spec.terms]
+    g = integrate.source_table(spec)
+    if g is not None:
+        source = np.zeros((len(g.breaks), size, size))
+        source[:, :n, n] = -g.values
+        terms.append(DelayTerm(MatrixTable(g.breaks, source), ConstantLag(0.0)))
+
+    sch = spec.impulses
+    mats = pad(sch.matrices)
+    mats[:, :n, n] = sch.offsets
+    mats[:, n, n] = 1.0
+    return SystemSpec(dim=size, terms=terms,
+                      impulses=ImpulseSchedule(sch.points, mats, None, size),
+                      horizon=spec.horizon)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_lattice_specs())
 def test_solve_matches_the_augmented_fundamental_column(spec):
@@ -1303,7 +1397,7 @@ def test_solve_matches_the_augmented_fundamental_column(spec):
     # (x, 1); fundamental_grid plans its own grid, with steps of 1/12
     # against solve's 1/8 (both put every multiple of 1/4 on a node)
     traj = solve(spec, StepControl(0.125))
-    aug = integrate._augmented(spec)
+    aug = _augmented(spec)
     t_grid = np.arange(0.25, spec.horizon + 0.125, 0.25)
     fm = fundamental_grid(aug, [0.0], t_grid, StepControl(1.0 / 12.0))
     start = np.append(spec.x0, 1.0)

@@ -28,7 +28,7 @@ SOURCES = {path.name: path.read_text(encoding="utf-8")
 TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
 
 # code lines at most, as `code_lines` counts them
-CEILINGS = {"integrate.py": 813, "package": 1971}
+CEILINGS = {"integrate.py": 800, "package": 1958}
 
 
 def code_lines(source: str) -> int:

@@ -1277,7 +1277,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     per_step = (192 * nt + 8 * (nt + 5) * n * n + 32
                 + (0 if source is None else 8 * n))
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
-    # the source's breaks have two sides as well
+    # at a source break too the steps on either side take different values
     coef_breaks = np.unique([b for c in read_coefs + zero_lag + [source]
                              if isinstance(c, (MatrixTable, VectorTable))
                              for b in c.breaks])

@@ -494,18 +494,17 @@ def fundamental_matrix(spec: SystemSpec, s: float,
 
 # rows of a grid node's slot in the history ring: its value and derivative
 _Y, _F = range(2)
-# a frozen term's read of its snapshot takes the last of its four rows
-_SNAPPED = np.array([0.0, 0.0, 0.0, 1.0])
 _QUAD = np.arange(4)
 # byte budget of one lag window's gathered reads and stage arrays, two
-# reads per step and term; windows of a few dozen steps still pay their
+# reads per step and lag; windows of a few dozen steps still pay their
 # fixed cost in numpy calls, which 512 KiB against 256 KiB cuts by a third
 # on the kernel-sweep benchmark
 _WINDOW_BYTES = 1 << 19
 # byte budget of one block of steps, whose read plans and coefficients
-# are set up at once; a step holds three reads per term (its start node's
-# right and left reads and its mid) and is counted at 1 KiB at most, so a
-# block holds at least 512 steps
+# are set up at once; a step plans two reads per lag (its start node's and
+# its mid) but `per_step` counts three, 192 B a lag, and caps a step at
+# 1 KiB, so a block holds at least 512 steps.  The count sets the blocks'
+# lengths, and with them the outputs' rounding (about 1e-13), so it stays.
 _PLAN_BYTES = 1 << 19
 # a lag shorter than this many steps is short: its reads land in the last
 # few nodes, which the sweep lifts into its state (`_lift_runs`) rather
@@ -669,14 +668,19 @@ class _Sweep:
     sweep on it.
 
     `rows_of` holds, in this order, the history ring `H`, two rows per
-    slot, the y and f of one grid node, then the zero rows and the
-    snapshot row, so that one gather serves every read.  The grid holds
+    slot, the y and f of one grid node, then the zero rows, so that one
+    gather serves every lag's read.  A frozen term's x(c) is fixed before
+    the first step (`_check_causal`): `frozen` keeps the coefficients of
+    the terms whose node is the chunk's start, where x(c) is `y0`, the
+    start value, in the columns activated there and zero in the rest;
+    other frozen terms read zero (`_plan` adds them as a source).  The
+    grid holds
     each node with two sides twice (`_reach`): first its left copy, with
     its left limits y_pre and f_left, then its right copy, with y_post and
     f_right, joined by a step of length zero; `lefts` lists the left
     copies, and `left` marks them, with one False past the last grid node
     for a read of no node (-1).  The events -- the jumps and the chunk's
-    activations -- sit at right copies, as do the samples and snapshots.
+    activations -- sit at right copies, as do the samples.
     """
 
     def __init__(self, shared: dict, c0: int, c1: int):
@@ -695,7 +699,8 @@ class _Sweep:
         self.bufs = (np.empty(8 * self.nt * size),
                      np.empty(2 * self.nt * size), np.empty(2 * size),
                      np.empty(size))
-        self.snap = [i == self.k_start for i in self.frozen_idx]
+        self.frozen = [c for j, c in self.frozen if j == self.k_start]
+        self.y0 = np.tile(self.start, (1, _width(self, self.k_start)))
         # the chunk's columns that node s activates, as a local range
         self.activate = {s: (bisect.bisect_left(self.s_list, s),
                              _width(self, s)) for s in self.s_list}
@@ -711,7 +716,7 @@ def _width(st: _Sweep, j: int) -> int:
 def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
     """The events of grid node j, a right copy whose slot holds the value
     of its left copy: the forward order's jump and its offset, and every
-    activation, snapshot, sample and reflected jump.  The one handler of
+    activation, sample and reflected jump.  The one handler of
     an event node, at the sweep's start and in the window that reaches
     it."""
     n, m, Sc = st.n, st.m, st.Sc
@@ -725,8 +730,6 @@ def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
     if j in st.activate:
         lo, hi = st.activate[j]
         y.reshape(n, Sc, m)[:, lo:hi] = st.start[:, None, :]
-    if initial and any(st.snap):
-        st.H[st.slots - 1, _Y] = y
     if initial or (st.reflected and B is not None):
         rows = st.rec_rows[np.searchsorted(st.rec_nodes, j):
                            np.searchsorted(st.rec_nodes, j, side="right")]
@@ -783,12 +786,15 @@ def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
 
 def _plan(st: _Sweep, p0: int, p1: int):
     """The plan of the grid steps p0 .. p1 - 1: the read rows and weights,
-    (w + 1, 2, nt, 4), of each node's read and its step's mid read (none
-    at node p1); the coefficients A, zero-lag parts M and sources g of the
-    steps p0 .. p1 (the last grid node takes the last step's), so that a
-    node's read and derivative take those of the step it starts; the RK4
-    maps P - I and G; the node each step's reads need, and the same over
-    long reads alone; and the lifted runs (`_lift_runs`).
+    (w + 1, 2, nt, 4), of each node's read and its step's mid read of each
+    lag (none at node p1); the coefficients A, zero-lag parts M and
+    sources of the steps p0 .. p1 (the last grid node takes the last
+    step's), so that a node's read and derivative take those of the step
+    it starts; the RK4 maps P - I and G; the node each step's reads need,
+    and the same over long reads alone; and the lifted runs
+    (`_lift_runs`).  The source, (w + 1, n, k) or None, is what the
+    delayed parts of the first k columns gain: less solve's g, plus each
+    frozen term's A_f y0 (`_Sweep`).
 
     A step of length zero, from a left copy to its right copy, takes the
     mid of the step before it: so a left copy's read and derivative take
@@ -799,8 +805,8 @@ def _plan(st: _Sweep, p0: int, p1: int):
     A node's read serves the step it ends and the step it starts, so each
     lag's 2 w + 1 reads take one `_read_plan` call.
     """
-    n, nt, L, w = st.n, st.nt, len(st.lags), p1 - p0
-    Nr = (2 * w + 1) * L
+    n, nt, w = st.n, st.nt, p1 - p0
+    Nr = (2 * w + 1) * nt
     # from step p0 - 1 on: a sweep starts at a right copy, so p0 > 0
     t = st.nodes[p0 - 1:p1 + 2]
     mids = t[:-1] + 0.5 * np.diff(t)
@@ -814,10 +820,14 @@ def _plan(st: _Sweep, p0: int, p1: int):
                         axis=2) if nt else np.zeros((w + 1, n, 0)))
     M = (sum(read_piecewise(c, mids) for c in st.zero_lag)
          if st.zero_lag else None)
-    g = None if st.source is None else read_piecewise(st.source, mids)
+    src = (None if st.source is None
+           else -read_piecewise(st.source, mids)[..., None])
+    for coef in st.frozen:
+        x = read_piecewise(coef, mids) @ st.y0
+        src = x if src is None else src + x
     us = np.stack((t, mids), axis=1)[:, :, None] - st.thetas
     exact, interval, weights = _read_plan(st.nodes, us.ravel()[:Nr])
-    own = np.zeros((w + 1, 2, L), dtype=bool)
+    own = np.zeros((w + 1, 2, nt), dtype=bool)
     own[:, 0] = st.left[p0:p1 + 1, None]
     # a read of no node (-1) finds no left copy: `left` ends in a False
     # past the grid, whose last node is a right copy
@@ -827,14 +837,10 @@ def _plan(st: _Sweep, p0: int, p1: int):
     rows = np.empty((w + 1, 2, nt, 4), dtype=np.intp)
     wts = np.empty(rows.shape)
     for x, y in zip((rows, wts), plan):
-        x.reshape(2 * w + 2, nt, 4)[:-1, :L] = y.reshape(2 * w + 1, L, 4)
+        x.reshape(2 * w + 2, nt, 4)[:-1] = y.reshape(2 * w + 1, nt, 4)
     rows[w, 1], wts[w, 1] = st.zero_row + _QUAD, 0.0
-    for i, snapped in enumerate(st.snap, start=L):
-        # a frozen term reads the snapshot's y, or zero
-        rows[..., i, :] = st.zero_row + _QUAD + snapped
-        wts[..., i, :] = _SNAPPED if snapped else 0.0
     # each step's start, mid and end reads
-    ready, node = (y.reshape(2 * w + 1, L) for y in plan[3:1:-1])
+    ready, node = (y.reshape(2 * w + 1, nt) for y in plan[3:1:-1])
     ready = np.stack((ready[:-1:2], ready[1::2], ready[2::2]), axis=1)
     oldest = np.minimum(np.minimum(node[:-1:2], node[1::2]),
                         node[2::2]).min(axis=1, initial=np.iinfo(np.intp).max)
@@ -847,7 +853,7 @@ def _plan(st: _Sweep, p0: int, p1: int):
                            f"interval {oldest[k]} with depth {st.D}")
     maps = _rk4_maps(h, None if M is None else M[:w], n)
     P, G = None if M is None else maps[:, :, :n], maps[:, :, n:]
-    pl = [rows, wts, A, M, P, G, g]
+    pl = [rows, wts, A, M, P, G, src]
     need = np.maximum.accumulate(ready.max(axis=(1, 2), initial=-1))
     if not len(st.short):
         return pl, need, need, []
@@ -1060,7 +1066,7 @@ def _derivative(M, y, d, out) -> np.ndarray:
 
 def _delayed(ring, bufs, rows, wts, A, d) -> None:
     """The delayed parts d (N, q, n, Wm) of N groups of q planned reads of
-    nt terms each: one gather from the history rows `ring` (rows, n,
+    nt lags each: one gather from the history rows `ring` (rows, n,
     cols), one Hermite blend and one product with group i's coefficients
     A[i]; zero without reads.  `bufs` holds the flat scratch of the gather
     and the blend."""
@@ -1080,15 +1086,15 @@ def _delayed(ring, bufs, rows, wts, A, d) -> None:
 def _sums(st: _Sweep, a: int, b: int, pl, Wm: int) -> tuple:
     """The delayed parts and stage sums of steps a .. b - 1 (`_plan`'s
     part for them): d (w + 1, 2, n, Wm), those of each node's read and of
-    each step's mid read less the source g, as f = -(M y + d), so that
-    step k's [d1; d23; d4] are the 3 n rows from node k's read on; and
-    c (w, n, Wm), each step's stage sum on y = 0, G [d1; d23; d4]."""
-    rows, wts, A, _, _, G, g = pl
+    each step's mid read with the plan's source, as f = -(M y + d), so
+    that step k's [d1; d23; d4] are the 3 n rows from node k's read on;
+    and c (w, n, Wm), each step's stage sum on y = 0, G [d1; d23; d4]."""
+    rows, wts, A, _, _, G, src = pl
     n, w, bufs = st.n, b - a, st.bufs
     d = bufs[2][:(w + 1) * 2 * n * Wm].reshape(w + 1, 2, n, Wm)
     _delayed(st.rows_of, bufs, rows, wts, A, d)
-    if g is not None:
-        d -= g[:, None, :, None]
+    if src is not None:
+        d[..., :src.shape[-1]] += src[:, None]
     c = bufs[3][:w * n * Wm].reshape(w, n, Wm)
     np.matmul(G[:w], np.ndarray((w, 3 * n, Wm), buffer=d, strides=(
         d.strides[0], d.strides[2], d.strides[3])), out=c)
@@ -1199,7 +1205,10 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     jumps every column, and samples the pre-jump value.  `solve` alone
     passes a `source` g, which every column's derivative gains, and
     `offsets`, node index -> alpha, added to every column after the
-    node's jump in the forward order; it sweeps one column.  The s nodes
+    node's jump in the forward order; it sweeps one column.  A frozen
+    term x(c), c at or before the first node, is a source too: x(c) is
+    the start value in the columns that start at c's node and zero in the
+    rest, so every read gathered from the ring is a lag's.  The s nodes
     ascend, so that within each chunk the active columns are a prefix, to
     which every operation is sliced: the sweep costs the triangle the zero
     structure allows, not the rectangle.
@@ -1224,8 +1233,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     and decides, before the first step, which nodes the grid doubles: the
     ring holds the deepest delayed read, and a window past its end writes
     on into spare slots; a window holds at most `_WINDOW_BYTES` of buffers
-    and the longest window the smallest long lag allows.  The events,
-    samples and snapshots sit at right copies.  With `dense` the ring
+    and the longest window the smallest long lag allows.  The events and
+    samples sit at right copies.  With `dense` the ring
     holds every grid node and gives the dense output (y_post, y_pre,
     f_right, f_left), each (K+1, S, n, m), returned in place of the
     samples (`Trajectory`): the left limits are one gather of the nodes'
@@ -1249,7 +1258,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     frozen = [t for t in spec.terms if isinstance(t.delay, FrozenTime)]
     zero_lag = [t.coefficient for t in spec.terms
                 if isinstance(t.delay, ConstantLag) and t.delay.theta == 0.0]
-    read_coefs = [t.coefficient for t in lags + frozen]
+    read_coefs = [t.coefficient for t in lags]
     nt = len(read_coefs)
     thetas = np.array([t.delay.theta for t in lags])
     # a lifted state of depth r holds (2r + 2) n numbers (`_LiftMap`),
@@ -1263,24 +1272,25 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
 
     # grid node j sits in ring slot j % R; a window may run on into the
     # spare slots after the ring, which are copied back to its start.  Then
-    # come the zero rows and the snapshot row.  A slot's columns
-    # beyond the width active at its node hold zero (the nodes a slot held
-    # before were never wider), which is the value an inactive column must
-    # supply.
+    # come the zero rows, two slots.  A slot's columns beyond the width
+    # active at its node hold zero (the nodes a slot held before were never
+    # wider), which is the value an inactive column must supply.
     dl = (2 * r_max + 2) * n if len(short) else 0  # the deepest state
     # window bytes per step and column: the gather, blend and delayed
-    # parts of two reads per term, and the stage sums; a lifted window adds
+    # parts of two reads per lag, and the stage sums; a lifted window adds
     # its scan's states and forcing, under twice dl + 2 n (`_lift_scan`),
     # and its forcing, padded forcing and rows, 2 n each
     per_col = ((10 * nt + 3) * n + (2 * dl + 10 * n if dl else 0)) * m * 8
-    # plan bytes per step, with the source's n values
+    # plan bytes per step (reads counted as in `_PLAN_BYTES`), with the
+    # source's n m values
     per_step = (192 * nt + 8 * (nt + 5) * n * n + 32
-                + (0 if source is None else 8 * n))
+                + (8 * n * m if source is not None or frozen else 0))
     block = max(1, _PLAN_BYTES // min(per_step, 1024))
-    # at a source break too the steps on either side take different values
-    coef_breaks = np.unique([b for c in read_coefs + zero_lag + [source]
-                             if isinstance(c, (MatrixTable, VectorTable))
-                             for b in c.breaks])
+    # at a break of any term's coefficient or of the source the steps on
+    # either side take different values
+    tables = [c for c in [t.coefficient for t in spec.terms] + [source]
+              if isinstance(c, (MatrixTable, VectorTable))]
+    coef_breaks = np.unique([b for c in tables for b in c.breaks])
     # the smallest long lag ends the windows, the short ones being lifted
     long = np.delete(np.arange(len(thetas)), short)
     D, wmax, cand = _reach(
@@ -1290,7 +1300,7 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         dense)
     K2 = K + len(cand)  # the grid's steps, one of length zero per copy
     R, spare = (K2 + 1, 0) if dense else (max(D, wmax), wmax)
-    slots = R + spare + 3
+    slots = R + spare + 2
     zero_row = 2 * (R + spare)
     # the bytes the sweep holds at once: per column, the ring rows, the
     # window buffers and the zero-lag scan's states, the samples, and with
@@ -1334,12 +1344,12 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     shared = dict(
         n=n, m=m, nodes=grid, jumps=jumps, offsets=offsets, source=source,
         start=start, reflected=reflected, s_indices=_copy(cand, s_indices),
-        lags=lags, nt=nt, read_coefs=read_coefs, thetas=thetas, short=short,
+        nt=nt, read_coefs=read_coefs, thetas=thetas, short=short,
         long=long, r_max=r_max, zero_lag=zero_lag,
         short_cols=(short[:, None] * n + np.arange(n)).ravel(), left=left,
         lefts=lefts.tolist(), D=D, R=R, slots=slots, zero_row=zero_row,
-        frozen_idx=[int(_copy(cand, locate(nodes, t.delay.c)))
-                    for t in frozen],
+        frozen=[(int(_copy(cand, locate(nodes, t.delay.c))), t.coefficient)
+                for t in frozen],
         wmax=wmax, samples=samples, rec_nodes=rec_nodes,
         rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
         bulk_rows=rec_rows[keep])

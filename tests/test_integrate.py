@@ -926,6 +926,42 @@ def _three_lags_frozen_and_zero_lag():
         x0=[1.0, 0.5], horizon=1.5)
 
 
+def _planar_frozen_at(c):
+    """planar-rotation with its lag at 0.37, no history and, unless c is
+    None, a frozen term x(c)."""
+    base = planar_rotation()
+    zero, lag = base.terms
+    terms = [zero, DelayTerm(lag.coefficient, ConstantLag(0.37))]
+    if c is not None:
+        terms.append(DelayTerm(np.array([[0.6, -0.2], [0.3, 0.4]]),
+                               FrozenTime(c)))
+    return dataclasses.replace(base, terms=terms, phi=None)
+
+
+def test_a_frozen_term_acts_only_on_the_columns_that_start_at_its_node():
+    # x(c) is fixed before a sweep's first step: the identity in a column
+    # that restarts at c, zero in a column that restarts later, whose
+    # X(t, s) is then the frozen-free one
+    grid = StepControl(1e-2)
+    s_grid, t_grid = [0.0, 0.5, 1.0], np.linspace(0.0, 2.5, 11)
+    got = fundamental_grid(_planar_frozen_at(0.0), s_grid, t_grid,
+                           grid).samples
+    free = fundamental_grid(_planar_frozen_at(None), s_grid, t_grid,
+                            grid).samples
+    npt.assert_allclose(got[:, 1:], free[:, 1:], rtol=0, atol=1e-14)
+    cols = fundamental_matrix(_planar_frozen_at(0.0), 0.0, grid)
+    npt.assert_allclose(got[:, 0], np.stack([c.value(t_grid) for c in cols],
+                                            axis=-1), rtol=0, atol=1e-15)
+    # with a restart at s, x(c) is the identity for c = s and zero for c < s
+    s = 0.5
+    plain = [c.y_post for c in fundamental_matrix(_planar_frozen_at(None), s,
+                                                  grid)]
+    for c, acts in ((s, True), (0.25, False)):
+        cols = fundamental_matrix(_planar_frozen_at(c), s, grid)
+        gap = max(np.max(np.abs(a.y_post - b)) for a, b in zip(cols, plain))
+        assert (gap > 0.1) if acts else (gap <= 1e-14), (c, gap)
+
+
 def test_block_length_does_not_change_the_sweep(monkeypatch):
     # a 4 KiB plan budget cuts blocks of four steps, so every lag
     # window and every scan segment also ends at a block end
@@ -1548,6 +1584,31 @@ def test_the_memory_estimate_is_within_twice_the_traced_peak(monkeypatch,
     assert kinds == [(True, False, False), (False, False, False),
                      (False, True, False)]
     assert all(1.0 <= ratio <= 2.0 for ratio in ratios), ratios
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_a_full_width_sweep_splits_under_its_traced_peak(monkeypatch, name):
+    # the estimate of 40 restart columns lies between the sweep's traced
+    # peak and twice it: under a budget of the peak the sweep runs in two
+    # chunks, under twice the peak in one
+    hom = integrate._curtailed(CORPUS[name]())
+    nodes, jump_nodes = integrate._prepare_grid(hom, 0.0, hom.horizon, 0.01)
+    args = (hom, nodes, integrate._jump_matrices(hom, jump_nodes),
+            np.arange(0, len(nodes) - 1, (len(nodes) - 1) // 40)[:40],
+            np.arange(len(nodes)))
+    sweep, widths, real = integrate._batch_columns, [], integrate._Sweep
+    _, peak = _traced_peak(lambda: sweep(*args))
+
+    def spy(shared, c0, c1):
+        widths.append(c1 - c0)
+        return real(shared, c0, c1)
+
+    monkeypatch.setattr(integrate, "_Sweep", spy)
+    sweep(*args, mem_cap=peak)
+    assert len(widths) == 2 and sum(widths) == 40, widths
+    widths.clear()
+    sweep(*args, mem_cap=2 * peak)
+    assert widths == [40]
 
 
 def test_the_memory_estimate_of_a_chunked_sweep_is_within_twice_its_peak():

@@ -680,13 +680,14 @@ class _Sweep:
     f_right, joined by a step of length zero; `lefts` lists the left
     copies, and `left` marks them, with one False past the last grid node
     for a read of no node (-1).  The events -- the jumps and the chunk's
-    activations -- sit at right copies, as do the samples.
+    activations -- sit at right copies.  `_tail` samples a forward sweep
+    at right copies and a reflected one at first copies.
     """
 
     def __init__(self, shared: dict, c0: int, c1: int):
         self.__dict__.update(shared)
         n, Sc = self.n, c1 - c0
-        self.c0, self.c1, self.Sc = c0, c1, Sc
+        self.c0, self.Sc = c0, Sc
         self.s_list = self.s_indices[c0:c1].tolist()
         self.k_start = self.s_list[0]
         self.rows_of = np.zeros((2 * self.slots, n, Sc * self.m))
@@ -713,30 +714,24 @@ def _width(st: _Sweep, j: int) -> int:
     return bisect.bisect_right(st.s_list, j)
 
 
-def _at_node(st: _Sweep, j: int, slot: int, initial: bool) -> None:
+def _at_node(st: _Sweep, j: int, slot: int) -> None:
     """The events of grid node j, a right copy whose slot holds the value
-    of its left copy: the forward order's jump and its offset, and every
-    activation, sample and reflected jump.  The one handler of
-    an event node, at the sweep's start and in the window that reaches
-    it."""
+    of its left copy: its activation, then its jump and the jump's offset.
+    The forward order jumps the columns activated before node j, the
+    reflected order those activated at node j too.  The one handler of an
+    event node, at the sweep's start and in the window that reaches it;
+    it changes values only, and `_tail` takes the samples."""
     n, m, Sc = st.n, st.m, st.Sc
     y = st.H[slot, _Y]
-    B = st.jumps.get(j)
-    if B is not None and not st.reflected:
-        Wm = _width(st, j - 1) * m
-        y[:, :Wm] = B @ y[:, :Wm]
-        if j in st.offsets:
-            y[:, :Wm] += st.offsets[j][:, None]
     if j in st.activate:
         lo, hi = st.activate[j]
         y.reshape(n, Sc, m)[:, lo:hi] = st.start[:, None, :]
-    if initial or (st.reflected and B is not None):
-        rows = st.rec_rows[np.searchsorted(st.rec_nodes, j):
-                           np.searchsorted(st.rec_nodes, j, side="right")]
-        st.samples[rows, st.c0:st.c1] = y.reshape(n, Sc, m).transpose(1, 0, 2)
-    if B is not None and st.reflected:
-        Wm = _width(st, j) * m
+    B = st.jumps.get(j)
+    if B is not None:
+        Wm = _width(st, j - 1 + st.reflected) * m
         y[:, :Wm] = B @ y[:, :Wm]
+        if j in st.offsets:
+            y[:, :Wm] += st.offsets[j][:, None]
 
 
 def _rk4_maps(h: np.ndarray, M, n: int) -> np.ndarray:
@@ -1134,8 +1129,7 @@ def _window(st: _Sweep, a: int, b: int, pl) -> None:
         for j in st.lefts[bisect.bisect_left(st.lefts, a + u):
                           bisect.bisect_left(st.lefts, a + e)]:
             yp[j - a + sa + 1] = yp[j - a + sa]
-        if a + e in st.jumps or a + e in st.activate:
-            _at_node(st, a + e, sa + e, False)
+        _at_node(st, a + e, sa + e)
         u = e
     # node a's f came with the window before, unless it activates columns
     lo = 0 if a in st.activate else 1
@@ -1171,17 +1165,21 @@ def _lifted(st: _Sweep, a: int, b: int, pl, lift: _LiftMap) -> None:
 
 
 def _tail(st: _Sweep, a: int, b: int) -> None:
-    """After the steps a .. b - 1: the samples at their nodes, a
-    finiteness check, and the spare slots copied back to the ring."""
+    """After the steps a .. b - 1, or at a chunk's start node a = b: the
+    samples at the nodes a .. b, a finiteness check, and the spare slots
+    copied back to the ring.  Node a was sampled before, at the chunk's
+    start or by the window before, with the values it holds now: a node's
+    y is final after its events, and its columns beyond its width hold
+    zero."""
     n, m, R, H = st.n, st.m, st.R, st.H
     w, sa = b - a, a % R
     # a numpy search per window costs more than a bisection of the list
-    lo, hi = bisect.bisect_right(st.bulk, a), bisect.bisect_right(st.bulk, b)
+    lo, hi = bisect.bisect_left(st.recs, a), bisect.bisect_right(st.recs, b)
     if hi > lo:
         # node b may activate columns beyond the window's width
         W = _width(st, b)
-        y = H[np.subtract(st.bulk[lo:hi], a - sa), _Y, :, :W * m]
-        st.samples[st.bulk_rows[lo:hi], st.c0:st.c0 + W] = \
+        y = H[np.subtract(st.recs[lo:hi], a - sa), _Y, :, :W * m]
+        st.samples[st.rec_rows[lo:hi], st.c0:st.c0 + W] = \
             y.reshape(-1, n, W, m).transpose(0, 2, 1, 3)
     if b // 256 != a // 256 and not np.all(np.isfinite(H[sa + w, _Y])):
         raise NumericalError(f"state non-finite at t={st.nodes[b]}")
@@ -1199,10 +1197,14 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     `jumps` maps node index -> jump matrix.  Every column starts as zero
     and is activated to `start` (n x m, default the identity) at its s
     node; zero columns evolve as exact zeros, which realizes X(t, s) = 0
-    for t < s.  In the forward order a node's jump comes first, so it
-    belongs only to columns with s < tau, and the sample is the post-jump
-    value.  The reflected order (`kernel_rows`) activates first, then
-    jumps every column, and samples the pre-jump value.  `solve` alone
+    for t < s.  At a node the activation comes first, then the jump
+    (`_at_node`).  In the forward order the jump belongs only to columns
+    with s < tau, and a node is sampled at its right copy, after its
+    events.  The reflected order (`kernel_rows`) jumps every column, the
+    new ones included, and samples each node's first copy, the value
+    before its events, which is zero in the columns it activates.  Every
+    sample is taken after the window that reaches its node (`_tail`), or
+    at a chunk's start node, which no window steps to.  `solve` alone
     passes a `source` g, which every column's derivative gains, and
     `offsets`, node index -> alpha, added to every column after the
     node's jump in the forward order; it sweeps one column.  A frozen
@@ -1233,8 +1235,8 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     and decides, before the first step, which nodes the grid doubles: the
     ring holds the deepest delayed read, and a window past its end writes
     on into spare slots; a window holds at most `_WINDOW_BYTES` of buffers
-    and the longest window the smallest long lag allows.  The events and
-    samples sit at right copies.  With `dense` the ring
+    and the longest window the smallest long lag allows.  The events sit
+    at right copies.  With `dense` the ring
     holds every grid node and gives the dense output (y_post, y_pre,
     f_right, f_left), each (K+1, S, n, m), returned in place of the
     samples (`Trajectory`): the left limits are one gather of the nodes'
@@ -1336,11 +1338,9 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
     jumps = {at[i]: B for i, B in jumps.items()}
     offsets = {at[i]: alpha for i, alpha in (offsets or {}).items()}
     samples = np.zeros((len(record_indices), S, n, m))
-    record_indices = _copy(cand, np.asarray(record_indices, dtype=np.intp))
+    record_indices = _copy(cand, np.asarray(record_indices, dtype=np.intp),
+                           "left" if reflected else "right")
     rec_rows = np.argsort(record_indices, kind="stable")
-    rec_nodes = record_indices[rec_rows]
-    # the reflected order samples a jump node before its jump, in _at_node
-    keep = ~np.isin(rec_nodes, list(jumps)) if reflected else slice(None)
     shared = dict(
         n=n, m=m, nodes=grid, jumps=jumps, offsets=offsets, source=source,
         start=start, reflected=reflected, s_indices=_copy(cand, s_indices),
@@ -1350,13 +1350,15 @@ def _batch_columns(spec: SystemSpec, nodes: np.ndarray, jumps: dict,
         lefts=lefts.tolist(), D=D, R=R, slots=slots, zero_row=zero_row,
         frozen=[(int(_copy(cand, locate(nodes, t.delay.c))), t.coefficient)
                 for t in frozen],
-        wmax=wmax, samples=samples, rec_nodes=rec_nodes,
-        rec_rows=rec_rows, bulk=rec_nodes[keep].tolist(),
-        bulk_rows=rec_rows[keep])
+        wmax=wmax, samples=samples,
+        recs=record_indices[rec_rows].tolist(), rec_rows=rec_rows)
     for c0 in range(0, S, chunk):
         st = None  # the last chunk's rows go before the next one's come
         st = _Sweep(shared, c0, min(c0 + chunk, S))
-        _at_node(st, st.k_start, st.k_start % R, True)
+        # the start node's events and samples: a chunk that starts at the
+        # last node runs no window
+        _at_node(st, st.k_start, st.k_start % R)
+        _tail(st, st.k_start, st.k_start)
         for p0 in range(st.k_start, K2, block):
             p1 = min(p0 + block, K2)
             pl, need, need_long, runs = _plan(st, p0, p1)
@@ -1413,8 +1415,9 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
 
     Returns (rows, jump_nodes): `rows[k, i]` = X(targets[k], nodes[i]),
     right-continuous in s (the impulse at s = tau is not applied) and zero
-    for s > t, and the grid's jump map.  The targets must increase and lie
-    on grid nodes, else ValueError.
+    for s > t, and the grid's jump map.  The targets must lie on grid nodes
+    and must not decrease, else ValueError; a repeated target gets the
+    same row at each of its places.
 
     For fixed t the row solves the formal adjoint equation
     d/ds X(t,s) = sum_i X(t, s + theta_i) A_i(s + theta_i) with X(t,t) = I,
@@ -1424,9 +1427,11 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
     coefficients A_i(T - sigma + theta_i)^T and jumps B_j^T at T - tau_j,
     restarted at T - t, so `_batch_columns` computes every row at once in
     its reflected order: O(K n^3) per row instead of the O(K^2 n^3) of one
-    forward column per node.  Frozen-time terms with c = 0 act only on the
-    s = 0 column, a null set for the integrals the rows feed, and are left
-    out.
+    forward column per node.  That order samples each node before its
+    events, where a target's own column is still zero, so X(t, t) = I is
+    written at each target's node after the sweep.  Frozen-time terms with
+    c = 0 act only on the s = 0 column, a null set for the integrals the
+    rows feed, and are left out.
     """
     at = locate(nodes, targets)
     if np.any(at < 0) or np.any(np.diff(at) < 0):
@@ -1445,7 +1450,9 @@ def kernel_rows(spec: SystemSpec, nodes: np.ndarray, targets) -> tuple:
     samples = _batch_columns(mirror, t_end - nodes[::-1],
                              {K - i: B[j].T for i, j in jump_nodes.items()},
                              K - at[::-1], np.arange(K + 1), reflected=True)
-    return samples[::-1, ::-1].transpose(1, 0, 3, 2), jump_nodes
+    rows = samples[::-1, ::-1].transpose(1, 0, 3, 2)
+    rows[np.arange(len(at)), at] = np.eye(spec.dim)
+    return rows, jump_nodes
 
 
 def fundamental_grid(spec: SystemSpec, s_grid, t_grid,

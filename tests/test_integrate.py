@@ -553,6 +553,9 @@ def test_fundamental_starts_at_identity_and_is_zero_before_s():
     npt.assert_allclose(fm.at(1.5, 1.5), np.eye(1), atol=0)
     npt.assert_allclose(fm.at(0.0, 0.5), 0.0, atol=0)
     npt.assert_allclose(fm.at(0.5, 1.5), 0.0, atol=0)
+    # a restart at the last t starts a sweep that takes no step
+    last = fundamental_grid(spec, [2.0], [0.5, 2.0], StepControl(1e-2))
+    npt.assert_allclose(last.at(2.0, 2.0), np.eye(1), atol=0)
 
 
 def test_fundamental_ignores_forcing_offsets_and_phi():
@@ -782,8 +785,10 @@ def _lag_and_zero_lag():
 
 def test_kernel_rows_of_several_targets_match_each_target_alone():
     # numpy 2.4.6's `negative` on an AVX-512 host wrote -0.0 into such a
-    # strided derivative, and the four targets' rows were off by 5.5e-6
-    spec, targets = _lag_and_zero_lag(), np.array([0.5, 1.0, 1.5, 2.0])
+    # strided derivative, and the four targets' rows were off by 5.5e-6;
+    # the repeated target 1.0 restarts two columns at one node, and each
+    # gets the row of 1.0 alone
+    spec, targets = _lag_and_zero_lag(), np.array([0.5, 1.0, 1.0, 1.5, 2.0])
     nodes = integrate.quadrature_nodes(spec, targets, 0.01)
     rows = kernel_rows(spec, nodes, targets)[0]
     for k, target in enumerate(targets):
@@ -857,11 +862,11 @@ def _twenty_columns():
 
 def test_chunked_sweep_matches_one_chunk(monkeypatch):
     # a memory cap that admits 16 columns, the estimate for a chunk of 16,
-    # splits 20 restart columns into chunks of 16 and 4
-    args = _twenty_columns()
-    whole = integrate._batch_columns(*args)
-    cap = _estimated_bytes(
-        lambda mem_cap: integrate._batch_columns(*args, mem_cap=mem_cap))
+    # splits 20 restart columns into chunks of 16 and 4, in either event
+    # order; one restart sits on the jump node at t = 1, and every node is
+    # recorded
+    hom, nodes, jumps, s_idx, rec = _twenty_columns()
+    s_idx = np.sort(np.append(s_idx[:19], min(jumps)))
     widths, real = [], integrate._Sweep
 
     def sweep(shared, c0, c1):
@@ -869,9 +874,15 @@ def test_chunked_sweep_matches_one_chunk(monkeypatch):
         return real(shared, c0, c1)
 
     monkeypatch.setattr(integrate, "_Sweep", sweep)
-    parts = integrate._batch_columns(*args, mem_cap=cap)
-    assert widths == [16, 4]
-    npt.assert_allclose(parts, whole, rtol=0, atol=1e-14)
+    for reflected in (False, True):
+        args = (hom, nodes, jumps, s_idx, rec, reflected)
+        whole = integrate._batch_columns(*args)
+        cap = _estimated_bytes(
+            lambda mem_cap: integrate._batch_columns(*args, mem_cap=mem_cap))
+        widths.clear()
+        parts = integrate._batch_columns(*args, mem_cap=cap)
+        assert widths == [16, 4]
+        npt.assert_allclose(parts, whole, rtol=0, atol=1e-14)
 
 
 def test_shallow_history_ring_names_the_step_and_the_depth(monkeypatch):
@@ -1844,13 +1855,16 @@ def test_window_buffers_hold_the_longest_window_the_sweep_runs(monkeypatch):
 
 def test_recorded_nodes_may_come_in_any_order():
     # records are looked up in sorted index arrays: unsorted and repeated
-    # record nodes each get their node's sample
+    # record nodes each get their node's sample, in either event order and
+    # on the jump node 100 too, where a column restarts
     hom = integrate._curtailed(planar_rotation())
     nodes, jump_nodes = integrate._prepare_grid(hom, 0.0, hom.horizon, 0.01)
     jumps = integrate._jump_matrices(hom, jump_nodes)
-    rec = np.array([200, 17, 120, 17, 240, 0])
-    got = integrate._batch_columns(hom, nodes, jumps, [0, 30, 60], rec)
-    want = integrate._batch_columns(hom, nodes, jumps, [0, 30, 60],
-                                    np.unique(rec))
-    assert got.tobytes() == want[np.searchsorted(np.unique(rec),
-                                                 rec)].tobytes()
+    rec = np.array([200, 17, 100, 120, 17, 240, 0, 100])
+    for reflected in (False, True):
+        got = integrate._batch_columns(hom, nodes, jumps, [0, 30, 60, 100],
+                                       rec, reflected)
+        want = integrate._batch_columns(hom, nodes, jumps, [0, 30, 60, 100],
+                                        np.unique(rec), reflected)
+        assert got.tobytes() == want[np.searchsorted(np.unique(rec),
+                                                     rec)].tobytes()

@@ -719,8 +719,9 @@ def _at_node(st: _Sweep, j: int, slot: int) -> None:
     of its left copy: its activation, then its jump and the jump's offset.
     The forward order jumps the columns activated before node j, the
     reflected order those activated at node j too.  The one handler of an
-    event node, at the sweep's start and in the window that reaches it;
-    it changes values only, and `_tail` takes the samples."""
+    event node, at the sweep's start and in the window that reaches it
+    (a node without events is left as it is); it changes values only, and
+    `_tail` takes the samples."""
     n, m, Sc = st.n, st.m, st.Sc
     y = st.H[slot, _Y]
     if j in st.activate:
